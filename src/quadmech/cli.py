@@ -28,7 +28,7 @@ from typing import Optional
 
 from . import __version__
 from .cooling import (ZeroCoupling, build_noise_model, dark_mode_diagnostics,
-                      solve_lyapunov)
+                      row_occupations, solve_lyapunov)
 from .params import (LinearizedParams, ParameterError, SystemParams,
                      validate_linearized, validate_params)
 from .recipes import RECIPES, RecipeResult, run_recipe
@@ -228,12 +228,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _param_meta(record) -> dict:
+    """``param.<field>`` header entries of a parameter record (none for None)."""
+    if record is None:
+        return {}
+    return {f"param.{f.name}": getattr(record, f.name) for f in fields(record)}
+
+
 def _meta_for(cfg: RunConfig, extra: dict | None = None) -> dict:
     meta = {"tool": "quadmech", "version": __version__, "command": cfg.command}
-    record = cfg.system if cfg.system is not None else cfg.linearized
-    if record is not None:
-        for f in fields(record):
-            meta[f"param.{f.name}"] = getattr(record, f.name)
+    meta.update(_param_meta(cfg.system if cfg.system is not None
+                            else cfg.linearized))
     meta.update({"flag.oracle": cfg.oracle,
                  "flag.gamma_fallback": cfg.gamma_fallback,
                  "flag.convention": cfg.convention,
@@ -338,7 +343,7 @@ def _cmd_branches(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
             pass
         if verdict.stable and (p.gamma1 > 0.0 or p.gamma2 > 0.0):
             cov = solve_lyapunov(build_drift_matrix(lp), build_noise_model(lp))
-            n1f, n2f = cov.n1f, cov.n2f
+            n1f, n2f = row_occupations(cov, diags)
         rows.append(dict(branch_index=k, n_p=b.n_p, stable=verdict.stable,
                          n1f=n1f, n2f=n2f, dark_overlap=dark,
                          residual=b.residual))
@@ -355,13 +360,12 @@ def _cmd_cool(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
     except ZeroCoupling:
         dark = None
     diags: list[Diagnostic] = []
+    n1f, n2f = row_occupations(cov, diags, cov.physical)
     if not cov.physical:
         diags.append(Diagnostic("unstable-point",
                                 "drift matrix unstable; phonon numbers "
                                 "are formal only"))
-    rows = [dict(branch_index=0, stable=cov.physical,
-                 n1f=cov.n1f if cov.physical else None,
-                 n2f=cov.n2f if cov.physical else None,
+    rows = [dict(branch_index=0, stable=cov.physical, n1f=n1f, n2f=n2f,
                  dark_overlap=dark, residual=cov.lyap_residual)]
     return rows, {"lyap_residual": cov.lyap_residual}, diags
 
@@ -427,22 +431,19 @@ def _run_reproduce(cfg: RunConfig) -> int:
             "command": f"reproduce {result.tag}",
             "flag.convention": cfg.convention,
             "flag.oracle": cfg.oracle, "flag.scan_points": cfg.scan_points}
-    base = result.meta.get("base")
-    if base is not None:
-        for f in fields(base):
-            meta[f"param.{f.name}"] = getattr(base, f.name)
     for key in ("mode", "convention", "case", "axes"):
         if key in result.meta:
             meta[f"recipe.{key}"] = str(result.meta[key])
     subtables = result.meta.get("subtables")
     if subtables:
         stem = Path(cfg.out_path)
-        for name, rows in subtables.items():
+        for name, (rows, base) in subtables.items():
             path = stem.with_name(f"{stem.stem}_{name}{stem.suffix}")
             write_table(str(path), cfg.out_format, columns, rows,
-                        {**meta, "recipe.case": name})
+                        {**meta, **_param_meta(base), "recipe.case": name})
             _write_plot_stub(str(path), f"{result.tag} ({name})", columns)
     else:
+        meta.update(_param_meta(result.meta.get("base")))
         write_table(cfg.out_path, cfg.out_format, columns, result.rows, meta)
         _write_plot_stub(cfg.out_path, result.tag, columns)
     if result.diagnostics:

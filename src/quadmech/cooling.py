@@ -15,7 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .params import LinearizedParams
-from .stability import DriftMatrix, classify_stability
+from .stability import DriftMatrix, build_drift_matrix, classify_stability
+from .steady_state import Diagnostic
 
 LYAP_RESIDUAL_TOL = 1e-10
 PHONON_IMAG_TOL = 1e-6
@@ -160,6 +161,22 @@ def phonon_numbers(cv: CovarianceResult) -> tuple[float, float]:
     return float(raw1.real) - 0.5, float(raw2.real) - 0.5
 
 
+def row_occupations(cv: CovarianceResult, diagnostics: list[Diagnostic],
+                    stable: bool = True):
+    """(n1f, n2f) of a solved covariance for an output row.
+
+    Records a lyap-residual diagnostic when the solve's residual exceeds
+    LYAP_RESIDUAL_TOL.  The occupations go through ``phonon_numbers`` and its
+    imaginary-part check; they are (None, None) when ``stable`` is false.
+    """
+    if cv.lyap_residual > LYAP_RESIDUAL_TOL:
+        diagnostics.append(Diagnostic(
+            "lyap-residual",
+            f"Lyapunov residual {cv.lyap_residual:.3e} exceeds "
+            f"{LYAP_RESIDUAL_TOL:g}"))
+    return phonon_numbers(cv) if stable else (None, None)
+
+
 def dark_mode_diagnostics(lp: LinearizedParams) -> DarkModeDiagnostics:
     """Overlap of the cavity drive with the collective dark mechanical mode."""
     g1, g2 = complex(lp.g1_eff), complex(lp.g2_eff)
@@ -185,5 +202,4 @@ def dark_mode_diagnostics(lp: LinearizedParams) -> DarkModeDiagnostics:
 
 def cool_linearized(lp: LinearizedParams) -> CovarianceResult:
     """Convenience pipeline: drift matrix + noise model -> covariance."""
-    from .stability import build_drift_matrix
     return solve_lyapunov(build_drift_matrix(lp), build_noise_model(lp))

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cooling import (ZeroCoupling, build_noise_model, dark_mode_diagnostics,
-                      solve_lyapunov)
+                      row_occupations, solve_lyapunov)
 from .params import LinearizedParams, SystemParams, validate_params
 from .stability import (build_drift_matrix, classify_branch_stability,
                         derive_linearized)
@@ -63,9 +63,11 @@ def sweep_rows(result) -> list[dict]:
     return rows
 
 
-def _steady_sweep(tag, base, axes, mode, points_override, threads, scan_points,
+def _steady_sweep(tag, base, axes, mode, points, threads, scan_points,
                   oracle, gamma_fallback) -> RecipeResult:
-    axes = tuple(replace(ax, points=points_override or ax.points) for ax in axes)
+    """A recipe sweep; ``points``, when given, overrides every axis's own."""
+    if points is not None:
+        axes = tuple(replace(ax, points=points) for ax in axes)
     spec = SweepSpec(axes=axes, base=base, mode=mode, oracle_mode=oracle,
                      gamma_fallback=gamma_fallback, scan_points=scan_points,
                      threads=threads)
@@ -98,27 +100,30 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
     base = validate_params(base)
     q1 = base.gamma1 / base.omega1
     q2 = base.gamma2 / base.omega2
-    rows: list[dict] = []
-    prev: dict[int, float] = {}
-    next_label = 0
-    for r in np.asarray(ratios, dtype=float):
+    ratios = np.asarray(ratios, dtype=float)
+    ps = []
+    for r in ratios:
         if convention == "kappa":
             w = base.kappa / r
-            p = replace(base, omega1=w, omega2=w, gamma1=q1 * w, gamma2=q2 * w)
+            ps.append(replace(base, omega1=w, omega2=w, gamma1=q1 * w,
+                              gamma2=q2 * w))
         else:
             s = base.omega1                      # convert rates to omega1 units
-            p = replace(
+            ps.append(replace(
                 base, delta_c=base.delta_c / s, omega1=1.0, omega2=base.omega2 / s,
                 g1=base.g1 / s, g2=base.g2 / s, omega_ex=base.omega_ex / s,
                 eta=base.eta / s, kappa=r, gamma1=q1, gamma2=q2 * base.omega2 / s,
-                unit_label="omega1")
-        diags: list[Diagnostic] = []
-        branches = solve_branches(p, oracle_mode=oracle,
-                                  scan_points=scan_points, diagnostics=diags)
-        if diagnostics is not None:
-            for d in diags:
-                d.cell = (float(r),)
-            diagnostics.extend(diags)
+                unit_label="omega1"))
+    sinks: list[list[Diagnostic]] = [[] for _ in ps]
+    solved = solve_branches(ps, oracle_mode=oracle, scan_points=scan_points,
+                            diagnostics=sinks)
+    lps = [[derive_linearized(b, p) for b in bs] for p, bs in zip(ps, solved)]
+    verdicts = iter(classify_branch_stability(
+        [lp for cell in lps for lp in cell]))
+    rows: list[dict] = []
+    prev: dict[int, float] = {}
+    next_label = 0
+    for r, branches, cell_lps, diags in zip(ratios, solved, lps, sinks):
         # nearest-n_p continuation labels
         assignment: dict[int, int] = {}
         if prev:
@@ -134,14 +139,13 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
                 taken_labels.add(label)
                 taken_rows.add(k)
         new_prev: dict[int, float] = {}
-        for k, b in enumerate(branches):
+        for k, (b, lp) in enumerate(zip(branches, cell_lps)):
             label = assignment.get(k)
             if label is None:
                 label = next_label
                 next_label += 1
             new_prev[label] = b.n_p
-            lp = derive_linearized(b, p)
-            verdict = classify_branch_stability(lp)
+            verdict = next(verdicts)
             n1f = n2f = None
             dark = None
             try:
@@ -150,11 +154,15 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
                 pass
             if verdict.stable:
                 cov = solve_lyapunov(build_drift_matrix(lp), build_noise_model(lp))
-                n1f, n2f = cov.n1f, cov.n2f
+                n1f, n2f = row_occupations(cov, diags)
             rows.append(dict(kappa_over_omega1=float(r), branch_index=label,
                              n_p=b.n_p, stable=verdict.stable, n1f=n1f,
                              n2f=n2f, dark_overlap=dark, residual=b.residual))
         prev = new_prev
+        if diagnostics is not None:
+            for d in diags:
+                d.cell = (float(r),)
+            diagnostics.extend(diags)
     return rows
 
 
@@ -184,20 +192,18 @@ def _recipe_specs() -> dict[str, Callable]:
     pi = math.pi
     reg: dict[str, Callable] = {}
 
-    def steady(tag, base, axes, mode, pts2d=201, pts1d=801):
+    def steady(tag, base, axes, mode):
         def run(points, threads, scan_points, oracle, gamma_fallback, convention):
             del convention
-            default = pts1d if len(axes) == 1 else pts2d
-            return _steady_sweep(tag, base, axes, mode, points or default,
-                                 threads, scan_points, oracle, gamma_fallback)
+            return _steady_sweep(tag, base, axes, mode, points, threads,
+                                 scan_points, oracle, gamma_fallback)
         reg[tag] = run
 
-    def cooling(tag, base, axes, pts2d=201, pts1d=801):
+    def cooling(tag, base, axes):
         def run(points, threads, scan_points, oracle, gamma_fallback, convention):
             del scan_points, oracle, gamma_fallback, convention
-            default = pts1d if len(axes) == 1 else pts2d
-            return _steady_sweep(tag, base, axes, "cooling", points or default,
-                                 threads, 4096, True, True)
+            return _steady_sweep(tag, base, axes, "cooling", points, threads,
+                                 4096, True, True)
         reg[tag] = run
 
     steady("fig2a", MULTI_BASE,
@@ -227,7 +233,8 @@ def _recipe_specs() -> dict[str, Callable]:
                     oracle, gamma_fallback)
         quad = _fig4("fig4", "quadratic", convention, points, None, scan_points,
                      oracle, gamma_fallback)
-        lin.meta["subtables"] = {"linear": lin.rows, "quadratic": quad.rows}
+        lin.meta["subtables"] = {"linear": (lin.rows, lin.meta["base"]),
+                                 "quadratic": (quad.rows, quad.meta["base"])}
         lin.diagnostics.extend(quad.diagnostics)
         return lin
     reg["fig4"] = fig4

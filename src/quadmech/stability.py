@@ -7,6 +7,7 @@ which the constructor enforces by building the lower blocks as conjugates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -90,43 +91,65 @@ def build_drift_matrix(lp: LinearizedParams) -> DriftMatrix:
         [-1j * G1, 0.0, 0.0],
         [-1j * G2, 0.0, -2j * G22],
     ], dtype=complex)
-    a = np.block([[B, C], [np.conj(C), np.conj(B)]])
+    a = np.empty((6, 6), dtype=complex)
+    a[:3, :3] = B
+    a[:3, 3:] = C
+    a[3:, :3] = np.conj(C)
+    a[3:, 3:] = np.conj(B)
     return DriftMatrix(a=a)
 
 
-def classify_stability(A: DriftMatrix) -> StabilityVerdict:
+def classify_stability(A: DriftMatrix):
     """Stability from the full eigenvalue set of the drift matrix.
 
     Marginal spectra (|max Re| below stab_tol) are reported unstable: the
-    steady-state Lyapunov solve is invalid on the margin.
+    steady-state Lyapunov solve is invalid on the margin.  ``A.a`` may also
+    be a stack of shape (k, 6, 6); its k verdicts then come back as a list,
+    from one eigenvalue call.
     """
+    a = A.a
     try:
-        ev = np.linalg.eigvals(A.a)
+        ev = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveFailure(str(exc)) from exc
-    max_re = float(ev.real.max())
-    stab_tol = STAB_TOL_FACTOR * A.kappa
-    return StabilityVerdict(
-        eigenvalues=ev,
-        max_real_part=max_re,
-        stable=bool(max_re < -stab_tol),
-        margin=-max_re,
-    )
+    max_re = ev.real.max(axis=-1)
+    stab_tol = STAB_TOL_FACTOR * -a[..., 0, 0].real
+    verdicts = [StabilityVerdict(eigenvalues=e, max_real_part=float(m),
+                                 stable=bool(m < -t), margin=-float(m))
+                for e, m, t in zip(ev.reshape(-1, 6), np.ravel(max_re),
+                                   np.ravel(stab_tol))]
+    return verdicts if a.ndim == 3 else verdicts[0]
 
 
-def classify_branch_stability(lp: LinearizedParams,
-                              gamma_fallback: bool = True) -> StabilityVerdict:
+def classify_branch_stability(lp: Union[LinearizedParams,
+                                        Sequence[LinearizedParams]],
+                              gamma_fallback: bool = True):
     """Branch verdict, with an infinitesimal-damping fallback.
 
     With gamma1 = gamma2 = 0 the uncoupled mechanical eigenvalues sit exactly
     on the margin; the fallback classifies with gamma = 1e-6*kappa instead and
-    flags verdicts that differ between the two dampings.
+    flags verdicts that differ between the two dampings.  ``lp`` may also be
+    a sequence of parameter sets: a list of verdicts then comes back, from
+    one stacked eigenvalue call for the raw damping and one for the fallback.
     """
-    raw = classify_stability(build_drift_matrix(lp))
-    if not gamma_fallback or lp.gamma1 > 0.0 or lp.gamma2 > 0.0:
-        return raw
-    eps = GAMMA_FALLBACK_FACTOR * lp.kappa
-    fb = classify_stability(build_drift_matrix(
-        replace(lp, gamma1=eps, gamma2=eps)))
-    return replace(fb, gamma_fallback_applied=True,
-                   verdict_flipped=bool(fb.stable != raw.stable))
+    if isinstance(lp, LinearizedParams):
+        return classify_branch_stability([lp], gamma_fallback)[0]
+    lps = list(lp)
+    if not lps:
+        return []
+    raw = classify_stability(DriftMatrix(
+        a=np.stack([build_drift_matrix(q).a for q in lps])))
+    out = list(raw)
+    undamped = [k for k, q in enumerate(lps) if gamma_fallback
+                and not (q.gamma1 > 0.0 or q.gamma2 > 0.0)]
+    if undamped:
+        damped = []
+        for k in undamped:
+            eps = GAMMA_FALLBACK_FACTOR * lps[k].kappa
+            damped.append(build_drift_matrix(
+                replace(lps[k], gamma1=eps, gamma2=eps)).a)
+        fb = classify_stability(DriftMatrix(a=np.stack(damped)))
+        for k, v in zip(undamped, fb):
+            out[k] = replace(v, gamma_fallback_applied=True,
+                             verdict_flipped=bool(v.stable != raw[k].stable))
+    return out

@@ -5,8 +5,9 @@ Two independent routes to the steady-state photon numbers n_p = |alpha|^2:
 * a closed-form degree-7 polynomial in n_p (``build_polynomial`` /
   ``find_real_roots``), and
 * a fixed-point scan oracle (``oracle_roots``) that brackets and bisects
-  f(n_p) = eta^2/(kappa^2 + Delta(n_p)^2) - n_p, with Delta(n_p) obtained from
-  the 4x4 linear solve for the mechanical displacements.
+  f(n_p) = eta^2/(kappa^2 + Delta(n_p)^2) - n_p, with Delta(n_p) taken from
+  the exact rational form of the mechanical displacements
+  (``RationalResponse``); it runs on a batch of parameter sets at once.
 
 The closed-form coefficient set C5/C6 is known to disagree with the
 fixed-point map whenever both couplings are active (its mixed g1-g2 terms are
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +35,7 @@ DEDUPE_TOL = 1e-8         # roots closer than DEDUPE_TOL*(1+n) merge
 MATCH_TOL = 1e-6          # polynomial/oracle roots match within MATCH_TOL*max(1,n)
 ORACLE_MARGIN = 0.05      # scan upper bound: (1+margin)*eta^2/kappa^2
 SINGULAR_COND = 1e14      # condition-number cutoff of the 4x4 mechanical solve
+SCAN_BLOCK = 1 << 13      # oracle scan points evaluated at once (bounds memory)
 
 
 class ZeroPolynomial(ValueError):
@@ -189,39 +191,23 @@ def find_real_roots(coeffs: PolynomialCoefficients) -> list[float]:
 # mechanical fixed point at given photon number
 # ---------------------------------------------------------------------------
 
-def _mech_matrices(p: SystemParams, n_p: np.ndarray, with_damping: bool):
-    """Stacked 4x4 systems for (Re b1, Im b1, Re b2, Im b2) at each n_p.
+def _mech_matrix(p: SystemParams, with_damping: bool) -> tuple:
+    """Rows of the 4x4 mechanical system M0 at n_p = 0.
 
-    Row order: Re/Im of the b1 equation, then Re/Im of the b2 equation, for
-    (gamma + i*omega)*b + i*drive = 0 with the quadratic frequency pull
-    omega2 -> omega2 + 4 g2 n_p acting on Re b2 only.
+    Unknowns (Re b1, Im b1, Re b2, Im b2); rows are Re/Im of the b1
+    equation, then of the b2 equation, for (gamma + i*omega)*b + i*drive = 0.
+    The quadratic frequency pull omega2 -> omega2 + 4 g2 n_p acts on Re b2
+    only, so M(n_p) = M0 + 4 g2 n_p e3 e2^T, and the drive -g1 n_p enters
+    row 1 alone.
     """
-    n_p = np.atleast_1d(np.asarray(n_p, dtype=float))
-    S = n_p.shape[0]
     c, s = math.cos(p.theta), math.sin(p.theta)
     Om = p.omega_ex
     g1m = p.gamma1 if with_damping else 0.0
     g2m = p.gamma2 if with_damping else 0.0
-    M = np.zeros((S, 4, 4))
-    M[:, 0, 0] = g1m
-    M[:, 0, 1] = -p.omega1
-    M[:, 0, 2] = -Om * s
-    M[:, 0, 3] = -Om * c
-    M[:, 1, 0] = p.omega1
-    M[:, 1, 1] = g1m
-    M[:, 1, 2] = Om * c
-    M[:, 1, 3] = -Om * s
-    M[:, 2, 0] = Om * s
-    M[:, 2, 1] = -Om * c
-    M[:, 2, 2] = g2m
-    M[:, 2, 3] = -p.omega2
-    M[:, 3, 0] = Om * c
-    M[:, 3, 1] = Om * s
-    M[:, 3, 2] = p.omega2 + 4.0 * p.g2 * n_p
-    M[:, 3, 3] = g2m
-    rhs = np.zeros((S, 4))
-    rhs[:, 1] = -p.g1 * n_p
-    return M, rhs
+    return ((g1m, -p.omega1, -Om * s, -Om * c),
+            (p.omega1, g1m, Om * c, -Om * s),
+            (Om * s, -Om * c, g2m, -p.omega2),
+            (Om * c, Om * s, p.omega2, g2m))
 
 
 def mechanical_response(p: SystemParams, n_p: float,
@@ -231,10 +217,13 @@ def mechanical_response(p: SystemParams, n_p: float,
     Damping is excluded by default, matching the steady-state algebra that the
     polynomial encodes; ``with_damping=True`` retains gamma for sensitivity
     studies.  Raises SingularMechanicalSystem when the 4x4 system is
-    (numerically) singular.
+    (numerically) singular.  This dense solve is independent of the rational
+    response the oracle scans with, so ``reconstruct_branch`` checks every
+    root against it.
     """
-    M, rhs = _mech_matrices(p, n_p, with_damping)
-    M0, r0 = M[0], rhs[0]
+    M0 = np.array(_mech_matrix(p, with_damping))
+    M0[3, 2] = p.omega2 + 4.0 * p.g2 * n_p
+    r0 = np.array([0.0, -p.g1 * n_p, 0.0, 0.0])
     if np.linalg.cond(M0) > SINGULAR_COND:
         raise SingularMechanicalSystem(
             f"mechanical system singular at n_p = {n_p:.6g}")
@@ -255,34 +244,76 @@ def effective_detuning(p: SystemParams, beta1: complex, beta2: complex) -> float
     return p.delta_c + 2.0 * p.g1 * beta1.real + p.g2 * quad
 
 
-def _detuning_batch(p: SystemParams, n_p: np.ndarray,
-                    with_damping: bool = False) -> np.ndarray:
-    """Vectorized effective detuning over an array of photon numbers.
+@dataclass(frozen=True)
+class RationalResponse:
+    """Exact mechanical response of a batch of parameter sets, one column each.
 
-    Singular grid points come back as NaN (callers skip them)."""
-    M, rhs = _mech_matrices(p, n_p, with_damping)
-    try:
+    Only M[3, 2] depends on n_p and the drive is proportional to n_p, so by
+    Cramer's rule (equivalently Sherman-Morrison)
+
+        Re b1(n) = n (a0 + a1 n) / (d0 + d1 n),   Re b2(n) = n e / (d0 + d1 n)
+
+    with d0 = det M0, d1 = 4 g2 C32, a0 + a1 n = g1 det(minor10 of M(n)) and
+    e = g1 det(minor12 of M0) (C32 the (3, 2) cofactor of M0).  Determinants
+    need no special case for a singular M0.  Rows of ``coef``: a0, a1, e,
+    d0, d1, delta_c, g1, g2, eta, kappa.
+    """
+
+    coef: np.ndarray                 # shape (10, cells)
+
+    @classmethod
+    def of(cls, ps: Sequence[SystemParams],
+           with_damping: bool = False) -> "RationalResponse":
+        M0 = np.array([_mech_matrix(p, with_damping) for p in ps],
+                      dtype=float).reshape(-1, 4, 4)
+        g1, g2, delta_c, eta, kappa = np.array(
+            [(p.g1, p.g2, p.delta_c, p.eta, p.kappa) for p in ps],
+            dtype=float).reshape(-1, 5).T
+        det = np.linalg.det
+        a0 = g1 * det(M0[:, [0, 2, 3]][:, :, [1, 2, 3]])
+        a1 = -4.0 * g1 * g2 * det(M0[:, [0, 2]][:, :, [1, 3]])
+        e = g1 * det(M0[:, [0, 2, 3]][:, :, [0, 1, 3]])
+        d1 = -4.0 * g2 * det(M0[:, [0, 1, 2]][:, :, [0, 1, 3]])
+        return cls(np.stack([a0, a1, e, det(M0), d1, delta_c, g1, g2, eta,
+                             kappa]))
+
+    def take(self, cells, repeats=1) -> "RationalResponse":
+        """The columns picked by ``cells``, each repeated ``repeats`` times."""
+        return RationalResponse(np.repeat(self.coef[:, cells], repeats, axis=1))
+
+    def detuning(self, n_p: np.ndarray) -> np.ndarray:
+        """Effective detuning Delta(n_p) elementwise; NaN where the
+        denominator is exactly zero (a point on the mechanical pole)."""
+        a0, a1, e, d0, d1, delta_c, g1, g2 = self.coef[:8]
         with np.errstate(all="ignore"):
-            sol = np.linalg.solve(M, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        sol = np.full(rhs.shape, np.nan)
-        for i in range(M.shape[0]):
-            try:
-                sol[i] = np.linalg.solve(M[i], rhs[i])
-            except np.linalg.LinAlgError:
-                pass
-    u1, u2 = sol[:, 0], sol[:, 2]
-    quad = 4.0 * u2**2   # conj(b2)^2 + b2^2 + 2|b2|^2 collapses to 4 Re[b2]^2
-    return p.delta_c + 2.0 * p.g1 * u1 + p.g2 * quad
+            den = d0 + d1 * n_p
+            den = np.where(den == 0.0, np.nan, den)
+            u1 = n_p * (a0 + a1 * n_p) / den
+            u2 = n_p * e / den
+            # conj(b2)^2 + b2^2 + 2|b2|^2 collapses to 4 Re[b2]^2
+            return delta_c + 2.0 * g1 * u1 + g2 * (4.0 * u2**2)
+
+    def defect(self, n_p: np.ndarray) -> np.ndarray:
+        """f(n_p) = eta^2/(kappa^2 + Delta(n_p)^2) - n_p elementwise."""
+        eta, kappa = self.coef[8], self.coef[9]
+        delta = self.detuning(n_p)
+        with np.errstate(all="ignore"):
+            return eta**2 / (kappa**2 + delta**2) - n_p
 
 
-def fixed_point_defect(p: SystemParams, n_p: np.ndarray,
+def fixed_point_defect(p: Union[SystemParams, RationalResponse],
+                       n_p: np.ndarray,
                        with_damping: bool = False) -> np.ndarray:
-    """f(n_p) = eta^2/(kappa^2 + Delta(n_p)^2) - n_p, vectorized."""
+    """f(n_p) = eta^2/(kappa^2 + Delta(n_p)^2) - n_p, elementwise.
+
+    ``p`` is one parameter set, or a RationalResponse with one column per
+    element of ``n_p`` (the batched oracle's form, whose coefficients already
+    hold ``with_damping``).  Exact mechanical poles come back as NaN.
+    """
     n_p = np.atleast_1d(np.asarray(n_p, dtype=float))
-    D = _detuning_batch(p, n_p, with_damping)
-    with np.errstate(all="ignore"):
-        return p.eta**2 / (p.kappa**2 + D**2) - n_p
+    if not isinstance(p, RationalResponse):
+        p = RationalResponse.of([p], with_damping)
+    return p.defect(n_p)
 
 
 def reconstruct_branch(p: SystemParams, n_p: float,
@@ -319,21 +350,11 @@ def _resonance_pole(p: SystemParams) -> Optional[float]:
     return pole if pole > 0.0 else None
 
 
-def oracle_roots(p: SystemParams, scan_points: int = 4096,
-                 diagnostics: Optional[list[Diagnostic]] = None,
-                 with_damping: bool = False) -> list[float]:
-    """Fixed-point roots by scan/bracket/bisection; never touches the
-    closed-form polynomial coefficients.
-
-    The base grid is uniform on [0, (1+margin)*eta^2/kappa^2].  When the
-    quadratic coupling puts the mechanical resonance pole inside the window,
-    extra geometrically clustered points straddle it: the fixed-point map
-    varies over many decades there and a uniform grid misses brackets.
-    """
-    if scan_points < 1000:
-        raise ValueError("scan_points must be >= 1000")
-    if p.eta == 0.0:
-        return [0.0]
+def _scan_grid(p: SystemParams, scan_points: int) -> np.ndarray:
+    """Uniform grid on [0, (1+margin)*eta^2/kappa^2].  When the quadratic
+    coupling puts the mechanical resonance pole inside the window, extra
+    geometrically clustered points straddle it: the fixed-point map varies
+    over many decades there and a uniform grid misses brackets."""
     n_max = (1.0 + ORACLE_MARGIN) * p.eta**2 / p.kappa**2
     grid = np.linspace(0.0, n_max, scan_points)
     pole = _resonance_pole(p)
@@ -342,37 +363,106 @@ def oracle_roots(p: SystemParams, scan_points: int = 4096,
         extra = np.concatenate([pole - d, pole + d])
         extra = extra[(extra > 0.0) & (extra < n_max)]
         grid = np.unique(np.concatenate([grid, extra]))
-    f = fixed_point_defect(p, grid, with_damping)
-    bad = ~np.isfinite(f)
-    if bad.any():
-        if diagnostics is not None:
-            diagnostics.append(Diagnostic(
-                "singular-scan-point",
-                f"skipped {int(bad.sum())} singular scan points"))
-        grid, f = grid[~bad], f[~bad]
-    if len(grid) < 2:
-        return []
-    roots = [float(g) for g in grid[f == 0.0]]
-    sgn = np.sign(f)
-    idx = np.nonzero(sgn[:-1] * sgn[1:] < 0.0)[0]
-    lo, hi = grid[idx].copy(), grid[idx + 1].copy()
-    flo = f[idx].copy()
+    return grid
+
+
+def _scan_blocks(ps: list[SystemParams], cells: list[int], scan_points: int):
+    """Scan grids of ``cells`` in blocks of whole cells, about SCAN_BLOCK
+    points each; yields (block cells, their point counts, flattened grid)."""
+    grids: list[np.ndarray] = []
+    owners: list[int] = []
+    for k in cells:
+        grids.append(_scan_grid(ps[k], scan_points))
+        owners.append(k)
+        if sum(len(g) for g in grids) >= SCAN_BLOCK or k == cells[-1]:
+            yield owners, [len(g) for g in grids], np.concatenate(grids)
+            grids, owners = [], []
+
+
+def _bisect(resp: RationalResponse, lo: np.ndarray, hi: np.ndarray,
+            flo: np.ndarray) -> np.ndarray:
+    """Midpoints of all brackets after bisection, evaluated together.
+
+    A bracket freezes once hi - lo <= 1e-12*max(1, |lo|), or after 90
+    halvings, so its root depends on nothing else in the batch.
+    """
+    out = np.empty_like(lo)
+    live = np.arange(len(lo))
     for _ in range(90):
+        if not len(live):
+            break
         mid = 0.5 * (lo + hi)
-        fm = fixed_point_defect(p, mid, with_damping)
+        fm = fixed_point_defect(resp, mid)
         left = flo * fm < 0.0
         hi = np.where(left, mid, hi)
         lo = np.where(left, lo, mid)
         flo = np.where(left, flo, fm)
-        if np.all(hi - lo <= 1e-12 * np.maximum(1.0, np.abs(lo))):
-            break
-    roots.extend(float(r) for r in 0.5 * (lo + hi))
-    roots.sort()
-    out: list[float] = []
-    for r in roots:
-        if out and abs(r - out[-1]) < DEDUPE_TOL * (1.0 + r):
-            continue
-        out.append(r)
+        done = hi - lo <= 1e-12 * np.maximum(1.0, np.abs(lo))
+        if done.any():
+            out[live[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            live, lo, hi, flo = live[keep], lo[keep], hi[keep], flo[keep]
+            resp = resp.take(keep)
+    out[live] = 0.5 * (lo + hi)
+    return out
+
+
+def oracle_roots(p: Union[SystemParams, Sequence[SystemParams]],
+                 scan_points: int = 4096,
+                 diagnostics=None,
+                 with_damping: bool = False):
+    """Fixed-point roots by scan/bracket/bisection; never touches the
+    closed-form polynomial coefficients.
+
+    ``p`` is one parameter set (roots come back as a list, diagnostics go to
+    the list ``diagnostics``) or a sequence of them (one root list per set,
+    ``diagnostics`` then holds one list per set).  A single set is a batch
+    of one.  Each set is scanned on its own grid (``_scan_grid``); the grids
+    of a batch are flattened with per-cell owners and evaluated in blocks,
+    and every bracket of the batch is bisected at once.
+    """
+    if isinstance(p, SystemParams):
+        sinks = None if diagnostics is None else [diagnostics]
+        return oracle_roots([p], scan_points, sinks, with_damping)[0]
+    if scan_points < 1000:
+        raise ValueError("scan_points must be >= 1000")
+    ps = list(p)
+    found: list[list[float]] = [[0.0] if q.eta == 0.0 else [] for q in ps]
+    live = [k for k, q in enumerate(ps) if q.eta != 0.0]
+    resp = RationalResponse.of(ps, with_damping)
+    brackets = []
+    for owners, counts, grid in _scan_blocks(ps, live, scan_points):
+        cell = np.repeat(owners, counts)
+        f = fixed_point_defect(resp.take(owners, counts), grid)
+        ok = np.isfinite(f)
+        if not ok.all():
+            bad = np.bincount(cell[~ok], minlength=len(ps))
+            if diagnostics is not None:
+                for k in np.nonzero(bad)[0]:
+                    diagnostics[k].append(Diagnostic(
+                        "singular-scan-point",
+                        f"skipped {int(bad[k])} singular scan points"))
+            ok &= np.bincount(cell[ok], minlength=len(ps))[cell] >= 2
+            grid, f, cell = grid[ok], f[ok], cell[ok]
+        for k, g in zip(cell[f == 0.0], grid[f == 0.0]):
+            found[k].append(float(g))
+        sgn = np.sign(f)
+        idx = np.nonzero((sgn[:-1] * sgn[1:] < 0.0)
+                         & (cell[:-1] == cell[1:]))[0]
+        brackets.append((grid[idx], grid[idx + 1], f[idx], cell[idx]))
+    if brackets:
+        lo, hi, flo, owner = (np.concatenate(x) for x in zip(*brackets))
+        for k, r in zip(owner, _bisect(resp.take(owner), lo, hi, flo)):
+            found[k].append(float(r))
+    out: list[list[float]] = []
+    for roots in found:
+        roots.sort()
+        kept: list[float] = []
+        for r in roots:
+            if kept and abs(r - kept[-1]) < DEDUPE_TOL * (1.0 + r):
+                continue
+            kept.append(r)
+        out.append(kept)
     return out
 
 
@@ -385,46 +475,57 @@ def roots_match(poly_roots: list[float], oracle: list[float],
                for a, b in zip(poly_roots, oracle))
 
 
-def solve_branches(p: SystemParams, oracle_mode: bool = True,
+def solve_branches(p: Union[SystemParams, Sequence[SystemParams]],
+                   oracle_mode: bool = True,
                    scan_points: int = 4096,
                    with_damping: bool = False,
-                   diagnostics: Optional[list[Diagnostic]] = None
-                   ) -> list[SteadyStateBranch]:
+                   diagnostics=None):
     """All self-consistent steady-state branches, ascending in n_p.
 
-    Polynomial and oracle root sets are compared; on disagreement a
-    coefficient-mismatch diagnostic is recorded and the oracle root set is
-    used (a union would double-count roots near folds, where the two
-    estimates of the same root differ by more than the match tolerance yet
-    both pass the residual check).  Candidates that fail the self-consistency
-    residual are dropped with a diagnostic either way.
+    ``p`` is one parameter set (a list of branches comes back, diagnostics go
+    to the list ``diagnostics``) or a sequence of them (one branch list per
+    set, ``diagnostics`` then holds one list per set); the oracle runs once
+    for the whole batch.  Polynomial and oracle root sets are compared; on
+    disagreement a coefficient-mismatch diagnostic is recorded and the
+    oracle root set is used (a union would double-count roots near folds,
+    where the two estimates of the same root differ by more than the match
+    tolerance yet both pass the residual check).  Candidates that fail the
+    self-consistency residual are dropped with a diagnostic either way.
     """
-    try:
-        poly = find_real_roots(build_polynomial(p))
-    except ZeroPolynomial:
-        poly = []
+    if isinstance(p, SystemParams):
+        sinks = None if diagnostics is None else [diagnostics]
+        return solve_branches([p], oracle_mode, scan_points, with_damping,
+                              sinks)[0]
+    ps = list(p)
+    sinks = diagnostics if diagnostics is not None else [[] for _ in ps]
     if oracle_mode:
-        orc = oracle_roots(p, scan_points, diagnostics, with_damping)
-        if roots_match(poly, orc):
+        orcs = oracle_roots(ps, scan_points, sinks, with_damping)
+    else:
+        orcs = [None] * len(ps)
+    out: list[list[SteadyStateBranch]] = []
+    for q, orc, sink in zip(ps, orcs, sinks):
+        try:
+            poly = find_real_roots(build_polynomial(q))
+        except ZeroPolynomial:
+            poly = []
+        if orc is None:
+            candidates = sorted(poly)
+        elif roots_match(poly, orc):
             candidates = poly
         else:
-            if diagnostics is not None:
-                diagnostics.append(Diagnostic(
-                    "coefficient-mismatch",
-                    f"polynomial roots {poly} vs oracle roots {orc}; "
-                    f"oracle is authoritative"))
+            sink.append(Diagnostic(
+                "coefficient-mismatch",
+                f"polynomial roots {poly} vs oracle roots {orc}; "
+                f"oracle is authoritative"))
             candidates = orc
-    else:
-        candidates = sorted(poly)
-    branches: list[SteadyStateBranch] = []
-    for r in candidates:
-        try:
-            branches.append(reconstruct_branch(p, r, with_damping))
-        except ResidualTooLarge as exc:
-            if diagnostics is not None:
-                diagnostics.append(Diagnostic("residual-drop", str(exc)))
-        except SingularMechanicalSystem as exc:
-            if diagnostics is not None:
-                diagnostics.append(Diagnostic("singular-root", str(exc)))
-    branches.sort(key=lambda b: b.n_p)
-    return branches
+        branches: list[SteadyStateBranch] = []
+        for r in candidates:
+            try:
+                branches.append(reconstruct_branch(q, r, with_damping))
+            except ResidualTooLarge as exc:
+                sink.append(Diagnostic("residual-drop", str(exc)))
+            except SingularMechanicalSystem as exc:
+                sink.append(Diagnostic("singular-root", str(exc)))
+        branches.sort(key=lambda b: b.n_p)
+        out.append(branches)
+    return out

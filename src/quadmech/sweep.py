@@ -2,7 +2,9 @@
 
 Cells are independent pure computations; results are assembled in row-major
 cell order regardless of worker count, so identical specs produce identical
-tables.  Supported modes:
+tables.  Steady-state cells are solved in batches (one oracle call and two
+stacked eigenvalue calls per batch); a cell's result depends only on the
+cell, never on the batch it shares.  Supported modes:
 
 * ``root-count`` / ``stable-count`` — steady-state branches with stability
   verdicts per cell (SystemParams base),
@@ -20,13 +22,17 @@ from typing import Optional, Union
 import numpy as np
 
 from .cooling import (ZeroCoupling, build_noise_model, dark_mode_diagnostics,
-                      solve_lyapunov)
+                      row_occupations, solve_lyapunov)
 from .params import LinearizedParams, SystemParams, validate_params
 from .stability import (build_drift_matrix, classify_branch_stability,
                         derive_linearized)
 from .steady_state import Diagnostic, solve_branches
 
 MODES = ("root-count", "stable-count", "branch-curve", "cooling")
+# Steady-state cells solved as one batch: enough to amortise the per-call
+# NumPy overhead of the oracle and the eigenvalue stacks, few enough to keep
+# their arrays and branch records small.  Results do not depend on it.
+BATCH_CELLS = 256
 
 
 class InvalidSpec(ValueError):
@@ -128,37 +134,66 @@ def _cell_params(spec: SweepSpec, values: tuple[float, ...]):
     return replace(spec.base, **updates)
 
 
-def _eval_steady_cell(spec: SweepSpec, index, values) -> tuple[CellResult, list[Diagnostic]]:
-    diags: list[Diagnostic] = []
+def _cell_error(exc: Exception) -> Diagnostic:
+    return Diagnostic("cell-error", f"{type(exc).__name__}: {exc}")
+
+
+def _solve_cells(spec: SweepSpec, ps: list[SystemParams],
+                 sinks: list[list[Diagnostic]]) -> list:
+    """Branches of every cell in one batched solve.  If the batch raises,
+    each cell is solved alone, so an error fails only its own cell."""
     try:
-        p = validate_params(_cell_params(spec, values))
-        branches = solve_branches(p, oracle_mode=spec.oracle_mode,
-                                  scan_points=spec.scan_points,
-                                  with_damping=spec.with_damping,
-                                  diagnostics=diags)
+        return solve_branches(ps, oracle_mode=spec.oracle_mode,
+                              scan_points=spec.scan_points,
+                              with_damping=spec.with_damping,
+                              diagnostics=sinks)
     except Exception as exc:   # per-cell failures never abort the sweep
-        diags.append(Diagnostic("cell-error", f"{type(exc).__name__}: {exc}"))
-        branches = []
-        p = None
-    rows: list[BranchRow] = []
-    stable_count = 0
-    for k, b in enumerate(branches):
-        lp = derive_linearized(b, p)
-        verdict = classify_branch_stability(lp, spec.gamma_fallback)
-        if verdict.verdict_flipped:
-            diags.append(Diagnostic(
-                "marginal-verdict",
-                f"stability verdict at n_p={b.n_p:.6g} flips between "
-                f"gamma=0 and the fallback damping"))
-        stable_count += verdict.stable
-        rows.append(BranchRow(branch_index=k, n_p=b.n_p, stable=verdict.stable,
-                              residual=b.residual))
-    for d in diags:
-        d.cell = tuple(index)
-    cell = CellResult(index=tuple(index), values=tuple(values),
-                      root_count=len(branches), stable_count=stable_count,
-                      branches=rows)
-    return cell, diags
+        if len(ps) == 1:
+            sinks[0].append(_cell_error(exc))
+            return [[]]
+        for sink in sinks:
+            sink.clear()
+        return [_solve_cells(spec, [p], [s])[0] for p, s in zip(ps, sinks)]
+
+
+def _eval_steady_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Diagnostic]]]:
+    """One batched solve for the cells, then one stacked stability
+    classification of all their branches."""
+    diags: list[list[Diagnostic]] = [[] for _ in chunk]
+    params: list[Optional[SystemParams]] = []
+    for (_, values), sink in zip(chunk, diags):
+        try:
+            params.append(validate_params(_cell_params(spec, values)))
+        except Exception as exc:
+            sink.append(_cell_error(exc))
+            params.append(None)
+    solved = iter(_solve_cells(
+        spec, [p for p in params if p is not None],
+        [sink for p, sink in zip(params, diags) if p is not None]))
+    branches = [next(solved) if p is not None else [] for p in params]
+    verdicts = iter(classify_branch_stability(
+        [derive_linearized(b, p) for p, bs in zip(params, branches)
+         for b in bs], spec.gamma_fallback))
+    out = []
+    for (index, values), sink, bs in zip(chunk, diags, branches):
+        rows: list[BranchRow] = []
+        stable_count = 0
+        for k, b in enumerate(bs):
+            verdict = next(verdicts)
+            if verdict.verdict_flipped:
+                sink.append(Diagnostic(
+                    "marginal-verdict",
+                    f"stability verdict at n_p={b.n_p:.6g} flips between "
+                    f"gamma=0 and the fallback damping"))
+            stable_count += verdict.stable
+            rows.append(BranchRow(branch_index=k, n_p=b.n_p,
+                                  stable=verdict.stable, residual=b.residual))
+        for d in sink:
+            d.cell = tuple(index)
+        out.append((CellResult(index=tuple(index), values=tuple(values),
+                               root_count=len(bs), stable_count=stable_count,
+                               branches=rows), sink))
+    return out
 
 
 def _eval_cooling_cell(spec: SweepSpec, index, values) -> tuple[CellResult, list[Diagnostic]]:
@@ -171,14 +206,14 @@ def _eval_cooling_cell(spec: SweepSpec, index, values) -> tuple[CellResult, list
     try:
         cov = solve_lyapunov(build_drift_matrix(lp), build_noise_model(lp))
         stable = cov.physical
-        n1f, n2f = (cov.n1f, cov.n2f) if stable else (None, None)
+        n1f, n2f = row_occupations(cov, diags, stable)
         residual = cov.lyap_residual
         if not stable:
             diags.append(Diagnostic("unstable-cell",
                                     "drift matrix unstable; cell excluded "
                                     "from phonon statistics"))
     except Exception as exc:
-        diags.append(Diagnostic("cell-error", f"{type(exc).__name__}: {exc}"))
+        diags.append(_cell_error(exc))
         stable, n1f, n2f, residual = False, None, None, None
     for d in diags:
         d.cell = tuple(index)
@@ -191,8 +226,12 @@ def _eval_cooling_cell(spec: SweepSpec, index, values) -> tuple[CellResult, list
 
 
 def _eval_chunk(spec: SweepSpec, chunk: list[tuple[tuple, tuple]]):
-    evaluate = _eval_cooling_cell if spec.mode == "cooling" else _eval_steady_cell
-    return [evaluate(spec, idx, vals) for idx, vals in chunk]
+    if spec.mode == "cooling":
+        return [_eval_cooling_cell(spec, idx, vals) for idx, vals in chunk]
+    out = []
+    for i in range(0, len(chunk), BATCH_CELLS):
+        out += _eval_steady_batch(spec, chunk[i:i + BATCH_CELLS])
+    return out
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -207,7 +246,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                       for j, b in enumerate(axes_vals[1])]
     results: list[tuple[CellResult, list[Diagnostic]]]
     if spec.threads > 1 and len(cells_iter) > 8:
-        chunk_size = max(8, math.ceil(len(cells_iter) / (spec.threads * 16)))
+        chunk_size = max(8, math.ceil(len(cells_iter) / (spec.threads * 4)))
         chunks = [cells_iter[i:i + chunk_size]
                   for i in range(0, len(cells_iter), chunk_size)]
         results = []

@@ -2,10 +2,13 @@
 
 The oracles never call the code they check: ``fd_jacobian`` differentiates
 the nonlinear mean-field flow numerically (against ``build_drift_matrix``),
-and ``spectral_phonons`` integrates the resolvent over frequency (against the
-Lyapunov solve behind ``cool_linearized``).
+``spectral_phonons`` integrates the resolvent over frequency (against the
+Lyapunov solve behind ``cool_linearized``), and ``stacked_detuning`` solves
+the mechanical steady state read off the flow, one 4x4 system per photon
+number (against the rational response the oracle scans with).
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,3 +131,27 @@ def spectral_phonons(lp):
         val, _ = quad(integrand, -np.inf, np.inf, args=(k, l), limit=600)
         out.append(val / (2 * np.pi))
     return tuple(out)
+
+
+def stacked_detuning(p, n_values):
+    """Delta(n) from one 4x4 solve per photon number, stacked into a single
+    ``np.linalg.solve``.  At fixed n the undamped flow ``classical_rhs`` is
+    affine in (Re b1, Im b1, Re b2, Im b2); its matrix and offset are read
+    off by probing the flow at zero and on the unit vectors."""
+    q = replace(p, gamma1=0.0, gamma2=0.0)
+    n_values = np.asarray(n_values, dtype=float)
+    M = np.empty((len(n_values), 4, 4))
+    offset = np.empty((len(n_values), 4))
+
+    def mech(alpha, x):
+        d = classical_rhs(q, (alpha, complex(x[0], x[1]),
+                              complex(x[2], x[3])))[1:]
+        return np.array([d[0].real, d[0].imag, d[1].real, d[1].imag])
+
+    for i, n in enumerate(n_values):
+        alpha = complex(math.sqrt(n))
+        offset[i] = mech(alpha, np.zeros(4))
+        for k in range(4):
+            M[i, :, k] = mech(alpha, np.eye(4)[k]) - offset[i]
+    x = np.linalg.solve(M, -offset[..., None])[..., 0]
+    return p.delta_c + 2.0 * p.g1 * x[:, 0] + 4.0 * p.g2 * x[:, 2]**2

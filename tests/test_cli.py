@@ -243,5 +243,47 @@ def test_reproduce_fig4_writes_two_tables(tmp_path):
     assert (tmp_path / "fig4_quadratic.csv").exists()
 
 
+def test_fig4_subtables_record_their_own_base(tmp_path):
+    # each fig4 table's header is the parameter set its rows were solved at:
+    # a quadratic row rebuilt from the quadratic header is self-consistent
+    from dataclasses import replace
+
+    from quadmech import SystemParams, reconstruct_branch
+    out = tmp_path / "fig4.csv"
+    assert main(["reproduce", "fig4", "--out", str(out), "--set",
+                 "points=3"]) in (0, 2)
+    meta, _, rows = _read_table(tmp_path / "fig4_quadratic.csv")
+    assert meta["recipe.case"] == "quadratic"
+    base = SystemParams(**{k[len("param."):]: float(v) for k, v in meta.items()
+                           if k.startswith("param.") and k != "param.unit_label"})
+    assert base.g2 != 0.0
+    q1, q2 = base.gamma1 / base.omega1, base.gamma2 / base.omega2
+    checked = 0
+    for row in rows:
+        w = base.kappa / float(row["kappa_over_omega1"])
+        p = replace(base, omega1=w, omega2=w, gamma1=q1 * w, gamma2=q2 * w)
+        assert reconstruct_branch(p, float(row["n_p"])).residual <= 1e-6
+        checked += 1
+    assert checked >= 3
+    lin, _, _ = _read_table(tmp_path / "fig4_linear.csv")
+    assert float(lin["param.g2"]) == 0.0
+
+
+def test_recipe_axes_keep_declared_points(monkeypatch):
+    # fig7 declares 201 x 50; only an explicit points override changes that
+    import quadmech.recipes as recipes
+    from quadmech.sweep import SweepResult
+    seen = []
+
+    def fake_run_sweep(spec):
+        seen.append(tuple(ax.points for ax in spec.axes))
+        return SweepResult(spec=spec, cells=[], diagnostics=[])
+    monkeypatch.setattr(recipes, "run_sweep", fake_run_sweep)
+    recipes.run_recipe("fig7")
+    recipes.run_recipe("fig7", points=7)
+    recipes.run_recipe("fig2a")
+    assert seen == [(201, 50), (7, 7), (201, 201)]
+
+
 def test_missing_config_errors():
     assert main(["roots", "--config", "/nonexistent/x.ini"]) == 1

@@ -95,6 +95,51 @@ def test_lyapunov_residual_small(rng):
         assert cov.lyap_residual < 1e-10
 
 
+def test_lyap_residual_above_bound_is_reported():
+    from dataclasses import replace
+
+    from quadmech.cooling import LYAP_RESIDUAL_TOL, row_occupations
+    cov = cool_linearized(make_linearized())
+    diags = []
+    assert row_occupations(cov, diags) == phonon_numbers(cov)
+    assert diags == []
+    loose = replace(cov, lyap_residual=100.0 * LYAP_RESIDUAL_TOL)
+    assert row_occupations(loose, diags, stable=False) == (None, None)
+    assert [d.kind for d in diags] == ["lyap-residual"]
+
+
+def test_lyap_residual_diagnostic_on_every_cooled_row(monkeypatch, tmp_path):
+    # with the bound below any residual, every row built from a Lyapunov
+    # solve carries a lyap-residual diagnostic: sweeps, recipes and the CLI
+    import quadmech.cooling as cooling
+    from quadmech import Axis, SweepSpec, branch_cooling_sweep, run_sweep
+    from quadmech.cli import main
+
+    from conftest import make_system
+    monkeypatch.setattr(cooling, "LYAP_RESIDUAL_TOL", -1.0)
+    res = run_sweep(SweepSpec(axes=(Axis("kappa", 0.05, 0.5, 3),),
+                              base=make_linearized(), mode="cooling"))
+    assert [d.cell for d in res.diagnostics
+            if d.kind == "lyap-residual"] == [(0,), (1,), (2,)]
+
+    diags = []
+    rows = branch_cooling_sweep(
+        make_system(g2=0.0, eta=56.5, omega_ex=0.2, delta_c=3.2,
+                    gamma1=1e-5, gamma2=1e-5, nbar1=300.0, nbar2=300.0),
+        np.array([0.2, 0.3]), diagnostics=diags)
+    cooled = [r for r in rows if r["n1f"] is not None]
+    assert cooled
+    assert sum(d.kind == "lyap-residual" for d in diags) == len(cooled)
+
+    cfg = tmp_path / "cool.ini"
+    cfg.write_text("[linearized]\n" + "".join(
+        f"{k} = {v}\n" for k, v in make_linearized().__dict__.items()))
+    out = tmp_path / "cool.csv"
+    assert main(["cool", "--config", str(cfg), "--out", str(out)]) == 0
+    side = out.with_suffix(".csv.diagnostics.txt").read_text()
+    assert side.startswith("lyap-residual")
+
+
 def test_hermitian_consistency(rng):
     solved = 0
     while solved < 30:

@@ -8,15 +8,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadmech import (build_polynomial, find_real_roots, mechanical_response,
                       oracle_roots, reconstruct_branch, rescale_params,
                       solve_branches)
-from quadmech.steady_state import (Diagnostic, ResidualTooLarge,
-                                   SingularMechanicalSystem, ZeroPolynomial,
-                                   fixed_point_defect, roots_match)
+from quadmech.steady_state import (Diagnostic, RationalResponse,
+                                   ResidualTooLarge, SingularMechanicalSystem,
+                                   ZeroPolynomial, fixed_point_defect,
+                                   roots_match)
 
-from conftest import make_system, random_system
+from conftest import make_system, random_system, stacked_detuning
 
 
 # ---------------------------------------------------------------------------
@@ -249,3 +252,71 @@ def test_eta_zero_gives_vacuum_branch():
     branches = solve_branches(p)
     assert len(branches) == 1
     assert branches[0].n_p == 0.0
+
+
+# ---------------------------------------------------------------------------
+# rational mechanical response and the batched oracle
+# ---------------------------------------------------------------------------
+
+@st.composite
+def systems(draw):
+    """Parameter sets over the ranges of ``random_system`` (kappa units)."""
+    return make_system(
+        delta_c=draw(st.floats(0.0, 10.0)),
+        omega1=draw(st.floats(3.0, 7.0)),
+        omega2=draw(st.floats(3.0, 7.0)),
+        g1=10**draw(st.floats(-2.3, -1.0)),
+        g2=-(10**draw(st.floats(-5.0, -3.0))),
+        omega_ex=10**draw(st.floats(-2.5, 0.3)),
+        theta=draw(st.floats(0.0, 2.0 * math.pi)),
+        eta=10**draw(st.floats(1.0, 2.0)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=systems(), u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+def test_rational_detuning_matches_stacked_solve(p, u):
+    # points within 1e-3 (relative) of the mechanical pole are left out:
+    # both routes lose accuracy there in proportion to the conditioning
+    n = 1.05 * p.eta**2 / p.kappa**2 * np.array(u)
+    pole = (p.omega_ex**2 - p.omega1 * p.omega2) / (4.0 * p.g2 * p.omega1)
+    n = n[np.abs(n - pole) > 1e-3 * abs(pole)]
+    got = RationalResponse.of([p]).detuning(n)
+    np.testing.assert_allclose(got, stacked_detuning(p, n), rtol=1e-9,
+                               atol=1e-9 * (1.0 + abs(p.delta_c)))
+
+
+def test_exact_pole_is_nan():
+    # omega2 + 4 g2 n = 0 at n = 3125 exactly when the exchange is off
+    p = make_system(g1=0.01, g2=-0.0004, omega_ex=0.0, eta=80.0)
+    f = fixed_point_defect(p, [3125.0, 3000.0])
+    assert np.isnan(f[0]) and np.isfinite(f[1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(ps=st.lists(systems(), min_size=2, max_size=6), data=st.data())
+def test_batched_oracle_equals_per_cell_calls(ps, data):
+    alone = [oracle_roots(p) for p in ps]
+    order = data.draw(st.permutations(range(len(ps))))
+    batched = oracle_roots([ps[k] for k in order])
+    assert [batched[order.index(k)] for k in range(len(ps))] == alone
+    cut = data.draw(st.integers(1, len(ps) - 1))
+    assert oracle_roots(ps[:cut]) + oracle_roots(ps[cut:]) == alone
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=systems())
+def test_root_count_is_odd(p):
+    # f(0) > 0 > f(n_max) and f stays continuous through the pole (f -> -n)
+    assert len(oracle_roots(p)) % 2 == 1
+
+
+def test_batched_solve_keeps_per_cell_diagnostics():
+    ps = [make_system(eta=56.5, omega_ex=0.005, delta_c=3.2),
+          make_system(g1=0.0, g2=0.0, eta=10.0, delta_c=2.0)]
+    sinks: list[list[Diagnostic]] = [[], []]
+    batched = solve_branches(ps, diagnostics=sinks)
+    assert [[b.n_p for b in bs] for bs in batched] == \
+        [[b.n_p for b in solve_branches(p)] for p in ps]
+    assert any(d.kind == "coefficient-mismatch" for d in sinks[0])
+    assert sinks[1] == []

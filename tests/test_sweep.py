@@ -171,3 +171,36 @@ def test_dark_diagonal_cells_stay_hot():
             if row.stable:
                 assert max(row.n1f, row.n2f) > 1.0
     assert hit >= 1
+
+
+def test_fig2a_plane_tables_identical_across_workers(tmp_path):
+    # each chunk of the two-worker run is its own batch; a cell's roots and
+    # verdicts must not depend on which cells share its batch
+    from quadmech.cli import main
+    paths = []
+    for threads in (1, 2):
+        out = tmp_path / f"fig2a_{threads}.csv"
+        assert main(["reproduce", "fig2a", "--out", str(out), "--set",
+                     "points=9", "--threads", str(threads)]) in (0, 2)
+        paths.append(out)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    side = [p.with_suffix(".csv.diagnostics.txt").read_text() for p in paths]
+    assert side[0] == side[1]
+
+
+def test_failing_cell_does_not_fail_its_batch(monkeypatch):
+    # a cell whose solve raises gets a cell-error; its batch-mates still solve
+    import quadmech.steady_state as ss
+    real = ss.build_polynomial
+
+    def broken(p):
+        if p.delta_c == 3.0:
+            raise RuntimeError("boom")
+        return real(p)
+    monkeypatch.setattr(ss, "build_polynomial", broken)
+    p = make_system(g1=0.0, g2=0.0, eta=10.0)
+    res = run_sweep(_spec(p, (Axis("delta_c", 1.0, 5.0, 5),), "root-count"))
+    counts = [c.root_count for c in res.cells]
+    assert counts == [1, 1, 0, 1, 1]
+    errors = [d for d in res.diagnostics if d.kind == "cell-error"]
+    assert [d.cell for d in errors] == [(2,)]
