@@ -27,20 +27,15 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .cooling import (ZeroCoupling, build_noise_model, dark_mode_diagnostics,
-                      row_occupations, solve_lyapunov)
+from .cooling import (ZeroCoupling, cool_linearized, dark_mode_diagnostics,
+                      row_occupations)
 from .params import (LinearizedParams, ParameterError, SystemParams,
                      validate_linearized, validate_params)
-from .recipes import RECIPES, RecipeResult, run_recipe
-from .stability import (build_drift_matrix, classify_branch_stability,
-                        derive_linearized)
+from .recipes import COLUMNS, RECIPES, RecipeResult, run_recipe, sweep_rows
+from .stability import classify_branch_stability, derive_linearized
 from .steady_state import (Diagnostic, build_polynomial, find_real_roots,
                            oracle_roots, roots_match, solve_branches)
 from .sweep import Axis, SweepSpec, run_sweep
-
-COLUMNS = ("branch_index", "n_p", "stable", "n1f", "n2f",
-           "dark_overlap", "residual")
-
 
 class ParseError(ValueError):
     """Malformed config document or override."""
@@ -342,7 +337,7 @@ def _cmd_branches(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
         except ZeroCoupling:
             pass
         if verdict.stable and (p.gamma1 > 0.0 or p.gamma2 > 0.0):
-            cov = solve_lyapunov(build_drift_matrix(lp), build_noise_model(lp))
+            cov = cool_linearized(lp)
             n1f, n2f = row_occupations(cov, diags)
         rows.append(dict(branch_index=k, n_p=b.n_p, stable=verdict.stable,
                          n1f=n1f, n2f=n2f, dark_overlap=dark,
@@ -354,7 +349,7 @@ def _cmd_cool(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
     lp = cfg.linearized
     if lp is None:
         raise ParseError("the cool command needs a [linearized] section")
-    cov = solve_lyapunov(build_drift_matrix(lp), build_noise_model(lp))
+    cov = cool_linearized(lp)
     try:
         dark = dark_mode_diagnostics(lp).dark_overlap
     except ZeroCoupling:
@@ -385,7 +380,6 @@ def _cmd_sweep(cfg: RunConfig, ndim: int) -> tuple[tuple[str, ...], list[dict],
                      scan_points=cfg.scan_points,
                      with_damping=cfg.with_mech_damping, threads=cfg.threads)
     result = run_sweep(spec)
-    from .recipes import sweep_rows
     rows = sweep_rows(result)
     names = tuple(ax.name for ax in cfg.axes)
     extra = {"sweep.mode": mode}

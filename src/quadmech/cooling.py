@@ -4,15 +4,16 @@ The covariance V of the fluctuation vector obeys A V + V A^T + Q = 0 with the
 plain (not conjugate) transpose; Q symmetrizes the bath correlation matrix C.
 The 36-dimensional vectorized system is solved densely, followed by iterative
 refinement so the residual stays at working precision even for stiff damping
-hierarchies (gamma ~ 1e-6 kappa).
+hierarchies (gamma ~ 1e-6 kappa).  Stacks of drift matrices are solved
+together, in blocks of LYAP_BLOCK Kronecker systems per stacked call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .params import LinearizedParams
 from .stability import DriftMatrix, build_drift_matrix, classify_stability
@@ -22,6 +23,9 @@ LYAP_RESIDUAL_TOL = 1e-10
 PHONON_IMAG_TOL = 1e-6
 DARK_TOL = 0.05            # overlap threshold for the dark flag
 MIXING_TOL_FACTOR = 0.01   # |Omega|, |G22| below this * omega1 count as unmixed
+# Kronecker systems per stacked solve: bounds the live (k, 36, 36) stacks, so
+# a caller may pass a batch of any size.  Results do not depend on it.
+LYAP_BLOCK = 64
 
 
 class SingularLyapunov(ArithmeticError):
@@ -107,44 +111,101 @@ def _canonical_bath(c: np.ndarray) -> bool:
     return True
 
 
-def solve_lyapunov(A: DriftMatrix, nm: NoiseModel) -> CovarianceResult:
+def _kronecker_sum(a: np.ndarray) -> np.ndarray:
+    """The 36x36 matrices kron(I, a) + kron(a, I) of a (k, 6, 6) stack.
+
+    Filled directly into a (k, 6, 6, 6, 6) view whose entry [i, p, j, q] is
+    delta_ij a[p, q] + a[i, j] delta_pq; the values equal those of the two
+    ``np.kron`` calls, without their outer products.
+    """
+    m = np.zeros((len(a), 6, 6, 6, 6), dtype=complex)
+    for i in range(6):
+        m[:, i, :, i, :] = a
+    for p in range(6):
+        m[:, :, p, :, p] += a
+    return m.reshape(len(a), 36, 36)
+
+
+def _solve_block(a: np.ndarray, q: np.ndarray):
+    """Refined solutions V and relative residuals of a (k, 6, 6) block.
+
+    One stacked solve, then up to three refinement steps on the cells still
+    active; a cell stops when its residual no longer decreases or drops
+    below 1e-14, on its own, so its result does not depend on the block.
+    """
+    k = len(a)
+    m = _kronecker_sum(a)
+    try:
+        v = np.linalg.solve(m, -q.reshape(k, 36, 1)).reshape(k, 6, 6)
+    except np.linalg.LinAlgError as exc:
+        raise SingularLyapunov(str(exc)) from exc
+    if not np.all(np.isfinite(v)):
+        raise SingularLyapunov("vectorized Lyapunov solve overflowed")
+    qnorm = np.linalg.norm(q.reshape(k, 36), axis=1)
+    scale = np.where(qnorm > 0.0, qnorm, 1.0)
+    residual = np.full(k, np.inf)
+    live = np.arange(k)
+    for _ in range(3):
+        al, vl = a[live], v[live]
+        r = al @ vl + vl @ al.transpose(0, 2, 1) + q[live]
+        new_res = np.linalg.norm(r.reshape(-1, 36), axis=1) / scale[live]
+        go = ~(new_res >= residual[live])
+        live, r = live[go], r[go]
+        residual[live] = new_res[go]
+        go = ~(residual[live] < 1e-14)
+        live, r = live[go], r[go]
+        if not live.size:
+            break
+        v[live] -= np.linalg.solve(m[live], r.reshape(-1, 36, 1)).reshape(-1, 6, 6)
+    return v, residual
+
+
+def solve_lyapunov(A: DriftMatrix, nm):
     """Dense vectorized solve of A V + V A^T + Q = 0 with refinement.
+
+    ``A.a`` may be one 6x6 matrix with one ``NoiseModel``, or a (k, 6, 6)
+    stack with a sequence of k noise models; a list of k results then comes
+    back.  One matrix is a batch of one.  The stack is solved in blocks of
+    LYAP_BLOCK cells, and each cell's result depends only on that cell.
 
     An unstable drift matrix still yields a formal solution when the
     Kronecker system is regular, but the result is flagged physical=False.
     """
-    a = A.a
-    q = nm.q.astype(complex)
-    ident = np.eye(6)
-    M = np.kron(ident, a) + np.kron(a, ident)
-    try:
-        lu, piv = scipy.linalg.lu_factor(M)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularLyapunov(str(exc)) from exc
-    qnorm = np.linalg.norm(q)
-    v = scipy.linalg.lu_solve((lu, piv), -q.reshape(-1)).reshape(6, 6)
-    if not np.all(np.isfinite(v)):
-        raise SingularLyapunov("vectorized Lyapunov solve overflowed")
-    residual = np.inf
-    for _ in range(3):
-        r = a @ v + v @ a.T + q
-        new_res = np.linalg.norm(r) / qnorm if qnorm > 0.0 else np.linalg.norm(r)
-        if new_res >= residual:
-            break
-        residual = new_res
-        if residual < 1e-14:
-            break
-        v = v - scipy.linalg.lu_solve((lu, piv), r.reshape(-1)).reshape(6, 6)
-    physical = classify_stability(A).stable
-    n1f = float(v[4, 1].real)
-    n2f = float(v[5, 2].real)
-    n1f -= 0.5
-    n2f -= 0.5
-    if physical and min(n1f, n2f) < -1e-6 and _canonical_bath(nm.c):
-        raise UnphysicalResult(
-            f"stable solve returned negative occupation ({n1f:.3e}, {n2f:.3e})")
-    return CovarianceResult(v=v, n1f=n1f, n2f=n2f,
-                            lyap_residual=float(residual), physical=physical)
+    if A.a.ndim == 2:
+        return solve_lyapunov(DriftMatrix(a=A.a[None]), [nm])[0]
+    nms = list(nm)
+    a = np.asarray(A.a, dtype=complex)
+    if len(nms) != len(a):
+        raise ValueError(f"{len(a)} drift matrices but {len(nms)} noise models")
+    if not nms:
+        return []
+    q = np.array([m.q for m in nms], dtype=complex)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(q))):
+        raise ValueError("array must not contain infs or NaNs")
+    v = np.empty_like(q)
+    residual = np.empty(len(a))
+    for s in range(0, len(a), LYAP_BLOCK):
+        v[s:s + LYAP_BLOCK], residual[s:s + LYAP_BLOCK] = _solve_block(
+            a[s:s + LYAP_BLOCK], q[s:s + LYAP_BLOCK])
+    physical = [verdict.stable for verdict in classify_stability(DriftMatrix(a=a))]
+    raw1, raw2 = _moments(v)
+    n1f, n2f = raw1.real - 0.5, raw2.real - 0.5
+    out = []
+    for k, nmk in enumerate(nms):
+        n1, n2 = float(n1f[k]), float(n2f[k])
+        if physical[k] and min(n1, n2) < -1e-6 and _canonical_bath(nmk.c):
+            raise UnphysicalResult(
+                f"stable solve returned negative occupation ({n1:.3e}, {n2:.3e})")
+        out.append(CovarianceResult(v=v[k], n1f=n1, n2f=n2,
+                                    lyap_residual=float(residual[k]),
+                                    physical=physical[k]))
+    return out
+
+
+def _moments(v: np.ndarray):
+    """V[5,2] and V[6,3] (1-based) of one covariance or of a stack: the
+    occupations of the two oscillators plus 1/2."""
+    return v[..., 4, 1], v[..., 5, 2]
 
 
 def phonon_numbers(cv: CovarianceResult) -> tuple[float, float]:
@@ -153,8 +214,7 @@ def phonon_numbers(cv: CovarianceResult) -> tuple[float, float]:
     n1f = V[5,2] - 1/2 and n2f = V[6,3] - 1/2 in 1-based indexing; the
     imaginary parts must be negligible.
     """
-    raw1 = cv.v[4, 1]
-    raw2 = cv.v[5, 2]
+    raw1, raw2 = _moments(cv.v)
     for name, val in (("n1f", raw1), ("n2f", raw2)):
         if abs(val.imag) > PHONON_IMAG_TOL * (1.0 + abs(val.real)):
             raise ComplexPhonon(f"{name} has imaginary part {val.imag:.3e}")
@@ -200,6 +260,15 @@ def dark_mode_diagnostics(lp: LinearizedParams) -> DarkModeDiagnostics:
     )
 
 
-def cool_linearized(lp: LinearizedParams) -> CovarianceResult:
-    """Convenience pipeline: drift matrix + noise model -> covariance."""
-    return solve_lyapunov(build_drift_matrix(lp), build_noise_model(lp))
+def cool_linearized(lp: Union[LinearizedParams, Sequence[LinearizedParams]]):
+    """Convenience pipeline: drift matrix + noise model -> covariance.
+
+    ``lp`` may also be a sequence of parameter sets: a list of covariances
+    then comes back, from one batched ``solve_lyapunov`` call.
+    """
+    if isinstance(lp, LinearizedParams):
+        return solve_lyapunov(build_drift_matrix(lp), build_noise_model(lp))
+    lps = list(lp)
+    a = np.array([build_drift_matrix(q).a for q in lps], dtype=complex)
+    return solve_lyapunov(DriftMatrix(a=a.reshape(-1, 6, 6)),
+                          [build_noise_model(q) for q in lps])

@@ -13,11 +13,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cooling import (ZeroCoupling, build_noise_model, dark_mode_diagnostics,
-                      row_occupations, solve_lyapunov)
+from .cooling import (ZeroCoupling, cool_linearized, dark_mode_diagnostics,
+                      row_occupations)
 from .params import LinearizedParams, SystemParams, validate_params
-from .stability import (build_drift_matrix, classify_branch_stability,
-                        derive_linearized)
+from .stability import classify_branch_stability, derive_linearized
 from .steady_state import Diagnostic, solve_branches
 from .sweep import Axis, SweepSpec, run_sweep
 
@@ -94,6 +93,8 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
     the base set to omega1 units once and then varies only kappa.  The
     mechanical quality factors (gamma_i/omega_i) and thermal occupancies are
     preserved in both cases.  Branch labels follow nearest-n_p continuation.
+    All ratios are solved in one batch, and all stable branches are cooled in
+    one batched Lyapunov solve.
     """
     if convention not in ("kappa", "omega1"):
         raise ValueError(f"unknown convention {convention!r}")
@@ -118,8 +119,11 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
     solved = solve_branches(ps, oracle_mode=oracle, scan_points=scan_points,
                             diagnostics=sinks)
     lps = [[derive_linearized(b, p) for b in bs] for p, bs in zip(ps, solved)]
-    verdicts = iter(classify_branch_stability(
-        [lp for cell in lps for lp in cell]))
+    flat = [lp for cell in lps for lp in cell]
+    verdicts = classify_branch_stability(flat)
+    covs = iter(cool_linearized(
+        [lp for lp, v in zip(flat, verdicts) if v.stable]))
+    verdicts = iter(verdicts)
     rows: list[dict] = []
     prev: dict[int, float] = {}
     next_label = 0
@@ -153,8 +157,7 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
             except ZeroCoupling:
                 pass
             if verdict.stable:
-                cov = solve_lyapunov(build_drift_matrix(lp), build_noise_model(lp))
-                n1f, n2f = row_occupations(cov, diags)
+                n1f, n2f = row_occupations(next(covs), diags)
             rows.append(dict(kappa_over_omega1=float(r), branch_index=label,
                              n_p=b.n_p, stable=verdict.stable, n1f=n1f,
                              n2f=n2f, dark_overlap=dark, residual=b.residual))

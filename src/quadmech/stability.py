@@ -121,6 +121,20 @@ def classify_stability(A: DriftMatrix):
     return verdicts if a.ndim == 3 else verdicts[0]
 
 
+_MECH_DIAGONAL = [1, 2, 4, 5]   # gamma enters A only as -gamma on these
+
+
+def _fallback_damped(a: np.ndarray, kappas: Sequence[float]) -> np.ndarray:
+    """The drift matrices of a stack rebuilt with gamma1 = gamma2 =
+    GAMMA_FALLBACK_FACTOR*kappa, without rebuilding them: the damping is the
+    real part of the four mechanical diagonal entries, -(gamma +/- i omega),
+    so setting those real parts to -eps gives the rebuilt matrix exactly."""
+    damped = a.copy()
+    eps = GAMMA_FALLBACK_FACTOR * np.asarray(kappas, dtype=float)
+    damped.real[:, _MECH_DIAGONAL, _MECH_DIAGONAL] = -eps[:, None]
+    return damped
+
+
 def classify_branch_stability(lp: Union[LinearizedParams,
                                         Sequence[LinearizedParams]],
                               gamma_fallback: bool = True):
@@ -137,18 +151,14 @@ def classify_branch_stability(lp: Union[LinearizedParams,
     lps = list(lp)
     if not lps:
         return []
-    raw = classify_stability(DriftMatrix(
-        a=np.stack([build_drift_matrix(q).a for q in lps])))
+    a = np.stack([build_drift_matrix(q).a for q in lps])
+    raw = classify_stability(DriftMatrix(a=a))
     out = list(raw)
     undamped = [k for k, q in enumerate(lps) if gamma_fallback
                 and not (q.gamma1 > 0.0 or q.gamma2 > 0.0)]
     if undamped:
-        damped = []
-        for k in undamped:
-            eps = GAMMA_FALLBACK_FACTOR * lps[k].kappa
-            damped.append(build_drift_matrix(
-                replace(lps[k], gamma1=eps, gamma2=eps)).a)
-        fb = classify_stability(DriftMatrix(a=np.stack(damped)))
+        fb = classify_stability(DriftMatrix(a=_fallback_damped(
+            a[undamped], [lps[k].kappa for k in undamped])))
         for k, v in zip(undamped, fb):
             out[k] = replace(v, gamma_fallback_applied=True,
                              verdict_flipped=bool(v.stable != raw[k].stable))

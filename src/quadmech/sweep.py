@@ -2,9 +2,10 @@
 
 Cells are independent pure computations; results are assembled in row-major
 cell order regardless of worker count, so identical specs produce identical
-tables.  Steady-state cells are solved in batches (one oracle call and two
-stacked eigenvalue calls per batch); a cell's result depends only on the
-cell, never on the batch it shares.  Supported modes:
+tables.  Cells are solved in batches: one oracle call and two stacked
+eigenvalue calls per batch of steady-state cells, one batched Lyapunov solve
+per batch of cooling cells; a cell's result depends only on the cell, never
+on the batch it shares.  Supported modes:
 
 * ``root-count`` / ``stable-count`` — steady-state branches with stability
   verdicts per cell (SystemParams base),
@@ -21,17 +22,16 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cooling import (ZeroCoupling, build_noise_model, dark_mode_diagnostics,
-                      row_occupations, solve_lyapunov)
+from .cooling import (ZeroCoupling, cool_linearized, dark_mode_diagnostics,
+                      row_occupations)
 from .params import LinearizedParams, SystemParams, validate_params
-from .stability import (build_drift_matrix, classify_branch_stability,
-                        derive_linearized)
+from .stability import classify_branch_stability, derive_linearized
 from .steady_state import Diagnostic, solve_branches
 
 MODES = ("root-count", "stable-count", "branch-curve", "cooling")
-# Steady-state cells solved as one batch: enough to amortise the per-call
-# NumPy overhead of the oracle and the eigenvalue stacks, few enough to keep
-# their arrays and branch records small.  Results do not depend on it.
+# Cells solved as one batch: enough to amortise the per-call NumPy overhead
+# of the oracle, the eigenvalue stacks and the Lyapunov stacks, few enough to
+# keep their arrays and branch records small.  Results do not depend on it.
 BATCH_CELLS = 256
 
 
@@ -196,41 +196,58 @@ def _eval_steady_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Di
     return out
 
 
-def _eval_cooling_cell(spec: SweepSpec, index, values) -> tuple[CellResult, list[Diagnostic]]:
-    diags: list[Diagnostic] = []
-    lp = _cell_params(spec, values)
+def _cool_cells(lps: list[LinearizedParams],
+                sinks: list[list[Diagnostic]]) -> list:
+    """Covariances of the cells from one batched Lyapunov solve.  If the
+    batch raises, each cell is solved alone, so an error fails only its own
+    cell (its covariance is None)."""
     try:
-        dark = dark_mode_diagnostics(lp).dark_overlap
-    except ZeroCoupling:
-        dark = None
-    try:
-        cov = solve_lyapunov(build_drift_matrix(lp), build_noise_model(lp))
-        stable = cov.physical
-        n1f, n2f = row_occupations(cov, diags, stable)
-        residual = cov.lyap_residual
-        if not stable:
-            diags.append(Diagnostic("unstable-cell",
-                                    "drift matrix unstable; cell excluded "
-                                    "from phonon statistics"))
-    except Exception as exc:
-        diags.append(_cell_error(exc))
+        return cool_linearized(lps)
+    except Exception as exc:   # per-cell failures never abort the sweep
+        if len(lps) == 1:
+            sinks[0].append(_cell_error(exc))
+            return [None]
+        return [_cool_cells([lp], [s])[0] for lp, s in zip(lps, sinks)]
+
+
+def _eval_cooling_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Diagnostic]]]:
+    """One batched Lyapunov solve for the cells, then one row per cell."""
+    diags: list[list[Diagnostic]] = [[] for _ in chunk]
+    lps = [_cell_params(spec, values) for _, values in chunk]
+    covs = _cool_cells(lps, diags)
+    out = []
+    for (index, values), lp, cov, sink in zip(chunk, lps, covs, diags):
+        try:
+            dark = dark_mode_diagnostics(lp).dark_overlap
+        except ZeroCoupling:
+            dark = None
         stable, n1f, n2f, residual = False, None, None, None
-    for d in diags:
-        d.cell = tuple(index)
-    row = BranchRow(branch_index=0, n_p=None, stable=stable,
-                    n1f=n1f, n2f=n2f, dark_overlap=dark, residual=residual)
-    cell = CellResult(index=tuple(index), values=tuple(values),
-                      root_count=1, stable_count=int(bool(stable)),
-                      branches=[row])
-    return cell, diags
+        if cov is not None:
+            try:
+                n1f, n2f = row_occupations(cov, sink, cov.physical)
+                stable, residual = cov.physical, cov.lyap_residual
+                if not stable:
+                    sink.append(Diagnostic("unstable-cell",
+                                           "drift matrix unstable; cell "
+                                           "excluded from phonon statistics"))
+            except Exception as exc:
+                sink.append(_cell_error(exc))
+        for d in sink:
+            d.cell = tuple(index)
+        row = BranchRow(branch_index=0, n_p=None, stable=stable, n1f=n1f,
+                        n2f=n2f, dark_overlap=dark, residual=residual)
+        out.append((CellResult(index=tuple(index), values=tuple(values),
+                               root_count=1, stable_count=int(stable),
+                               branches=[row]), sink))
+    return out
 
 
 def _eval_chunk(spec: SweepSpec, chunk: list[tuple[tuple, tuple]]):
-    if spec.mode == "cooling":
-        return [_eval_cooling_cell(spec, idx, vals) for idx, vals in chunk]
+    evaluate = (_eval_cooling_batch if spec.mode == "cooling"
+                else _eval_steady_batch)
     out = []
     for i in range(0, len(chunk), BATCH_CELLS):
-        out += _eval_steady_batch(spec, chunk[i:i + BATCH_CELLS])
+        out += evaluate(spec, chunk[i:i + BATCH_CELLS])
     return out
 
 

@@ -8,11 +8,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadmech import (CovarianceResult, DriftMatrix, NoiseModel,
-                      build_drift_matrix, build_noise_model, cool_linearized,
+                      build_drift_matrix, build_noise_model,
+                      classify_stability, cool_linearized,
                       dark_mode_diagnostics, phonon_numbers, solve_lyapunov)
-from quadmech.cooling import (ComplexPhonon, UnphysicalResult, ZeroCoupling)
+from quadmech.cooling import (LYAP_BLOCK, ComplexPhonon, UnphysicalResult,
+                              ZeroCoupling, _kronecker_sum)
 
 from conftest import make_linearized, random_linearized, spectral_phonons
 
@@ -179,6 +184,136 @@ def test_unphysical_result_guard():
     hostile = NoiseModel(c=c, q=0.5 * (c + c.T))
     with pytest.raises(UnphysicalResult):
         solve_lyapunov(build_drift_matrix(lp), hostile)
+
+
+@pytest.fixture(scope="module")
+def batch():
+    """Random and figure-like cells, stable and unstable, more than two
+    blocks' worth (some take one, two or three refinement steps), with
+    their covariances solved one call per cell."""
+    rng = np.random.default_rng(5)
+    lps = [random_linearized(rng) for _ in range(90)]
+    lps += [make_linearized(g1_eff=0.1, g2_eff=-0.1, g22=g22, omega_ex=om)
+            for g22 in np.linspace(-0.4, -0.0005, 7)
+            for om in np.linspace(0.0, 0.3, 7)]
+    lps += [make_linearized(delta_eff=-1.0, kappa=k)    # blue side: unstable
+            for k in np.linspace(0.02, 0.2, 5)]
+    return lps, [cool_linearized(lp) for lp in lps]
+
+
+def _same(x: CovarianceResult, y: CovarianceResult) -> bool:
+    return (np.array_equal(x.v, y.v) and x.n1f == y.n1f and x.n2f == y.n2f
+            and x.lyap_residual == y.lyap_residual
+            and x.physical == y.physical)
+
+
+def test_batch_cells_cover_blocks_and_refinement(batch, monkeypatch):
+    cells, alone = batch
+    assert len(cells) > 2 * LYAP_BLOCK
+    assert any(not c.physical for c in alone)
+    solve = np.linalg.solve
+    calls = []
+
+    def counted(*args):
+        calls[-1] += 1
+        return solve(*args)
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for lp in cells:
+        calls.append(0)
+        cool_linearized(lp)
+    # one solve, then one per refinement step
+    assert {2, 3, 4} <= set(calls) <= {1, 2, 3, 4}
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_batched_lyapunov_equals_per_cell_calls(batch, data):
+    cells, alone = batch
+    order = data.draw(st.permutations(range(len(cells))))
+    batched = cool_linearized([cells[k] for k in order])
+    assert all(_same(batched[order.index(k)], alone[k])
+               for k in range(len(cells)))
+    cut = data.draw(st.sampled_from([1, LYAP_BLOCK - 1, LYAP_BLOCK,
+                                     LYAP_BLOCK + 1, 2 * LYAP_BLOCK])
+                    | st.integers(1, len(cells) - 1))
+    split = cool_linearized(cells[:cut]) + cool_linearized(cells[cut:])
+    assert all(_same(x, y) for x, y in zip(split, alone))
+
+
+def test_single_matrix_is_a_batch_of_one():
+    lp = make_linearized()
+    a, nm = build_drift_matrix(lp), build_noise_model(lp)
+    (one,) = solve_lyapunov(DriftMatrix(a=a.a[None]), [nm])
+    assert _same(solve_lyapunov(a, nm), one)
+    assert solve_lyapunov(DriftMatrix(a=np.empty((0, 6, 6))), []) == []
+
+
+def test_kronecker_fill_equals_kron(rng):
+    a = np.stack([build_drift_matrix(random_linearized(rng)).a
+                  for _ in range(20)]
+                 + [rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+                    for _ in range(20)])
+    ident = np.eye(6)
+    filled = _kronecker_sum(a)
+    assert filled.shape == (40, 36, 36)
+    for m, ak in zip(filled, a):
+        assert np.array_equal(m, np.kron(ident, ak) + np.kron(ak, ident))
+
+
+def test_nonfinite_input_rejected():
+    lp = make_linearized()
+    a = build_drift_matrix(lp).a.copy()
+    a[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        solve_lyapunov(DriftMatrix(a=a), build_noise_model(lp))
+    nm = build_noise_model(lp)
+    q = nm.q.copy()
+    q[0, 3] = np.inf
+    with pytest.raises(ValueError):
+        solve_lyapunov(build_drift_matrix(lp), NoiseModel(c=nm.c, q=q))
+
+
+def test_singular_kronecker_system_raises():
+    from quadmech.cooling import SingularLyapunov
+    # undamped, uncoupled mechanics: lambda + conj(lambda) = 0 exactly
+    lp = make_linearized(g1_eff=0.0, g2_eff=0.0, g22=0.0, omega_ex=0.0,
+                         gamma1=0.0, gamma2=0.0)
+    with pytest.raises(SingularLyapunov):
+        cool_linearized(lp)
+    with pytest.raises(SingularLyapunov):
+        cool_linearized([make_linearized(), lp])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lyapunov_matches_bartels_stewart(data):
+    draw = data.draw
+    lp = make_linearized(
+        delta_eff=draw(st.floats(0.2, 2.0)),
+        omega2_tilde=draw(st.floats(0.5, 1.5)),
+        g1_eff=draw(st.floats(0.0, 0.2)),
+        g2_eff=draw(st.floats(-0.2, 0.0)),
+        g22=draw(st.floats(-0.4, 0.0)),
+        omega_ex=draw(st.floats(0.0, 0.3)),
+        theta=draw(st.floats(0.0, 2 * math.pi)),
+        kappa=draw(st.floats(0.05, 1.0)),
+        gamma1=10**draw(st.floats(-5.0, -2.0)),
+        gamma2=10**draw(st.floats(-5.0, -2.0)),
+        nbar1=draw(st.floats(0.0, 1000.0)),
+        nbar2=draw(st.floats(0.0, 1000.0)))
+    a, nm = build_drift_matrix(lp), build_noise_model(lp)
+    # well inside the stable region, where both solvers are well conditioned
+    assume(classify_stability(a).margin > 1e-6)
+    cov = solve_lyapunov(a, nm)
+    ref = scipy.linalg.solve_sylvester(a.a, a.a.T, -nm.q)
+    assert cov.physical
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(cov.v - ref)) <= 1e-9 * scale
+    # n = V - 1/2 cancels near n = 0, where V's own tolerance is the floor
+    assert cov.n1f == pytest.approx(ref[4, 1].real - 0.5, rel=1e-9,
+                                    abs=1e-9 * scale)
+    assert cov.n2f == pytest.approx(ref[5, 2].real - 0.5, rel=1e-9,
+                                    abs=1e-9 * scale)
 
 
 # ---------------------------------------------------------------------------

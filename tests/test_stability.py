@@ -189,3 +189,27 @@ def test_fig3b_upper_branches_destabilize():
     assert sum(v.stable for v in verdicts) == 1
     assert verdicts[0].stable
     assert all(v.max_real_part > 1.0 for v in verdicts[1:])
+
+
+def test_fallback_damping_equals_rebuilt_matrices(rng):
+    # the fallback stack is the raw stack with the mechanical damping set;
+    # it must equal drift matrices rebuilt with gamma = 1e-6*kappa, bit for bit
+    from dataclasses import replace
+
+    from quadmech.stability import GAMMA_FALLBACK_FACTOR, _fallback_damped
+
+    from conftest import random_system
+    lps = []
+    while len(lps) < 60:
+        p = random_system(rng)
+        p = make_system(**{**p.__dict__, "kappa": rng.uniform(0.2, 3.0)})
+        lps += [derive_linearized(b, p) for b in solve_branches(p)]
+    assert all(lp.gamma1 == 0.0 and lp.gamma2 == 0.0 for lp in lps)
+    raw = np.stack([build_drift_matrix(lp).a for lp in lps])
+    rebuilt = np.stack([build_drift_matrix(replace(
+        lp, gamma1=GAMMA_FALLBACK_FACTOR * lp.kappa,
+        gamma2=GAMMA_FALLBACK_FACTOR * lp.kappa)).a for lp in lps])
+    damped = _fallback_damped(raw, [lp.kappa for lp in lps])
+    assert np.array_equal(damped, rebuilt)
+    assert damped.tobytes() == rebuilt.tobytes()
+    assert not np.array_equal(damped, raw)

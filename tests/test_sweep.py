@@ -204,3 +204,63 @@ def test_failing_cell_does_not_fail_its_batch(monkeypatch):
     assert counts == [1, 1, 0, 1, 1]
     errors = [d for d in res.diagnostics if d.kind == "cell-error"]
     assert [d.cell for d in errors] == [(2,)]
+
+
+def test_failing_cooling_cells_do_not_fail_their_batch(monkeypatch):
+    # a NaN entry, a singular Kronecker system and an UnphysicalResult each
+    # fail only their own cell; the batch-mates keep their values
+    from dataclasses import replace
+
+    import quadmech.cooling as cooling
+    base = make_linearized()
+    spec = _spec(base, (Axis("kappa", 0.05, 0.35, 7),), "cooling")
+    clean = run_sweep(spec)
+    kappas = [c.values[0] for c in clean.cells]
+    real_drift, real_noise = cooling.build_drift_matrix, cooling.build_noise_model
+    hostile = make_linearized(g1_eff=0.0, g2_eff=0.0, g22=0.0, omega_ex=0.0,
+                              gamma1=1e-3, gamma2=1e-3, nbar1=5.0, nbar2=5.0)
+
+    def drift(lp):
+        if lp.kappa == kappas[1]:
+            a = real_drift(lp).a.copy()
+            a[2, 2] = np.nan
+            return cooling.DriftMatrix(a=a)
+        if lp.kappa == kappas[3]:      # undamped, uncoupled: singular
+            return real_drift(replace(lp, g1_eff=0.0, g2_eff=0.0, g22=0.0,
+                                      omega_ex=0.0, gamma1=0.0, gamma2=0.0))
+        if lp.kappa == kappas[5]:
+            return real_drift(hostile)
+        return real_drift(lp)
+
+    def noise(lp):
+        if lp.kappa == kappas[5]:      # emission weaker than vacuum: n < 0
+            c = real_noise(hostile).c.copy()
+            c[1, 4], c[4, 1] = 0.2 * 2e-3, 0.0
+            return cooling.NoiseModel(c=c, q=0.5 * (c + c.T))
+        return real_noise(lp)
+    monkeypatch.setattr(cooling, "build_drift_matrix", drift)
+    monkeypatch.setattr(cooling, "build_noise_model", noise)
+    res = run_sweep(spec)
+    errors = [d for d in res.diagnostics if d.kind == "cell-error"]
+    assert [d.cell for d in errors] == [(1,), (3,), (5,)]
+    assert [d.message.split(":")[0] for d in errors] == \
+        ["ValueError", "SingularLyapunov", "UnphysicalResult"]
+    for k, (got, want) in enumerate(zip(res.cells, clean.cells)):
+        (row,) = got.branches
+        if k in (1, 3, 5):
+            assert not row.stable and row.n1f is None and row.residual is None
+            assert row.dark_overlap == want.branches[0].dark_overlap
+        else:
+            assert got == want
+
+
+def test_cooling_map_tables_identical_across_workers(tmp_path):
+    # the two-worker run solves other batches than the one-worker run
+    from quadmech.cli import main
+    paths = []
+    for threads in (1, 2):
+        out = tmp_path / f"fig6_{threads}.csv"
+        assert main(["reproduce", "fig6", "--out", str(out), "--set",
+                     "points=9", "--threads", str(threads)]) == 0
+        paths.append(out)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
