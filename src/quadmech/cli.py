@@ -31,8 +31,8 @@ from .cooling import (ZeroCoupling, cool_linearized, dark_mode_diagnostics,
                       row_occupations)
 from .params import (LinearizedParams, ParameterError, SystemParams,
                      validate_linearized, validate_params)
-from .recipes import COLUMNS, RECIPES, RecipeResult, run_recipe, sweep_rows
-from .stability import classify_branch_stability, derive_linearized
+from .recipes import (COLUMNS, RECIPES, RecipeResult, branch_rows, run_recipe,
+                      sweep_rows)
 from .steady_state import (Diagnostic, build_polynomial, find_real_roots,
                            oracle_roots, roots_match, solve_branches)
 from .sweep import Axis, SweepSpec, run_sweep
@@ -326,22 +326,8 @@ def _cmd_branches(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
                               scan_points=cfg.scan_points,
                               with_damping=cfg.with_mech_damping,
                               diagnostics=diags)
-    rows = []
-    for k, b in enumerate(branches):
-        lp = derive_linearized(b, p)
-        verdict = classify_branch_stability(lp, cfg.gamma_fallback)
-        n1f = n2f = None
-        dark = None
-        try:
-            dark = dark_mode_diagnostics(lp).dark_overlap
-        except ZeroCoupling:
-            pass
-        if verdict.stable and (p.gamma1 > 0.0 or p.gamma2 > 0.0):
-            cov = cool_linearized(lp)
-            n1f, n2f = row_occupations(cov, diags)
-        rows.append(dict(branch_index=k, n_p=b.n_p, stable=verdict.stable,
-                         n1f=n1f, n2f=n2f, dark_overlap=dark,
-                         residual=b.residual))
+    (rows,) = branch_rows([p], [branches], [diags], cfg.gamma_fallback,
+                          cool=p.gamma1 > 0.0 or p.gamma2 > 0.0)
     return rows, {}, diags
 
 

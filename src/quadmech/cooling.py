@@ -1,21 +1,21 @@
 """Steady-state covariance, phonon occupations and dark-mode diagnostics.
 
 The covariance V of the fluctuation vector obeys A V + V A^T + Q = 0 with the
-plain (not conjugate) transpose; Q symmetrizes the bath correlation matrix C.
-The 36-dimensional vectorized system is solved densely, followed by iterative
-refinement so the residual stays at working precision even for stiff damping
-hierarchies (gamma ~ 1e-6 kappa).  Stacks of drift matrices are solved
-together, in blocks of LYAP_BLOCK Kronecker systems per stacked call.
+plain (not conjugate) transpose; Q symmetrizes the bath correlation matrix C,
+so V is symmetric and the equation has 21 unknowns (V's upper triangle).  The
+21x21 system is solved densely, followed by iterative refinement so the
+residual stays at working precision even for stiff damping hierarchies
+(gamma ~ 1e-6 kappa).  Stacks of drift matrices are solved together, in
+blocks of LYAP_BLOCK systems per stacked call.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .params import LinearizedParams
+from .params import LinearizedParams, linearized_columns
 from .stability import DriftMatrix, build_drift_matrix, classify_stability
 from .steady_state import Diagnostic
 
@@ -23,13 +23,13 @@ LYAP_RESIDUAL_TOL = 1e-10
 PHONON_IMAG_TOL = 1e-6
 DARK_TOL = 0.05            # overlap threshold for the dark flag
 MIXING_TOL_FACTOR = 0.01   # |Omega|, |G22| below this * omega1 count as unmixed
-# Kronecker systems per stacked solve: bounds the live (k, 36, 36) stacks, so
+# Lyapunov systems per stacked solve: bounds the live (k, 21, 21) stacks, so
 # a caller may pass a batch of any size.  Results do not depend on it.
 LYAP_BLOCK = 64
 
 
 class SingularLyapunov(ArithmeticError):
-    """The vectorized Lyapunov system is singular (some lambda_i + lambda_j = 0)."""
+    """The Lyapunov system is singular (some lambda_i + lambda_j = 0)."""
 
 
 class UnphysicalResult(ArithmeticError):
@@ -82,124 +82,141 @@ class DarkModeDiagnostics:
 
 
 def build_noise_model(lp: LinearizedParams) -> NoiseModel:
-    """Bath correlations: vacuum for the cavity, thermal for the mechanics."""
-    c = np.zeros((6, 6))
-    c[0, 3] = 2.0 * lp.kappa
-    c[1, 4] = 2.0 * lp.gamma1 * (lp.nbar1 + 1.0)
-    c[2, 5] = 2.0 * lp.gamma2 * (lp.nbar2 + 1.0)
-    c[4, 1] = 2.0 * lp.gamma1 * lp.nbar1
-    c[5, 2] = 2.0 * lp.gamma2 * lp.nbar2
-    return NoiseModel(c=c, q=0.5 * (c + c.T))
+    """Bath correlations: vacuum for the cavity, thermal for the mechanics
+    ((k, 6, 6) stacks in ``c`` and ``q`` for a column record)."""
+    p, scalar = linearized_columns(lp)
+    c = np.zeros((len(p.kappa), 6, 6))
+    c[:, 0, 3] = 2.0 * p.kappa
+    c[:, 1, 4] = 2.0 * p.gamma1 * (p.nbar1 + 1.0)
+    c[:, 2, 5] = 2.0 * p.gamma2 * (p.nbar2 + 1.0)
+    c[:, 4, 1] = 2.0 * p.gamma1 * p.nbar1
+    c[:, 5, 2] = 2.0 * p.gamma2 * p.nbar2
+    q = 0.5 * (c + c.transpose(0, 2, 1))
+    return NoiseModel(c=c[0], q=q[0]) if scalar else NoiseModel(c=c, q=q)
 
 
-_BATH_SLOTS = frozenset({(0, 3), (1, 4), (2, 5), (4, 1), (5, 2)})
+# Bath slots of C: the negative-occupation guard applies only to a C with
+# nonnegative rates there and zeros elsewhere, not to synthetic matrices.
+_BATH = np.zeros((6, 6), dtype=bool)
+_BATH[[0, 1, 2, 4, 5], [3, 4, 5, 1, 2]] = True
 
 
-def _canonical_bath(c: np.ndarray) -> bool:
-    """True when C has the standard bath sparsity with nonnegative rates.
-
-    The negative-occupation guard only makes sense for such inputs; synthetic
-    noise matrices (tests, embeddings) are exempt."""
-    for i in range(6):
-        for j in range(6):
-            v = c[i, j]
-            if (i, j) in _BATH_SLOTS:
-                if v < 0.0:
-                    return False
-            elif v != 0.0:
-                return False
-    return True
+# The 21 unknowns are the upper triangle of the symmetric V, row by row;
+# _SLOT[i, j] is the unknown holding V[i, j] = V[j, i].
+_UPPER = np.triu_indices(6)
+_SLOT = np.empty((6, 6), dtype=int)
+_SLOT[_UPPER] = _SLOT.T[_UPPER] = np.arange(21)
 
 
-def _kronecker_sum(a: np.ndarray) -> np.ndarray:
-    """The 36x36 matrices kron(I, a) + kron(a, I) of a (k, 6, 6) stack.
+def _operator_terms() -> tuple[list, list]:
+    """(operator entry, A entry) index pairs, both flattened, of the 21x21
+    operator u -> upper triangle of A V + V A^T: each nonzero entry is its
+    first A entry plus, for some, a second one (a doubled entry twice)."""
+    terms: list[list[int]] = [[] for _ in range(441)]
+    for row, (i, j) in enumerate(zip(*_UPPER)):
+        for m in range(6):
+            terms[21 * row + _SLOT[m, j]].append(6 * i + m)   # (A V)[i, j]
+            terms[21 * row + _SLOT[i, m]].append(6 * j + m)   # (V A^T)[i, j]
+    return ([(e, t[0]) for e, t in enumerate(terms) if t],
+            [(e, t[1]) for e, t in enumerate(terms) if len(t) == 2])
 
-    Filled directly into a (k, 6, 6, 6, 6) view whose entry [i, p, j, q] is
-    delta_ij a[p, q] + a[i, j] delta_pq; the values equal those of the two
-    ``np.kron`` calls, without their outer products.
+
+_FIRST, _SECOND = (np.array(pairs).T for pairs in _operator_terms())
+
+
+def _lyapunov_operator(a: np.ndarray) -> np.ndarray:
+    """The (k, 21, 21) symmetric Lyapunov operators of a (k, 6, 6) stack.
+
+    Each entry is the exact sum of at most two entries of A, so a cell's
+    operator does not depend on the stack it shares."""
+    flat = a.reshape(-1, 36)
+    m = np.zeros((len(a), 441), dtype=complex)
+    m[:, _FIRST[0]] = flat[:, _FIRST[1]]
+    m[:, _SECOND[0]] += flat[:, _SECOND[1]]
+    return m.reshape(-1, 21, 21)
+
+
+def _residual(a, v, q, scale):
+    """A V + V A^T + Q and its Frobenius norm relative to ``scale``."""
+    r = a @ v + v @ a.transpose(0, 2, 1) + q
+    return r, np.linalg.norm(r.reshape(-1, 36), axis=1) / scale
+
+
+def _solve_symmetric(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The symmetric V with upper triangle of A V + V A^T = rhs (k, 6, 6),
+    from one stacked solve per LYAP_BLOCK cells."""
+    u = rhs[:, _UPPER[0], _UPPER[1], None]
+    for s in range(0, len(a), LYAP_BLOCK):
+        try:
+            u[s:s + LYAP_BLOCK] = np.linalg.solve(
+                _lyapunov_operator(a[s:s + LYAP_BLOCK]), u[s:s + LYAP_BLOCK])
+        except np.linalg.LinAlgError as exc:
+            raise SingularLyapunov(str(exc)) from exc
+    return u[:, _SLOT, 0]
+
+
+def solve_lyapunov(A: DriftMatrix, nm):
+    """Solve A V + V A^T + Q = 0 for the symmetric V, with refinement.
+
+    Q must be symmetric; then V = V^T, with the 21 unknowns of its upper
+    triangle.  Up to three refinement steps follow the solve; a cell stops
+    when a step does not lower its residual (on the full 6x6 V) or that
+    drops below 1e-14, and keeps its best iterate and that one's residual.
+    ``A.a`` may be one 6x6 matrix with one ``NoiseModel``, or a (k, 6, 6)
+    stack with a ``NoiseModel`` of (k, 6, 6) stacks or k noise models; a
+    list of k results then comes back, each depending only on its cell.
+
+    An unstable drift matrix still yields a formal solution when the
+    Lyapunov system is regular, but the result is flagged physical=False.
     """
-    m = np.zeros((len(a), 6, 6, 6, 6), dtype=complex)
-    for i in range(6):
-        m[:, i, :, i, :] = a
-    for p in range(6):
-        m[:, :, p, :, p] += a
-    return m.reshape(len(a), 36, 36)
-
-
-def _solve_block(a: np.ndarray, q: np.ndarray):
-    """Refined solutions V and relative residuals of a (k, 6, 6) block.
-
-    One stacked solve, then up to three refinement steps on the cells still
-    active; a cell stops when its residual no longer decreases or drops
-    below 1e-14, on its own, so its result does not depend on the block.
-    """
-    k = len(a)
-    m = _kronecker_sum(a)
-    try:
-        v = np.linalg.solve(m, -q.reshape(k, 36, 1)).reshape(k, 6, 6)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLyapunov(str(exc)) from exc
+    if not isinstance(nm, NoiseModel):
+        nms = list(nm)
+        nm = NoiseModel(c=np.array([m.c for m in nms]),
+                        q=np.array([m.q for m in nms]))
+    single = A.a.ndim == 2
+    a = np.asarray(A.a, dtype=complex).reshape(-1, 6, 6)
+    c = np.asarray(nm.c).reshape(-1, 6, 6)
+    q = np.asarray(nm.q, dtype=complex).reshape(-1, 6, 6)
+    if len(q) != len(a):
+        raise ValueError(f"{len(a)} drift matrices but {len(q)} noise models")
+    if not len(a):
+        return []
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(q))):
+        raise ValueError("array must not contain infs or NaNs")
+    if not np.array_equal(q, q.transpose(0, 2, 1)):
+        raise ValueError("the symmetric Lyapunov form needs a symmetric Q")
+    v = _solve_symmetric(a, -q)
     if not np.all(np.isfinite(v)):
-        raise SingularLyapunov("vectorized Lyapunov solve overflowed")
-    qnorm = np.linalg.norm(q.reshape(k, 36), axis=1)
+        raise SingularLyapunov("Lyapunov solve overflowed")
+    qnorm = np.linalg.norm(q.reshape(-1, 36), axis=1)
     scale = np.where(qnorm > 0.0, qnorm, 1.0)
-    residual = np.full(k, np.inf)
-    live = np.arange(k)
+    r, residual = _residual(a, v, q, scale)
+    live = np.arange(len(a))
     for _ in range(3):
-        al, vl = a[live], v[live]
-        r = al @ vl + vl @ al.transpose(0, 2, 1) + q[live]
-        new_res = np.linalg.norm(r.reshape(-1, 36), axis=1) / scale[live]
-        go = ~(new_res >= residual[live])
-        live, r = live[go], r[go]
-        residual[live] = new_res[go]
         go = ~(residual[live] < 1e-14)
         live, r = live[go], r[go]
         if not live.size:
             break
-        v[live] -= np.linalg.solve(m[live], r.reshape(-1, 36, 1)).reshape(-1, 6, 6)
-    return v, residual
-
-
-def solve_lyapunov(A: DriftMatrix, nm):
-    """Dense vectorized solve of A V + V A^T + Q = 0 with refinement.
-
-    ``A.a`` may be one 6x6 matrix with one ``NoiseModel``, or a (k, 6, 6)
-    stack with a sequence of k noise models; a list of k results then comes
-    back.  One matrix is a batch of one.  The stack is solved in blocks of
-    LYAP_BLOCK cells, and each cell's result depends only on that cell.
-
-    An unstable drift matrix still yields a formal solution when the
-    Kronecker system is regular, but the result is flagged physical=False.
-    """
-    if A.a.ndim == 2:
-        return solve_lyapunov(DriftMatrix(a=A.a[None]), [nm])[0]
-    nms = list(nm)
-    a = np.asarray(A.a, dtype=complex)
-    if len(nms) != len(a):
-        raise ValueError(f"{len(a)} drift matrices but {len(nms)} noise models")
-    if not nms:
-        return []
-    q = np.array([m.q for m in nms], dtype=complex)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(q))):
-        raise ValueError("array must not contain infs or NaNs")
-    v = np.empty_like(q)
-    residual = np.empty(len(a))
-    for s in range(0, len(a), LYAP_BLOCK):
-        v[s:s + LYAP_BLOCK], residual[s:s + LYAP_BLOCK] = _solve_block(
-            a[s:s + LYAP_BLOCK], q[s:s + LYAP_BLOCK])
+        trial = v[live] - _solve_symmetric(a[live], r)
+        r, trial_res = _residual(a[live], trial, q[live], scale[live])
+        go = trial_res < residual[live]
+        live, r = live[go], r[go]
+        v[live], residual[live] = trial[go], trial_res[go]
     physical = [verdict.stable for verdict in classify_stability(DriftMatrix(a=a))]
     raw1, raw2 = _moments(v)
     n1f, n2f = raw1.real - 0.5, raw2.real - 0.5
-    out = []
-    for k, nmk in enumerate(nms):
-        n1, n2 = float(n1f[k]), float(n2f[k])
-        if physical[k] and min(n1, n2) < -1e-6 and _canonical_bath(nmk.c):
-            raise UnphysicalResult(
-                f"stable solve returned negative occupation ({n1:.3e}, {n2:.3e})")
-        out.append(CovarianceResult(v=v[k], n1f=n1, n2f=n2,
-                                    lyap_residual=float(residual[k]),
-                                    physical=physical[k]))
-    return out
+    canonical = np.all(np.where(_BATH, c >= 0.0, c == 0.0), axis=(1, 2))
+    bad = np.flatnonzero(np.array(physical) & (np.minimum(n1f, n2f) < -1e-6)
+                         & canonical)
+    if bad.size:
+        k = bad[0]
+        raise UnphysicalResult(f"stable solve returned negative occupation "
+                               f"({n1f[k]:.3e}, {n2f[k]:.3e})")
+    out = [CovarianceResult(v=vk, n1f=n1, n2f=n2, lyap_residual=res,
+                            physical=ok)
+           for vk, n1, n2, res, ok in zip(v, n1f.tolist(), n2f.tolist(),
+                                          residual.tolist(), physical)]
+    return out[0] if single else out
 
 
 def _moments(v: np.ndarray):
@@ -214,11 +231,11 @@ def phonon_numbers(cv: CovarianceResult) -> tuple[float, float]:
     n1f = V[5,2] - 1/2 and n2f = V[6,3] - 1/2 in 1-based indexing; the
     imaginary parts must be negligible.
     """
-    raw1, raw2 = _moments(cv.v)
+    raw1, raw2 = map(complex, _moments(cv.v))
     for name, val in (("n1f", raw1), ("n2f", raw2)):
         if abs(val.imag) > PHONON_IMAG_TOL * (1.0 + abs(val.real)):
             raise ComplexPhonon(f"{name} has imaginary part {val.imag:.3e}")
-    return float(raw1.real) - 0.5, float(raw2.real) - 0.5
+    return raw1.real - 0.5, raw2.real - 0.5
 
 
 def row_occupations(cv: CovarianceResult, diagnostics: list[Diagnostic],
@@ -238,37 +255,35 @@ def row_occupations(cv: CovarianceResult, diagnostics: list[Diagnostic],
 
 
 def dark_mode_diagnostics(lp: LinearizedParams) -> DarkModeDiagnostics:
-    """Overlap of the cavity drive with the collective dark mechanical mode."""
-    g1, g2 = complex(lp.g1_eff), complex(lp.g2_eff)
-    total = math.hypot(abs(g1), abs(g2))
-    if total == 0.0:
+    """Overlap of the cavity drive with the collective dark mechanical mode.
+
+    A column record gives length-k arrays in every field, with NaN overlaps
+    where g1_eff = g2_eff = 0; a scalar record raises ZeroCoupling there."""
+    p, scalar = linearized_columns(lp)
+    total = np.hypot(np.abs(p.g1_eff), np.abs(p.g2_eff))
+    if scalar and total[0] == 0.0:
         raise ZeroCoupling("dark-mode overlap undefined for g1_eff = g2_eff = 0")
-    rot = g2 * np.exp(1j * lp.theta)
-    overlap_plus = abs(g1 + rot) / total
-    overlap_minus = abs(g1 - rot) / total
-    overlap_min = min(overlap_plus, overlap_minus)
-    mixing = (abs(lp.omega_ex), abs(complex(lp.g22)))
-    mixing_tol = MIXING_TOL_FACTOR * lp.omega1
-    flag = (overlap_min < DARK_TOL
-            and mixing[0] < mixing_tol and mixing[1] < mixing_tol)
-    return DarkModeDiagnostics(
-        dark_overlap=float(overlap_plus),
-        dark_overlap_min=float(overlap_min),
-        bright_coupling=float(total),
-        mixing_terms=mixing,
-        dark_flag=bool(flag),
-    )
+    total[total == 0.0] = np.nan
+    rot = p.g2_eff * np.exp(1j * p.theta)
+    overlap_plus = np.abs(p.g1_eff + rot) / total
+    overlap_min = np.minimum(overlap_plus, np.abs(p.g1_eff - rot) / total)
+    mixing = (np.abs(p.omega_ex), np.abs(p.g22))
+    mixing_tol = MIXING_TOL_FACTOR * p.omega1
+    flag = ((overlap_min < DARK_TOL)
+            & (mixing[0] < mixing_tol) & (mixing[1] < mixing_tol))
+    if scalar:
+        mixing = (mixing[0].item(), mixing[1].item())
+        return DarkModeDiagnostics(overlap_plus.item(), overlap_min.item(),
+                                   total.item(), mixing, flag.item())
+    return DarkModeDiagnostics(overlap_plus, overlap_min, total, mixing, flag)
 
 
 def cool_linearized(lp: Union[LinearizedParams, Sequence[LinearizedParams]]):
     """Convenience pipeline: drift matrix + noise model -> covariance.
 
-    ``lp`` may also be a sequence of parameter sets: a list of covariances
-    then comes back, from one batched ``solve_lyapunov`` call.
+    A column record, or a sequence of parameter sets (stacked into one),
+    gives a list of covariances, from one batched ``solve_lyapunov`` call.
     """
-    if isinstance(lp, LinearizedParams):
-        return solve_lyapunov(build_drift_matrix(lp), build_noise_model(lp))
-    lps = list(lp)
-    a = np.array([build_drift_matrix(q).a for q in lps], dtype=complex)
-    return solve_lyapunov(DriftMatrix(a=a.reshape(-1, 6, 6)),
-                          [build_noise_model(q) for q in lps])
+    if not isinstance(lp, LinearizedParams):
+        lp, _ = linearized_columns(lp)
+    return solve_lyapunov(build_drift_matrix(lp), build_noise_model(lp))

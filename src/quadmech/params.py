@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Sequence, Union
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,7 +78,8 @@ class LinearizedParams:
 
     Either derived from a steady-state branch (origin="branch-derived") or
     supplied directly (origin="direct") when the effective couplings are
-    treated as free knobs of the linearized model.
+    treated as free knobs of the linearized model.  A column record's
+    numeric fields hold 1-D arrays of one length or shared scalars.
     """
 
     delta_eff: float
@@ -92,6 +96,30 @@ class LinearizedParams:
     nbar1: float = 0.0
     nbar2: float = 0.0
     origin: str = "direct"
+
+
+_LINEARIZED_COMPLEX = ("g1_eff", "g2_eff", "g22")
+_LINEARIZED_NUMERIC = ("delta_eff", "omega1", "omega2_tilde", "g1_eff",
+                       "g2_eff", "g22", "omega_ex", "theta", "kappa",
+                       "gamma1", "gamma2", "nbar1", "nbar2")
+
+
+def linearized_columns(lp: Union[LinearizedParams,
+                                 Sequence[LinearizedParams]]):
+    """(columns, scalar): ``lp`` with every numeric field a 1-D array of one
+    length k, and whether it was a scalar record (then k = 1).  A sequence
+    of scalar records gives one column record holding their values."""
+    if not isinstance(lp, LinearizedParams):
+        lps = list(lp)
+        lp = LinearizedParams(**{name: [getattr(r, name) for r in lps]
+                                 for name in _LINEARIZED_NUMERIC},
+                              origin=lps[0].origin if lps else "direct")
+    vals = [np.asarray(getattr(lp, name),
+                       complex if name in _LINEARIZED_COMPLEX else None)
+            for name in _LINEARIZED_NUMERIC]
+    scalar = all(v.ndim == 0 for v in vals)
+    cols = np.broadcast_arrays(*(np.atleast_1d(v) for v in vals))
+    return replace(lp, **dict(zip(_LINEARIZED_NUMERIC, cols))), scalar
 
 
 def _check_finite(obj, fields) -> None:
@@ -129,9 +157,7 @@ def validate_params(p: SystemParams) -> SystemParams:
 
 def validate_linearized(lp: LinearizedParams) -> LinearizedParams:
     """Validate a LinearizedParams record (finiteness, kappa > 0)."""
-    _check_finite(lp, ("delta_eff", "omega1", "omega2_tilde", "g1_eff",
-                       "g2_eff", "g22", "omega_ex", "theta", "kappa",
-                       "gamma1", "gamma2", "nbar1", "nbar2"))
+    _check_finite(lp, _LINEARIZED_NUMERIC)
     if lp.kappa <= 0.0:
         raise NonPositiveRate(f"kappa = {lp.kappa} must be > 0")
     for name in ("gamma1", "gamma2", "nbar1", "nbar2"):

@@ -13,12 +13,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cooling import (ZeroCoupling, cool_linearized, dark_mode_diagnostics,
-                      row_occupations)
-from .params import LinearizedParams, SystemParams, validate_params
+from .cooling import cool_linearized, dark_mode_diagnostics, row_occupations
+from .params import (LinearizedParams, SystemParams, linearized_columns,
+                     validate_params)
 from .stability import classify_branch_stability, derive_linearized
 from .steady_state import Diagnostic, solve_branches
-from .sweep import Axis, SweepSpec, run_sweep
+from .sweep import Axis, SweepSpec, continuation_labels, run_sweep
 
 COLUMNS = ("branch_index", "n_p", "stable", "n1f", "n2f",
            "dark_overlap", "residual")
@@ -83,8 +83,8 @@ def _steady_sweep(tag, base, axes, mode, points, threads, scan_points,
 def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
                          convention: str = "kappa",
                          oracle: bool = True, scan_points: int = 4096,
-                         diagnostics: Optional[list[Diagnostic]] = None
-                         ) -> list[dict]:
+                         diagnostics: Optional[list[Diagnostic]] = None,
+                         gamma_fallback: bool = True) -> list[dict]:
     """Cooling along nonlinear branches versus kappa/omega1.
 
     ``convention`` fixes which dimensionless ratios are held while
@@ -93,8 +93,9 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
     the base set to omega1 units once and then varies only kappa.  The
     mechanical quality factors (gamma_i/omega_i) and thermal occupancies are
     preserved in both cases.  Branch labels follow nearest-n_p continuation.
-    All ratios are solved in one batch, and all stable branches are cooled in
-    one batched Lyapunov solve.
+    ``gamma_fallback`` is passed to the stability verdicts.  All ratios are
+    solved in one batch, and all stable branches are cooled in one batched
+    Lyapunov solve.
     """
     if convention not in ("kappa", "omega1"):
         raise ValueError(f"unknown convention {convention!r}")
@@ -118,50 +119,14 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
     sinks: list[list[Diagnostic]] = [[] for _ in ps]
     solved = solve_branches(ps, oracle_mode=oracle, scan_points=scan_points,
                             diagnostics=sinks)
-    lps = [[derive_linearized(b, p) for b in bs] for p, bs in zip(ps, solved)]
-    flat = [lp for cell in lps for lp in cell]
-    verdicts = classify_branch_stability(flat)
-    covs = iter(cool_linearized(
-        [lp for lp, v in zip(flat, verdicts) if v.stable]))
-    verdicts = iter(verdicts)
+    labels = continuation_labels([[b.n_p for b in bs] for bs in solved])
     rows: list[dict] = []
-    prev: dict[int, float] = {}
-    next_label = 0
-    for r, branches, cell_lps, diags in zip(ratios, solved, lps, sinks):
-        # nearest-n_p continuation labels
-        assignment: dict[int, int] = {}
-        if prev:
-            pairs = sorted((abs(b.n_p - np_prev), label, k)
-                           for k, b in enumerate(branches)
-                           for label, np_prev in sorted(prev.items()))
-            taken_labels: set[int] = set()
-            taken_rows: set[int] = set()
-            for dist, label, k in pairs:
-                if label in taken_labels or k in taken_rows:
-                    continue
-                assignment[k] = label
-                taken_labels.add(label)
-                taken_rows.add(k)
-        new_prev: dict[int, float] = {}
-        for k, (b, lp) in enumerate(zip(branches, cell_lps)):
-            label = assignment.get(k)
-            if label is None:
-                label = next_label
-                next_label += 1
-            new_prev[label] = b.n_p
-            verdict = next(verdicts)
-            n1f = n2f = None
-            dark = None
-            try:
-                dark = dark_mode_diagnostics(lp).dark_overlap
-            except ZeroCoupling:
-                pass
-            if verdict.stable:
-                n1f, n2f = row_occupations(next(covs), diags)
-            rows.append(dict(kappa_over_omega1=float(r), branch_index=label,
-                             n_p=b.n_p, stable=verdict.stable, n1f=n1f,
-                             n2f=n2f, dark_overlap=dark, residual=b.residual))
-        prev = new_prev
+    for r, cell_rows, cell_labels, diags in zip(
+            ratios, branch_rows(ps, solved, sinks, gamma_fallback),
+            labels, sinks):
+        rows += [dict(kappa_over_omega1=float(r),
+                      **{**row, "branch_index": label})
+                 for row, label in zip(cell_rows, cell_labels)]
         if diagnostics is not None:
             for d in diags:
                 d.cell = (float(r),)
@@ -169,9 +134,41 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
     return rows
 
 
+def branch_rows(ps: list[SystemParams], solved: list[list],
+                sinks: list[list[Diagnostic]], gamma_fallback: bool = True,
+                cool: bool = True) -> list[list[dict]]:
+    """Output rows of each set's steady-state branches, labelled in order.
+
+    All branches get one stacked stability classification and one column
+    dark overlap; when ``cool``, the stable ones are cooled in one batched
+    Lyapunov solve, whose diagnostics go to their set's sink.
+    """
+    flat = [derive_linearized(b, p) for p, bs in zip(ps, solved) for b in bs]
+    verdicts = classify_branch_stability(flat, gamma_fallback)
+    covs = iter(cool_linearized(
+        [lp for lp, v in zip(flat, verdicts) if v.stable and cool]))
+    darks = iter(dark_mode_diagnostics(linearized_columns(flat)[0])
+                 .dark_overlap.tolist())
+    verdicts = iter(verdicts)
+    out = []
+    for bs, diags in zip(solved, sinks):
+        rows = []
+        for k, b in enumerate(bs):
+            verdict, dark = next(verdicts), next(darks)
+            n1f = n2f = None
+            if verdict.stable and cool:
+                n1f, n2f = row_occupations(next(covs), diags)
+            rows.append(dict(branch_index=k, n_p=b.n_p, stable=verdict.stable,
+                             n1f=n1f, n2f=n2f,
+                             dark_overlap=None if math.isnan(dark) else dark,
+                             residual=b.residual))
+        out.append(rows)
+    return out
+
+
 def _fig4(tag, case, convention, points, threads, scan_points, oracle,
           gamma_fallback) -> RecipeResult:
-    del threads, gamma_fallback
+    del threads
     if case == "linear":
         base = replace(MULTI_BASE, g2=0.0, eta=56.5, omega_ex=0.2, delta_c=3.2,
                        gamma1=2e-6 * 5.0, gamma2=2e-6 * 5.0,
@@ -184,7 +181,8 @@ def _fig4(tag, case, convention, points, threads, scan_points, oracle,
     diags: list[Diagnostic] = []
     rows = branch_cooling_sweep(base, ratios, convention=convention,
                                 oracle=oracle, scan_points=scan_points,
-                                diagnostics=diags)
+                                diagnostics=diags,
+                                gamma_fallback=gamma_fallback)
     return RecipeResult(tag=tag, axis_names=("kappa_over_omega1",), rows=rows,
                         meta={"mode": "branch-cooling", "base": base,
                               "convention": convention, "case": case},

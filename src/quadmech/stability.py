@@ -11,7 +11,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .params import LinearizedParams, SystemParams
+from .params import LinearizedParams, SystemParams, linearized_columns
 from .steady_state import SteadyStateBranch
 
 STAB_TOL_FACTOR = 1e-9      # margin below stab_tol*kappa counts as marginal
@@ -28,11 +28,6 @@ class DriftMatrix:
     """6x6 complex drift matrix of the linearized fluctuation dynamics."""
 
     a: np.ndarray
-
-    @property
-    def kappa(self) -> float:
-        """Cavity decay recovered from the diagonal (reference rate)."""
-        return -float(self.a[0, 0].real)
 
 
 @dataclass(frozen=True)
@@ -76,27 +71,26 @@ def derive_linearized(branch: SteadyStateBranch,
 
 
 def build_drift_matrix(lp: LinearizedParams) -> DriftMatrix:
-    """Assemble the drift matrix from linearized parameters."""
-    G1, G2, G22 = complex(lp.g1_eff), complex(lp.g2_eff), complex(lp.g22)
-    eip = np.exp(1j * lp.theta)
-    eim = np.exp(-1j * lp.theta)
-    B = np.array([
-        [-(lp.kappa + 1j * lp.delta_eff), -1j * G1, -1j * G2],
-        [-1j * np.conj(G1), -(lp.gamma1 + 1j * lp.omega1), -1j * lp.omega_ex * eip],
-        [-1j * np.conj(G2), -1j * lp.omega_ex * eim,
-         -(lp.gamma2 + 1j * lp.omega2_tilde)],
-    ], dtype=complex)
-    C = np.array([
-        [0.0, -1j * G1, -1j * G2],
-        [-1j * G1, 0.0, 0.0],
-        [-1j * G2, 0.0, -2j * G22],
-    ], dtype=complex)
-    a = np.empty((6, 6), dtype=complex)
-    a[:3, :3] = B
-    a[:3, 3:] = C
-    a[3:, :3] = np.conj(C)
-    a[3:, 3:] = np.conj(B)
-    return DriftMatrix(a=a)
+    """Assemble the drift matrix from linearized parameters: a (k, 6, 6)
+    stack for a column record, one 6x6 matrix for a scalar record."""
+    c, scalar = linearized_columns(lp)
+    G1, G2, G22 = c.g1_eff, c.g2_eff, c.g22
+    eip = np.exp(1j * c.theta)
+    eim = np.exp(-1j * c.theta)
+    a = np.zeros((len(c.kappa), 6, 6), dtype=complex)
+    a[:, 0, 0] = -(c.kappa + 1j * c.delta_eff)
+    a[:, 0, 1] = a[:, 0, 4] = a[:, 1, 3] = -1j * G1
+    a[:, 0, 2] = a[:, 0, 5] = a[:, 2, 3] = -1j * G2
+    a[:, 1, 0] = -1j * np.conj(G1)
+    a[:, 1, 1] = -(c.gamma1 + 1j * c.omega1)
+    a[:, 1, 2] = -1j * c.omega_ex * eip
+    a[:, 2, 0] = -1j * np.conj(G2)
+    a[:, 2, 1] = -1j * c.omega_ex * eim
+    a[:, 2, 2] = -(c.gamma2 + 1j * c.omega2_tilde)
+    a[:, 2, 5] = -2j * G22
+    a[:, 3:, :3] = np.conj(a[:, :3, 3:])
+    a[:, 3:, 3:] = np.conj(a[:, :3, :3])
+    return DriftMatrix(a=a[0] if scalar else a)
 
 
 def classify_stability(A: DriftMatrix):
@@ -114,10 +108,10 @@ def classify_stability(A: DriftMatrix):
         raise EigenSolveFailure(str(exc)) from exc
     max_re = ev.real.max(axis=-1)
     stab_tol = STAB_TOL_FACTOR * -a[..., 0, 0].real
-    verdicts = [StabilityVerdict(eigenvalues=e, max_real_part=float(m),
-                                 stable=bool(m < -t), margin=-float(m))
-                for e, m, t in zip(ev.reshape(-1, 6), np.ravel(max_re),
-                                   np.ravel(stab_tol))]
+    verdicts = [StabilityVerdict(eigenvalues=e, max_real_part=m,
+                                 stable=m < -t, margin=-m)
+                for e, m, t in zip(ev.reshape(-1, 6), np.ravel(max_re).tolist(),
+                                   np.ravel(stab_tol).tolist())]
     return verdicts if a.ndim == 3 else verdicts[0]
 
 
@@ -144,22 +138,21 @@ def classify_branch_stability(lp: Union[LinearizedParams,
     on the margin; the fallback classifies with gamma = 1e-6*kappa instead and
     flags verdicts that differ between the two dampings.  ``lp`` may also be
     a sequence of parameter sets: a list of verdicts then comes back, from
-    one stacked eigenvalue call for the raw damping and one for the fallback.
+    one column drift stack, one stacked eigenvalue call for the raw damping
+    and one for the fallback.
     """
     if isinstance(lp, LinearizedParams):
         return classify_branch_stability([lp], gamma_fallback)[0]
-    lps = list(lp)
-    if not lps:
-        return []
-    a = np.stack([build_drift_matrix(q).a for q in lps])
+    cols, _ = linearized_columns(lp)
+    a = build_drift_matrix(cols).a
     raw = classify_stability(DriftMatrix(a=a))
     out = list(raw)
-    undamped = [k for k, q in enumerate(lps) if gamma_fallback
-                and not (q.gamma1 > 0.0 or q.gamma2 > 0.0)]
-    if undamped:
+    undamped = np.flatnonzero(~((cols.gamma1 > 0.0) | (cols.gamma2 > 0.0))
+                              & gamma_fallback)
+    if undamped.size:
         fb = classify_stability(DriftMatrix(a=_fallback_damped(
-            a[undamped], [lps[k].kappa for k in undamped])))
-        for k, v in zip(undamped, fb):
+            a[undamped], cols.kappa[undamped])))
+        for k, v in zip(undamped.tolist(), fb):
             out[k] = replace(v, gamma_fallback_applied=True,
                              verdict_flipped=bool(v.stable != raw[k].stable))
     return out

@@ -19,7 +19,7 @@ self-consistency residual check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -78,10 +78,6 @@ class SteadyStateBranch:
     beta2: complex
     delta_eff: float
     residual: float
-    stability: Optional[object] = None   # StabilityVerdict, attached later
-
-    def with_stability(self, verdict) -> "SteadyStateBranch":
-        return replace(self, stability=verdict)
 
 
 @dataclass

@@ -22,8 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cooling import (ZeroCoupling, cool_linearized, dark_mode_diagnostics,
-                      row_occupations)
+from .cooling import cool_linearized, dark_mode_diagnostics, row_occupations
 from .params import LinearizedParams, SystemParams, validate_params
 from .stability import classify_branch_stability, derive_linearized
 from .steady_state import Diagnostic, solve_branches
@@ -126,34 +125,30 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     return spec
 
 
-def _cell_params(spec: SweepSpec, values: tuple[float, ...]):
-    updates = {}
-    for ax, v in zip(spec.axes, values):
-        cur = getattr(spec.base, ax.name)
-        updates[ax.name] = complex(v) if isinstance(cur, complex) else float(v)
-    return replace(spec.base, **updates)
+def _cell_params(spec: SweepSpec, values: tuple[float, ...]) -> SystemParams:
+    """A steady-state cell's parameters (SystemParams fields are real)."""
+    return replace(spec.base, **{ax.name: float(v)
+                                 for ax, v in zip(spec.axes, values)})
 
 
 def _cell_error(exc: Exception) -> Diagnostic:
     return Diagnostic("cell-error", f"{type(exc).__name__}: {exc}")
 
 
-def _solve_cells(spec: SweepSpec, ps: list[SystemParams],
-                 sinks: list[list[Diagnostic]]) -> list:
-    """Branches of every cell in one batched solve.  If the batch raises,
-    each cell is solved alone, so an error fails only its own cell."""
+def _each_cell(solve, cells: list, sinks: list[list[Diagnostic]], failed):
+    """``solve(cells, sinks)`` in one batch.  If the batch raises, each cell
+    is solved alone, so an error fails only its own cell, whose result is
+    then ``failed``."""
     try:
-        return solve_branches(ps, oracle_mode=spec.oracle_mode,
-                              scan_points=spec.scan_points,
-                              with_damping=spec.with_damping,
-                              diagnostics=sinks)
+        return solve(cells, sinks)
     except Exception as exc:   # per-cell failures never abort the sweep
-        if len(ps) == 1:
+        if len(cells) == 1:
             sinks[0].append(_cell_error(exc))
-            return [[]]
+            return [failed]
         for sink in sinks:
             sink.clear()
-        return [_solve_cells(spec, [p], [s])[0] for p, s in zip(ps, sinks)]
+        return [_each_cell(solve, [c], [s], failed)[0]
+                for c, s in zip(cells, sinks)]
 
 
 def _eval_steady_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Diagnostic]]]:
@@ -167,9 +162,12 @@ def _eval_steady_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Di
         except Exception as exc:
             sink.append(_cell_error(exc))
             params.append(None)
-    solved = iter(_solve_cells(
-        spec, [p for p in params if p is not None],
-        [sink for p, sink in zip(params, diags) if p is not None]))
+    solved = iter(_each_cell(
+        lambda ps, sinks: solve_branches(
+            ps, oracle_mode=spec.oracle_mode, scan_points=spec.scan_points,
+            with_damping=spec.with_damping, diagnostics=sinks),
+        [p for p in params if p is not None],
+        [sink for p, sink in zip(params, diags) if p is not None], ()))
     branches = [next(solved) if p is not None else [] for p in params]
     verdicts = iter(classify_branch_stability(
         [derive_linearized(b, p) for p, bs in zip(params, branches)
@@ -196,31 +194,28 @@ def _eval_steady_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Di
     return out
 
 
-def _cool_cells(lps: list[LinearizedParams],
-                sinks: list[list[Diagnostic]]) -> list:
-    """Covariances of the cells from one batched Lyapunov solve.  If the
-    batch raises, each cell is solved alone, so an error fails only its own
-    cell (its covariance is None)."""
-    try:
-        return cool_linearized(lps)
-    except Exception as exc:   # per-cell failures never abort the sweep
-        if len(lps) == 1:
-            sinks[0].append(_cell_error(exc))
-            return [None]
-        return [_cool_cells([lp], [s])[0] for lp, s in zip(lps, sinks)]
+def _column_params(spec: SweepSpec, values: list[tuple[float, ...]]):
+    """One column record for the cells: the base with each axis field an
+    array of the cells' values (complex when the base field is complex)."""
+    updates = {}
+    for ax, col in zip(spec.axes, np.array(values, dtype=float).T):
+        cur = getattr(spec.base, ax.name)
+        updates[ax.name] = col.astype(complex) if isinstance(cur, complex) else col
+    return replace(spec.base, **updates)
 
 
 def _eval_cooling_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Diagnostic]]]:
     """One batched Lyapunov solve for the cells, then one row per cell."""
     diags: list[list[Diagnostic]] = [[] for _ in chunk]
-    lps = [_cell_params(spec, values) for _, values in chunk]
-    covs = _cool_cells(lps, diags)
+    cell_values = [v for _, v in chunk]
+    lp = _column_params(spec, cell_values)
+    # the batch's column record, or a cell's own when the batch is retried
+    covs = _each_cell(lambda vs, _: cool_linearized(
+        lp if vs is cell_values else _column_params(spec, vs)),
+        cell_values, diags, None)
+    darks = dark_mode_diagnostics(lp).dark_overlap.tolist()
     out = []
-    for (index, values), lp, cov, sink in zip(chunk, lps, covs, diags):
-        try:
-            dark = dark_mode_diagnostics(lp).dark_overlap
-        except ZeroCoupling:
-            dark = None
+    for (index, values), dark, cov, sink in zip(chunk, darks, covs, diags):
         stable, n1f, n2f, residual = False, None, None, None
         if cov is not None:
             try:
@@ -235,7 +230,8 @@ def _eval_cooling_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[D
         for d in sink:
             d.cell = tuple(index)
         row = BranchRow(branch_index=0, n_p=None, stable=stable, n1f=n1f,
-                        n2f=n2f, dark_overlap=dark, residual=residual)
+                        n2f=n2f, residual=residual,
+                        dark_overlap=None if math.isnan(dark) else dark)
         out.append((CellResult(index=tuple(index), values=tuple(values),
                                root_count=1, stable_count=int(stable),
                                branches=[row]), sink))
@@ -276,48 +272,38 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     diagnostics = [d for r in results for d in r[1]]
     result = SweepResult(spec=spec, cells=cells, diagnostics=diagnostics)
     if spec.mode == "branch-curve":
-        _assign_continuation_labels(result)
+        labels = continuation_labels([[row.n_p for row in cell.branches]
+                                      for cell in cells])
+        for cell, cell_labels in zip(cells, labels):
+            for row, label in zip(cell.branches, cell_labels):
+                row.branch_index = label
     return result
 
 
-def _assign_continuation_labels(result: SweepResult) -> None:
-    """Relabel branches of a 1D curve by nearest-n_p continuation.
+def continuation_labels(curve: list[list[float]]) -> list[list[int]]:
+    """Branch labels along a 1D curve by nearest-n_p continuation.
 
-    Ties break toward the lower previous index; branches with no antecedent
-    get fresh labels.  Labels stay unique within each cell.
+    ``curve`` holds each cell's branch photon numbers.  Ties break toward
+    the lower previous label; branches with no antecedent get fresh labels.
+    Labels stay unique within each cell.
     """
     prev: dict[int, float] = {}
     next_label = 0
-    for cell in result.cells:
-        rows = cell.branches
-        if not prev:
-            for row in rows:
-                row.branch_index = next_label
-                prev[next_label] = row.n_p
-                next_label += 1
-            continue
-        pairs = sorted(
-            (abs(row.n_p - np_prev), label, k)
-            for k, row in enumerate(rows)
-            for label, np_prev in sorted(prev.items()))
-        taken_labels: set[int] = set()
-        taken_rows: set[int] = set()
+    out = []
+    for nps in curve:
         assignment: dict[int, int] = {}
-        for dist, label, k in pairs:
-            if label in taken_labels or k in taken_rows:
-                continue
-            assignment[k] = label
-            taken_labels.add(label)
-            taken_rows.add(k)
-        new_prev: dict[int, float] = {}
-        for k, row in enumerate(rows):
-            if k in assignment:
-                row.branch_index = assignment[k]
-            else:
-                row.branch_index = next_label
-                next_label += 1
-            new_prev[row.branch_index] = row.n_p
-        prev = new_prev
+        for _, label, k in sorted((abs(n - n_prev), label, k)
+                                  for k, n in enumerate(nps)
+                                  for label, n_prev in prev.items()):
+            if label not in assignment.values() and k not in assignment:
+                assignment[k] = label
+        for k in range(len(nps)):
+            if k not in assignment:
+                assignment[k], next_label = next_label, next_label + 1
+        labels = [assignment[k] for k in range(len(nps))]
+        prev = dict(zip(labels, nps))
+        out.append(labels)
+    return out
 
 
 def branch_curve(spec: SweepSpec) -> SweepResult:

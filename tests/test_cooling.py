@@ -17,7 +17,8 @@ from quadmech import (CovarianceResult, DriftMatrix, NoiseModel,
                       classify_stability, cool_linearized,
                       dark_mode_diagnostics, phonon_numbers, solve_lyapunov)
 from quadmech.cooling import (LYAP_BLOCK, ComplexPhonon, UnphysicalResult,
-                              ZeroCoupling, _kronecker_sum)
+                              ZeroCoupling, _lyapunov_operator)
+from quadmech.params import linearized_columns
 
 from conftest import make_linearized, random_linearized, spectral_phonons
 
@@ -240,6 +241,44 @@ def test_batched_lyapunov_equals_per_cell_calls(batch, data):
     assert all(_same(x, y) for x, y in zip(split, alone))
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_column_builders_equal_scalar_records(batch, data):
+    # drift, noise and dark-overlap stacks of a column record equal the
+    # scalar records' results bit for bit, in any order and any split
+    cells = batch[0] + [
+        make_linearized(g1_eff=0.0, g2_eff=0.0),           # dark overlap NaN
+        make_linearized(g1_eff=0.1 + 0.05j, g2_eff=-0.02j, g22=-0.01 + 0.002j)]
+    order = data.draw(st.permutations(range(len(cells))))
+    cut = data.draw(st.integers(0, len(cells)))
+    for part in ([cells[k] for k in order[:cut]],
+                 [cells[k] for k in order[cut:]]):
+        cols, _ = linearized_columns(part)
+        drift, noise = build_drift_matrix(cols).a, build_noise_model(cols)
+        dark = dark_mode_diagnostics(cols).dark_overlap
+        assert drift.shape == noise.q.shape == (len(part), 6, 6)
+        for k, lp in enumerate(part):
+            assert _bits(drift[k]) == _bits(build_drift_matrix(lp).a)
+            one = build_noise_model(lp)
+            assert _bits(noise.c[k]) == _bits(one.c)
+            assert _bits(noise.q[k]) == _bits(one.q)
+            if lp.g1_eff == lp.g2_eff == 0:
+                assert math.isnan(dark[k])
+            else:
+                assert dark[k] == dark_mode_diagnostics(lp).dark_overlap
+    # a sweep-style record: one array field, the rest shared scalars
+    from dataclasses import replace
+    kappas = np.linspace(0.05, 0.5, 7)
+    drift = build_drift_matrix(replace(cells[0], kappa=kappas)).a
+    assert all(_bits(d) == _bits(build_drift_matrix(replace(cells[0],
+                                                             kappa=k)).a)
+               for d, k in zip(drift, kappas.tolist()))
+
+
 def test_single_matrix_is_a_batch_of_one():
     lp = make_linearized()
     a, nm = build_drift_matrix(lp), build_noise_model(lp)
@@ -248,16 +287,45 @@ def test_single_matrix_is_a_batch_of_one():
     assert solve_lyapunov(DriftMatrix(a=np.empty((0, 6, 6))), []) == []
 
 
-def test_kronecker_fill_equals_kron(rng):
+def test_symmetric_operator_equals_kron(rng):
+    # the 21x21 operator applied to the upper triangle of a symmetric V is
+    # that triangle of A V + V A^T, here from the 36x36 Kronecker sum
     a = np.stack([build_drift_matrix(random_linearized(rng)).a
                   for _ in range(20)]
                  + [rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
                     for _ in range(20)])
     ident = np.eye(6)
-    filled = _kronecker_sum(a)
-    assert filled.shape == (40, 36, 36)
-    for m, ak in zip(filled, a):
-        assert np.array_equal(m, np.kron(ident, ak) + np.kron(ak, ident))
+    upper = np.triu_indices(6)
+    ops = _lyapunov_operator(a)
+    assert ops.shape == (40, 21, 21)
+    for m, ak in zip(ops, a):
+        v = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        v = v + v.T
+        kron = np.kron(ident, ak) + np.kron(ak, ident)
+        want = (kron @ v.reshape(36)).reshape(6, 6)[upper]
+        np.testing.assert_allclose(m @ v[upper], want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_returned_iterate_has_the_reported_residual(batch):
+    # the residual is that of the V which comes back, last correction included
+    cells, alone = batch
+    for lp, cov in zip(cells, alone):
+        a, q = build_drift_matrix(lp).a, build_noise_model(lp).q
+        r = a @ cov.v + cov.v @ a.T + q
+        res = (np.linalg.norm(r.reshape(1, 36), axis=1)
+               / np.linalg.norm(q.reshape(1, 36), axis=1))
+        assert res[0] == cov.lyap_residual
+
+
+def test_asymmetric_q_rejected():
+    lp = make_linearized()
+    nm = build_noise_model(lp)
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_lyapunov(build_drift_matrix(lp), NoiseModel(c=nm.c, q=nm.c))
+    a = build_drift_matrix(linearized_columns([lp, lp])[0]).a
+    with pytest.raises(ValueError, match="symmetric"):
+        solve_lyapunov(DriftMatrix(a=a), [nm, NoiseModel(c=nm.c, q=nm.c)])
 
 
 def test_nonfinite_input_rejected():

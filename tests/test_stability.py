@@ -213,3 +213,23 @@ def test_fallback_damping_equals_rebuilt_matrices(rng):
     assert np.array_equal(damped, rebuilt)
     assert damped.tobytes() == rebuilt.tobytes()
     assert not np.array_equal(damped, raw)
+
+
+def test_branch_cooling_sweep_honours_gamma_fallback(monkeypatch):
+    # undamped, with the second mode decoupled: its eigenvalues sit on the
+    # margin, so the raw verdicts are unstable where the fallback's are not
+    import quadmech.recipes as recipes
+    from quadmech import branch_cooling_sweep
+    real = recipes.classify_branch_stability
+    seen = []
+
+    def spy(lps, gamma_fallback=True):
+        seen.append((list(lps), gamma_fallback))
+        return real(lps, gamma_fallback)
+    monkeypatch.setattr(recipes, "classify_branch_stability", spy)
+    rows = branch_cooling_sweep(make_system(g2=0.0, omega_ex=0.0),
+                                np.array([0.2, 0.4]), gamma_fallback=False)
+    ((lps, flag),) = seen
+    assert flag is False and len(lps) == len(rows) > 0
+    assert not any(r["stable"] or r["n1f"] is not None for r in rows)
+    assert any(v.stable and v.verdict_flipped for v in real(lps, True))

@@ -92,6 +92,15 @@ def test_branch_curve_labels_follow_branches():
         assert np.all(rel_jump < 0.5)
 
 
+def test_continuation_labels_follow_nearest_n_p():
+    from quadmech.sweep import continuation_labels
+    curve = [[1.0, 5.0], [1.1, 3.0, 4.9], [], [2.0], [1.2, 4.0]]
+    # a new branch gets a fresh label; after an empty cell every label is
+    # fresh; a tie goes to the lower previous label
+    assert continuation_labels(curve) == [[0, 1], [0, 2, 1], [], [3], [3, 4]]
+    assert continuation_labels([[1.0, 3.0], [2.0]]) == [[0, 1], [0]]
+
+
 def test_cooling_map_thermal_cells():
     lp = make_linearized(g1_eff=0.0, g2_eff=0.0, g22=0.0, omega_ex=0.0,
                          gamma1=1e-4, gamma2=1e-4, nbar1=9.0, nbar2=4.0)
@@ -207,7 +216,7 @@ def test_failing_cell_does_not_fail_its_batch(monkeypatch):
 
 
 def test_failing_cooling_cells_do_not_fail_their_batch(monkeypatch):
-    # a NaN entry, a singular Kronecker system and an UnphysicalResult each
+    # a NaN entry, a singular Lyapunov system and an UnphysicalResult each
     # fail only their own cell; the batch-mates keep their values
     from dataclasses import replace
 
@@ -219,25 +228,25 @@ def test_failing_cooling_cells_do_not_fail_their_batch(monkeypatch):
     real_drift, real_noise = cooling.build_drift_matrix, cooling.build_noise_model
     hostile = make_linearized(g1_eff=0.0, g2_eff=0.0, g22=0.0, omega_ex=0.0,
                               gamma1=1e-3, gamma2=1e-3, nbar1=5.0, nbar2=5.0)
+    singular = replace(base, g1_eff=0.0, g2_eff=0.0, g22=0.0, omega_ex=0.0,
+                       gamma1=0.0, gamma2=0.0)   # undamped, uncoupled
+    c = real_noise(hostile).c.copy()
+    c[1, 4], c[4, 1] = 0.2 * 2e-3, 0.0     # emission weaker than vacuum: n < 0
 
+    # the builders get column records; the stubs edit the faulty cells' rows
     def drift(lp):
-        if lp.kappa == kappas[1]:
-            a = real_drift(lp).a.copy()
-            a[2, 2] = np.nan
-            return cooling.DriftMatrix(a=a)
-        if lp.kappa == kappas[3]:      # undamped, uncoupled: singular
-            return real_drift(replace(lp, g1_eff=0.0, g2_eff=0.0, g22=0.0,
-                                      omega_ex=0.0, gamma1=0.0, gamma2=0.0))
-        if lp.kappa == kappas[5]:
-            return real_drift(hostile)
-        return real_drift(lp)
+        a = real_drift(lp).a.copy()
+        kappa = np.atleast_1d(lp.kappa)
+        a[kappa == kappas[1], 2, 2] = np.nan
+        a[kappa == kappas[3]] = real_drift(singular).a
+        a[kappa == kappas[5]] = real_drift(hostile).a
+        return cooling.DriftMatrix(a=a)
 
     def noise(lp):
-        if lp.kappa == kappas[5]:      # emission weaker than vacuum: n < 0
-            c = real_noise(hostile).c.copy()
-            c[1, 4], c[4, 1] = 0.2 * 2e-3, 0.0
-            return cooling.NoiseModel(c=c, q=0.5 * (c + c.T))
-        return real_noise(lp)
+        nm = real_noise(lp)
+        at = np.atleast_1d(lp.kappa) == kappas[5]
+        nm.c[at], nm.q[at] = c, 0.5 * (c + c.T)
+        return nm
     monkeypatch.setattr(cooling, "build_drift_matrix", drift)
     monkeypatch.setattr(cooling, "build_noise_model", noise)
     res = run_sweep(spec)
