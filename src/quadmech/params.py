@@ -99,7 +99,7 @@ class LinearizedParams:
 
 
 _LINEARIZED_COMPLEX = ("g1_eff", "g2_eff", "g22")
-_LINEARIZED_NUMERIC = ("delta_eff", "omega1", "omega2_tilde", "g1_eff",
+LINEARIZED_NUMERIC = ("delta_eff", "omega1", "omega2_tilde", "g1_eff",
                        "g2_eff", "g22", "omega_ex", "theta", "kappa",
                        "gamma1", "gamma2", "nbar1", "nbar2")
 
@@ -112,14 +112,20 @@ def linearized_columns(lp: Union[LinearizedParams,
     if not isinstance(lp, LinearizedParams):
         lps = list(lp)
         lp = LinearizedParams(**{name: [getattr(r, name) for r in lps]
-                                 for name in _LINEARIZED_NUMERIC},
+                                 for name in LINEARIZED_NUMERIC},
                               origin=lps[0].origin if lps else "direct")
     vals = [np.asarray(getattr(lp, name),
                        complex if name in _LINEARIZED_COMPLEX else None)
-            for name in _LINEARIZED_NUMERIC]
+            for name in LINEARIZED_NUMERIC]
     scalar = all(v.ndim == 0 for v in vals)
     cols = np.broadcast_arrays(*(np.atleast_1d(v) for v in vals))
-    return replace(lp, **dict(zip(_LINEARIZED_NUMERIC, cols))), scalar
+    return replace(lp, **dict(zip(LINEARIZED_NUMERIC, cols))), scalar
+
+
+def take_columns(lp: LinearizedParams, index) -> LinearizedParams:
+    """The rows ``index`` of a column record whose fields are all arrays."""
+    return replace(lp, **{name: getattr(lp, name)[index]
+                          for name in LINEARIZED_NUMERIC})
 
 
 def _check_finite(obj, fields) -> None:
@@ -157,7 +163,7 @@ def validate_params(p: SystemParams) -> SystemParams:
 
 def validate_linearized(lp: LinearizedParams) -> LinearizedParams:
     """Validate a LinearizedParams record (finiteness, kappa > 0)."""
-    _check_finite(lp, _LINEARIZED_NUMERIC)
+    _check_finite(lp, LINEARIZED_NUMERIC)
     if lp.kappa <= 0.0:
         raise NonPositiveRate(f"kappa = {lp.kappa} must be > 0")
     for name in ("gamma1", "gamma2", "nbar1", "nbar2"):

@@ -14,11 +14,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cooling import cool_linearized, dark_mode_diagnostics, row_occupations
-from .params import (LinearizedParams, SystemParams, linearized_columns,
+from .params import (LinearizedParams, SystemParams, take_columns,
                      validate_params)
 from .stability import classify_branch_stability, derive_linearized
 from .steady_state import Diagnostic, solve_branches
-from .sweep import Axis, SweepSpec, continuation_labels, run_sweep
+from .sweep import (Axis, SweepSpec, continuation_labels, marginal_verdict,
+                    run_sweep)
 
 COLUMNS = ("branch_index", "n_p", "stable", "n1f", "n2f",
            "dark_overlap", "residual")
@@ -139,24 +140,30 @@ def branch_rows(ps: list[SystemParams], solved: list[list],
                 cool: bool = True) -> list[list[dict]]:
     """Output rows of each set's steady-state branches, labelled in order.
 
-    All branches get one stacked stability classification and one column
-    dark overlap; when ``cool``, the stable ones are cooled in one batched
-    Lyapunov solve, whose diagnostics go to their set's sink.
+    All branches get one column record, one stacked stability
+    classification and one column dark overlap.  When ``cool``, the rows
+    that are stable and whose verdict did not flip under the gamma fallback
+    are cooled in one batched Lyapunov solve (a flipped verdict means the
+    undamped system sits on the margin, where the Lyapunov system is
+    singular), whose diagnostics go to their set's sink; a flipped row gets
+    the sweep's marginal-verdict diagnostic instead.
     """
-    flat = [derive_linearized(b, p) for p, bs in zip(ps, solved) for b in bs]
-    verdicts = classify_branch_stability(flat, gamma_fallback)
-    covs = iter(cool_linearized(
-        [lp for lp, v in zip(flat, verdicts) if v.stable and cool]))
-    darks = iter(dark_mode_diagnostics(linearized_columns(flat)[0])
-                 .dark_overlap.tolist())
-    verdicts = iter(verdicts)
+    lin = derive_linearized([b for bs in solved for b in bs],
+                            [p for p, bs in zip(ps, solved) for _ in bs])
+    verdicts = classify_branch_stability(lin, gamma_fallback)
+    cooled = [cool and v.stable and not v.verdict_flipped for v in verdicts]
+    covs = iter(cool_linearized(take_columns(lin, np.array(cooled, dtype=bool))))
+    per_row = iter(zip(verdicts, cooled,
+                       dark_mode_diagnostics(lin).dark_overlap.tolist()))
     out = []
     for bs, diags in zip(solved, sinks):
         rows = []
         for k, b in enumerate(bs):
-            verdict, dark = next(verdicts), next(darks)
+            verdict, cooled_row, dark = next(per_row)
             n1f = n2f = None
-            if verdict.stable and cool:
+            if verdict.verdict_flipped:
+                diags.append(marginal_verdict(b.n_p))
+            if cooled_row:
                 n1f, n2f = row_occupations(next(covs), diags)
             rows.append(dict(branch_index=k, n_p=b.n_p, stable=verdict.stable,
                              n1f=n1f, n2f=n2f,

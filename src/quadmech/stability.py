@@ -11,7 +11,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .params import LinearizedParams, SystemParams, linearized_columns
+from .params import (LINEARIZED_NUMERIC, LinearizedParams, SystemParams,
+                     linearized_columns)
 from .steady_state import SteadyStateBranch
 
 STAB_TOL_FACTOR = 1e-9      # margin below stab_tol*kappa counts as marginal
@@ -42,30 +43,45 @@ class StabilityVerdict:
     verdict_flipped: bool = False    # raw gamma=0 verdict disagreed with fallback
 
 
-def derive_linearized(branch: SteadyStateBranch,
-                      p: SystemParams) -> LinearizedParams:
+def derive_linearized(branch: Union[SteadyStateBranch,
+                                    Sequence[SteadyStateBranch]],
+                      p: Union[SystemParams, Sequence[SystemParams]]
+                      ) -> LinearizedParams:
     """Effective linearized parameters of a steady-state branch.
 
     g1_eff = g1*alpha, g2_eff = 4*g2*alpha*Re[beta2], g22 = g2*|alpha|^2 and
     omega2_tilde = omega2 + 2*g2*|alpha|^2; the effective detuning is copied
-    from the branch.
+    from the branch.  ``branch`` may also be a sequence of branches with
+    ``p`` the sequence of their parameter sets, one per branch: one column
+    record then comes back.  A single branch is a batch of one.
     """
-    alpha = branch.alpha
-    n_p = branch.n_p
+    if isinstance(branch, SteadyStateBranch):
+        cols = derive_linearized([branch], [p])
+        return replace(cols, **{name: getattr(cols, name)[0].item()
+                                for name in LINEARIZED_NUMERIC})
+    bs = list(branch)
+    n_p, delta, beta2_re = np.array(
+        [(b.n_p, b.delta_eff, b.beta2.real) for b in bs],
+        dtype=float).reshape(-1, 3).T
+    alpha = np.array([b.alpha for b in bs], dtype=complex)
+    (omega1, omega2, g1, g2, omega_ex, theta, kappa, gamma1, gamma2, nbar1,
+     nbar2) = np.array([(q.omega1, q.omega2, q.g1, q.g2, q.omega_ex, q.theta,
+                         q.kappa, q.gamma1, q.gamma2, q.nbar1, q.nbar2)
+                        for q in p], dtype=float).reshape(-1, 11).T
     return LinearizedParams(
-        delta_eff=branch.delta_eff,
-        omega1=p.omega1,
-        omega2_tilde=p.omega2 + 2.0 * p.g2 * n_p,
-        g1_eff=p.g1 * alpha,
-        g2_eff=4.0 * p.g2 * alpha * branch.beta2.real,
-        g22=complex(p.g2 * n_p),
-        omega_ex=p.omega_ex,
-        theta=p.theta,
-        kappa=p.kappa,
-        gamma1=p.gamma1,
-        gamma2=p.gamma2,
-        nbar1=p.nbar1,
-        nbar2=p.nbar2,
+        delta_eff=delta,
+        omega1=omega1,
+        omega2_tilde=omega2 + 2.0 * g2 * n_p,
+        g1_eff=g1 * alpha,
+        g2_eff=4.0 * g2 * alpha * beta2_re,
+        g22=(g2 * n_p).astype(complex),
+        omega_ex=omega_ex,
+        theta=theta,
+        kappa=kappa,
+        gamma1=gamma1,
+        gamma2=gamma2,
+        nbar1=nbar1,
+        nbar2=nbar2,
         origin="branch-derived",
     )
 
@@ -137,13 +153,11 @@ def classify_branch_stability(lp: Union[LinearizedParams,
     With gamma1 = gamma2 = 0 the uncoupled mechanical eigenvalues sit exactly
     on the margin; the fallback classifies with gamma = 1e-6*kappa instead and
     flags verdicts that differ between the two dampings.  ``lp`` may also be
-    a sequence of parameter sets: a list of verdicts then comes back, from
-    one column drift stack, one stacked eigenvalue call for the raw damping
-    and one for the fallback.
+    a column record or a sequence of parameter sets: a list of verdicts then
+    comes back, from one column drift stack, one stacked eigenvalue call for
+    the raw damping and one for the fallback.
     """
-    if isinstance(lp, LinearizedParams):
-        return classify_branch_stability([lp], gamma_fallback)[0]
-    cols, _ = linearized_columns(lp)
+    cols, scalar = linearized_columns(lp)
     a = build_drift_matrix(cols).a
     raw = classify_stability(DriftMatrix(a=a))
     out = list(raw)
@@ -155,4 +169,4 @@ def classify_branch_stability(lp: Union[LinearizedParams,
         for k, v in zip(undamped.tolist(), fb):
             out[k] = replace(v, gamma_fallback_applied=True,
                              verdict_flipped=bool(v.stable != raw[k].stable))
-    return out
+    return out[0] if scalar else out

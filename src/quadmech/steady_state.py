@@ -3,7 +3,7 @@
 Two independent routes to the steady-state photon numbers n_p = |alpha|^2:
 
 * a closed-form degree-7 polynomial in n_p (``build_polynomial`` /
-  ``find_real_roots``), and
+  ``batch_real_roots``, companion-matrix eigenvalues stacked by degree), and
 * a fixed-point scan oracle (``oracle_roots``) that brackets and bisects
   f(n_p) = eta^2/(kappa^2 + Delta(n_p)^2) - n_p, with Delta(n_p) taken from
   the exact rational form of the mechanical displacements
@@ -14,10 +14,12 @@ fixed-point map whenever both couplings are active (its mixed g1-g2 terms are
 not reliable), so the oracle is authoritative: ``solve_branches`` compares the
 two root sets, emits a coefficient-mismatch diagnostic on disagreement and
 continues with the oracle roots; every candidate must then pass the
-self-consistency residual check.
+self-consistency residual check of a dense 4x4 mechanical solve
+(``reconstruct_branches``, stacked over the candidates of a batch).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -136,42 +138,56 @@ def build_polynomial(p: SystemParams) -> PolynomialCoefficients:
         c=coeffs, aux={"x": x, "y": y, "z": z, "n_scale": n_scale})
 
 
-def find_real_roots(coeffs: PolynomialCoefficients) -> list[float]:
-    """Real nonnegative roots of the photon-number polynomial, ascending.
+def batch_real_roots(coeffs: Sequence[PolynomialCoefficients]) -> list:
+    """Real nonnegative roots of each photon-number polynomial, ascending.
 
-    Companion-matrix eigenvalues (numpy.roots) on variable-rescaled
-    coefficients: the substitution n_p = n_scale * m makes the coefficient
-    magnitudes comparable (they span ~24 decades otherwise, wrecking both the
-    leading-coefficient deflation and the eigenvalue accuracy).  Deflation at
-    DEFLATE_TOL is applied to the rescaled coefficients.
+    Companion-matrix eigenvalues on variable-rescaled coefficients: the
+    substitution n_p = n_scale * m makes the coefficient magnitudes
+    comparable (they span ~24 decades otherwise, wrecking both the
+    leading-coefficient deflation and the eigenvalue accuracy).  Deflation
+    at DEFLATE_TOL is applied to the rescaled coefficients.  The scaling,
+    deflation and zero-root strip run on the (k, 8) coefficient stack; each
+    companion matrix is built as numpy.roots builds it, and the matrices of
+    one degree share one stacked eigenvalue call, so every set's roots equal
+    numpy.roots on its own coefficients.  A set whose polynomial vanishes or
+    deflates to a constant gets a ZeroPolynomial in place of its roots.
     """
-    c = np.asarray(coeffs.c, dtype=float)
-    s = float(coeffs.aux.get("n_scale", 1.0)) or 1.0
-    scaled = c * s ** np.arange(len(c))
-    top = np.max(np.abs(scaled))
-    if top == 0.0 or not np.isfinite(top):
-        raise ZeroPolynomial("all coefficients vanish (or are non-finite)")
-    hi = scaled[::-1]                       # highest degree first
-    lead = 0
-    while lead < len(hi) and abs(hi[lead]) < DEFLATE_TOL * top:
-        lead += 1
-    hi = hi[lead:]
-    if len(hi) <= 1:
-        raise ZeroPolynomial("polynomial deflates to a constant")
-    # factor out exact roots at zero (trailing zero coefficients)
-    zeros_at_origin = 0
-    while len(hi) > 1 and hi[-1] == 0.0:
-        hi = hi[:-1]
-        zeros_at_origin += 1
-    roots: list[float] = []
-    if len(hi) > 1:
-        rts = np.roots(hi / np.max(np.abs(hi)))
-        for r in rts:
-            rr = float(r.real) * s
-            if abs(r.imag) * s < IMAG_TOL * (1.0 + abs(rr)):
-                roots.append(rr)
-    if zeros_at_origin:
-        roots.append(0.0)
+    c = np.array([q.c for q in coeffs], dtype=float).reshape(-1, 8)
+    s = np.array([float(q.aux.get("n_scale", 1.0)) or 1.0 for q in coeffs])
+    scaled = c * s[:, None] ** np.arange(c.shape[1])
+    top = np.max(np.abs(scaled), axis=1)
+    hi = scaled[:, ::-1]                    # highest degree first
+    lead = np.cumprod(np.abs(hi) < DEFLATE_TOL * top[:, None], axis=1).sum(1)
+    with np.errstate(all="ignore"):
+        monic = hi / top[:, None]           # numpy.roots' normalisation
+    # exact zeros at the low end are roots at the origin, factored out
+    zeros = np.cumprod(monic[:, ::-1] == 0.0, axis=1).sum(1)
+    size = hi.shape[1] - lead - zeros       # coefficients left to solve
+    out: list = [[] for _ in coeffs]
+    for k in np.flatnonzero((top == 0.0) | ~np.isfinite(top)):
+        out[k] = ZeroPolynomial("all coefficients vanish (or are non-finite)")
+    ok = (top > 0.0) & np.isfinite(top)
+    for k in np.flatnonzero(ok & (lead >= hi.shape[1] - 1)):
+        out[k] = ZeroPolynomial("polynomial deflates to a constant")
+    ok &= lead < hi.shape[1] - 1
+    for m in np.unique(size[ok & (size > 1)]):
+        rows = np.flatnonzero(ok & (size == m))
+        p = monic[rows[:, None], lead[rows, None] + np.arange(m)]
+        companion = np.zeros((len(rows), m - 1, m - 1))
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        companion[:, np.arange(1, m - 1), np.arange(m - 2)] = 1.0
+        ev = np.linalg.eigvals(companion)
+        rr = ev.real * s[rows, None]
+        real = np.abs(ev.imag) * s[rows, None] < IMAG_TOL * (1.0 + np.abs(rr))
+        for k, r, keep in zip(rows.tolist(), rr.tolist(), real.tolist()):
+            out[k] = [x for x, y in zip(r, keep) if y]
+    for k in np.flatnonzero(ok).tolist():
+        out[k] = _merge_roots(out[k] + [0.0] * bool(zeros[k]))
+    return out
+
+
+def _merge_roots(roots: list[float]) -> list[float]:
+    """Sorted roots >= -NEG_TOL, clamped to zero, near-duplicates merged."""
     roots = sorted(r for r in roots if r >= -NEG_TOL)
     out: list[float] = []
     for r in roots:
@@ -181,6 +197,16 @@ def find_real_roots(coeffs: PolynomialCoefficients) -> list[float]:
         else:
             out.append(r)
     return out
+
+
+def find_real_roots(coeffs: PolynomialCoefficients) -> list[float]:
+    """Real nonnegative roots of one photon-number polynomial, ascending: a
+    batch of one of ``batch_real_roots``.  Raises ZeroPolynomial when the
+    polynomial vanishes or deflates to a constant."""
+    (roots,) = batch_real_roots([coeffs])
+    if isinstance(roots, ZeroPolynomial):
+        raise roots
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +232,49 @@ def _mech_matrix(p: SystemParams, with_damping: bool) -> tuple:
             (Om * c, Om * s, p.omega2, g2m))
 
 
+def _mech_matrices(ps: Sequence[SystemParams], with_damping: bool) -> np.ndarray:
+    """The (k, 4, 4) stack of the sets' M0."""
+    return np.array([_mech_matrix(p, with_damping) for p in ps],
+                    dtype=float).reshape(-1, 4, 4)
+
+
+def _mechanical_solve(ps: Sequence[SystemParams], counts: Sequence[int],
+                      n_p: np.ndarray, with_damping: bool):
+    """Mechanical steady states (Re b1, Im b1, Re b2, Im b2) at the photon
+    numbers ``n_p``, ``counts[k]`` of them for set k, in a (len(n_p), 4)
+    array, and for each an error message (None when the solve is sound).
+
+    One stacked condition check and one stacked solve of the matrices under
+    SINGULAR_COND; each row equals the dense 4x4 solve of its own system.
+    """
+    n_p = np.asarray(n_p, dtype=float)
+    g1, g2, omega2 = np.repeat(np.array([(p.g1, p.g2, p.omega2) for p in ps],
+                                        dtype=float).reshape(-1, 3),
+                               counts, axis=0).T
+    M = np.repeat(_mech_matrices(ps, with_damping), counts, axis=0)
+    M[:, 3, 2] = omega2 + 4.0 * g2 * n_p
+    rhs = np.zeros((len(n_p), 4, 1))
+    rhs[:, 1, 0] = -g1 * n_p
+    sol = np.full((len(n_p), 4), np.nan)
+    sound = ~(np.linalg.cond(M) > SINGULAR_COND)
+    rows = np.flatnonzero(sound)
+    try:
+        sol[rows] = np.linalg.solve(M[rows], rhs[rows])[..., 0]
+    except np.linalg.LinAlgError:       # find the singular ones
+        for k in rows:
+            try:
+                sol[k] = np.linalg.solve(M[k], rhs[k])[:, 0]
+            except np.linalg.LinAlgError:
+                sound[k] = False
+    finite = np.isfinite(sol).all(axis=1)
+    errors = [None if ok and fin else
+              f"mechanical solve overflowed at n_p = {n:.6g}" if ok else
+              f"mechanical system singular at n_p = {n:.6g}"
+              for n, ok, fin in zip(n_p.tolist(), sound.tolist(),
+                                    finite.tolist())]
+    return sol, errors
+
+
 def mechanical_response(p: SystemParams, n_p: float,
                         with_damping: bool = False) -> tuple[complex, complex]:
     """Mechanical amplitudes (beta1, beta2) at fixed photon number.
@@ -215,23 +284,13 @@ def mechanical_response(p: SystemParams, n_p: float,
     studies.  Raises SingularMechanicalSystem when the 4x4 system is
     (numerically) singular.  This dense solve is independent of the rational
     response the oracle scans with, so ``reconstruct_branch`` checks every
-    root against it.
+    root against it.  A batch of one of the stacked solve behind
+    ``reconstruct_branches``.
     """
-    M0 = np.array(_mech_matrix(p, with_damping))
-    M0[3, 2] = p.omega2 + 4.0 * p.g2 * n_p
-    r0 = np.array([0.0, -p.g1 * n_p, 0.0, 0.0])
-    if np.linalg.cond(M0) > SINGULAR_COND:
-        raise SingularMechanicalSystem(
-            f"mechanical system singular at n_p = {n_p:.6g}")
-    try:
-        sol = np.linalg.solve(M0, r0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMechanicalSystem(
-            f"mechanical system singular at n_p = {n_p:.6g}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise SingularMechanicalSystem(
-            f"mechanical solve overflowed at n_p = {n_p:.6g}")
-    return complex(sol[0], sol[1]), complex(sol[2], sol[3])
+    sol, (error,) = _mechanical_solve([p], [1], [n_p], with_damping)
+    if error is not None:
+        raise SingularMechanicalSystem(error)
+    return complex(sol[0, 0], sol[0, 1]), complex(sol[0, 2], sol[0, 3])
 
 
 def effective_detuning(p: SystemParams, beta1: complex, beta2: complex) -> float:
@@ -260,8 +319,7 @@ class RationalResponse:
     @classmethod
     def of(cls, ps: Sequence[SystemParams],
            with_damping: bool = False) -> "RationalResponse":
-        M0 = np.array([_mech_matrix(p, with_damping) for p in ps],
-                      dtype=float).reshape(-1, 4, 4)
+        M0 = _mech_matrices(ps, with_damping)
         g1, g2, delta_c, eta, kappa = np.array(
             [(p.g1, p.g2, p.delta_c, p.eta, p.kappa) for p in ps],
             dtype=float).reshape(-1, 5).T
@@ -312,23 +370,48 @@ def fixed_point_defect(p: Union[SystemParams, RationalResponse],
     return p.defect(n_p)
 
 
-def reconstruct_branch(p: SystemParams, n_p: float,
-                       with_damping: bool = False) -> SteadyStateBranch:
-    """Full branch record at a given photon number.
+def reconstruct_branches(ps: Sequence[SystemParams],
+                         candidates: Sequence[Sequence[float]],
+                         with_damping: bool = False) -> list[list]:
+    """Branch records of every candidate photon number of every set.
+
+    ``candidates[k]`` holds set k's photon numbers; the result holds, in the
+    same places, a SteadyStateBranch or the ResidualTooLarge /
+    SingularMechanicalSystem that rejects the candidate.  The mechanical
+    solves of all candidates are stacked; detuning, residual and alpha are
+    then worked out per candidate, in Python's own arithmetic.
 
     alpha keeps the phase of -i*eta/(kappa + i*Delta) but is rescaled so that
     |alpha|^2 = n_p exactly; the relative defect between n_p and the
     Lorentzian prediction is stored as ``residual`` and must not exceed
     ROOT_ACCEPT_TOL.
     """
-    if n_p < 0.0:
-        raise ResidualTooLarge(f"negative photon number {n_p}")
-    beta1, beta2 = mechanical_response(p, n_p, with_damping)
+    counts = [len(c) for c in candidates]
+    flat = [n for c in candidates for n in c]
+    sol, errors = _mechanical_solve(ps, counts, flat, with_damping)
+    rows = iter(zip(flat, sol.tolist(), errors))
+    out = []
+    for p, count in zip(ps, counts):
+        cell: list = []
+        for n_p, x, error in itertools.islice(rows, count):
+            if n_p < 0.0:
+                cell.append(ResidualTooLarge(f"negative photon number {n_p}"))
+            elif error is not None:
+                cell.append(SingularMechanicalSystem(error))
+            else:
+                cell.append(_branch(p, n_p, complex(x[0], x[1]),
+                                    complex(x[2], x[3])))
+        out.append(cell)
+    return out
+
+
+def _branch(p: SystemParams, n_p: float, beta1: complex, beta2: complex):
+    """The branch record at n_p, or the ResidualTooLarge that rejects it."""
     delta = effective_detuning(p, beta1, beta2)
     n_pred = p.eta**2 / (p.kappa**2 + delta**2)
     residual = abs(n_pred - n_p) / max(1.0, n_p)
     if residual > ROOT_ACCEPT_TOL:
-        raise ResidualTooLarge(
+        return ResidualTooLarge(
             f"n_p = {n_p:.9g} has self-consistency defect {residual:.3e}")
     raw = -1j * p.eta / (p.kappa + 1j * delta)
     mag = abs(raw)
@@ -336,6 +419,16 @@ def reconstruct_branch(p: SystemParams, n_p: float,
     return SteadyStateBranch(n_p=float(n_p), alpha=alpha, beta1=beta1,
                              beta2=beta2, delta_eff=float(delta),
                              residual=float(residual))
+
+
+def reconstruct_branch(p: SystemParams, n_p: float,
+                       with_damping: bool = False) -> SteadyStateBranch:
+    """Full branch record at a given photon number: a batch of one of
+    ``reconstruct_branches``, raising the error that rejects ``n_p``."""
+    ((branch,),) = reconstruct_branches([p], [[n_p]], with_damping)
+    if isinstance(branch, Exception):
+        raise branch
+    return branch
 
 
 def _resonance_pole(p: SystemParams) -> Optional[float]:
@@ -346,33 +439,67 @@ def _resonance_pole(p: SystemParams) -> Optional[float]:
     return pole if pole > 0.0 else None
 
 
-def _scan_grid(p: SystemParams, scan_points: int) -> np.ndarray:
-    """Uniform grid on [0, (1+margin)*eta^2/kappa^2].  When the quadratic
-    coupling puts the mechanical resonance pole inside the window, extra
-    geometrically clustered points straddle it: the fixed-point map varies
-    over many decades there and a uniform grid misses brackets."""
-    n_max = (1.0 + ORACLE_MARGIN) * p.eta**2 / p.kappa**2
-    grid = np.linspace(0.0, n_max, scan_points)
-    pole = _resonance_pole(p)
-    if pole is not None and pole < n_max:
-        d = np.geomspace(1e-9 * (1.0 + pole), n_max, 512)
-        extra = np.concatenate([pole - d, pole + d])
-        extra = extra[(extra > 0.0) & (extra < n_max)]
-        grid = np.unique(np.concatenate([grid, extra]))
-    return grid
+def _spaced(lo: np.ndarray, hi: np.ndarray, num: int,
+            log: bool = False) -> np.ndarray:
+    """np.linspace (or np.geomspace) from lo to hi, one row per cell.
+
+    Once any row of a stack has a zero step, NumPy spaces the whole stack by
+    a second formula, which rounds differently; such rows get a call of
+    their own, so every row equals the call for its cell alone."""
+    space, ends = (np.geomspace, np.log10) if log else (np.linspace, np.asarray)
+    flat = (ends(hi) - ends(lo)) / (num - 1) == 0.0
+    if not flat.any():
+        return space(lo, hi, num, axis=1)
+    out = np.empty((len(lo), num))
+    for rows in (flat, ~flat):
+        out[rows] = space(lo[rows], hi[rows], num, axis=1)
+    return out
+
+
+def _scan_grids(ps: Sequence[SystemParams], scan_points: int):
+    """Scan grids of a group of sets, flattened in order, and their sizes.
+
+    Each grid is uniform on [0, (1+margin)*eta^2/kappa^2].  When the
+    quadratic coupling puts the mechanical resonance pole inside the window,
+    extra geometrically clustered points straddle it: the fixed-point map
+    varies over many decades there and a uniform grid misses brackets.  A
+    row sort with a first-of-equal mask merges them in, as np.unique would.
+    """
+    n_max = [(1.0 + ORACLE_MARGIN) * q.eta**2 / q.kappa**2 for q in ps]
+    poles = [_resonance_pole(q) for q in ps]
+    inside = np.array([x is not None and x < m for x, m in zip(poles, n_max)],
+                      dtype=bool)
+    n_max = np.array(n_max, dtype=float)
+    full = np.full((len(ps), scan_points + 1024), np.inf)
+    full[:, :scan_points] = _spaced(np.zeros(len(ps)), n_max, scan_points)
+    if inside.any():
+        pole = np.array([x for x, ok in zip(poles, inside) if ok])[:, None]
+        top = n_max[inside, None]
+        d = _spaced(1e-9 * (1.0 + pole[:, 0]), top[:, 0], 512, log=True)
+        extra = np.concatenate([pole - d, pole + d], axis=1)
+        extra[~((extra > 0.0) & (extra < top))] = np.inf
+        full[inside, scan_points:] = extra
+        full.sort(axis=1)       # leaves the rows without a cluster as they are
+    # repeats are dropped only where np.unique ran: rows with a pole cluster
+    keep = np.isfinite(full)
+    keep[:, 1:] &= (full[:, 1:] != full[:, :-1]) | ~inside[:, None]
+    return full[keep], keep.sum(axis=1)
 
 
 def _scan_blocks(ps: list[SystemParams], cells: list[int], scan_points: int):
     """Scan grids of ``cells`` in blocks of whole cells, about SCAN_BLOCK
-    points each; yields (block cells, their point counts, flattened grid)."""
-    grids: list[np.ndarray] = []
-    owners: list[int] = []
-    for k in cells:
-        grids.append(_scan_grid(ps[k], scan_points))
-        owners.append(k)
-        if sum(len(g) for g in grids) >= SCAN_BLOCK or k == cells[-1]:
-            yield owners, [len(g) for g in grids], np.concatenate(grids)
-            grids, owners = [], []
+    points each; yields (block cells, their point counts, flattened grid).
+    Grids are built for groups of cells that fill about four blocks, which
+    bounds the memory the grids of a batch take."""
+    group = max(1, 4 * SCAN_BLOCK // scan_points)
+    for g in range(0, len(cells), group):
+        owners = cells[g:g + group]
+        grid, counts = _scan_grids([ps[k] for k in owners], scan_points)
+        first = start = 0
+        for j, end in enumerate(np.cumsum(counts).tolist()):
+            if end - start >= SCAN_BLOCK or j == len(owners) - 1:
+                yield owners[first:j + 1], counts[first:j + 1], grid[start:end]
+                first, start = j + 1, end
 
 
 def _bisect(resp: RationalResponse, lo: np.ndarray, hi: np.ndarray,
@@ -487,6 +614,10 @@ def solve_branches(p: Union[SystemParams, Sequence[SystemParams]],
     where the two estimates of the same root differ by more than the match
     tolerance yet both pass the residual check).  Candidates that fail the
     self-consistency residual are dropped with a diagnostic either way.
+    The polynomial roots of the batch come from one ``batch_real_roots``
+    call, and all candidates are reconstructed together.  With eta > 0,
+    f(0) > 0 > f(n_max), so a set that ends with an even number of branches
+    gets a parity-violation diagnostic.
     """
     if isinstance(p, SystemParams):
         sinks = None if diagnostics is None else [diagnostics]
@@ -498,30 +629,37 @@ def solve_branches(p: Union[SystemParams, Sequence[SystemParams]],
         orcs = oracle_roots(ps, scan_points, sinks, with_damping)
     else:
         orcs = [None] * len(ps)
-    out: list[list[SteadyStateBranch]] = []
-    for q, orc, sink in zip(ps, orcs, sinks):
-        try:
-            poly = find_real_roots(build_polynomial(q))
-        except ZeroPolynomial:
+    candidates = []
+    for poly, orc, sink in zip(batch_real_roots([build_polynomial(q)
+                                                 for q in ps]), orcs, sinks):
+        if isinstance(poly, ZeroPolynomial):
             poly = []
         if orc is None:
-            candidates = sorted(poly)
+            candidates.append(sorted(poly))
         elif roots_match(poly, orc):
-            candidates = poly
+            candidates.append(poly)
         else:
             sink.append(Diagnostic(
                 "coefficient-mismatch",
                 f"polynomial roots {poly} vs oracle roots {orc}; "
                 f"oracle is authoritative"))
-            candidates = orc
+            candidates.append(orc)
+    out: list[list[SteadyStateBranch]] = []
+    for q, results, sink in zip(
+            ps, reconstruct_branches(ps, candidates, with_damping), sinks):
         branches: list[SteadyStateBranch] = []
-        for r in candidates:
-            try:
-                branches.append(reconstruct_branch(q, r, with_damping))
-            except ResidualTooLarge as exc:
-                sink.append(Diagnostic("residual-drop", str(exc)))
-            except SingularMechanicalSystem as exc:
-                sink.append(Diagnostic("singular-root", str(exc)))
+        for r in results:
+            if isinstance(r, ResidualTooLarge):
+                sink.append(Diagnostic("residual-drop", str(r)))
+            elif isinstance(r, SingularMechanicalSystem):
+                sink.append(Diagnostic("singular-root", str(r)))
+            else:
+                branches.append(r)
         branches.sort(key=lambda b: b.n_p)
+        if q.eta > 0.0 and len(branches) % 2 == 0:
+            sink.append(Diagnostic(
+                "parity-violation",
+                f"{len(branches)} branches where eta > 0 needs an odd count "
+                f"(f(0) > 0 > f(n_max))"))
         out.append(branches)
     return out

@@ -151,9 +151,16 @@ def _each_cell(solve, cells: list, sinks: list[list[Diagnostic]], failed):
                 for c, s in zip(cells, sinks)]
 
 
+def marginal_verdict(n_p: float) -> Diagnostic:
+    """The diagnostic of a branch whose verdict flips under the fallback."""
+    return Diagnostic("marginal-verdict",
+                      f"stability verdict at n_p={n_p:.6g} flips between "
+                      f"gamma=0 and the fallback damping")
+
+
 def _eval_steady_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Diagnostic]]]:
-    """One batched solve for the cells, then one stacked stability
-    classification of all their branches."""
+    """One batched solve for the cells, then one column record of all their
+    branches and one stacked stability classification of it."""
     diags: list[list[Diagnostic]] = [[] for _ in chunk]
     params: list[Optional[SystemParams]] = []
     for (_, values), sink in zip(chunk, diags):
@@ -169,9 +176,10 @@ def _eval_steady_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Di
         [p for p in params if p is not None],
         [sink for p, sink in zip(params, diags) if p is not None], ()))
     branches = [next(solved) if p is not None else [] for p in params]
-    verdicts = iter(classify_branch_stability(
-        [derive_linearized(b, p) for p, bs in zip(params, branches)
-         for b in bs], spec.gamma_fallback))
+    verdicts = iter(classify_branch_stability(derive_linearized(
+        [b for bs in branches for b in bs],
+        [p for p, bs in zip(params, branches) for _ in bs]),
+        spec.gamma_fallback))
     out = []
     for (index, values), sink, bs in zip(chunk, diags, branches):
         rows: list[BranchRow] = []
@@ -179,10 +187,7 @@ def _eval_steady_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Di
         for k, b in enumerate(bs):
             verdict = next(verdicts)
             if verdict.verdict_flipped:
-                sink.append(Diagnostic(
-                    "marginal-verdict",
-                    f"stability verdict at n_p={b.n_p:.6g} flips between "
-                    f"gamma=0 and the fallback damping"))
+                sink.append(marginal_verdict(b.n_p))
             stable_count += verdict.stable
             rows.append(BranchRow(branch_index=k, n_p=b.n_p,
                                   stable=verdict.stable, residual=b.residual))

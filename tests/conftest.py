@@ -6,6 +6,10 @@ the nonlinear mean-field flow numerically (against ``build_drift_matrix``),
 Lyapunov solve behind ``cool_linearized``), and ``stacked_detuning`` solves
 the mechanical steady state read off the flow, one 4x4 system per photon
 number (against the rational response the oracle scans with).
+
+The per-cell references at the end are the one-cell-at-a-time forms of the
+batched steady-state routes (scan grid, polynomial roots, branch
+reconstruction, linearization); the batched routes must equal them exactly.
 """
 import math
 from dataclasses import replace
@@ -14,8 +18,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from quadmech import (LinearizedParams, SystemParams, build_drift_matrix,
-                      build_noise_model, validate_params)
+from quadmech import (LinearizedParams, SystemParams, SteadyStateBranch,
+                      build_drift_matrix, build_noise_model, validate_params)
+from quadmech.steady_state import (DEDUPE_TOL, DEFLATE_TOL, IMAG_TOL, NEG_TOL,
+                                   ORACLE_MARGIN, ROOT_ACCEPT_TOL,
+                                   SINGULAR_COND, ResidualTooLarge,
+                                   SingularMechanicalSystem, ZeroPolynomial)
 
 
 @pytest.fixture
@@ -155,3 +163,111 @@ def stacked_detuning(p, n_values):
             M[i, :, k] = mech(alpha, np.eye(4)[k]) - offset[i]
     x = np.linalg.solve(M, -offset[..., None])[..., 0]
     return p.delta_c + 2.0 * p.g1 * x[:, 0] + 4.0 * p.g2 * x[:, 2]**2
+
+
+# ---------------------------------------------------------------------------
+# per-cell references of the batched steady-state routes
+# ---------------------------------------------------------------------------
+
+def scan_grid_reference(p, scan_points):
+    """Uniform scan grid, plus the geometric cluster around the mechanical
+    pole when it lies inside the window, merged by np.unique."""
+    n_max = (1.0 + ORACLE_MARGIN) * p.eta**2 / p.kappa**2
+    grid = np.linspace(0.0, n_max, scan_points)
+    pole = None
+    if p.g2 != 0.0:
+        pole = (p.omega_ex**2 - p.omega1 * p.omega2) / (4.0 * p.g2 * p.omega1)
+    if pole is not None and 0.0 < pole < n_max:
+        d = np.geomspace(1e-9 * (1.0 + pole), n_max, 512)
+        extra = np.concatenate([pole - d, pole + d])
+        extra = extra[(extra > 0.0) & (extra < n_max)]
+        grid = np.unique(np.concatenate([grid, extra]))
+    return grid
+
+
+def real_roots_reference(coeffs):
+    """Real nonnegative polynomial roots from numpy.roots, one polynomial."""
+    c = np.asarray(coeffs.c, dtype=float)
+    s = float(coeffs.aux.get("n_scale", 1.0)) or 1.0
+    scaled = c * s ** np.arange(len(c))
+    top = np.max(np.abs(scaled))
+    if top == 0.0 or not np.isfinite(top):
+        raise ZeroPolynomial("all coefficients vanish (or are non-finite)")
+    hi = scaled[::-1]
+    lead = 0
+    while lead < len(hi) and abs(hi[lead]) < DEFLATE_TOL * top:
+        lead += 1
+    hi = hi[lead:]
+    if len(hi) <= 1:
+        raise ZeroPolynomial("polynomial deflates to a constant")
+    zeros_at_origin = 0
+    while len(hi) > 1 and hi[-1] == 0.0:
+        hi = hi[:-1]
+        zeros_at_origin += 1
+    roots = []
+    if len(hi) > 1:
+        for r in np.roots(hi / np.max(np.abs(hi))):
+            rr = float(r.real) * s
+            if abs(r.imag) * s < IMAG_TOL * (1.0 + abs(rr)):
+                roots.append(rr)
+    if zeros_at_origin:
+        roots.append(0.0)
+    out = []
+    for r in sorted(r for r in roots if r >= -NEG_TOL):
+        r = max(r, 0.0)
+        if out and abs(r - out[-1]) < DEDUPE_TOL * (1.0 + r):
+            out[-1] = 0.5 * (out[-1] + r)
+        else:
+            out.append(r)
+    return out
+
+
+def reconstruct_reference(p, n_p, with_damping=False):
+    """Branch record at n_p from one dense 4x4 solve; raises what rejects it."""
+    if n_p < 0.0:
+        raise ResidualTooLarge(f"negative photon number {n_p}")
+    c, s = math.cos(p.theta), math.sin(p.theta)
+    om = p.omega_ex
+    g1m = p.gamma1 if with_damping else 0.0
+    g2m = p.gamma2 if with_damping else 0.0
+    M = np.array([(g1m, -p.omega1, -om * s, -om * c),
+                  (p.omega1, g1m, om * c, -om * s),
+                  (om * s, -om * c, g2m, -p.omega2),
+                  (om * c, om * s, p.omega2, g2m)])
+    M[3, 2] = p.omega2 + 4.0 * p.g2 * n_p
+    if np.linalg.cond(M) > SINGULAR_COND:
+        raise SingularMechanicalSystem(
+            f"mechanical system singular at n_p = {n_p:.6g}")
+    try:
+        sol = np.linalg.solve(M, np.array([0.0, -p.g1 * n_p, 0.0, 0.0]))
+    except np.linalg.LinAlgError:
+        raise SingularMechanicalSystem(
+            f"mechanical system singular at n_p = {n_p:.6g}") from None
+    if not np.all(np.isfinite(sol)):
+        raise SingularMechanicalSystem(
+            f"mechanical solve overflowed at n_p = {n_p:.6g}")
+    beta1, beta2 = complex(sol[0], sol[1]), complex(sol[2], sol[3])
+    quad_b2 = (np.conj(beta2)**2 + beta2**2 + 2.0 * abs(beta2)**2).real
+    delta = p.delta_c + 2.0 * p.g1 * beta1.real + p.g2 * quad_b2
+    residual = abs(p.eta**2 / (p.kappa**2 + delta**2) - n_p) / max(1.0, n_p)
+    if residual > ROOT_ACCEPT_TOL:
+        raise ResidualTooLarge(
+            f"n_p = {n_p:.9g} has self-consistency defect {residual:.3e}")
+    raw = -1j * p.eta / (p.kappa + 1j * delta)
+    mag = abs(raw)
+    alpha = raw * math.sqrt(n_p) / mag if mag > 0.0 else complex(math.sqrt(n_p))
+    return SteadyStateBranch(n_p=float(n_p), alpha=alpha, beta1=beta1,
+                             beta2=beta2, delta_eff=float(delta),
+                             residual=float(residual))
+
+
+def linearized_reference(branch, p):
+    """Linearized parameters of one branch, in Python's own arithmetic."""
+    return LinearizedParams(
+        delta_eff=branch.delta_eff, omega1=p.omega1,
+        omega2_tilde=p.omega2 + 2.0 * p.g2 * branch.n_p,
+        g1_eff=p.g1 * branch.alpha,
+        g2_eff=4.0 * p.g2 * branch.alpha * branch.beta2.real,
+        g22=complex(p.g2 * branch.n_p), omega_ex=p.omega_ex, theta=p.theta,
+        kappa=p.kappa, gamma1=p.gamma1, gamma2=p.gamma2, nbar1=p.nbar1,
+        nbar2=p.nbar2, origin="branch-derived")

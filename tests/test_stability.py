@@ -15,8 +15,8 @@ from quadmech import (DriftMatrix, build_drift_matrix,
                       classify_branch_stability, classify_stability,
                       derive_linearized, solve_branches)
 
-from conftest import (fd_jacobian, make_linearized, make_system,
-                      random_linearized)
+from conftest import (fd_jacobian, linearized_reference, make_linearized,
+                      make_system, random_linearized)
 
 
 def test_identity_matrix_stable():
@@ -224,12 +224,72 @@ def test_branch_cooling_sweep_honours_gamma_fallback(monkeypatch):
     seen = []
 
     def spy(lps, gamma_fallback=True):
-        seen.append((list(lps), gamma_fallback))
+        seen.append((lps, gamma_fallback))
         return real(lps, gamma_fallback)
     monkeypatch.setattr(recipes, "classify_branch_stability", spy)
     rows = branch_cooling_sweep(make_system(g2=0.0, omega_ex=0.0),
                                 np.array([0.2, 0.4]), gamma_fallback=False)
-    ((lps, flag),) = seen
-    assert flag is False and len(lps) == len(rows) > 0
+    ((lps, flag),) = seen           # one column record of every branch
+    assert flag is False and len(lps.kappa) == len(rows) > 0
     assert not any(r["stable"] or r["n1f"] is not None for r in rows)
     assert any(v.stable and v.verdict_flipped for v in real(lps, True))
+
+
+@st.composite
+def branch_sets(draw):
+    """The branches of a few parameter sets, damped and undamped, with one
+    per-branch parameter set each."""
+    ps = [make_system(
+        delta_c=draw(st.floats(0.0, 10.0)),
+        g1=draw(st.sampled_from([0.0, 0.05, 0.08])),
+        g2=draw(st.sampled_from([0.0, -0.0004, -0.0001])),
+        omega_ex=draw(st.sampled_from([0.0, 0.2, 1.0])),
+        theta=draw(st.floats(0.0, 2.0 * math.pi)),
+        eta=draw(st.floats(10.0, 100.0)),
+        gamma1=draw(st.sampled_from([0.0, 1e-5])),
+        gamma2=draw(st.sampled_from([0.0, 2e-5])))
+        for _ in range(draw(st.integers(1, 4)))]
+    bs, owners = [], []
+    for p, branches in zip(ps, solve_branches(ps)):
+        bs += branches
+        owners += [p] * len(branches)
+    return bs, owners
+
+
+@settings(max_examples=30, deadline=None)
+@given(sets=branch_sets(), gamma_fallback=st.booleans())
+def test_column_linearization_equals_per_branch(sets, gamma_fallback):
+    bs, owners = sets
+    cols = derive_linearized(bs, owners)
+    ref = [linearized_reference(b, p) for b, p in zip(bs, owners)]
+    for k, want in enumerate(ref):
+        one = derive_linearized(bs[k], owners[k])
+        for name in ("delta_eff", "omega1", "omega2_tilde", "g1_eff", "g2_eff",
+                     "g22", "omega_ex", "theta", "kappa", "gamma1", "gamma2",
+                     "nbar1", "nbar2"):
+            assert repr(getattr(cols, name)[k].item()) == \
+                repr(getattr(want, name)) == repr(getattr(one, name))
+        assert one == want
+    # a column record classifies as its list of scalar records does
+    column = classify_branch_stability(cols, gamma_fallback)
+    listed = classify_branch_stability(ref, gamma_fallback)
+    assert len(column) == len(listed) == len(bs)
+    for a, b in zip(column, listed):
+        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert (a.max_real_part, a.stable, a.margin, a.gamma_fallback_applied,
+                a.verdict_flipped) == (b.max_real_part, b.stable, b.margin,
+                                       b.gamma_fallback_applied,
+                                       b.verdict_flipped)
+
+
+def test_branch_cooling_skips_flipped_verdicts():
+    # undamped, with the second mode decoupled: the fallback calls the lowest
+    # branches stable, but the undamped Lyapunov system is singular there
+    from quadmech import branch_cooling_sweep
+    diags = []
+    rows = branch_cooling_sweep(make_system(g2=0.0, omega_ex=0.0),
+                                np.array([0.2, 0.4]), diagnostics=diags)
+    flipped = [d for d in diags if d.kind == "marginal-verdict"]
+    assert len(flipped) == sum(r["stable"] for r in rows) > 0
+    assert {d.cell for d in flipped} == {(0.2,), (0.4,)}
+    assert all(r["n1f"] is None and r["n2f"] is None for r in rows)

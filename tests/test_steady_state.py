@@ -5,6 +5,7 @@ polynomial roots (mpmath), scalar bisection of the fixed-point map, and time
 integration of the classical equations.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,12 +15,16 @@ from hypothesis import strategies as st
 from quadmech import (build_polynomial, find_real_roots, mechanical_response,
                       oracle_roots, reconstruct_branch, rescale_params,
                       solve_branches)
-from quadmech.steady_state import (Diagnostic, RationalResponse,
-                                   ResidualTooLarge, SingularMechanicalSystem,
-                                   ZeroPolynomial, fixed_point_defect,
+from quadmech.steady_state import (Diagnostic, PolynomialCoefficients,
+                                   RationalResponse, ResidualTooLarge,
+                                   SingularMechanicalSystem, ZeroPolynomial,
+                                   _scan_blocks, batch_real_roots,
+                                   fixed_point_defect, reconstruct_branches,
                                    roots_match)
 
-from conftest import make_system, random_system, stacked_detuning
+from conftest import (make_system, random_system, real_roots_reference,
+                      reconstruct_reference, scan_grid_reference,
+                      stacked_detuning)
 
 
 # ---------------------------------------------------------------------------
@@ -320,3 +325,206 @@ def test_batched_solve_keeps_per_cell_diagnostics():
         [[b.n_p for b in solve_branches(p)] for p in ps]
     assert any(d.kind == "coefficient-mismatch" for d in sinks[0])
     assert sinks[1] == []
+
+
+# ---------------------------------------------------------------------------
+# batched steady-state routes against their per-cell references
+# ---------------------------------------------------------------------------
+
+@st.composite
+def any_systems(draw):
+    """Parameter sets whose mechanical pole lies inside the scan window,
+    beyond it, or nowhere (g2 = 0, or g2 > 0), with g1 = 0 or eta = 0 at
+    times (a quintic, or a root at the origin)."""
+    g2 = draw(st.sampled_from([0.0, 1.0, -1.0, -1.0])) * \
+        10**draw(st.floats(-6.0, -3.0))
+    return make_system(
+        delta_c=draw(st.floats(0.0, 10.0)),
+        omega1=draw(st.floats(3.0, 7.0)),
+        omega2=draw(st.floats(3.0, 7.0)),
+        g1=draw(st.sampled_from([0.0, 1.0, 1.0])) * 10**draw(st.floats(-2.3, -1.0)),
+        g2=g2,
+        omega_ex=10**draw(st.floats(-2.5, 0.3)),
+        theta=draw(st.floats(0.0, 2.0 * math.pi)),
+        eta=draw(st.sampled_from([0.0, 1.0, 1.0, 1.0])) * 10**draw(st.floats(0.0, 2.5)),
+    )
+
+
+def _grids_of_blocks(ps, scan_points):
+    cells, grids = [], []
+    for owners, counts, grid in _scan_blocks(ps, list(range(len(ps))),
+                                             scan_points):
+        cells += owners
+        grids += np.split(grid, np.cumsum(counts)[:-1])
+    assert cells == list(range(len(ps)))
+    return grids
+
+
+@settings(max_examples=40, deadline=None)
+@given(ps=st.lists(any_systems(), min_size=1, max_size=20),
+       scan_points=st.sampled_from([1000, 4096]))
+def test_scan_grids_equal_per_cell_grids(ps, scan_points):
+    ps = [p for p in ps if p.eta > 0.0]
+    for got, p in zip(_grids_of_blocks(ps, scan_points), ps):
+        want = scan_grid_reference(p, scan_points)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_scan_grids_cover_pole_inside_outside_and_absent():
+    inside = make_system()                      # pole at 3000 < n_max
+    outside = make_system(g2=-1e-5)             # pole at 120000 > n_max
+    absent = make_system(g2=0.0)
+    # subnormal windows: a zero linspace step, whose grid repeats points;
+    # np.unique drops the repeats only when a pole lies inside the window
+    tiny = make_system(eta=5e-161)
+    tiny_pole = make_system(omega1=1.0, omega2=1.0,
+                            omega_ex=math.sqrt(1.0000000000000004),
+                            g1=0.0, g2=2e304, eta=9.3e-161)
+    ps = [inside, tiny, outside, absent, tiny_pole, inside]
+    grids = _grids_of_blocks(ps, 4096)
+    assert [len(g) for g in grids[1:5]] == [4096, 4096, 4096, 1840]
+    assert len(grids[0]) > 4096 and len(np.unique(grids[1])) < 4096
+    for got, p in zip(grids, ps):
+        assert got.tobytes() == scan_grid_reference(p, 4096).tobytes()
+
+
+def _coefficient_sets(ps):
+    """The sets' polynomials plus hand-made vanishing and constant ones."""
+    coeffs = [build_polynomial(p) for p in ps]
+    coeffs.append(PolynomialCoefficients(c=np.zeros(8), aux={"n_scale": 1.0}))
+    coeffs.append(PolynomialCoefficients(c=np.array([3.0] + [0.0] * 7),
+                                         aux={"n_scale": 1.0}))
+    coeffs.append(PolynomialCoefficients(
+        c=np.array([0.0, 0.0, -6.0, 11.0, -6.0, 1.0, 0.0, 0.0]),
+        aux={"n_scale": 1.0}))                  # (n-1)(n-2)(n-3) n^2
+    return coeffs
+
+
+def _roots_or_error(coeffs):
+    try:
+        return real_roots_reference(coeffs)
+    except ZeroPolynomial as exc:
+        return ("ZeroPolynomial", str(exc))
+
+
+def _as_comparable(roots):
+    if isinstance(roots, ZeroPolynomial):
+        return ("ZeroPolynomial", str(roots))
+    return roots
+
+
+@settings(max_examples=40, deadline=None)
+@given(ps=st.lists(any_systems(), min_size=1, max_size=12), data=st.data())
+def test_batched_roots_equal_numpy_roots_per_cell(ps, data):
+    coeffs = _coefficient_sets(ps)
+    order = data.draw(st.permutations(range(len(coeffs))))
+    batched = batch_real_roots([coeffs[k] for k in order])
+    got = [_as_comparable(batched[order.index(k)]) for k in range(len(coeffs))]
+    want = [_roots_or_error(c) for c in coeffs]
+    assert repr(got) == repr(want)
+    for c, w in zip(coeffs, want):
+        if isinstance(w, list):
+            assert find_real_roots(c) == w
+        else:
+            with pytest.raises(ZeroPolynomial, match=re.escape(w[1])):
+                find_real_roots(c)
+
+
+def test_batched_roots_cover_every_degree():
+    ps = [make_system(), make_system(g2=0.0), make_system(g1=0.0),
+          make_system(eta=0.0), make_system(g1=0.0, g2=0.0)]
+    degrees = [build_polynomial(p).degree() for p in ps]
+    assert degrees == [7, 3, 5, 7, 1]
+    assert build_polynomial(ps[3]).c[0] == 0.0          # a root at the origin
+    got = batch_real_roots(_coefficient_sets(ps))
+    want = [_roots_or_error(c) for c in _coefficient_sets(ps)]
+    assert repr([_as_comparable(r) for r in got]) == repr(want)
+    assert got[3][0] == 0.0
+    assert got[-1] == pytest.approx([0.0, 1.0, 2.0, 3.0], abs=1e-9)
+
+
+def _reconstructed_or_error(p, n, with_damping):
+    try:
+        return reconstruct_reference(p, n, with_damping)
+    except (ResidualTooLarge, SingularMechanicalSystem) as exc:
+        return exc
+
+
+def _same(a, b):
+    if isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return repr(a) == repr(b)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ps=st.lists(any_systems(), min_size=1, max_size=6),
+       with_damping=st.booleans(), data=st.data())
+def test_batched_reconstruction_equals_per_candidate(ps, with_damping, data):
+    ps = [make_system(**{**p.__dict__, "gamma1": 1e-4, "gamma2": 2e-4})
+          for p in ps]
+    # the cells' roots, a point off every branch and a negative one
+    candidates = [oracle_roots(p, with_damping=with_damping)
+                  + [0.5 * p.eta**2 / p.kappa**2 + 1.0, -1.0] for p in ps]
+    # the exact mechanical resonance with no exchange: a singular solve;
+    # a drive term beyond the float range: an overflowed one
+    ps.append(make_system(g1=0.0, g2=-0.0004, omega_ex=0.0, eta=80.0))
+    candidates.append([3125.0, 100.0])
+    ps.append(make_system(g1=1e10, g2=0.0))
+    candidates.append([1e299])
+    with np.errstate(over="ignore"):
+        got = reconstruct_branches(ps, candidates, with_damping)
+    kinds = set()
+    for p, cands, results in zip(ps, candidates, got):
+        assert len(results) == len(cands)
+        for n, r in zip(cands, results):
+            with np.errstate(over="ignore"):
+                want = _reconstructed_or_error(p, n, with_damping)
+            assert _same(r, want)
+            kinds.add(str(want).split(" at ")[0] if isinstance(
+                want, SingularMechanicalSystem) else type(want).__name__)
+    assert {"ResidualTooLarge", "mechanical system singular",
+            "mechanical solve overflowed"} <= kinds
+    n = data.draw(st.sampled_from(candidates[0]))
+    want = _reconstructed_or_error(ps[0], n, with_damping)
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=re.escape(str(want))):
+            reconstruct_branch(ps[0], n, with_damping)
+    else:
+        assert repr(reconstruct_branch(ps[0], n, with_damping)) == repr(want)
+
+
+def test_mechanical_response_is_a_batch_of_one():
+    p = make_system()
+    branch = reconstruct_reference(p, oracle_roots(p)[0])
+    assert mechanical_response(p, branch.n_p) == (branch.beta1, branch.beta2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(ps=st.lists(any_systems(), min_size=2, max_size=6), data=st.data())
+def test_batched_solve_equals_per_cell_solves(ps, data):
+    def solve(batch):
+        sinks = [[] for _ in batch]
+        out = solve_branches(batch, diagnostics=sinks)
+        return [(repr(bs), [(d.kind, d.message) for d in sink])
+                for bs, sink in zip(out, sinks)]
+    alone = [solve([p])[0] for p in ps]
+    order = data.draw(st.permutations(range(len(ps))))
+    batched = solve([ps[k] for k in order])
+    assert [batched[order.index(k)] for k in range(len(ps))] == alone
+    cut = data.draw(st.integers(1, len(ps) - 1))
+    assert solve(ps[:cut]) + solve(ps[cut:]) == alone
+
+
+def test_even_branch_count_is_reported(monkeypatch):
+    import quadmech.steady_state as steady
+    p = make_system(g2=0.0, eta=45.0, delta_c=2.15)     # three branches
+    sinks = [[]]
+    assert len(solve_branches([p], diagnostics=sinks)[0]) == 3
+    assert not any(d.kind == "parity-violation" for d in sinks[0])
+    real = steady.oracle_roots
+    monkeypatch.setattr(steady, "oracle_roots",
+                        lambda *a, **k: [r[:2] for r in real(*a, **k)])
+    sinks = [[]]
+    assert len(solve_branches([p], diagnostics=sinks)[0]) == 2
+    assert [d.kind for d in sinks[0]] == ["coefficient-mismatch",
+                                          "parity-violation"]
