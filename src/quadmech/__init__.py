@@ -16,17 +16,16 @@ from .steady_state import (Diagnostic, PolynomialCoefficients,
                            SteadyStateBranch, build_polynomial,
                            find_real_roots, mechanical_response, oracle_roots,
                            reconstruct_branch, solve_branches)
-from .sweep import (Axis, SweepResult, SweepSpec, branch_curve, cooling_map,
-                    run_sweep)
+from .sweep import Axis, SweepResult, SweepSpec, run_sweep
 
 __all__ = [
     "Axis", "CovarianceResult", "DarkModeDiagnostics", "Diagnostic",
     "DriftMatrix", "LinearizedParams", "NoiseModel", "PolynomialCoefficients",
     "RECIPES", "StabilityVerdict", "SteadyStateBranch", "SweepResult",
-    "SweepSpec", "SystemParams", "branch_cooling_sweep", "branch_curve",
+    "SweepSpec", "SystemParams", "branch_cooling_sweep",
     "build_drift_matrix", "build_noise_model", "build_polynomial",
     "classify_branch_stability", "classify_stability", "cool_linearized",
-    "cooling_map", "dark_mode_diagnostics", "derive_linearized",
+    "dark_mode_diagnostics", "derive_linearized",
     "find_real_roots", "mechanical_response", "oracle_roots",
     "phonon_numbers", "reconstruct_branch", "rescale_params", "run_recipe",
     "run_sweep", "solve_branches", "solve_lyapunov", "validate_linearized",

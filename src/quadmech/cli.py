@@ -31,11 +31,14 @@ from .cooling import (ZeroCoupling, cool_linearized, dark_mode_diagnostics,
                       row_occupations)
 from .params import (LinearizedParams, ParameterError, SystemParams,
                      validate_linearized, validate_params)
-from .recipes import (COLUMNS, RECIPES, RecipeResult, branch_rows, run_recipe,
-                      sweep_rows)
-from .steady_state import (Diagnostic, build_polynomial, find_real_roots,
-                           oracle_roots, roots_match, solve_branches)
-from .sweep import Axis, SweepSpec, run_sweep
+from .recipes import RECIPES, RecipeResult, run_recipe
+from .steady_state import (Diagnostic, build_polynomial, root_sets,
+                           solve_branches)
+from .sweep import (Axis, BranchRow, SweepSpec, branch_rows, run_sweep,
+                    sweep_rows)
+
+COLUMNS = tuple(f.name for f in fields(BranchRow))
+
 
 class ParseError(ValueError):
     """Malformed config document or override."""
@@ -301,18 +304,14 @@ def _cmd_roots(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
     if p is None:
         raise ParseError("the roots command needs a [system] section")
     coeffs = build_polynomial(p)
-    poly = find_real_roots(coeffs)
     diags: list[Diagnostic] = []
-    orc = oracle_roots(p, cfg.scan_points, diags) if cfg.oracle else []
-    agree = roots_match(poly, orc) if cfg.oracle else None
-    if cfg.oracle and not agree:
-        diags.append(Diagnostic("coefficient-mismatch",
-                                f"polynomial roots {poly} vs oracle {orc}"))
+    ((poly, orc, agree),) = root_sets([p], cfg.oracle, cfg.scan_points,
+                                      cfg.with_mech_damping, [diags])
     rows = [dict(branch_index=k, n_p=r) for k, r in enumerate(poly)]
     extra = {f"coeff.c{m}": float(coeffs.c[m]) for m in range(8)}
     extra.update({"aux.x": coeffs.aux["x"], "aux.y": coeffs.aux["y"],
                   "aux.z": coeffs.aux["z"],
-                  "oracle_roots": " ".join(_fmt(r) for r in orc),
+                  "oracle_roots": " ".join(_fmt(r) for r in orc or []),
                   "oracle_agreement": agree})
     return rows, extra, diags
 
@@ -326,9 +325,8 @@ def _cmd_branches(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
                               scan_points=cfg.scan_points,
                               with_damping=cfg.with_mech_damping,
                               diagnostics=diags)
-    (rows,) = branch_rows([p], [branches], [diags], cfg.gamma_fallback,
-                          cool=p.gamma1 > 0.0 or p.gamma2 > 0.0)
-    return rows, {}, diags
+    (rows,) = branch_rows([p], [branches], [diags], cfg.gamma_fallback)
+    return [vars(row) for row in rows], {}, diags
 
 
 def _cmd_cool(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
@@ -344,8 +342,8 @@ def _cmd_cool(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
     n1f, n2f = row_occupations(cov, diags, cov.physical)
     if not cov.physical:
         diags.append(Diagnostic("unstable-point",
-                                "drift matrix unstable; phonon numbers "
-                                "are formal only"))
+                                "drift matrix unstable; no stationary "
+                                "state, so n1f and n2f are left empty"))
     rows = [dict(branch_index=0, stable=cov.physical, n1f=n1f, n2f=n2f,
                  dark_overlap=dark, residual=cov.lyap_residual)]
     return rows, {"lyap_residual": cov.lyap_residual}, diags
@@ -374,8 +372,15 @@ def _cmd_sweep(cfg: RunConfig, ndim: int) -> tuple[tuple[str, ...], list[dict],
     return names, rows, extra, result.diagnostics
 
 
+def exit_status(diags: list[Diagnostic]) -> int:
+    """2 when the polynomial and oracle root sets disagreed anywhere, else 0."""
+    return 2 if any(d.kind == "coefficient-mismatch" for d in diags) else 0
+
+
 def run_command(cfg: RunConfig) -> int:
     """Execute a parsed RunConfig; returns the process exit status."""
+    if cfg.command == "reproduce":
+        return exit_status(_run_reproduce(cfg))
     axis_names: tuple[str, ...] = ()
     extra: dict = {}
     if cfg.command == "roots":
@@ -387,21 +392,17 @@ def run_command(cfg: RunConfig) -> int:
     elif cfg.command in ("sweep1d", "sweep2d"):
         ndim = 1 if cfg.command == "sweep1d" else 2
         axis_names, rows, extra, diags = _cmd_sweep(cfg, ndim)
-    elif cfg.command == "reproduce":
-        return _run_reproduce(cfg)
     else:
         raise ParseError(f"unknown command {cfg.command!r}")
-    columns = axis_names + COLUMNS
-    meta = _meta_for(cfg, extra)
-    write_table(cfg.out_path, cfg.out_format, columns, rows, meta)
+    write_table(cfg.out_path, cfg.out_format, axis_names + COLUMNS, rows,
+                _meta_for(cfg, extra))
     if diags:
         _write_diagnostics(cfg.out_path, diags)
-    if any(d.kind == "coefficient-mismatch" for d in diags):
-        return 2
-    return 0
+    return exit_status(diags)
 
 
-def _run_reproduce(cfg: RunConfig) -> int:
+def _run_reproduce(cfg: RunConfig) -> list[Diagnostic]:
+    """Write a recipe's table(s), plot stubs and diagnostics sidecar."""
     result: RecipeResult = run_recipe(
         cfg.recipe, points=cfg.points, threads=cfg.threads,
         scan_points=cfg.scan_points, oracle=cfg.oracle,
@@ -411,26 +412,19 @@ def _run_reproduce(cfg: RunConfig) -> int:
             "command": f"reproduce {result.tag}",
             "flag.convention": cfg.convention,
             "flag.oracle": cfg.oracle, "flag.scan_points": cfg.scan_points}
-    for key in ("mode", "convention", "case", "axes"):
-        if key in result.meta:
-            meta[f"recipe.{key}"] = str(result.meta[key])
-    subtables = result.meta.get("subtables")
-    if subtables:
-        stem = Path(cfg.out_path)
-        for name, (rows, base) in subtables.items():
-            path = stem.with_name(f"{stem.stem}_{name}{stem.suffix}")
-            write_table(str(path), cfg.out_format, columns, rows,
-                        {**meta, **_param_meta(base), "recipe.case": name})
-            _write_plot_stub(str(path), f"{result.tag} ({name})", columns)
-    else:
-        meta.update(_param_meta(result.meta.get("base")))
-        write_table(cfg.out_path, cfg.out_format, columns, result.rows, meta)
-        _write_plot_stub(cfg.out_path, result.tag, columns)
+    meta.update({f"recipe.{k}": str(v) for k, v in result.meta.items()})
+    for case, (rows, base) in result.tables.items():
+        path, tag, case_meta = cfg.out_path, result.tag, {}
+        if case:
+            stem = Path(cfg.out_path)
+            path = str(stem.with_name(f"{stem.stem}_{case}{stem.suffix}"))
+            tag, case_meta = f"{result.tag} ({case})", {"recipe.case": case}
+        write_table(path, cfg.out_format, columns, rows,
+                    {**meta, **_param_meta(base), **case_meta})
+        _write_plot_stub(path, tag, columns)
     if result.diagnostics:
         _write_diagnostics(cfg.out_path, result.diagnostics)
-    if any(d.kind == "coefficient-mismatch" for d in result.diagnostics):
-        return 2
-    return 0
+    return result.diagnostics
 
 
 # ---------------------------------------------------------------------------

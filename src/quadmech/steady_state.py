@@ -11,11 +11,11 @@ Two independent routes to the steady-state photon numbers n_p = |alpha|^2:
 
 The closed-form coefficient set C5/C6 is known to disagree with the
 fixed-point map whenever both couplings are active (its mixed g1-g2 terms are
-not reliable), so the oracle is authoritative: ``solve_branches`` compares the
-two root sets, emits a coefficient-mismatch diagnostic on disagreement and
-continues with the oracle roots; every candidate must then pass the
-self-consistency residual check of a dense 4x4 mechanical solve
-(``reconstruct_branches``, stacked over the candidates of a batch).
+not reliable), so the oracle is authoritative: ``root_sets`` compares the
+two root sets and emits a coefficient-mismatch diagnostic on disagreement,
+and ``solve_branches`` continues with the oracle roots; every candidate must
+then pass the self-consistency residual check of a dense 4x4 mechanical
+solve (``reconstruct_branches``, stacked over the candidates of a batch).
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ MATCH_TOL = 1e-6          # polynomial/oracle roots match within MATCH_TOL*max(1
 ORACLE_MARGIN = 0.05      # scan upper bound: (1+margin)*eta^2/kappa^2
 SINGULAR_COND = 1e14      # condition-number cutoff of the 4x4 mechanical solve
 SCAN_BLOCK = 1 << 13      # oracle scan points evaluated at once (bounds memory)
+MIN_SCAN_POINTS = 1000    # coarsest oracle scan grid accepted
 
 
 class ZeroPolynomial(ValueError):
@@ -547,8 +548,8 @@ def oracle_roots(p: Union[SystemParams, Sequence[SystemParams]],
     if isinstance(p, SystemParams):
         sinks = None if diagnostics is None else [diagnostics]
         return oracle_roots([p], scan_points, sinks, with_damping)[0]
-    if scan_points < 1000:
-        raise ValueError("scan_points must be >= 1000")
+    if scan_points < MIN_SCAN_POINTS:
+        raise ValueError(f"scan_points must be >= {MIN_SCAN_POINTS}")
     ps = list(p)
     found: list[list[float]] = [[0.0] if q.eta == 0.0 else [] for q in ps]
     live = [k for k, q in enumerate(ps) if q.eta != 0.0]
@@ -598,6 +599,36 @@ def roots_match(poly_roots: list[float], oracle: list[float],
                for a, b in zip(poly_roots, oracle))
 
 
+def root_sets(ps: list[SystemParams], oracle_mode: bool, scan_points: int,
+              with_damping: bool, sinks: list[list[Diagnostic]]) -> list[tuple]:
+    """``(poly, oracle, agree)`` of each parameter set.
+
+    ``poly`` are the closed-form polynomial's roots (from one
+    ``batch_real_roots`` call; none when the polynomial vanishes).  With
+    ``oracle_mode`` the oracle runs once for the whole batch, ``oracle`` are
+    its roots and ``agree`` says whether the two sets match; a set where they
+    do not gets a coefficient-mismatch diagnostic in its sink.  Without it
+    both are None.
+    """
+    if oracle_mode:
+        orcs = oracle_roots(ps, scan_points, sinks, with_damping)
+    else:
+        orcs = [None] * len(ps)
+    out = []
+    for poly, orc, sink in zip(batch_real_roots([build_polynomial(q)
+                                                 for q in ps]), orcs, sinks):
+        if isinstance(poly, ZeroPolynomial):
+            poly = []
+        agree = None if orc is None else roots_match(poly, orc)
+        if agree is False:
+            sink.append(Diagnostic(
+                "coefficient-mismatch",
+                f"polynomial roots {poly} vs oracle roots {orc}; "
+                f"oracle is authoritative"))
+        out.append((poly, orc, agree))
+    return out
+
+
 def solve_branches(p: Union[SystemParams, Sequence[SystemParams]],
                    oracle_mode: bool = True,
                    scan_points: int = 4096,
@@ -607,15 +638,13 @@ def solve_branches(p: Union[SystemParams, Sequence[SystemParams]],
 
     ``p`` is one parameter set (a list of branches comes back, diagnostics go
     to the list ``diagnostics``) or a sequence of them (one branch list per
-    set, ``diagnostics`` then holds one list per set); the oracle runs once
-    for the whole batch.  Polynomial and oracle root sets are compared; on
-    disagreement a coefficient-mismatch diagnostic is recorded and the
-    oracle root set is used (a union would double-count roots near folds,
-    where the two estimates of the same root differ by more than the match
-    tolerance yet both pass the residual check).  Candidates that fail the
-    self-consistency residual are dropped with a diagnostic either way.
-    The polynomial roots of the batch come from one ``batch_real_roots``
-    call, and all candidates are reconstructed together.  With eta > 0,
+    set, ``diagnostics`` then holds one list per set).  The candidates are
+    the polynomial roots of ``root_sets``, or the oracle's where the two
+    disagree (a union would double-count roots near folds, where the two
+    estimates of the same root differ by more than the match tolerance yet
+    both pass the residual check).  Candidates that fail the
+    self-consistency residual are dropped with a diagnostic either way; all
+    candidates of the batch are reconstructed together.  With eta > 0,
     f(0) > 0 > f(n_max), so a set that ends with an even number of branches
     gets a parity-violation diagnostic.
     """
@@ -625,25 +654,9 @@ def solve_branches(p: Union[SystemParams, Sequence[SystemParams]],
                               sinks)[0]
     ps = list(p)
     sinks = diagnostics if diagnostics is not None else [[] for _ in ps]
-    if oracle_mode:
-        orcs = oracle_roots(ps, scan_points, sinks, with_damping)
-    else:
-        orcs = [None] * len(ps)
-    candidates = []
-    for poly, orc, sink in zip(batch_real_roots([build_polynomial(q)
-                                                 for q in ps]), orcs, sinks):
-        if isinstance(poly, ZeroPolynomial):
-            poly = []
-        if orc is None:
-            candidates.append(sorted(poly))
-        elif roots_match(poly, orc):
-            candidates.append(poly)
-        else:
-            sink.append(Diagnostic(
-                "coefficient-mismatch",
-                f"polynomial roots {poly} vs oracle roots {orc}; "
-                f"oracle is authoritative"))
-            candidates.append(orc)
+    candidates = [orc if agree is False else poly for poly, orc, agree
+                  in root_sets(ps, oracle_mode, scan_points, with_damping,
+                               sinks)]
     out: list[list[SteadyStateBranch]] = []
     for q, results, sink in zip(
             ps, reconstruct_branches(ps, candidates, with_damping), sinks):

@@ -8,7 +8,7 @@ per batch of cooling cells; a cell's result depends only on the cell, never
 on the batch it shares.  Supported modes:
 
 * ``root-count`` / ``stable-count`` — steady-state branches with stability
-  verdicts per cell (SystemParams base),
+  verdicts per cell (SystemParams base), rows from ``branch_rows``,
 * ``branch-curve``  — 1D branch list with continuation-consistent labels,
 * ``cooling``       — phonon numbers and dark-mode overlap per cell
   (LinearizedParams base).
@@ -17,15 +17,16 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
 import numpy as np
 
 from .cooling import cool_linearized, dark_mode_diagnostics, row_occupations
-from .params import LinearizedParams, SystemParams, validate_params
+from .params import (LinearizedParams, SystemParams, take_columns,
+                     validate_params)
 from .stability import classify_branch_stability, derive_linearized
-from .steady_state import Diagnostic, solve_branches
+from .steady_state import MIN_SCAN_POINTS, Diagnostic, solve_branches
 
 MODES = ("root-count", "stable-count", "branch-curve", "cooling")
 # Cells solved as one batch: enough to amortise the per-call NumPy overhead
@@ -62,7 +63,6 @@ class SweepSpec:
     scan_points: int = 4096
     with_damping: bool = False
     threads: int = 1
-    options: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -109,6 +109,9 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         raise InvalidSpec("cooling sweeps take a LinearizedParams base")
     if spec.mode != "cooling" and not isinstance(spec.base, SystemParams):
         raise InvalidSpec(f"{spec.mode} sweeps take a SystemParams base")
+    if (spec.mode != "cooling" and spec.oracle_mode
+            and spec.scan_points < MIN_SCAN_POINTS):
+        raise InvalidSpec(f"scan_points must be >= {MIN_SCAN_POINTS}")
     names = _field_names(spec.base)
     for ax in spec.axes:
         if ax.name not in names:
@@ -151,16 +154,58 @@ def _each_cell(solve, cells: list, sinks: list[list[Diagnostic]], failed):
                 for c, s in zip(cells, sinks)]
 
 
-def marginal_verdict(n_p: float) -> Diagnostic:
-    """The diagnostic of a branch whose verdict flips under the fallback."""
-    return Diagnostic("marginal-verdict",
-                      f"stability verdict at n_p={n_p:.6g} flips between "
-                      f"gamma=0 and the fallback damping")
+def branch_rows(ps: list[SystemParams], solved: list[list],
+                sinks: list[list[Diagnostic]],
+                gamma_fallback: bool = True) -> list[list[BranchRow]]:
+    """Output rows of each set's steady-state branches, labelled in order.
+
+    All branches get one column record and one stacked stability
+    classification; a branch whose verdict flips under the gamma fallback
+    gets a marginal-verdict diagnostic in its set's sink.  The cooling rule:
+    rows of a damped set (gamma1 > 0 or gamma2 > 0) carry their dark
+    overlap, and those that are also stable with an unflipped verdict carry
+    their occupations, from one batched Lyapunov solve whose diagnostics go
+    to their set's sink.  An undamped set's modes are not coupled to their
+    baths, so it has no stationary occupations, and a flipped verdict puts
+    the system on the margin, where the Lyapunov system is singular.
+    """
+    owners = [p for p, bs in zip(ps, solved) for _ in bs]
+    lin = derive_linearized([b for bs in solved for b in bs], owners)
+    verdicts = classify_branch_stability(lin, gamma_fallback)
+    damped = np.array([p.gamma1 > 0.0 or p.gamma2 > 0.0 for p in owners],
+                      dtype=bool)
+    cooled = damped & np.array([v.stable and not v.verdict_flipped
+                                for v in verdicts], dtype=bool)
+    darks = iter(dark_mode_diagnostics(take_columns(lin, damped))
+                 .dark_overlap.tolist() if damped.any() else ())
+    covs = iter(cool_linearized(take_columns(lin, cooled))
+                if cooled.any() else ())
+    per_row = iter(zip(verdicts, damped.tolist(), cooled.tolist()))
+    out = []
+    for bs, diags in zip(solved, sinks):
+        rows = []
+        for k, b in enumerate(bs):
+            verdict, damped_row, cooled_row = next(per_row)
+            row = BranchRow(branch_index=k, n_p=b.n_p, stable=verdict.stable,
+                            residual=b.residual)
+            if verdict.verdict_flipped:
+                diags.append(Diagnostic(
+                    "marginal-verdict",
+                    f"stability verdict at n_p={b.n_p:.6g} flips between "
+                    f"gamma=0 and the fallback damping"))
+            if damped_row:
+                dark = next(darks)
+                row.dark_overlap = None if math.isnan(dark) else dark
+            if cooled_row:
+                row.n1f, row.n2f = row_occupations(next(covs), diags)
+            rows.append(row)
+        out.append(rows)
+    return out
 
 
 def _eval_steady_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Diagnostic]]]:
-    """One batched solve for the cells, then one column record of all their
-    branches and one stacked stability classification of it."""
+    """One batched solve for the cells, then ``branch_rows`` of all their
+    branches."""
     diags: list[list[Diagnostic]] = [[] for _ in chunk]
     params: list[Optional[SystemParams]] = []
     for (_, values), sink in zip(chunk, diags):
@@ -170,31 +215,20 @@ def _eval_steady_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Di
             sink.append(_cell_error(exc))
             params.append(None)
     solved = iter(_each_cell(
-        lambda ps, sinks: solve_branches(
+        lambda ps, sinks: branch_rows(ps, solve_branches(
             ps, oracle_mode=spec.oracle_mode, scan_points=spec.scan_points,
             with_damping=spec.with_damping, diagnostics=sinks),
+            sinks, spec.gamma_fallback),
         [p for p in params if p is not None],
-        [sink for p, sink in zip(params, diags) if p is not None], ()))
-    branches = [next(solved) if p is not None else [] for p in params]
-    verdicts = iter(classify_branch_stability(derive_linearized(
-        [b for bs in branches for b in bs],
-        [p for p, bs in zip(params, branches) for _ in bs]),
-        spec.gamma_fallback))
+        [sink for p, sink in zip(params, diags) if p is not None], []))
     out = []
-    for (index, values), sink, bs in zip(chunk, diags, branches):
-        rows: list[BranchRow] = []
-        stable_count = 0
-        for k, b in enumerate(bs):
-            verdict = next(verdicts)
-            if verdict.verdict_flipped:
-                sink.append(marginal_verdict(b.n_p))
-            stable_count += verdict.stable
-            rows.append(BranchRow(branch_index=k, n_p=b.n_p,
-                                  stable=verdict.stable, residual=b.residual))
+    for (index, values), sink, p in zip(chunk, diags, params):
+        rows = next(solved) if p is not None else []
         for d in sink:
             d.cell = tuple(index)
         out.append((CellResult(index=tuple(index), values=tuple(values),
-                               root_count=len(bs), stable_count=stable_count,
+                               root_count=len(rows),
+                               stable_count=sum(r.stable for r in rows),
                                branches=rows), sink))
     return out
 
@@ -285,6 +319,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return result
 
 
+def sweep_rows(result: SweepResult) -> list[dict]:
+    """One output row per (cell, branch): the cell's axis values and the
+    row's fields; a cell without branches keeps a row of its axis values."""
+    names = [ax.name for ax in result.spec.axes]
+    rows: list[dict] = []
+    for cell in result.cells:
+        axes = dict(zip(names, cell.values))
+        rows += [{**axes, **vars(row)} for row in cell.branches] or [axes]
+    return rows
+
+
 def continuation_labels(curve: list[list[float]]) -> list[list[int]]:
     """Branch labels along a 1D curve by nearest-n_p continuation.
 
@@ -309,17 +354,3 @@ def continuation_labels(curve: list[list[float]]) -> list[list[int]]:
         prev = dict(zip(labels, nps))
         out.append(labels)
     return out
-
-
-def branch_curve(spec: SweepSpec) -> SweepResult:
-    """1D branch curve with stability flags and continuation labels."""
-    if spec.mode != "branch-curve":
-        spec = replace(spec, mode="branch-curve")
-    return run_sweep(spec)
-
-
-def cooling_map(spec: SweepSpec) -> SweepResult:
-    """Cooling sweep over direct linearized parameters."""
-    if spec.mode != "cooling":
-        spec = replace(spec, mode="cooling")
-    return run_sweep(spec)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from quadmech import RECIPES
 from quadmech.cli import ParseError, UnknownKey, main, parse_config
 
 MINIMAL = """\
@@ -150,6 +151,67 @@ def test_branches_fig4a(tmp_path):
     assert rows[hit_lo[0]]["n1f"] != ""
 
 
+def test_roots_oracle_honours_mech_damping(tmp_path):
+    # with damping kept in the steady-state algebra, the oracle roots that
+    # `roots` lists are the branches that `branches` finds
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(MINIMAL)
+    point = ["--set", "g1=0.05", "--set", "g2=-0.0004", "--set", "eta=80",
+             "--set", "delta_c=6", "--set", "gamma1=0.05", "--set",
+             "gamma2=0.05", "--config", str(cfgfile)]
+    damped = ["--with-mech-damping", "on"]
+    for cmd, flags in (("roots", damped), ("branches", damped),
+                       ("roots", [])):
+        out = tmp_path / f"{cmd}{len(flags)}.csv"
+        assert main([cmd, "--out", str(out), *point, *flags]) == 2
+    meta, _, _ = _read_table(tmp_path / "roots2.csv")
+    _, _, rows = _read_table(tmp_path / "branches2.csv")
+    undamped, _, _ = _read_table(tmp_path / "roots0.csv")
+    assert meta["oracle_roots"].split() == [r["n_p"] for r in rows]
+    assert len(rows) == 7
+    assert undamped["oracle_roots"] != meta["oracle_roots"]
+
+
+def test_branch_rows_follow_one_cooling_rule(tmp_path):
+    # a damped steady sweep cell carries the rows `branches` writes at that
+    # point, cooling columns included; undamped rows carry none of them
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(FIG4A + "\n[sweep]\nmode = root-count\n"
+                       "axis1 = delta_c 3.2 4.2 2\n")
+    assert main(["sweep1d", "--config", str(cfgfile), "--out",
+                 str(tmp_path / "sweep.csv")]) == 0
+    assert main(["branches", "--config", str(cfgfile), "--out",
+                 str(tmp_path / "branches.csv")]) == 0
+    _, _, swept = _read_table(tmp_path / "sweep.csv")
+    _, _, rows = _read_table(tmp_path / "branches.csv")
+    cell = [{k: v for k, v in r.items() if k != "delta_c"} for r in swept
+            if r["delta_c"] == "3.2"]
+    assert cell == rows and len(rows) == 3
+    assert all(r["dark_overlap"] != "" for r in rows)
+    assert any(r["n1f"] != "" and r["n2f"] != "" for r in rows)
+    undamped = "\n".join(line for line in FIG4A.splitlines()
+                         if not line.startswith("gamma"))
+    cfgfile.write_text(undamped)
+    assert main(["branches", "--config", str(cfgfile), "--out",
+                 str(tmp_path / "undamped.csv")]) == 0
+    _, _, rows = _read_table(tmp_path / "undamped.csv")
+    assert len(rows) == 3 and any(r["stable"] == "1" for r in rows)
+    assert all(r["n1f"] == r["n2f"] == r["dark_overlap"] == "" for r in rows)
+
+
+def test_cool_unstable_point_leaves_occupations_empty(tmp_path):
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(COOL)
+    out = tmp_path / "cool.csv"
+    assert main(["cool", "--config", str(cfgfile), "--out", str(out),
+                 "--set", "delta_eff=-1.0"]) == 0
+    _, _, (row,) = _read_table(out)
+    assert row["stable"] == "0" and row["n1f"] == row["n2f"] == ""
+    side = out.with_suffix(".csv.diagnostics.txt").read_text()
+    assert side.startswith("unstable-point")
+    assert "n1f and n2f are left empty" in side
+
+
 def test_cool_point(tmp_path):
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(COOL)
@@ -204,6 +266,32 @@ def test_sweep2d_requires_two_axes(tmp_path):
     rc = main(["sweep2d", "--config", str(cfgfile), "--out",
                str(tmp_path / "x.csv")])
     assert rc == 1
+
+
+def test_steady_sweep_rejects_coarse_scan_grid(tmp_path):
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(MINIMAL + "\n[sweep]\nmode = root-count\n"
+                       "axis1 = delta_c 0 4 5 linear\n")
+    out = tmp_path / "x.csv"
+    assert main(["sweep1d", "--config", str(cfgfile), "--out", str(out),
+                 "--scan-points", "500"]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tag", sorted(RECIPES))
+def test_every_recipe_reproduces(tag, tmp_path):
+    out = tmp_path / f"{tag}.csv"
+    assert main(["reproduce", tag, "--out", str(out),
+                 "--set", "points=5"]) in (0, 2)
+    tables = sorted(tmp_path.glob("*.csv"))
+    assert len(tables) == (2 if tag == "fig4" else 1)
+    for table in tables:
+        meta, header, rows = _read_table(table)
+        assert meta["command"] == f"reproduce {tag}"
+        assert header[-7:] == ["branch_index", "n_p", "stable", "n1f",
+                               "n2f", "dark_overlap", "residual"]
+        assert rows
+        assert table.with_suffix(".gp").exists()
 
 
 def test_reproduce_fig2c_small(tmp_path):

@@ -218,15 +218,15 @@ def test_fallback_damping_equals_rebuilt_matrices(rng):
 def test_branch_cooling_sweep_honours_gamma_fallback(monkeypatch):
     # undamped, with the second mode decoupled: its eigenvalues sit on the
     # margin, so the raw verdicts are unstable where the fallback's are not
-    import quadmech.recipes as recipes
+    import quadmech.sweep as sweep
     from quadmech import branch_cooling_sweep
-    real = recipes.classify_branch_stability
+    real = sweep.classify_branch_stability
     seen = []
 
     def spy(lps, gamma_fallback=True):
         seen.append((lps, gamma_fallback))
         return real(lps, gamma_fallback)
-    monkeypatch.setattr(recipes, "classify_branch_stability", spy)
+    monkeypatch.setattr(sweep, "classify_branch_stability", spy)
     rows = branch_cooling_sweep(make_system(g2=0.0, omega_ex=0.0),
                                 np.array([0.2, 0.4]), gamma_fallback=False)
     ((lps, flag),) = seen           # one column record of every branch
