@@ -11,7 +11,9 @@ reproduce  canned figure recipes (fig2a, fig2c, ..., fig7)
 
 Config files are INI-style with sections [system], [linearized], [sweep] and
 [output]; keys match the dataclass field names.  ``--set key=value`` overrides
-win over file values.  Output tables are CSV (comment headers prefixed '#')
+win over file values, and dashed flags (``--out``, ``--threads``, ...) win
+over both: each is one more override, parsed by the one parser its key has
+(``FLAGS``).  Output tables are CSV (comment headers prefixed '#')
 or JSON ({meta, rows}); numbers are printed with 12 significant digits and
 row order is deterministic, so identical configs give byte-identical files.
 """
@@ -21,21 +23,20 @@ import argparse
 import configparser
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .cooling import (ZeroCoupling, cool_linearized, dark_mode_diagnostics,
-                      row_occupations)
 from .params import (LinearizedParams, ParameterError, SystemParams,
                      validate_linearized, validate_params)
 from .recipes import RECIPES, RecipeResult, run_recipe
 from .steady_state import (Diagnostic, build_polynomial, root_sets,
                            solve_branches)
-from .sweep import (Axis, BranchRow, SweepSpec, branch_rows, run_sweep,
-                    sweep_rows)
+from .sweep import (Axis, BranchRow, SweepSpec, branch_rows, cooling_rows,
+                    run_sweep, sweep_rows)
 
 COLUMNS = tuple(f.name for f in fields(BranchRow))
 
@@ -71,8 +72,6 @@ _SYSTEM_FIELDS = {f.name for f in fields(SystemParams)}
 _LINEARIZED_FIELDS = {f.name for f in fields(LinearizedParams)}
 _SWEEP_KEYS = {"mode", "axis1", "axis2"}
 _OUTPUT_KEYS = {"path", "format"}
-_FLAG_KEYS = {"oracle", "gamma_fallback", "convention", "scan_points",
-              "threads", "points", "with_mech_damping"}
 
 
 def _to_float(key: str, raw: str) -> float:
@@ -104,6 +103,33 @@ def _parse_bool(key: str, raw: str) -> bool:
     raise ParseError(f"key {key!r}: expected on/off, got {raw!r}")
 
 
+def _parse_count(key: str, raw: str) -> int:
+    value = _to_float(key, raw)
+    if not 1.0 <= value < math.inf:
+        raise ParseError(f"key {key!r}: expected a count of at least 1, "
+                         f"got {raw!r}")
+    return int(value)
+
+
+def _parse_convention(key: str, raw: str) -> str:
+    if raw not in ("kappa", "omega1"):
+        raise ParseError("convention must be kappa or omega1")
+    return raw
+
+
+# Run flag -> the one parser of its string value.  Each is a RunConfig
+# field, a --set key and (all but points) a dashed command-line flag.
+FLAGS = {
+    "oracle": _parse_bool,
+    "gamma_fallback": _parse_bool,
+    "convention": _parse_convention,
+    "scan_points": _parse_count,
+    "threads": _parse_count,
+    "with_mech_damping": _parse_bool,
+    "points": _parse_count,
+}
+
+
 def parse_config(text: str, overrides: list[str] | None = None,
                  command: str = "roots") -> RunConfig:
     """Parse an INI config document and apply key=value overrides."""
@@ -132,7 +158,7 @@ def parse_config(text: str, overrides: list[str] | None = None,
             if key not in allowed:
                 raise UnknownKey(f"unknown key {key!r} in {where}")
 
-    flags: dict[str, str] = {}
+    cfg = RunConfig(command=command)
     for item in overrides or []:
         if "=" not in item:
             raise ParseError(f"override {item!r} is not of the form key=value")
@@ -147,12 +173,11 @@ def parse_config(text: str, overrides: list[str] | None = None,
             sweep_kv[key] = val
         elif key in _OUTPUT_KEYS:
             out_kv[key] = val
-        elif key in _FLAG_KEYS:
-            flags[key] = val
+        elif key in FLAGS:
+            setattr(cfg, key, FLAGS[key](key, val))
         else:
             raise UnknownKey(f"override key {key!r} matches no config field")
 
-    cfg = RunConfig(command=command)
     if sys_kv is not None:
         kv = {}
         for key, raw in sys_kv.items():
@@ -190,23 +215,6 @@ def parse_config(text: str, overrides: list[str] | None = None,
     if cfg.out_format not in ("csv", "json"):
         raise ParseError(f"output format must be csv or json, "
                          f"got {cfg.out_format!r}")
-    if "oracle" in flags:
-        cfg.oracle = _parse_bool("oracle", flags["oracle"])
-    if "gamma_fallback" in flags:
-        cfg.gamma_fallback = _parse_bool("gamma_fallback", flags["gamma_fallback"])
-    if "with_mech_damping" in flags:
-        cfg.with_mech_damping = _parse_bool("with_mech_damping",
-                                            flags["with_mech_damping"])
-    if "convention" in flags:
-        if flags["convention"] not in ("kappa", "omega1"):
-            raise ParseError("convention must be kappa or omega1")
-        cfg.convention = flags["convention"]
-    if "scan_points" in flags:
-        cfg.scan_points = int(_to_float("scan_points", flags["scan_points"]))
-    if "threads" in flags:
-        cfg.threads = int(_to_float("threads", flags["threads"]))
-    if "points" in flags:
-        cfg.points = int(_to_float("points", flags["points"]))
     return cfg
 
 
@@ -226,24 +234,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _param_meta(record) -> dict:
-    """``param.<field>`` header entries of a parameter record (none for None)."""
-    if record is None:
-        return {}
-    return {f"param.{f.name}": getattr(record, f.name) for f in fields(record)}
-
-
-def _meta_for(cfg: RunConfig, extra: dict | None = None) -> dict:
-    meta = {"tool": "quadmech", "version": __version__, "command": cfg.command}
-    meta.update(_param_meta(cfg.system if cfg.system is not None
-                            else cfg.linearized))
+def _meta_for(cfg: RunConfig, params, extra: dict) -> dict:
+    """The header of every table: tool, command, parameter set, run flags."""
+    command = f"{cfg.command} {cfg.recipe}" if cfg.recipe else cfg.command
+    meta = {"tool": "quadmech", "version": __version__, "command": command}
+    if params is not None:
+        meta.update({f"param.{f.name}": getattr(params, f.name)
+                     for f in fields(params)})
     meta.update({"flag.oracle": cfg.oracle,
                  "flag.gamma_fallback": cfg.gamma_fallback,
                  "flag.convention": cfg.convention,
                  "flag.scan_points": cfg.scan_points,
                  "flag.with_mech_damping": cfg.with_mech_damping})
-    if extra:
-        meta.update(extra)
+    meta.update(extra)
     return meta
 
 
@@ -333,20 +336,9 @@ def _cmd_cool(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
     lp = cfg.linearized
     if lp is None:
         raise ParseError("the cool command needs a [linearized] section")
-    cov = cool_linearized(lp)
-    try:
-        dark = dark_mode_diagnostics(lp).dark_overlap
-    except ZeroCoupling:
-        dark = None
     diags: list[Diagnostic] = []
-    n1f, n2f = row_occupations(cov, diags, cov.physical)
-    if not cov.physical:
-        diags.append(Diagnostic("unstable-point",
-                                "drift matrix unstable; no stationary "
-                                "state, so n1f and n2f are left empty"))
-    rows = [dict(branch_index=0, stable=cov.physical, n1f=n1f, n2f=n2f,
-                 dark_overlap=dark, residual=cov.lyap_residual)]
-    return rows, {"lyap_residual": cov.lyap_residual}, diags
+    (row,) = cooling_rows(lp, [diags])
+    return [vars(row)], {"lyap_residual": row.residual}, diags
 
 
 def _cmd_sweep(cfg: RunConfig, ndim: int) -> tuple[tuple[str, ...], list[dict],
@@ -382,7 +374,6 @@ def run_command(cfg: RunConfig) -> int:
     if cfg.command == "reproduce":
         return exit_status(_run_reproduce(cfg))
     axis_names: tuple[str, ...] = ()
-    extra: dict = {}
     if cfg.command == "roots":
         rows, extra, diags = _cmd_roots(cfg)
     elif cfg.command == "branches":
@@ -395,7 +386,7 @@ def run_command(cfg: RunConfig) -> int:
     else:
         raise ParseError(f"unknown command {cfg.command!r}")
     write_table(cfg.out_path, cfg.out_format, axis_names + COLUMNS, rows,
-                _meta_for(cfg, extra))
+                _meta_for(cfg, cfg.system or cfg.linearized, extra))
     if diags:
         _write_diagnostics(cfg.out_path, diags)
     return exit_status(diags)
@@ -403,16 +394,16 @@ def run_command(cfg: RunConfig) -> int:
 
 def _run_reproduce(cfg: RunConfig) -> list[Diagnostic]:
     """Write a recipe's table(s), plot stubs and diagnostics sidecar."""
+    if cfg.with_mech_damping:
+        raise ParseError("reproduce runs its recipes without mechanical "
+                         "damping in the steady-state algebra; "
+                         "with_mech_damping on is not supported")
     result: RecipeResult = run_recipe(
         cfg.recipe, points=cfg.points, threads=cfg.threads,
         scan_points=cfg.scan_points, oracle=cfg.oracle,
         gamma_fallback=cfg.gamma_fallback, convention=cfg.convention)
     columns = result.axis_names + COLUMNS
-    meta = {"tool": "quadmech", "version": __version__,
-            "command": f"reproduce {result.tag}",
-            "flag.convention": cfg.convention,
-            "flag.oracle": cfg.oracle, "flag.scan_points": cfg.scan_points}
-    meta.update({f"recipe.{k}": str(v) for k, v in result.meta.items()})
+    recipe = {f"recipe.{k}": str(v) for k, v in result.meta.items()}
     for case, (rows, base) in result.tables.items():
         path, tag, case_meta = cfg.out_path, result.tag, {}
         if case:
@@ -420,7 +411,7 @@ def _run_reproduce(cfg: RunConfig) -> list[Diagnostic]:
             path = str(stem.with_name(f"{stem.stem}_{case}{stem.suffix}"))
             tag, case_meta = f"{result.tag} ({case})", {"recipe.case": case}
         write_table(path, cfg.out_format, columns, rows,
-                    {**meta, **_param_meta(base), **case_meta})
+                    _meta_for(cfg, base, {**recipe, **case_meta}))
         _write_plot_stub(path, tag, columns)
     if result.diagnostics:
         _write_diagnostics(cfg.out_path, result.diagnostics)
@@ -431,8 +422,23 @@ def _run_reproduce(cfg: RunConfig) -> list[Diagnostic]:
 # argparse front end
 # ---------------------------------------------------------------------------
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise ParseError, so they exit 1 like every other error
+    (exit 2 reports coefficient-mismatch diagnostics)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(f"{self.prog}: {message}")
+
+
+# dashed flag -> its config key; main passes each given flag on as one more
+# key=value override, after the --set ones, so flags win
+_DASHED = {"out": "path", "format": "format",
+           **{key: key for key in FLAGS if key != "points"}}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="quadmech",
         description="Steady-state multistability and quantum cooling of a "
                     "linear+quadratic two-mode optomechanical system")
@@ -442,14 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="INI config file")
     common.add_argument("--set", action="append", default=[], metavar="K=V",
                         help="override a config key (repeatable)")
-    common.add_argument("--out", help="output file path")
-    common.add_argument("--format", choices=("csv", "json"))
-    common.add_argument("--oracle", choices=("on", "off"))
-    common.add_argument("--gamma-fallback", choices=("on", "off"))
-    common.add_argument("--convention", choices=("kappa", "omega1"))
-    common.add_argument("--scan-points", type=int)
-    common.add_argument("--threads", type=int)
-    common.add_argument("--with-mech-damping", choices=("on", "off"))
+    for dest in _DASHED:
+        common.add_argument("--" + dest.replace("_", "-"))
     for name in ("roots", "branches", "cool", "sweep1d", "sweep2d"):
         sub.add_parser(name, parents=[common])
     rep = sub.add_parser("reproduce", parents=[common])
@@ -458,26 +458,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         text = Path(args.config).read_text() if args.config else ""
-        cfg = parse_config(text, args.set, command=args.command)
-        if args.out:
-            cfg.out_path = args.out
-        if args.format:
-            cfg.out_format = args.format
-        if args.oracle:
-            cfg.oracle = args.oracle == "on"
-        if args.gamma_fallback:
-            cfg.gamma_fallback = args.gamma_fallback == "on"
-        if args.convention:
-            cfg.convention = args.convention
-        if args.scan_points:
-            cfg.scan_points = args.scan_points
-        if args.threads:
-            cfg.threads = args.threads
-        if args.with_mech_damping:
-            cfg.with_mech_damping = args.with_mech_damping == "on"
+        overrides = args.set + [f"{key}={getattr(args, dest)}"
+                                for dest, key in _DASHED.items()
+                                if getattr(args, dest) is not None]
+        cfg = parse_config(text, overrides, command=args.command)
         if args.command == "reproduce":
             cfg.recipe = args.tag
         return run_command(cfg)

@@ -23,8 +23,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .cooling import cool_linearized, dark_mode_diagnostics, row_occupations
-from .params import (LinearizedParams, SystemParams, take_columns,
-                     validate_params)
+from .params import (LinearizedParams, SystemParams, linearized_columns,
+                     take_columns, validate_params)
 from .stability import classify_branch_stability, derive_linearized
 from .steady_state import MIN_SCAN_POINTS, Diagnostic, solve_branches
 
@@ -41,11 +41,23 @@ class InvalidSpec(ValueError):
 
 @dataclass(frozen=True)
 class Axis:
+    """One sweep axis; a malformed one raises InvalidSpec when it is made."""
+
     name: str
     lo: float
     hi: float
     points: int
     scale: str = "linear"        # or "log"
+
+    def __post_init__(self) -> None:
+        if self.points < 2:
+            raise InvalidSpec("each axis needs at least 2 points")
+        if not (self.lo < self.hi):
+            raise InvalidSpec("axis requires lo < hi")
+        if self.scale not in ("linear", "log"):
+            raise InvalidSpec(f"unknown axis scale {self.scale!r}")
+        if self.scale == "log" and self.lo <= 0.0:
+            raise InvalidSpec("log axis requires lo > 0")
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -117,14 +129,6 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         if ax.name not in names:
             raise InvalidSpec(f"axis parameter {ax.name!r} is not a field "
                               f"of {type(spec.base).__name__}")
-        if ax.points < 2:
-            raise InvalidSpec("each axis needs at least 2 points")
-        if not (ax.lo < ax.hi):
-            raise InvalidSpec("axis requires lo < hi")
-        if ax.scale not in ("linear", "log"):
-            raise InvalidSpec(f"unknown axis scale {ax.scale!r}")
-        if ax.scale == "log" and ax.lo <= 0.0:
-            raise InvalidSpec("log axis requires lo > 0")
     return spec
 
 
@@ -203,9 +207,9 @@ def branch_rows(ps: list[SystemParams], solved: list[list],
     return out
 
 
-def _eval_steady_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Diagnostic]]]:
+def _eval_steady_batch(spec: SweepSpec, chunk):
     """One batched solve for the cells, then ``branch_rows`` of all their
-    branches."""
+    branches: (each cell's rows, each cell's diagnostics)."""
     diags: list[list[Diagnostic]] = [[] for _ in chunk]
     params: list[Optional[SystemParams]] = []
     for (_, values), sink in zip(chunk, diags):
@@ -221,16 +225,7 @@ def _eval_steady_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Di
             sinks, spec.gamma_fallback),
         [p for p in params if p is not None],
         [sink for p, sink in zip(params, diags) if p is not None], []))
-    out = []
-    for (index, values), sink, p in zip(chunk, diags, params):
-        rows = next(solved) if p is not None else []
-        for d in sink:
-            d.cell = tuple(index)
-        out.append((CellResult(index=tuple(index), values=tuple(values),
-                               root_count=len(rows),
-                               stable_count=sum(r.stable for r in rows),
-                               branches=rows), sink))
-    return out
+    return [next(solved) if p is not None else [] for p in params], diags
 
 
 def _column_params(spec: SweepSpec, values: list[tuple[float, ...]]):
@@ -243,46 +238,58 @@ def _column_params(spec: SweepSpec, values: list[tuple[float, ...]]):
     return replace(spec.base, **updates)
 
 
-def _eval_cooling_batch(spec: SweepSpec, chunk) -> list[tuple[CellResult, list[Diagnostic]]]:
-    """One batched Lyapunov solve for the cells, then one row per cell."""
-    diags: list[list[Diagnostic]] = [[] for _ in chunk]
-    cell_values = [v for _, v in chunk]
-    lp = _column_params(spec, cell_values)
-    # the batch's column record, or a cell's own when the batch is retried
-    covs = _each_cell(lambda vs, _: cool_linearized(
-        lp if vs is cell_values else _column_params(spec, vs)),
-        cell_values, diags, None)
+def cooling_rows(lp: LinearizedParams,
+                 sinks: list[list[Diagnostic]]) -> list[BranchRow]:
+    """One direct-cooling row per cell of ``lp`` (a column record, or a
+    scalar record as one cell), each cell's diagnostics going to its sink.
+    The cells share one Lyapunov solve (``_each_cell``): a singular cell
+    gets a cell-error, and its row, like an unstable cell's, keeps the
+    occupations empty."""
+    lp, _ = linearized_columns(lp)
+    cells = list(range(len(sinks)))
+    # the whole record, or a cell's own column when the batch is retried
+    covs = _each_cell(lambda ks, _: cool_linearized(
+        lp if ks is cells else take_columns(lp, ks)), cells, sinks, None)
     darks = dark_mode_diagnostics(lp).dark_overlap.tolist()
-    out = []
-    for (index, values), dark, cov, sink in zip(chunk, darks, covs, diags):
-        stable, n1f, n2f, residual = False, None, None, None
+    rows = []
+    for dark, cov, sink in zip(darks, covs, sinks):
+        row = BranchRow(branch_index=0, n_p=None, stable=False,
+                        dark_overlap=None if math.isnan(dark) else dark)
         if cov is not None:
             try:
-                n1f, n2f = row_occupations(cov, sink, cov.physical)
-                stable, residual = cov.physical, cov.lyap_residual
-                if not stable:
-                    sink.append(Diagnostic("unstable-cell",
-                                           "drift matrix unstable; cell "
-                                           "excluded from phonon statistics"))
+                row.n1f, row.n2f = row_occupations(cov, sink, cov.physical)
+                row.stable, row.residual = cov.physical, cov.lyap_residual
+                if not row.stable:
+                    sink.append(Diagnostic(
+                        "unstable-cell", "drift matrix unstable; no "
+                        "stationary state, so n1f and n2f are left empty"))
             except Exception as exc:
                 sink.append(_cell_error(exc))
-        for d in sink:
-            d.cell = tuple(index)
-        row = BranchRow(branch_index=0, n_p=None, stable=stable, n1f=n1f,
-                        n2f=n2f, residual=residual,
-                        dark_overlap=None if math.isnan(dark) else dark)
-        out.append((CellResult(index=tuple(index), values=tuple(values),
-                               root_count=1, stable_count=int(stable),
-                               branches=[row]), sink))
-    return out
+        rows.append(row)
+    return rows
+
+
+def _eval_cooling_batch(spec: SweepSpec, chunk):
+    """``cooling_rows`` of the cells' column record, one row per cell."""
+    diags: list[list[Diagnostic]] = [[] for _ in chunk]
+    rows = cooling_rows(_column_params(spec, [v for _, v in chunk]), diags)
+    return [[row] for row in rows], diags
 
 
 def _eval_chunk(spec: SweepSpec, chunk: list[tuple[tuple, tuple]]):
+    """The cells' results in batches, each diagnostic stamped with its cell."""
     evaluate = (_eval_cooling_batch if spec.mode == "cooling"
                 else _eval_steady_batch)
     out = []
     for i in range(0, len(chunk), BATCH_CELLS):
-        out += evaluate(spec, chunk[i:i + BATCH_CELLS])
+        batch = chunk[i:i + BATCH_CELLS]
+        for (index, values), rows, sink in zip(batch, *evaluate(spec, batch)):
+            for d in sink:
+                d.cell = tuple(index)
+            out.append((CellResult(index=tuple(index), values=tuple(values),
+                                   root_count=len(rows),
+                                   stable_count=sum(r.stable for r in rows),
+                                   branches=rows), sink))
     return out
 
 

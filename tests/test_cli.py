@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from quadmech import RECIPES
-from quadmech.cli import ParseError, UnknownKey, main, parse_config
+from quadmech import RECIPES, run_recipe
+from quadmech.cli import _DASHED, ParseError, UnknownKey, main, parse_config
+from quadmech.sweep import InvalidSpec
 
 MINIMAL = """\
 [system]
@@ -208,8 +209,28 @@ def test_cool_unstable_point_leaves_occupations_empty(tmp_path):
     _, _, (row,) = _read_table(out)
     assert row["stable"] == "0" and row["n1f"] == row["n2f"] == ""
     side = out.with_suffix(".csv.diagnostics.txt").read_text()
-    assert side.startswith("unstable-point")
+    assert side.startswith("unstable-cell")
     assert "n1f and n2f are left empty" in side
+
+
+def test_cool_singular_point_writes_the_sweep_row(tmp_path):
+    # undamped and decoupled: the Lyapunov system is singular
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(COOL + "\n[sweep]\nmode = cooling\n"
+                       "axis1 = delta_eff 1 2 2\n")
+    point = ["--config", str(cfgfile)] + [
+        arg for key in ("gamma1", "gamma2", "g1_eff", "g2_eff", "g22",
+                        "omega_ex") for arg in ("--set", f"{key}=0")]
+    out = tmp_path / "cool.csv"
+    assert main(["cool", "--out", str(out), *point]) == 0
+    _, _, (row,) = _read_table(out)
+    assert row["stable"] == "0" and row["n1f"] == row["n2f"] == ""
+    side = out.with_suffix(".csv.diagnostics.txt").read_text()
+    assert side.startswith("cell-error") and "SingularLyapunov" in side
+    sweep = tmp_path / "sweep.csv"
+    assert main(["sweep1d", "--out", str(sweep), *point]) == 0
+    _, _, swept = _read_table(sweep)
+    assert {k: v for k, v in swept[0].items() if k != "delta_eff"} == row
 
 
 def test_cool_point(tmp_path):
@@ -276,6 +297,88 @@ def test_steady_sweep_rejects_coarse_scan_grid(tmp_path):
     assert main(["sweep1d", "--config", str(cfgfile), "--out", str(out),
                  "--scan-points", "500"]) == 1
     assert not out.exists()
+
+
+# config key of a dashed flag -> (command line, a good value, a bad value)
+FLAG_CASES = {
+    "format": (["roots", "--config", "MINIMAL"], "json", "xml"),
+    "oracle": (["roots", "--config", "MINIMAL"], "off", "maybe"),
+    "gamma_fallback": (["branches", "--config", "FIG4A"], "off", "maybe"),
+    "convention": (["reproduce", "fig4", "--set", "points=3"], "omega1",
+                   "sideways"),
+    "scan_points": (["roots", "--config", "MINIMAL"], "2000", "0"),
+    "threads": (["sweep1d", "--config", "SWEEP"], "2", "0"),
+    "with_mech_damping": (["roots", "--config", "MINIMAL"], "on", "maybe"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(set(_DASHED.values()) - {"path"}))
+def test_flag_and_set_share_one_parser(key, tmp_path):
+    # `--flag v` is the override `key=v`: same tables, same exit code
+    argv, good, bad = FLAG_CASES[key]
+    configs = {"MINIMAL": MINIMAL, "FIG4A": FIG4A,
+               "SWEEP": MINIMAL + "\n[sweep]\naxis1 = delta_c 0 4 9\n"}
+    for name, text in configs.items():
+        (tmp_path / f"{name}.ini").write_text(text)
+    argv = [str(tmp_path / f"{a}.ini") if a in configs else a for a in argv]
+    flag = "--" + key.replace("_", "-")
+    written = []
+    for way, extra in (("flag", [flag, good]),
+                       ("set", ["--set", f"{key}={good}"])):
+        (tmp_path / way).mkdir()
+        rc = main([*argv, "--out", str(tmp_path / way / "t.csv"), *extra])
+        written.append((rc, sorted((f.name, f.read_bytes())
+                                   for f in (tmp_path / way).iterdir())))
+    assert written[0] == written[1]
+    assert written[0][0] in (0, 2) and written[0][1]
+    out = str(tmp_path / "bad.csv")
+    assert main([*argv, "--out", out, flag, bad]) == 1
+    assert main([*argv, "--out", out, "--set", f"{key}={bad}"]) == 1
+
+
+def test_usage_errors_exit_1(tmp_path):
+    out = str(tmp_path / "x.csv")
+    assert main(["reproduce", "fig9", "--out", out]) == 1
+    assert main([]) == 1
+    assert main(["roots", "--no-such-flag"]) == 1
+    for argv in (["--help"], ["--version"], ["reproduce", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert not list(tmp_path.iterdir())
+
+
+def test_reproduce_header_records_every_run_flag(tmp_path):
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(MINIMAL)
+    assert main(["roots", "--config", str(cfgfile), "--out",
+                 str(tmp_path / "roots.csv")]) == 0
+    out = tmp_path / "fig3c.csv"
+    assert main(["reproduce", "fig3c", "--out", str(out), "--set", "points=5",
+                 "--gamma-fallback", "off"]) == 2
+    roots, _, _ = _read_table(tmp_path / "roots.csv")
+    meta, _, _ = _read_table(out)
+    assert ({k for k in meta if k.startswith("flag.")}
+            == {k for k in roots if k.startswith("flag.")})
+    assert meta["flag.gamma_fallback"] == "0"
+    assert meta["flag.with_mech_damping"] == "0"
+
+
+def test_reproduce_rejects_mech_damping(tmp_path):
+    out = tmp_path / "fig4.csv"
+    assert main(["reproduce", "fig4", "--out", str(out), "--set", "points=3",
+                 "--with-mech-damping", "on"]) == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_fig4_points_need_two_like_every_recipe(tmp_path):
+    for tag in ("fig4", "fig2a"):
+        for points in ("1", "0"):
+            assert main(["reproduce", tag, "--out", str(tmp_path / "x.csv"),
+                         "--set", f"points={points}"]) == 1
+        with pytest.raises(InvalidSpec):
+            run_recipe(tag, points=1)
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("tag", sorted(RECIPES))
