@@ -1,21 +1,29 @@
 """Nonlinear steady states of the driven cavity / two-mode mechanical system.
 
-Two independent routes to the steady-state photon numbers n_p = |alpha|^2:
+Three routes to the steady-state photon numbers n_p = |alpha|^2, the roots
+of the fixed-point map f(n_p) = eta^2/(kappa^2 + Delta(n_p)^2) - n_p, with
+Delta(n_p) taken from the exact rational form of the mechanical
+displacements (``RationalResponse``):
 
-* a closed-form degree-7 polynomial in n_p (``build_polynomial`` /
-  ``batch_real_roots``, companion-matrix eigenvalues stacked by degree), and
-* a fixed-point scan oracle (``oracle_roots``) that brackets and bisects
-  f(n_p) = eta^2/(kappa^2 + Delta(n_p)^2) - n_p, with Delta(n_p) taken from
-  the exact rational form of the mechanical displacements
-  (``RationalResponse``); it runs on a batch of parameter sets at once.
+* the exact route (``exact_roots``), the production one: the degree-7
+  polynomial Q(n) that f(n) = 0 clears to, built from the rational
+  coefficients and solved in a pole-centred variable by stacked
+  companion-matrix eigenvalues, each root then polished by bisection on f
+  and each cell certified by cheap checks;
+* the scan oracle (``oracle_roots``), which brackets and bisects f on a
+  4096-point grid: the fallback for a cell whose certificate fails, and the
+  authority the tests hold the exact route to; and
+* the verbatim closed-form degree-7 polynomial (``build_polynomial`` /
+  ``batch_real_roots``), kept for the coefficient-mismatch diagnostic.
 
 The closed-form coefficient set C5/C6 is known to disagree with the
 fixed-point map whenever both couplings are active (its mixed g1-g2 terms are
-not reliable), so the oracle is authoritative: ``root_sets`` compares the
-two root sets and emits a coefficient-mismatch diagnostic on disagreement,
-and ``solve_branches`` continues with the oracle roots; every candidate must
-then pass the self-consistency residual check of a dense 4x4 mechanical
-solve (``reconstruct_branches``, stacked over the candidates of a batch).
+not reliable), so the fixed-point roots are authoritative: ``root_sets``
+compares the two root sets and emits a coefficient-mismatch diagnostic on
+disagreement, and ``solve_branches`` continues with the fixed-point roots;
+every candidate must then pass the self-consistency residual check of a
+dense 4x4 mechanical solve (``reconstruct_branches``, stacked over the
+candidates of a batch).  All routes run on a batch of parameter sets at once.
 """
 from __future__ import annotations
 
@@ -39,6 +47,8 @@ ORACLE_MARGIN = 0.05      # scan upper bound: (1+margin)*eta^2/kappa^2
 SINGULAR_COND = 1e14      # condition-number cutoff of the 4x4 mechanical solve
 SCAN_BLOCK = 1 << 13      # oracle scan points evaluated at once (bounds memory)
 MIN_SCAN_POINTS = 1000    # coarsest oracle scan grid accepted
+POLE_TOL = 1e-9           # exact roots within POLE_TOL*(1+c) of the pole drop
+POLISH_TOL = 1e-7         # exact-route polish bracket: +-POLISH_TOL*max(1,n)
 
 
 class ZeroPolynomial(ValueError):
@@ -156,35 +166,50 @@ def batch_real_roots(coeffs: Sequence[PolynomialCoefficients]) -> list:
     c = np.array([q.c for q in coeffs], dtype=float).reshape(-1, 8)
     s = np.array([float(q.aux.get("n_scale", 1.0)) or 1.0 for q in coeffs])
     scaled = c * s[:, None] ** np.arange(c.shape[1])
-    top = np.max(np.abs(scaled), axis=1)
-    hi = scaled[:, ::-1]                    # highest degree first
-    lead = np.cumprod(np.abs(hi) < DEFLATE_TOL * top[:, None], axis=1).sum(1)
-    with np.errstate(all="ignore"):
-        monic = hi / top[:, None]           # numpy.roots' normalisation
-    # exact zeros at the low end are roots at the origin, factored out
-    zeros = np.cumprod(monic[:, ::-1] == 0.0, axis=1).sum(1)
-    size = hi.shape[1] - lead - zeros       # coefficients left to solve
+    solvable, zeros, groups = _companion_roots(scaled[:, ::-1])
     out: list = [[] for _ in coeffs]
-    for k in np.flatnonzero((top == 0.0) | ~np.isfinite(top)):
-        out[k] = ZeroPolynomial("all coefficients vanish (or are non-finite)")
-    ok = (top > 0.0) & np.isfinite(top)
-    for k in np.flatnonzero(ok & (lead >= hi.shape[1] - 1)):
-        out[k] = ZeroPolynomial("polynomial deflates to a constant")
-    ok &= lead < hi.shape[1] - 1
-    for m in np.unique(size[ok & (size > 1)]):
-        rows = np.flatnonzero(ok & (size == m))
-        p = monic[rows[:, None], lead[rows, None] + np.arange(m)]
-        companion = np.zeros((len(rows), m - 1, m - 1))
-        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-        companion[:, np.arange(1, m - 1), np.arange(m - 2)] = 1.0
-        ev = np.linalg.eigvals(companion)
+    for k in np.flatnonzero(~solvable):
+        top = np.max(np.abs(scaled[k]))
+        out[k] = ZeroPolynomial(
+            "polynomial deflates to a constant" if 0.0 < top < np.inf
+            else "all coefficients vanish (or are non-finite)")
+    for rows, ev in groups:
         rr = ev.real * s[rows, None]
         real = np.abs(ev.imag) * s[rows, None] < IMAG_TOL * (1.0 + np.abs(rr))
         for k, r, keep in zip(rows.tolist(), rr.tolist(), real.tolist()):
             out[k] = [x for x, y in zip(r, keep) if y]
-    for k in np.flatnonzero(ok).tolist():
+    for k in np.flatnonzero(solvable).tolist():
         out[k] = _merge_roots(out[k] + [0.0] * bool(zeros[k]))
     return out
+
+
+def _companion_roots(hi: np.ndarray):
+    """Roots of each row of a (k, m) coefficient stack, highest degree first.
+
+    Leading coefficients below DEFLATE_TOL of the row's largest are deflated
+    and exact zeros at the low end are counted as roots at the origin; the
+    rest of each row is solved by its companion matrix, built as numpy.roots
+    builds it, and the matrices of one degree share one stacked eigenvalue
+    call.  Returns which rows are solvable (their coefficients are finite,
+    not all zero, and do not deflate to a constant), each row's count of
+    roots at the origin, and (rows, eigenvalues) for each degree.
+    """
+    top = np.max(np.abs(hi), axis=1)
+    lead = np.cumprod(np.abs(hi) < DEFLATE_TOL * top[:, None], axis=1).sum(1)
+    with np.errstate(all="ignore"):
+        monic = hi / top[:, None]           # numpy.roots' normalisation
+    zeros = np.cumprod(monic[:, ::-1] == 0.0, axis=1).sum(1)
+    size = hi.shape[1] - lead - zeros       # coefficients left to solve
+    solvable = (top > 0.0) & np.isfinite(top) & (lead < hi.shape[1] - 1)
+    groups = []
+    for m in np.unique(size[solvable & (size > 1)]):
+        rows = np.flatnonzero(solvable & (size == m))
+        p = monic[rows[:, None], lead[rows, None] + np.arange(m)]
+        companion = np.zeros((len(rows), m - 1, m - 1))
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        companion[:, np.arange(1, m - 1), np.arange(m - 2)] = 1.0
+        groups.append((rows, np.linalg.eigvals(companion)))
+    return solvable, zeros, groups
 
 
 def _merge_roots(roots: list[float]) -> list[float]:
@@ -507,8 +532,9 @@ def _bisect(resp: RationalResponse, lo: np.ndarray, hi: np.ndarray,
             flo: np.ndarray) -> np.ndarray:
     """Midpoints of all brackets after bisection, evaluated together.
 
-    A bracket freezes once hi - lo <= 1e-12*max(1, |lo|), or after 90
-    halvings, so its root depends on nothing else in the batch.
+    A bracket freezes once hi - lo <= 1e-12*max(1, |lo|), on a midpoint
+    where f is exactly 0, or after 90 halvings, so its root depends on
+    nothing else in the batch.
     """
     out = np.empty_like(lo)
     live = np.arange(len(lo))
@@ -518,7 +544,7 @@ def _bisect(resp: RationalResponse, lo: np.ndarray, hi: np.ndarray,
         mid = 0.5 * (lo + hi)
         fm = fixed_point_defect(resp, mid)
         left = flo * fm < 0.0
-        hi = np.where(left, mid, hi)
+        hi = np.where(left | (fm == 0.0), mid, hi)
         lo = np.where(left, lo, mid)
         flo = np.where(left, flo, fm)
         done = hi - lo <= 1e-12 * np.maximum(1.0, np.abs(lo))
@@ -590,6 +616,109 @@ def oracle_roots(p: Union[SystemParams, Sequence[SystemParams]],
     return out
 
 
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise products of two stacks of polynomials, ascending order."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+    for j in range(b.shape[1]):
+        out[:, j:j + a.shape[1]] += a * b[:, j, None]
+    return out
+
+
+def _pad(a: np.ndarray, m: int) -> np.ndarray:
+    """Ascending coefficient rows padded with zeros to ``m`` columns."""
+    return np.pad(a, ((0, 0), (0, m - a.shape[1])))
+
+
+def exact_roots(resp: RationalResponse) -> tuple[list[list[float]],
+                                                 list[Optional[str]]]:
+    """Fixed-point roots of every column of ``resp`` from an exact degree-7
+    polynomial, and for each column the certificate check that failed (None
+    when its certificate holds).
+
+    With Delta = P/D^2, D = d0 + d1 n and
+    P = delta_c D^2 + 2 g1 n (a0 + a1 n) D + 4 g2 e^2 n^2, f(n) = 0 away from
+    the pole exactly when
+
+        Q(n) = n kappa^2 D^4 + n P^2 - eta^2 D^4 = 0.
+
+    Q is solved in the pole-centred variable n = c + w t, where w is the scan
+    window (1+ORACLE_MARGIN) eta^2/kappa^2 and c is the pole -d0/d1 when it
+    lies inside the window (else 0), by the stacked companion eigenvalues of
+    ``_companion_roots``.  Real roots in [0, w] are kept, except those within
+    POLE_TOL*(1+c) of the pole: the D factors Q carries when e = 0.  Each
+    kept root is polished by ``_bisect`` on f inside +-POLISH_TOL*max(1, n).
+
+    A column's certificate holds when its coefficients are finite, f changes
+    sign across every polish bracket, no two roots merge under DEDUPE_TOL and,
+    with eta > 0, the count is odd (f(0) > 0 > f(w)).  A column with eta = 0
+    has the one root 0.
+    """
+    a0, a1, e, d0, d1, delta_c, g1, g2, eta, kappa = resp.coef
+    w = (1.0 + ORACLE_MARGIN) * eta**2 / kappa**2
+    with np.errstate(all="ignore"):
+        pole = -d0 / d1
+        centred = (pole > 0.0) & (pole < w)
+        c = np.where(centred, pole, 0.0)
+        D = np.stack([np.where(centred, 0.0, d0), d1 * w], axis=1)
+        # Q is homogeneous of degree 4 in (a0, a1, e, d0, d1): scale D to one
+        s = np.max(np.abs(D), axis=1)
+        s = np.where((s > 0.0) & np.isfinite(s), s, 1.0)
+        D /= s[:, None]
+        A = np.stack([a0 + a1 * c, a1 * w], axis=1) / s[:, None]
+        e = e / s
+        n = np.stack([c, w], axis=1)
+        D2 = _polymul(D, D)
+        D4 = _polymul(D2, D2)
+        P = (delta_c[:, None] * _pad(D2, 4)
+             + 2.0 * g1[:, None] * _polymul(_polymul(n, A), D)
+             + _pad(4.0 * (g2 * e**2)[:, None] * _polymul(n, n), 4))
+        Q = (_polymul(n, _pad(kappa[:, None]**2 * D4, 7) + _polymul(P, P))
+             - _pad((eta**2)[:, None] * D4, 8))
+    solvable, zeros, groups = _companion_roots(Q[:, ::-1])
+    origin = np.flatnonzero(solvable & (zeros > 0))     # t = 0 is n = c
+    owner, found = [origin], [c[origin]]
+    for rows, t in groups:
+        nr = c[rows, None] + w[rows, None] * t.real
+        i, j = np.nonzero(np.abs(t.imag) * w[rows, None]
+                          < IMAG_TOL * (1.0 + np.abs(nr)))
+        owner.append(rows[i])
+        found.append(nr[i, j])
+    owner, n = np.concatenate(owner), np.concatenate(found)
+    keep = ((n >= 0.0) & (n <= w[owner])
+            & ~(np.abs(n - pole[owner]) <= POLE_TOL * (1.0 + c[owner])))
+    owner, n = owner[keep], n[keep]
+    h = POLISH_TOL * np.maximum(1.0, n)
+    f = fixed_point_defect(resp.take(np.concatenate([owner, owner])),
+                           np.concatenate([n - h, n + h]))
+    flo, fhi = f[:len(n)], f[len(n):]
+    sign = flo * fhi < 0.0
+    n[sign] = _bisect(resp.take(owner[sign]), (n - h)[sign], (n + h)[sign],
+                      flo[sign])
+    unsigned = np.bincount(owner[~sign], minlength=len(eta)) > 0
+    finite = np.isfinite(Q).all(axis=1)
+    cells: list[list[float]] = [[] for _ in eta]
+    for k, r in zip(owner.tolist(), n.tolist()):
+        cells[k].append(r)
+    roots, failed = [], []
+    for k, cell in enumerate(cells):
+        if eta[k] == 0.0:
+            roots.append([0.0])
+            failed.append(None)
+            continue
+        cell.sort()
+        kept: list[float] = []
+        for r in cell:
+            if not (kept and abs(r - kept[-1]) < DEDUPE_TOL * (1.0 + r)):
+                kept.append(r)
+        roots.append(kept)
+        failed.append("non-finite coefficients" if not finite[k] else
+                      "no sign change across a polished root" if unsigned[k]
+                      else "roots merge" if len(kept) < len(cell) else
+                      "even root count" if eta[k] > 0.0 and len(kept) % 2 == 0
+                      else None)
+    return roots, failed
+
+
 def roots_match(poly_roots: list[float], oracle: list[float],
                 tol: float = MATCH_TOL) -> bool:
     """Elementwise agreement of the two sorted root sets."""
@@ -604,22 +733,34 @@ def root_sets(ps: list[SystemParams], oracle_mode: bool, scan_points: int,
     """``(poly, oracle, agree)`` of each parameter set.
 
     ``poly`` are the closed-form polynomial's roots (from one
-    ``batch_real_roots`` call; none when the polynomial vanishes).  With
-    ``oracle_mode`` the oracle runs once for the whole batch, ``oracle`` are
-    its roots and ``agree`` says whether the two sets match; a set where they
-    do not gets a coefficient-mismatch diagnostic in its sink.  Without it
-    both are None.
+    ``batch_real_roots`` call; none when the polynomial vanishes) and
+    ``oracle`` the fixed-point roots of the exact route (one ``exact_roots``
+    call for the batch).  With ``oracle_mode`` a set whose certificate fails
+    gets a scan-fallback diagnostic naming the failed check and the scan
+    oracle's roots instead (one ``oracle_roots`` call for all such sets), and
+    ``agree`` says whether ``poly`` and ``oracle`` match; a set where they do
+    not gets a coefficient-mismatch diagnostic in its sink.  Without it,
+    ``oracle`` are the exact route's roots as they come, uncertified ones
+    included, and ``agree`` is None.
     """
-    if oracle_mode:
-        orcs = oracle_roots(ps, scan_points, sinks, with_damping)
-    else:
-        orcs = [None] * len(ps)
+    orcs, failed = exact_roots(RationalResponse.of(ps, with_damping))
+    redo = [k for k, why in enumerate(failed) if why is not None]
+    if oracle_mode and redo:
+        for k in redo:
+            sinks[k].append(Diagnostic(
+                "scan-fallback",
+                f"exact-root certificate failed ({failed[k]}); roots from "
+                f"the {scan_points}-point scan"))
+        scanned = oracle_roots([ps[k] for k in redo], scan_points,
+                               [sinks[k] for k in redo], with_damping)
+        for k, roots in zip(redo, scanned):
+            orcs[k] = roots
     out = []
     for poly, orc, sink in zip(batch_real_roots([build_polynomial(q)
                                                  for q in ps]), orcs, sinks):
         if isinstance(poly, ZeroPolynomial):
             poly = []
-        agree = None if orc is None else roots_match(poly, orc)
+        agree = roots_match(poly, orc) if oracle_mode else None
         if agree is False:
             sink.append(Diagnostic(
                 "coefficient-mismatch",
@@ -639,14 +780,14 @@ def solve_branches(p: Union[SystemParams, Sequence[SystemParams]],
     ``p`` is one parameter set (a list of branches comes back, diagnostics go
     to the list ``diagnostics``) or a sequence of them (one branch list per
     set, ``diagnostics`` then holds one list per set).  The candidates are
-    the polynomial roots of ``root_sets``, or the oracle's where the two
-    disagree (a union would double-count roots near folds, where the two
+    the polynomial roots of ``root_sets``, or the fixed-point roots where the
+    two disagree (a union would double-count roots near folds, where the two
     estimates of the same root differ by more than the match tolerance yet
-    both pass the residual check).  Candidates that fail the
-    self-consistency residual are dropped with a diagnostic either way; all
-    candidates of the batch are reconstructed together.  With eta > 0,
-    f(0) > 0 > f(n_max), so a set that ends with an even number of branches
-    gets a parity-violation diagnostic.
+    both pass the residual check) or where ``oracle_mode`` is off.
+    Candidates that fail the self-consistency residual are dropped with a
+    diagnostic either way; all candidates of the batch are reconstructed
+    together.  With eta > 0, f(0) > 0 > f(n_max), so a set that ends with an
+    even number of branches gets a parity-violation diagnostic.
     """
     if isinstance(p, SystemParams):
         sinks = None if diagnostics is None else [diagnostics]
@@ -654,7 +795,7 @@ def solve_branches(p: Union[SystemParams, Sequence[SystemParams]],
                               sinks)[0]
     ps = list(p)
     sinks = diagnostics if diagnostics is not None else [[] for _ in ps]
-    candidates = [orc if agree is False else poly for poly, orc, agree
+    candidates = [poly if agree else orc for poly, orc, agree
                   in root_sets(ps, oracle_mode, scan_points, with_damping,
                                sinks)]
     out: list[list[SteadyStateBranch]] = []

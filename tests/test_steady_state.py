@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 from quadmech import (build_polynomial, find_real_roots, mechanical_response,
                       oracle_roots, reconstruct_branch, rescale_params,
                       solve_branches)
-from quadmech.steady_state import (Diagnostic, PolynomialCoefficients,
+from quadmech.steady_state import (MATCH_TOL, Diagnostic,
+                                   PolynomialCoefficients,
                                    RationalResponse, ResidualTooLarge,
                                    SingularMechanicalSystem, ZeroPolynomial,
-                                   _scan_blocks, batch_real_roots,
-                                   fixed_point_defect, reconstruct_branches,
+                                   _bisect, _scan_blocks, batch_real_roots,
+                                   exact_roots, fixed_point_defect,
+                                   reconstruct_branches, root_sets,
                                    roots_match)
 
 from conftest import (make_system, random_system, real_roots_reference,
@@ -521,10 +523,151 @@ def test_even_branch_count_is_reported(monkeypatch):
     sinks = [[]]
     assert len(solve_branches([p], diagnostics=sinks)[0]) == 3
     assert not any(d.kind == "parity-violation" for d in sinks[0])
-    real = steady.oracle_roots
-    monkeypatch.setattr(steady, "oracle_roots",
-                        lambda *a, **k: [r[:2] for r in real(*a, **k)])
+    real = steady.exact_roots
+
+    def drop_one(*a, **k):
+        roots, failed = real(*a, **k)
+        return [r[:2] for r in roots], failed
+    monkeypatch.setattr(steady, "exact_roots", drop_one)
     sinks = [[]]
     assert len(solve_branches([p], diagnostics=sinks)[0]) == 2
     assert [d.kind for d in sinks[0]] == ["coefficient-mismatch",
                                           "parity-violation"]
+
+
+# ---------------------------------------------------------------------------
+# the exact degree-7 route against the scan oracle
+# ---------------------------------------------------------------------------
+
+def test_bisection_freezes_on_an_exact_root():
+    # g1 = g2 = 0 and delta_c = 0: f(n) = 64 - n, and the first midpoint of
+    # [60, 68] is the root itself, where f is exactly 0
+    resp = RationalResponse.of([make_system(g1=0.0, g2=0.0, delta_c=0.0,
+                                            eta=8.0)])
+    lo, hi = np.array([60.0]), np.array([68.0])
+    assert fixed_point_defect(resp, np.array([64.0]))[0] == 0.0
+    got = _bisect(resp, lo, hi, fixed_point_defect(resp, lo))
+    assert got.tolist() == [64.0]
+
+
+def _within(root, roots, tol=1e-9):
+    return any(abs(r - root) <= tol * max(1.0, root) for r in roots)
+
+
+def _assert_contains_scan(ps, with_damping=False, tol=1e-9):
+    """Certified exact roots hold the 4096-point scan's, root for root
+    within ``tol`` relative, and every extra root is one that a
+    400000-point scan finds too (within 1e-9).  Returns the
+    numbers of uncertified cells and of cells whose certified exact root
+    count differs from the scan's."""
+    exact, failed = exact_roots(RationalResponse.of(ps, with_damping))
+    scan = oracle_roots(ps, with_damping=with_damping)
+    extra = []
+    for k, (ex, sc, why) in enumerate(zip(exact, scan, failed)):
+        if why is not None:
+            continue
+        assert all(_within(r, ex, tol) for r in sc), (ps[k], ex, sc)
+        if len(ex) != len(sc):
+            extra.append(k)
+    dense = oracle_roots([ps[k] for k in extra], scan_points=400_000,
+                         with_damping=with_damping)
+    for k, roots in zip(extra, dense):
+        assert all(_within(r, roots) for r in exact[k]), (ps[k], exact[k])
+    return sum(why is not None for why in failed), len(extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ps=st.lists(any_systems(), min_size=1, max_size=8),
+       damping=st.sampled_from([0.0, 0.0, 1e-3, 0.05]))
+def test_exact_roots_contain_the_scan_roots(ps, damping):
+    ps = [make_system(**{**vars(p), "gamma1": damping, "gamma2": 2 * damping})
+          for p in ps]
+    _assert_contains_scan(ps, with_damping=damping > 0.0)
+
+
+def _recipe_cells(tag, points):
+    from quadmech.recipes import RECIPES
+    _, base, axes = RECIPES[tag]
+    grids = np.meshgrid(*[np.linspace(ax.lo, ax.hi, points) for ax in axes],
+                        indexing="ij")
+    return [make_system(**{**vars(base),
+                           **{ax.name: float(g.flat[j])
+                              for ax, g in zip(axes, grids)}})
+            for j in range(grids[0].size)]
+
+
+@pytest.mark.parametrize("tag,points", [
+    ("fig2a", 21), ("fig2b", 21), ("fig3a", 21), ("fig3c", 21),
+    ("fig2c", 101), ("fig3b", 101), ("fig3d", 101)])
+def test_exact_root_counts_equal_the_scan_on_figure_grids(tag, points):
+    # fig3c's omega_ex = 0 cells carry the D factors of e = 0 at the pole.
+    # Both routes bisect f to 1e-12, so polished roots agree far inside
+    # 1e-11; unpolished eigenvalue roots miss that by up to 3e-10 (fig3a)
+    assert _assert_contains_scan(_recipe_cells(tag, points),
+                                 tol=1e-11) == (0, 0)
+
+
+def test_fig2d_extra_roots_are_close_pairs_beside_the_pole():
+    # the 4096-point scan misses close root pairs beside the mechanical pole
+    # on part of this curve; a 400000-point scan finds every one of them
+    uncertified, extra = _assert_contains_scan(_recipe_cells("fig2d", 101))
+    assert uncertified == 0 and extra > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(ps=st.lists(any_systems(), min_size=2, max_size=8), data=st.data())
+def test_exact_roots_are_batch_independent(ps, data):
+    def solve(batch):
+        roots, failed = exact_roots(RationalResponse.of(batch))
+        return list(zip(roots, failed))
+    alone = [solve([p])[0] for p in ps]
+    order = data.draw(st.permutations(range(len(ps))))
+    batched = solve([ps[k] for k in order])
+    assert [batched[order.index(k)] for k in range(len(ps))] == alone
+    cut = data.draw(st.integers(1, len(ps) - 1))
+    assert solve(ps[:cut]) + solve(ps[cut:]) == alone
+
+
+def test_uncertified_cell_alone_goes_to_the_scan(monkeypatch):
+    import quadmech.steady_state as steady
+    ps = [make_system(delta_c=dc, eta=56.5, omega_ex=0.005)
+          for dc in (2.0, 3.2, 5.0)]
+    real_exact, real_scan = steady.exact_roots, steady.oracle_roots
+    scanned = []
+
+    def break_middle(resp):
+        roots, failed = real_exact(resp)
+        return roots, [None, "stub", None]
+
+    def spy(sets, *a, **k):
+        scanned.append(list(sets))
+        return real_scan(sets, *a, **k)
+    monkeypatch.setattr(steady, "exact_roots", break_middle)
+    monkeypatch.setattr(steady, "oracle_roots", spy)
+    sinks = [[], [], []]
+    got = root_sets(ps, True, 4096, False, sinks)
+    assert scanned == [[ps[1]]]
+    assert got[1][1] == real_scan(ps[1])
+    assert [d.kind for d in sinks[1]].count("scan-fallback") == 1
+    assert "(stub)" in next(d.message for d in sinks[1]
+                            if d.kind == "scan-fallback")
+    assert not any(d.kind == "scan-fallback" for d in sinks[0] + sinks[2])
+    # without the oracle the exact roots stand, and nothing is scanned
+    scanned.clear()
+    assert [r[1] for r in root_sets(ps, False, 4096, False, [[], [], []])] \
+        == real_exact(RationalResponse.of(ps))[0]
+    assert scanned == []
+
+
+def test_oracle_off_takes_the_exact_roots(rng):
+    ps = [random_system(rng) for _ in range(40)]
+    on_sinks, off_sinks = [[] for _ in ps], [[] for _ in ps]
+    on = solve_branches(ps, diagnostics=on_sinks)
+    off = solve_branches(ps, oracle_mode=False, diagnostics=off_sinks)
+    assert any(d.kind == "coefficient-mismatch" for s in on_sinks for d in s)
+    assert [len(b) for b in off] == [len(b) for b in on]
+    # where the two agree, the oracle-on candidates are the polynomial's
+    for a, b in zip(off, on):
+        assert all(x.n_p == pytest.approx(y.n_p, rel=MATCH_TOL)
+                   for x, y in zip(a, b))
+    assert not any(s for s in off_sinks)
