@@ -1,12 +1,13 @@
 """Steady-state covariance, phonon occupations and dark-mode diagnostics.
 
-The covariance V of the fluctuation vector obeys A V + V A^T + Q = 0 with the
-plain (not conjugate) transpose; Q symmetrizes the bath correlation matrix C,
-so V is symmetric and the equation has 21 unknowns (V's upper triangle).  The
-21x21 system is solved densely, followed by iterative refinement so the
-residual stays at working precision even for stiff damping hierarchies
-(gamma ~ 1e-6 kappa).  Stacks of drift matrices are solved together, in
-blocks of LYAP_BLOCK systems per stacked call.
+Everything is real, in the quadrature basis q = T u of ``stability``: the
+symmetrized covariance V of q obeys R V + V R^T + Q = 0, where R is the real
+drift matrix and Q = T Q_u T^T the diagonal diffusion matrix of the baths,
+so V is real symmetric and the equation has 21 unknowns (V's upper
+triangle).  The 21x21 system is solved densely, followed by iterative
+refinement so the residual stays at working precision even for stiff
+damping hierarchies (gamma ~ 1e-6 kappa).  Stacks of drift matrices are
+solved together, in blocks of LYAP_BLOCK systems per stacked call.
 """
 from __future__ import annotations
 
@@ -16,11 +17,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from .params import LinearizedParams, linearized_columns
-from .stability import DriftMatrix, build_drift_matrix, classify_stability
+from .stability import DriftMatrix, build_drift_matrix, spectra
 from .steady_state import Diagnostic
 
 LYAP_RESIDUAL_TOL = 1e-10
-PHONON_IMAG_TOL = 1e-6
 DARK_TOL = 0.05            # overlap threshold for the dark flag
 MIXING_TOL_FACTOR = 0.01   # |Omega|, |G22| below this * omega1 count as unmixed
 # Lyapunov systems per stacked solve: bounds the live (k, 21, 21) stacks, so
@@ -36,19 +36,14 @@ class UnphysicalResult(ArithmeticError):
     """A stable solve produced a significantly negative phonon number."""
 
 
-class ComplexPhonon(ArithmeticError):
-    """Extracted phonon number has a non-negligible imaginary part."""
-
-
 class ZeroCoupling(ValueError):
     """Dark-mode overlap undefined because g1_eff = g2_eff = 0."""
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Bath correlation matrix C and its symmetrization Q = (C + C^T)/2."""
+    """Diffusion matrix Q of the quadrature noise (or a stack of them)."""
 
-    c: np.ndarray
     q: np.ndarray
 
 
@@ -82,23 +77,15 @@ class DarkModeDiagnostics:
 
 
 def build_noise_model(lp: LinearizedParams) -> NoiseModel:
-    """Bath correlations: vacuum for the cavity, thermal for the mechanics
-    ((k, 6, 6) stacks in ``c`` and ``q`` for a column record)."""
+    """Bath diffusion: vacuum for the cavity, thermal for the mechanics,
+    Q = diag(kappa, gamma1 (2 nbar1 + 1), gamma2 (2 nbar2 + 1)) on both the
+    x and the p quadratures (a (k, 6, 6) stack for a column record)."""
     p, scalar = linearized_columns(lp)
-    c = np.zeros((len(p.kappa), 6, 6))
-    c[:, 0, 3] = 2.0 * p.kappa
-    c[:, 1, 4] = 2.0 * p.gamma1 * (p.nbar1 + 1.0)
-    c[:, 2, 5] = 2.0 * p.gamma2 * (p.nbar2 + 1.0)
-    c[:, 4, 1] = 2.0 * p.gamma1 * p.nbar1
-    c[:, 5, 2] = 2.0 * p.gamma2 * p.nbar2
-    q = 0.5 * (c + c.transpose(0, 2, 1))
-    return NoiseModel(c=c[0], q=q[0]) if scalar else NoiseModel(c=c, q=q)
-
-
-# Bath slots of C: the negative-occupation guard applies only to a C with
-# nonnegative rates there and zeros elsewhere, not to synthetic matrices.
-_BATH = np.zeros((6, 6), dtype=bool)
-_BATH[[0, 1, 2, 4, 5], [3, 4, 5, 1, 2]] = True
+    q = np.zeros((len(p.kappa), 6, 6))
+    for j, rate in enumerate((p.kappa, p.gamma1 * (2.0 * p.nbar1 + 1.0),
+                              p.gamma2 * (2.0 * p.nbar2 + 1.0))):
+        q[:, j, j] = q[:, j + 3, j + 3] = rate
+    return NoiseModel(q=q[0] if scalar else q)
 
 
 # The 21 unknowns are the upper triangle of the symmetric V, row by row;
@@ -130,7 +117,7 @@ def _lyapunov_operator(a: np.ndarray) -> np.ndarray:
     Each entry is the exact sum of at most two entries of A, so a cell's
     operator does not depend on the stack it shares."""
     flat = a.reshape(-1, 36)
-    m = np.zeros((len(a), 441), dtype=complex)
+    m = np.zeros((len(a), 441))
     m[:, _FIRST[0]] = flat[:, _FIRST[1]]
     m[:, _SECOND[0]] += flat[:, _SECOND[1]]
     return m.reshape(-1, 21, 21)
@@ -156,7 +143,7 @@ def _solve_symmetric(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_lyapunov(A: DriftMatrix, nm):
-    """Solve A V + V A^T + Q = 0 for the symmetric V, with refinement.
+    """Solve R V + V R^T + Q = 0 for the real symmetric V, with refinement.
 
     Q must be symmetric; then V = V^T, with the 21 unknowns of its upper
     triangle.  Up to three refinement steps follow the solve; a cell stops
@@ -168,15 +155,16 @@ def solve_lyapunov(A: DriftMatrix, nm):
 
     An unstable drift matrix still yields a formal solution when the
     Lyapunov system is regular, but the result is flagged physical=False.
+    A stable solve with a negative occupation raises UnphysicalResult when
+    Q is a physical bath: diagonal, nonnegative, equal in its x and p halves.
     """
     if not isinstance(nm, NoiseModel):
-        nms = list(nm)
-        nm = NoiseModel(c=np.array([m.c for m in nms]),
-                        q=np.array([m.q for m in nms]))
+        nm = NoiseModel(q=np.array([m.q for m in nm]))
+    if np.iscomplexobj(A.a) or np.iscomplexobj(nm.q):
+        raise ValueError("the Lyapunov solve takes the real quadrature forms")
     single = A.a.ndim == 2
-    a = np.asarray(A.a, dtype=complex).reshape(-1, 6, 6)
-    c = np.asarray(nm.c).reshape(-1, 6, 6)
-    q = np.asarray(nm.q, dtype=complex).reshape(-1, 6, 6)
+    a = np.asarray(A.a, dtype=float).reshape(-1, 6, 6)
+    q = np.asarray(nm.q, dtype=float).reshape(-1, 6, 6)
     if len(q) != len(a):
         raise ValueError(f"{len(a)} drift matrices but {len(q)} noise models")
     if not len(a):
@@ -202,12 +190,12 @@ def solve_lyapunov(A: DriftMatrix, nm):
         go = trial_res < residual[live]
         live, r = live[go], r[go]
         v[live], residual[live] = trial[go], trial_res[go]
-    physical = [verdict.stable for verdict in classify_stability(DriftMatrix(a=a))]
-    raw1, raw2 = _moments(v)
-    n1f, n2f = raw1.real - 0.5, raw2.real - 0.5
-    canonical = np.all(np.where(_BATH, c >= 0.0, c == 0.0), axis=(1, 2))
-    bad = np.flatnonzero(np.array(physical) & (np.minimum(n1f, n2f) < -1e-6)
-                         & canonical)
+    physical = spectra(a)[2]
+    n1f, n2f = _occupations(v)
+    d = np.diagonal(q, axis1=1, axis2=2)
+    bath = (np.all(q == d[:, None, :] * np.eye(6), axis=(1, 2))
+            & np.all(d >= 0.0, axis=1) & np.all(d[:, :3] == d[:, 3:], axis=1))
+    bad = np.flatnonzero(physical & (np.minimum(n1f, n2f) < -1e-6) & bath)
     if bad.size:
         k = bad[0]
         raise UnphysicalResult(f"stable solve returned negative occupation "
@@ -215,27 +203,22 @@ def solve_lyapunov(A: DriftMatrix, nm):
     out = [CovarianceResult(v=vk, n1f=n1, n2f=n2, lyap_residual=res,
                             physical=ok)
            for vk, n1, n2, res, ok in zip(v, n1f.tolist(), n2f.tolist(),
-                                          residual.tolist(), physical)]
+                                          residual.tolist(),
+                                          physical.tolist())]
     return out[0] if single else out
 
 
-def _moments(v: np.ndarray):
-    """V[5,2] and V[6,3] (1-based) of one covariance or of a stack: the
-    occupations of the two oscillators plus 1/2."""
-    return v[..., 4, 1], v[..., 5, 2]
+def _occupations(v: np.ndarray):
+    """n_j = (V_xx + V_pp - 1)/2 of the two oscillators, for one covariance
+    or a stack."""
+    return ((v[..., 1, 1] + v[..., 4, 4] - 1.0) / 2.0,
+            (v[..., 2, 2] + v[..., 5, 5] - 1.0) / 2.0)
 
 
 def phonon_numbers(cv: CovarianceResult) -> tuple[float, float]:
-    """Final phonon occupations from the covariance matrix.
-
-    n1f = V[5,2] - 1/2 and n2f = V[6,3] - 1/2 in 1-based indexing; the
-    imaginary parts must be negligible.
-    """
-    raw1, raw2 = map(complex, _moments(cv.v))
-    for name, val in (("n1f", raw1), ("n2f", raw2)):
-        if abs(val.imag) > PHONON_IMAG_TOL * (1.0 + abs(val.real)):
-            raise ComplexPhonon(f"{name} has imaginary part {val.imag:.3e}")
-    return raw1.real - 0.5, raw2.real - 0.5
+    """Final phonon occupations (n1f, n2f) from the covariance matrix."""
+    n1, n2 = _occupations(cv.v)
+    return float(n1), float(n2)
 
 
 def row_occupations(cv: CovarianceResult, diagnostics: list[Diagnostic],
@@ -243,15 +226,15 @@ def row_occupations(cv: CovarianceResult, diagnostics: list[Diagnostic],
     """(n1f, n2f) of a solved covariance for an output row.
 
     Records a lyap-residual diagnostic when the solve's residual exceeds
-    LYAP_RESIDUAL_TOL.  The occupations go through ``phonon_numbers`` and its
-    imaginary-part check; they are (None, None) when ``stable`` is false.
+    LYAP_RESIDUAL_TOL.  The occupations are (None, None) when ``stable`` is
+    false.
     """
     if cv.lyap_residual > LYAP_RESIDUAL_TOL:
         diagnostics.append(Diagnostic(
             "lyap-residual",
             f"Lyapunov residual {cv.lyap_residual:.3e} exceeds "
             f"{LYAP_RESIDUAL_TOL:g}"))
-    return phonon_numbers(cv) if stable else (None, None)
+    return (cv.n1f, cv.n2f) if stable else (None, None)
 
 
 def dark_mode_diagnostics(lp: LinearizedParams) -> DarkModeDiagnostics:

@@ -1,8 +1,11 @@
 """Linearized drift matrix and dynamical stability classification.
 
-The fluctuation vector is ordered (da, db1, db2, da+, db1+, db2+); the drift
-matrix then has exact conjugation block symmetry, A = [[B, C], [C*, B*]],
-which the constructor enforces by building the lower blocks as conjugates.
+The fluctuation vector u = (da, db1, db2, da+, db1+, db2+) has the drift
+matrix A = [[B, C], [C*, B*]].  The unitary quadrature map q = T u, with
+x_j = (u_j + u_{j+3})/sqrt(2) and p_j = (u_j - u_{j+3})/(i sqrt(2)), makes it
+the real matrix R = T A T^dagger = [[Re(B+C), -Im(B-C)], [Im(B+C), Re(B-C)]]
+of q = (x_a, x_1, x_2, p_a, p_1, p_2), which the constructor fills directly;
+R and A share their spectrum.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .params import (LINEARIZED_NUMERIC, LinearizedParams, SystemParams,
-                     linearized_columns)
+                     linearized_columns, take_columns)
 from .steady_state import SteadyStateBranch
 
 STAB_TOL_FACTOR = 1e-9      # margin below stab_tol*kappa counts as marginal
@@ -26,7 +29,7 @@ class EigenSolveFailure(ArithmeticError):
 
 @dataclass(frozen=True)
 class DriftMatrix:
-    """6x6 complex drift matrix of the linearized fluctuation dynamics."""
+    """6x6 real drift matrix of the quadrature fluctuations (or a stack)."""
 
     a: np.ndarray
 
@@ -87,26 +90,43 @@ def derive_linearized(branch: Union[SteadyStateBranch,
 
 
 def build_drift_matrix(lp: LinearizedParams) -> DriftMatrix:
-    """Assemble the drift matrix from linearized parameters: a (k, 6, 6)
-    stack for a column record, one 6x6 matrix for a scalar record."""
+    """Assemble the real drift matrix R from linearized parameters: a
+    (k, 6, 6) stack for a column record, one 6x6 matrix for a scalar record."""
     c, scalar = linearized_columns(lp)
     G1, G2, G22 = c.g1_eff, c.g2_eff, c.g22
-    eip = np.exp(1j * c.theta)
-    eim = np.exp(-1j * c.theta)
-    a = np.zeros((len(c.kappa), 6, 6), dtype=complex)
-    a[:, 0, 0] = -(c.kappa + 1j * c.delta_eff)
-    a[:, 0, 1] = a[:, 0, 4] = a[:, 1, 3] = -1j * G1
-    a[:, 0, 2] = a[:, 0, 5] = a[:, 2, 3] = -1j * G2
-    a[:, 1, 0] = -1j * np.conj(G1)
-    a[:, 1, 1] = -(c.gamma1 + 1j * c.omega1)
-    a[:, 1, 2] = -1j * c.omega_ex * eip
-    a[:, 2, 0] = -1j * np.conj(G2)
-    a[:, 2, 1] = -1j * c.omega_ex * eim
-    a[:, 2, 2] = -(c.gamma2 + 1j * c.omega2_tilde)
-    a[:, 2, 5] = -2j * G22
-    a[:, 3:, :3] = np.conj(a[:, :3, 3:])
-    a[:, 3:, 3:] = np.conj(a[:, :3, :3])
-    return DriftMatrix(a=a[0] if scalar else a)
+    ws, wc = c.omega_ex * np.sin(c.theta), c.omega_ex * np.cos(c.theta)
+    r = np.zeros((len(c.kappa), 6, 6))
+    r[:, 0, 0] = r[:, 3, 3] = -c.kappa
+    r[:, 1, 1] = r[:, 4, 4] = -c.gamma1
+    r[:, 2, 2] = -c.gamma2 + 2.0 * G22.imag
+    r[:, 5, 5] = -c.gamma2 - 2.0 * G22.imag
+    r[:, 0, 3], r[:, 3, 0] = c.delta_eff, -c.delta_eff
+    r[:, 1, 4], r[:, 4, 1] = c.omega1, -c.omega1
+    r[:, 2, 5] = c.omega2_tilde - 2.0 * G22.real
+    r[:, 5, 2] = -c.omega2_tilde - 2.0 * G22.real
+    r[:, 0, 1], r[:, 4, 3] = 2.0 * G1.imag, -2.0 * G1.imag
+    r[:, 0, 2], r[:, 5, 3] = 2.0 * G2.imag, -2.0 * G2.imag
+    r[:, 3, 1] = r[:, 4, 0] = -2.0 * G1.real
+    r[:, 3, 2] = r[:, 5, 0] = -2.0 * G2.real
+    r[:, 1, 2] = r[:, 4, 5] = ws
+    r[:, 2, 1] = r[:, 5, 4] = -ws
+    r[:, 1, 5] = r[:, 2, 4] = wc
+    r[:, 4, 2] = r[:, 5, 1] = -wc
+    return DriftMatrix(a=r[0] if scalar else r)
+
+
+def spectra(a: np.ndarray):
+    """(eigenvalues, largest real parts, stable) of a real drift matrix or
+    stack, from one real eigenvalue call.  Stable means max Re below
+    -STAB_TOL_FACTOR*kappa, with kappa = -R[0, 0]; the eigenvalues are
+    complex whatever the stack, so a cell's do not depend on its batch."""
+    try:
+        ev = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolveFailure(str(exc)) from exc
+    max_re = ev.real.max(axis=-1)
+    return (ev.astype(complex, copy=False), max_re,
+            max_re < STAB_TOL_FACTOR * a[..., 0, 0])
 
 
 def classify_stability(A: DriftMatrix):
@@ -117,32 +137,12 @@ def classify_stability(A: DriftMatrix):
     be a stack of shape (k, 6, 6); its k verdicts then come back as a list,
     from one eigenvalue call.
     """
-    a = A.a
-    try:
-        ev = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveFailure(str(exc)) from exc
-    max_re = ev.real.max(axis=-1)
-    stab_tol = STAB_TOL_FACTOR * -a[..., 0, 0].real
-    verdicts = [StabilityVerdict(eigenvalues=e, max_real_part=m,
-                                 stable=m < -t, margin=-m)
-                for e, m, t in zip(ev.reshape(-1, 6), np.ravel(max_re).tolist(),
-                                   np.ravel(stab_tol).tolist())]
-    return verdicts if a.ndim == 3 else verdicts[0]
-
-
-_MECH_DIAGONAL = [1, 2, 4, 5]   # gamma enters A only as -gamma on these
-
-
-def _fallback_damped(a: np.ndarray, kappas: Sequence[float]) -> np.ndarray:
-    """The drift matrices of a stack rebuilt with gamma1 = gamma2 =
-    GAMMA_FALLBACK_FACTOR*kappa, without rebuilding them: the damping is the
-    real part of the four mechanical diagonal entries, -(gamma +/- i omega),
-    so setting those real parts to -eps gives the rebuilt matrix exactly."""
-    damped = a.copy()
-    eps = GAMMA_FALLBACK_FACTOR * np.asarray(kappas, dtype=float)
-    damped.real[:, _MECH_DIAGONAL, _MECH_DIAGONAL] = -eps[:, None]
-    return damped
+    ev, max_re, stable = spectra(A.a)
+    verdicts = [StabilityVerdict(eigenvalues=e, max_real_part=m, stable=s,
+                                 margin=-m)
+                for e, m, s in zip(ev.reshape(-1, 6), np.ravel(max_re).tolist(),
+                                   np.ravel(stable).tolist())]
+    return verdicts if A.a.ndim == 3 else verdicts[0]
 
 
 def classify_branch_stability(lp: Union[LinearizedParams,
@@ -154,19 +154,20 @@ def classify_branch_stability(lp: Union[LinearizedParams,
     on the margin; the fallback classifies with gamma = 1e-6*kappa instead and
     flags verdicts that differ between the two dampings.  ``lp`` may also be
     a column record or a sequence of parameter sets: a list of verdicts then
-    comes back, from one column drift stack, one stacked eigenvalue call for
-    the raw damping and one for the fallback.
+    comes back, from one column drift stack and one stacked eigenvalue call
+    for the raw damping, and one of each for the undamped cells rebuilt with
+    the fallback damping.
     """
     cols, scalar = linearized_columns(lp)
-    a = build_drift_matrix(cols).a
-    raw = classify_stability(DriftMatrix(a=a))
-    out = list(raw)
+    out = classify_stability(build_drift_matrix(cols))
     undamped = np.flatnonzero(~((cols.gamma1 > 0.0) | (cols.gamma2 > 0.0))
                               & gamma_fallback)
     if undamped.size:
-        fb = classify_stability(DriftMatrix(a=_fallback_damped(
-            a[undamped], cols.kappa[undamped])))
+        sub = take_columns(cols, undamped)
+        eps = GAMMA_FALLBACK_FACTOR * sub.kappa
+        fb = classify_stability(build_drift_matrix(
+            replace(sub, gamma1=eps, gamma2=eps)))
         for k, v in zip(undamped.tolist(), fb):
             out[k] = replace(v, gamma_fallback_applied=True,
-                             verdict_flipped=bool(v.stable != raw[k].stable))
+                             verdict_flipped=bool(v.stable != out[k].stable))
     return out[0] if scalar else out

@@ -16,7 +16,6 @@ on the batch it shares.  Supported modes:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Union
 
@@ -305,6 +304,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                       for j, b in enumerate(axes_vals[1])]
     results: list[tuple[CellResult, list[Diagnostic]]]
     if spec.threads > 1 and len(cells_iter) > 8:
+        # only a multi-worker sweep pays for importing the process pool
+        from concurrent.futures import ProcessPoolExecutor
         chunk_size = max(8, math.ceil(len(cells_iter) / (spec.threads * 4)))
         chunks = [cells_iter[i:i + chunk_size]
                   for i in range(0, len(cells_iter), chunk_size)]

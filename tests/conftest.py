@@ -2,10 +2,13 @@
 
 The oracles never call the code they check: ``fd_jacobian`` differentiates
 the nonlinear mean-field flow numerically (against ``build_drift_matrix``),
-``spectral_phonons`` integrates the resolvent over frequency (against the
-Lyapunov solve behind ``cool_linearized``), and ``stacked_detuning`` solves
-the mechanical steady state read off the flow, one 4x4 system per photon
-number (against the rational response the oracle scans with).
+``complex_drift_matrix`` and ``complex_noise`` build the drift and bath
+matrices of the ladder-operator fluctuations (against the real quadrature
+forms, through ``QUADRATURE_T``), ``spectral_phonons`` integrates their
+resolvent over frequency (against the Lyapunov solve behind
+``cool_linearized``), and ``stacked_detuning`` solves the mechanical steady
+state read off the flow, one 4x4 system per photon number (against the
+rational response the oracle scans with).
 
 The per-cell references at the end are the one-cell-at-a-time forms of the
 batched steady-state routes (scan grid, polynomial roots, branch
@@ -19,7 +22,7 @@ import pytest
 from scipy.integrate import quad
 
 from quadmech import (LinearizedParams, SystemParams, SteadyStateBranch,
-                      build_drift_matrix, build_noise_model, validate_params)
+                      validate_params)
 from quadmech.steady_state import (DEDUPE_TOL, DEFLATE_TOL, IMAG_TOL, NEG_TOL,
                                    ORACLE_MARGIN, ROOT_ACCEPT_TOL,
                                    SINGULAR_COND, ResidualTooLarge,
@@ -120,13 +123,53 @@ def fd_jacobian(p, state, h=1e-7):
     return J
 
 
+# q = T u maps u = (a, b1, b2, a+, b1+, b2+) to the quadratures
+# (x_a, x_1, x_2, p_a, p_1, p_2); T is unitary.
+QUADRATURE_T = np.block([[np.eye(3), np.eye(3)],
+                         [-1j * np.eye(3), 1j * np.eye(3)]]) / math.sqrt(2.0)
+
+
+def complex_drift_matrix(lp):
+    """6x6 complex drift matrix A = [[B, C], [C*, B*]] of u, for one scalar
+    record; the lower blocks are the conjugates of the upper ones."""
+    G1, G2, G22 = complex(lp.g1_eff), complex(lp.g2_eff), complex(lp.g22)
+    eip, eim = np.exp(1j * lp.theta), np.exp(-1j * lp.theta)
+    a = np.zeros((6, 6), dtype=complex)
+    a[0, 0] = -(lp.kappa + 1j * lp.delta_eff)
+    a[0, 1] = a[0, 4] = a[1, 3] = -1j * G1
+    a[0, 2] = a[0, 5] = a[2, 3] = -1j * G2
+    a[1, 0] = -1j * np.conj(G1)
+    a[1, 1] = -(lp.gamma1 + 1j * lp.omega1)
+    a[1, 2] = -1j * lp.omega_ex * eip
+    a[2, 0] = -1j * np.conj(G2)
+    a[2, 1] = -1j * lp.omega_ex * eim
+    a[2, 2] = -(lp.gamma2 + 1j * lp.omega2_tilde)
+    a[2, 5] = -2j * G22
+    a[3:, :3] = np.conj(a[:3, 3:])
+    a[3:, 3:] = np.conj(a[:3, :3])
+    return a
+
+
+def complex_noise(lp):
+    """(C, Q) of u: the bath correlation matrix, vacuum for the cavity and
+    thermal for the mechanics, and its symmetrization Q = (C + C^T)/2."""
+    c = np.zeros((6, 6))
+    c[0, 3] = 2.0 * lp.kappa
+    c[1, 4] = 2.0 * lp.gamma1 * (lp.nbar1 + 1.0)
+    c[2, 5] = 2.0 * lp.gamma2 * (lp.nbar2 + 1.0)
+    c[4, 1] = 2.0 * lp.gamma1 * lp.nbar1
+    c[5, 2] = 2.0 * lp.gamma2 * lp.nbar2
+    return c, 0.5 * (c + c.T)
+
+
 def spectral_phonons(lp):
     """n_f via (1/2pi) Int dw [(-iw-A)^{-1} C (iw-A^T)^{-1}]_{kl}.
 
-    Uses the unsymmetrized bath matrix C, so the integral yields the ordered
-    moments <u_k u_l> directly: entry (5,2) is <b1+ b1> itself."""
-    a = build_drift_matrix(lp).a
-    c = build_noise_model(lp).c.astype(complex)
+    Uses the complex drift matrix and the unsymmetrized bath matrix C, so
+    the integral yields the ordered moments <u_k u_l> directly: entry (5,2)
+    is <b1+ b1> itself."""
+    a = complex_drift_matrix(lp)
+    c = complex_noise(lp)[0].astype(complex)
     ident = np.eye(6)
 
     def integrand(w, k, l):

@@ -22,8 +22,9 @@ from quadmech import (Axis, SweepSpec, branch_cooling_sweep,
 from quadmech.stability import GAMMA_FALLBACK_FACTOR
 from quadmech.steady_state import fixed_point_defect, roots_match
 
-from conftest import (fd_jacobian, make_linearized, make_system,
-                      random_linearized, random_system, spectral_phonons)
+from conftest import (QUADRATURE_T, complex_drift_matrix, fd_jacobian,
+                      make_linearized, make_system, random_linearized,
+                      random_system, spectral_phonons)
 
 
 def report(num, ok, detail):
@@ -347,22 +348,25 @@ def test_criterion_12_structural_suite(rng):
     n = 1000
     for _ in range(n):
         lp = random_linearized(rng)
+        # the real quadrature drift matrix is the complex one, mapped
+        c = complex_drift_matrix(lp)
+        assert np.array_equal(c[3:, 3:], np.conj(c[:3, :3]))
+        assert np.array_equal(c[3:, :3], np.conj(c[:3, 3:]))
         a = build_drift_matrix(lp).a
-        assert np.array_equal(a[3:, 3:], np.conj(a[:3, :3]))
-        assert np.array_equal(a[3:, :3], np.conj(a[:3, 3:]))
+        assert a.dtype == float
+        mapped = QUADRATURE_T @ c @ QUADRATURE_T.conj().T
+        assert np.max(np.abs(a - mapped)) <= 1e-15 * np.linalg.norm(c)
         tr = np.trace(a)
         expected = -2.0 * (lp.kappa + lp.gamma1 + lp.gamma2)
-        assert abs(tr.real - expected) <= 1e-12 * max(1.0, abs(expected))
+        assert abs(tr - expected) <= 1e-12 * max(1.0, abs(expected))
         ev = np.linalg.eigvals(a)
         scale = max(1.0, float(np.max(np.abs(ev))))
         for lam in ev:
             assert np.min(np.abs(ev - np.conj(lam))) <= 1e-8 * scale
-        nm = build_noise_model(lp)
-        nz = {(0, 3), (1, 4), (2, 5), (4, 1), (5, 2)}
-        for i in range(6):
-            for j in range(6):
-                if (i, j) not in nz:
-                    assert nm.c[i, j] == 0.0
+        # the diffusion is diagonal, the same on the x and p quadratures
+        q = build_noise_model(lp).q
+        assert np.array_equal(q, np.diag(np.diag(q)))
+        assert np.array_equal(np.diag(q)[:3], np.diag(q)[3:])
     dt = time.time() - t0
     assert report(12, dt < 10.0,
                   f"{n} random drift/noise structures verified exactly, "

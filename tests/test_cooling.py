@@ -2,7 +2,9 @@
 
 Phonon numbers are cross-validated against an independent frequency-domain
 quadrature of the resolvent (the stationary second moments as a spectral
-integral), which never touches the Lyapunov solver.
+integral), which never touches the Lyapunov solver, and against the complex
+ladder-operator Lyapunov equation of conftest's builders, solved by
+Bartels-Stewart.
 """
 import math
 
@@ -16,11 +18,12 @@ from quadmech import (CovarianceResult, DriftMatrix, NoiseModel,
                       build_drift_matrix, build_noise_model,
                       classify_stability, cool_linearized,
                       dark_mode_diagnostics, phonon_numbers, solve_lyapunov)
-from quadmech.cooling import (LYAP_BLOCK, ComplexPhonon, UnphysicalResult,
-                              ZeroCoupling, _lyapunov_operator)
+from quadmech.cooling import (LYAP_BLOCK, UnphysicalResult, ZeroCoupling,
+                              _lyapunov_operator)
 from quadmech.params import linearized_columns
 
-from conftest import make_linearized, random_linearized, spectral_phonons
+from conftest import (QUADRATURE_T, complex_drift_matrix, complex_noise,
+                      make_linearized, random_linearized, spectral_phonons)
 
 
 # ---------------------------------------------------------------------------
@@ -31,30 +34,26 @@ def test_noise_entries_and_sparsity():
     lp = make_linearized(kappa=0.3, gamma1=1e-3, gamma2=2e-3,
                          nbar1=7.0, nbar2=11.0)
     nm = build_noise_model(lp)
-    expected = np.zeros((6, 6))
-    expected[0, 3] = 0.6
-    expected[1, 4] = 2e-3 * 8.0
-    expected[2, 5] = 4e-3 * 12.0
-    expected[4, 1] = 2e-3 * 7.0
-    expected[5, 2] = 4e-3 * 11.0
-    np.testing.assert_array_equal(nm.c, expected)
-    np.testing.assert_array_equal(nm.q, 0.5 * (expected + expected.T))
+    rates = [0.3, 1e-3 * 15.0, 2e-3 * 23.0]
+    np.testing.assert_array_equal(nm.q, np.diag(rates + rates))
+    # the quadrature map of the symmetrized ladder-operator bath matrix
+    q = complex_noise(lp)[1]
+    mapped = QUADRATURE_T @ q @ QUADRATURE_T.T
+    np.testing.assert_allclose(mapped, nm.q, rtol=0, atol=1e-15 * 0.3)
 
 
 def test_noise_vacuum_cavity_only():
     lp = make_linearized(kappa=1.0, gamma1=0.0, gamma2=0.0)
     nm = build_noise_model(lp)
-    assert nm.c[0, 3] == 2.0
-    assert np.count_nonzero(nm.c) == 1
-    assert nm.q[0, 3] == 1.0 and nm.q[3, 0] == 1.0
+    assert nm.q[0, 0] == 1.0 and nm.q[3, 3] == 1.0
     assert np.count_nonzero(nm.q) == 2
 
 
 def test_noise_thermal_occupancy_300():
     lp = make_linearized(gamma1=2e-6, nbar1=300.0)
     nm = build_noise_model(lp)
-    assert nm.c[1, 4] == pytest.approx(2 * 2e-6 * 301.0, rel=1e-15)
-    assert nm.c[4, 1] == pytest.approx(2 * 2e-6 * 300.0, rel=1e-15)
+    assert nm.q[1, 1] == nm.q[4, 4] == pytest.approx(2e-6 * 601.0,
+                                                     rel=1e-15)
 
 
 def test_noise_all_rates_zero():
@@ -63,7 +62,6 @@ def test_noise_all_rates_zero():
                             g2_eff=0, g22=0, omega_ex=0, theta=0, kappa=0.0,
                             gamma1=0.0, gamma2=0.0)
     nm = build_noise_model(dead)
-    assert np.count_nonzero(nm.c) == 0
     assert np.count_nonzero(nm.q) == 0
 
 
@@ -72,12 +70,11 @@ def test_noise_all_rates_zero():
 # ---------------------------------------------------------------------------
 
 def test_scalar_analogue_v_equals_q(rng):
-    a = DriftMatrix(a=-0.5 * np.eye(6, dtype=complex))
+    a = DriftMatrix(a=-0.5 * np.eye(6))
     sym = rng.normal(size=(6, 6))
     sym = 0.5 * (sym + sym.T)
-    nm = NoiseModel(c=sym, q=sym)
-    cov = solve_lyapunov(a, nm)
-    np.testing.assert_allclose(cov.v.real, sym, rtol=1e-12, atol=1e-12)
+    cov = solve_lyapunov(a, NoiseModel(q=sym))
+    np.testing.assert_allclose(cov.v, sym, rtol=1e-12, atol=1e-12)
     assert cov.physical
 
 
@@ -147,6 +144,9 @@ def test_lyap_residual_diagnostic_on_every_cooled_row(monkeypatch, tmp_path):
 
 
 def test_hermitian_consistency(rng):
+    # V is real symmetric; mapped back to the ladder operators, the
+    # symmetrized <b+ b + b b+>/2 is V_u[4,1] = V_u[1,4]*
+    t = QUADRATURE_T
     solved = 0
     while solved < 30:
         lp = random_linearized(rng)
@@ -154,37 +154,42 @@ def test_hermitian_consistency(rng):
         if not cov.physical:
             continue
         solved += 1
-        v = cov.v
+        assert cov.v.dtype == float and np.array_equal(cov.v, cov.v.T)
+        v = t.conj().T @ cov.v @ t.conj()
         scale = max(1.0, np.max(np.abs(v)))
         assert abs(v[4, 1] - np.conj(v[1, 4])) <= 1e-8 * scale
         assert abs(v[5, 2] - np.conj(v[2, 5])) <= 1e-8 * scale
 
 
-def test_phonon_extraction_and_complex_guard():
+def test_phonon_extraction_from_quadratures():
+    # n = (V_xx + V_pp - 1)/2, exactly the occupations of the solve
     lp = make_linearized()
     cov = cool_linearized(lp)
-    n1f, n2f = phonon_numbers(cov)
-    assert n1f == pytest.approx(cov.n1f, abs=1e-14)
-    assert n2f == pytest.approx(cov.n2f, abs=1e-14)
-    doctored = CovarianceResult(v=cov.v + 1j * np.ones((6, 6)), n1f=cov.n1f,
-                                n2f=cov.n2f, lyap_residual=cov.lyap_residual,
+    assert phonon_numbers(cov) == (cov.n1f, cov.n2f)
+    v = np.diag([0.5, 3.5, 0.5, 0.5, 1.5, 0.75])
+    doctored = CovarianceResult(v=v, n1f=0.0, n2f=0.0, lyap_residual=0.0,
                                 physical=True)
-    with pytest.raises(ComplexPhonon):
-        phonon_numbers(doctored)
+    assert phonon_numbers(doctored) == (2.0, 0.125)
 
 
 def test_unphysical_result_guard():
     lp = make_linearized(g1_eff=0.0, g2_eff=0.0, g22=0.0, omega_ex=0.0,
                          gamma1=1e-3, gamma2=1e-3, nbar1=5.0, nbar2=5.0)
     nm = build_noise_model(lp)
-    # canonically shaped bath with an impossible rate hierarchy
-    # (emission channel weaker than vacuum), which drives n_f negative
-    c = nm.c.copy()
-    c[1, 4] = 0.2 * 2e-3
-    c[4, 1] = 0.0
-    hostile = NoiseModel(c=c, q=0.5 * (c + c.T))
+    # a bath-shaped diffusion with an impossible rate, gamma1 (2 nbar1 + 1)
+    # below the vacuum's gamma1 (emission weaker than vacuum), drives n1f
+    # negative
+    q = nm.q.copy()
+    q[1, 1] = q[4, 4] = 0.2 * 1e-3
     with pytest.raises(UnphysicalResult):
-        solve_lyapunov(build_drift_matrix(lp), hostile)
+        solve_lyapunov(build_drift_matrix(lp), NoiseModel(q=q))
+    # the guard is for physical baths only: unequal x and p halves (or an
+    # off-diagonal entry) make a synthetic Q, solved without it
+    for i, j in ((4, 4), (1, 4)):
+        synthetic = q.copy()
+        synthetic[i, j] = synthetic[j, i] = 0.3 * 1e-3
+        cov = solve_lyapunov(build_drift_matrix(lp), NoiseModel(q=synthetic))
+        assert cov.physical and cov.n1f < -1e-6
 
 
 @pytest.fixture(scope="module")
@@ -263,9 +268,7 @@ def test_column_builders_equal_scalar_records(batch, data):
         assert drift.shape == noise.q.shape == (len(part), 6, 6)
         for k, lp in enumerate(part):
             assert _bits(drift[k]) == _bits(build_drift_matrix(lp).a)
-            one = build_noise_model(lp)
-            assert _bits(noise.c[k]) == _bits(one.c)
-            assert _bits(noise.q[k]) == _bits(one.q)
+            assert _bits(noise.q[k]) == _bits(build_noise_model(lp).q)
             if lp.g1_eff == lp.g2_eff == 0:
                 assert math.isnan(dark[k])
             else:
@@ -292,14 +295,13 @@ def test_symmetric_operator_equals_kron(rng):
     # that triangle of A V + V A^T, here from the 36x36 Kronecker sum
     a = np.stack([build_drift_matrix(random_linearized(rng)).a
                   for _ in range(20)]
-                 + [rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-                    for _ in range(20)])
+                 + [rng.normal(size=(6, 6)) for _ in range(20)])
     ident = np.eye(6)
     upper = np.triu_indices(6)
     ops = _lyapunov_operator(a)
-    assert ops.shape == (40, 21, 21)
+    assert ops.shape == (40, 21, 21) and ops.dtype == float
     for m, ak in zip(ops, a):
-        v = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        v = rng.normal(size=(6, 6))
         v = v + v.T
         kron = np.kron(ident, ak) + np.kron(ak, ident)
         want = (kron @ v.reshape(36)).reshape(6, 6)[upper]
@@ -321,11 +323,13 @@ def test_returned_iterate_has_the_reported_residual(batch):
 def test_asymmetric_q_rejected():
     lp = make_linearized()
     nm = build_noise_model(lp)
+    skew = nm.q.copy()
+    skew[1, 4] = 1e-3
     with pytest.raises(ValueError, match="symmetric"):
-        solve_lyapunov(build_drift_matrix(lp), NoiseModel(c=nm.c, q=nm.c))
+        solve_lyapunov(build_drift_matrix(lp), NoiseModel(q=skew))
     a = build_drift_matrix(linearized_columns([lp, lp])[0]).a
     with pytest.raises(ValueError, match="symmetric"):
-        solve_lyapunov(DriftMatrix(a=a), [nm, NoiseModel(c=nm.c, q=nm.c)])
+        solve_lyapunov(DriftMatrix(a=a), [nm, NoiseModel(q=skew)])
 
 
 def test_nonfinite_input_rejected():
@@ -336,9 +340,21 @@ def test_nonfinite_input_rejected():
         solve_lyapunov(DriftMatrix(a=a), build_noise_model(lp))
     nm = build_noise_model(lp)
     q = nm.q.copy()
-    q[0, 3] = np.inf
+    q[0, 0] = np.inf
     with pytest.raises(ValueError):
-        solve_lyapunov(build_drift_matrix(lp), NoiseModel(c=nm.c, q=q))
+        solve_lyapunov(build_drift_matrix(lp), NoiseModel(q=q))
+
+
+def test_complex_input_rejected():
+    # the ladder-operator matrices are not the quadrature forms the solve
+    # takes; casting them to real would drop their imaginary parts
+    lp = make_linearized()
+    a, nm = build_drift_matrix(lp), build_noise_model(lp)
+    for drift, noise in ((DriftMatrix(a=complex_drift_matrix(lp)), nm),
+                         (DriftMatrix(a=a.a.astype(complex)), nm),
+                         (a, NoiseModel(q=nm.q.astype(complex)))):
+        with pytest.raises(ValueError, match="real"):
+            solve_lyapunov(drift, noise)
 
 
 def test_singular_kronecker_system_raises():
@@ -373,15 +389,40 @@ def test_lyapunov_matches_bartels_stewart(data):
     # well inside the stable region, where both solvers are well conditioned
     assume(classify_stability(a).margin > 1e-6)
     cov = solve_lyapunov(a, nm)
-    ref = scipy.linalg.solve_sylvester(a.a, a.a.T, -nm.q)
+    # the complex ladder-operator equation, mapped to the quadratures
+    ref = scipy.linalg.solve_sylvester(complex_drift_matrix(lp),
+                                       complex_drift_matrix(lp).T,
+                                       -complex_noise(lp)[1])
     assert cov.physical
     scale = np.max(np.abs(ref))
-    assert np.max(np.abs(cov.v - ref)) <= 1e-9 * scale
+    mapped = QUADRATURE_T @ ref @ QUADRATURE_T.T
+    assert np.max(np.abs(cov.v - mapped)) <= 1e-9 * scale
     # n = V - 1/2 cancels near n = 0, where V's own tolerance is the floor
     assert cov.n1f == pytest.approx(ref[4, 1].real - 0.5, rel=1e-9,
                                     abs=1e-9 * scale)
     assert cov.n2f == pytest.approx(ref[5, 2].real - 0.5, rel=1e-9,
                                     abs=1e-9 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_real_route_matches_complex_oracle(seed):
+    # the quadrature route against the complex ladder-operator route of
+    # conftest: drift matrix, verdict and occupations
+    from quadmech.stability import STAB_TOL_FACTOR
+    lp = random_linearized(np.random.default_rng(seed))
+    a = complex_drift_matrix(lp)
+    r = build_drift_matrix(lp)
+    mapped = QUADRATURE_T @ a @ QUADRATURE_T.conj().T
+    assert np.max(np.abs(r.a - mapped)) <= 1e-15 * np.linalg.norm(a)
+    stable = np.linalg.eigvals(a).real.max() < -STAB_TOL_FACTOR * lp.kappa
+    assert classify_stability(r).stable == stable
+    cov = cool_linearized(lp)
+    assert cov.physical == stable
+    if stable:
+        ref = scipy.linalg.solve_sylvester(a, a.T, -complex_noise(lp)[1])
+        assert cov.n1f == pytest.approx(ref[4, 1].real - 0.5, rel=1e-9)
+        assert cov.n2f == pytest.approx(ref[5, 2].real - 0.5, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

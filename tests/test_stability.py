@@ -3,8 +3,11 @@
 The drift matrix is cross-validated against a finite-difference Jacobian of
 the classical mean-field equations: the linearization must agree with the
 numerical derivative of the nonlinear flow at every reconstructed branch.
+The real quadrature form is checked against the complex ladder-operator
+drift matrix of conftest, mapped through the quadrature transform.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,28 +17,33 @@ from hypothesis import strategies as st
 from quadmech import (DriftMatrix, build_drift_matrix,
                       classify_branch_stability, classify_stability,
                       derive_linearized, solve_branches)
+from quadmech.stability import GAMMA_FALLBACK_FACTOR
 
-from conftest import (fd_jacobian, linearized_reference, make_linearized,
-                      make_system, random_linearized)
+from conftest import (QUADRATURE_T, complex_drift_matrix, fd_jacobian,
+                      linearized_reference, make_linearized, make_system,
+                      random_linearized)
 
 
 def test_identity_matrix_stable():
-    verdict = classify_stability(DriftMatrix(a=-np.eye(6, dtype=complex)))
+    verdict = classify_stability(DriftMatrix(a=-np.eye(6)))
     assert verdict.stable
     assert verdict.margin == pytest.approx(1.0)
+    assert verdict.eigenvalues.dtype == complex
 
 
 def test_decoupled_diagonal_entries():
+    # each uncoupled mode is a damped rotation of its (x, p) pair:
+    # -rate on the diagonal, +/-frequency between x_j and p_j
     lp = make_linearized(g1_eff=0.0, g2_eff=0.0, g22=0.0, omega_ex=0.0,
                          delta_eff=0.7, omega1=1.0, omega2_tilde=1.3,
                          kappa=0.2, gamma1=1e-3, gamma2=2e-3)
     a = build_drift_matrix(lp).a
-    off = a - np.diag(np.diag(a))
-    assert np.max(np.abs(off)) == 0.0
-    assert a[0, 0] == -(0.2 + 0.7j)
-    assert a[1, 1] == -(1e-3 + 1j)
-    assert a[2, 2] == -(2e-3 + 1.3j)
-    assert a[3, 3] == np.conj(a[0, 0])
+    assert a.dtype == float
+    want = np.zeros((6, 6))
+    for j, (rate, freq) in enumerate(((0.2, 0.7), (1e-3, 1.0), (2e-3, 1.3))):
+        want[j, j] = want[j + 3, j + 3] = -rate
+        want[j, j + 3], want[j + 3, j] = freq, -freq
+    assert np.array_equal(a, want)
 
 
 def test_zero_coupling_margin_is_min_rate():
@@ -48,7 +56,7 @@ def test_zero_coupling_margin_is_min_rate():
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_conjugation_block_symmetry_exact(data):
+def test_quadrature_block_structure_exact(data):
     draw = data.draw
     lp = make_linearized(
         delta_eff=draw(st.floats(-2, 2)),
@@ -63,11 +71,18 @@ def test_conjugation_block_symmetry_exact(data):
         gamma2=draw(st.floats(0, 0.1)),
     )
     a = build_drift_matrix(lp).a
-    assert np.array_equal(a[3:, 3:], np.conj(a[:3, :3]))
-    assert np.array_equal(a[3:, :3], np.conj(a[:3, 3:]))
-    assert a[0, 0].real == -lp.kappa
-    assert a[1, 1].real == -lp.gamma1
-    assert a[2, 2].real == -lp.gamma2
+    assert a.dtype == float
+    # R = T A T^dagger of the complex drift matrix, whose conjugation block
+    # symmetry is what makes R real
+    c = complex_drift_matrix(lp)
+    assert np.array_equal(c[3:, 3:], np.conj(c[:3, :3]))
+    assert np.array_equal(c[3:, :3], np.conj(c[:3, 3:]))
+    mapped = QUADRATURE_T @ c @ QUADRATURE_T.conj().T
+    assert np.max(np.abs(a - mapped)) <= 1e-15 * np.linalg.norm(c)
+    assert a[0, 0] == a[3, 3] == -lp.kappa
+    assert a[1, 1] == a[4, 4] == -lp.gamma1
+    assert a[2, 2] == -lp.gamma2 + 2.0 * lp.g22.imag
+    assert a[5, 5] == -lp.gamma2 - 2.0 * lp.g22.imag
 
 
 def test_trace_identity(rng):
@@ -191,13 +206,23 @@ def test_fig3b_upper_branches_destabilize():
     assert all(v.max_real_part > 1.0 for v in verdicts[1:])
 
 
+def _rebuilt_verdict(lp):
+    """Verdict of the record rebuilt with the fallback damping."""
+    eps = GAMMA_FALLBACK_FACTOR * lp.kappa
+    return classify_stability(build_drift_matrix(replace(lp, gamma1=eps,
+                                                         gamma2=eps)))
+
+
+def _same_spectrum(x, y) -> bool:
+    return (x.eigenvalues.dtype == y.eigenvalues.dtype == complex
+            and x.eigenvalues.tobytes() == y.eigenvalues.tobytes()
+            and (x.max_real_part, x.stable, x.margin)
+            == (y.max_real_part, y.stable, y.margin))
+
+
 def test_fallback_damping_equals_rebuilt_matrices(rng):
-    # the fallback stack is the raw stack with the mechanical damping set;
-    # it must equal drift matrices rebuilt with gamma = 1e-6*kappa, bit for bit
-    from dataclasses import replace
-
-    from quadmech.stability import GAMMA_FALLBACK_FACTOR, _fallback_damped
-
+    # the fallback verdicts of a stack of undamped branches are those of the
+    # records rebuilt with gamma = 1e-6*kappa, eigenvalue for eigenvalue
     from conftest import random_system
     lps = []
     while len(lps) < 60:
@@ -205,14 +230,26 @@ def test_fallback_damping_equals_rebuilt_matrices(rng):
         p = make_system(**{**p.__dict__, "kappa": rng.uniform(0.2, 3.0)})
         lps += [derive_linearized(b, p) for b in solve_branches(p)]
     assert all(lp.gamma1 == 0.0 and lp.gamma2 == 0.0 for lp in lps)
-    raw = np.stack([build_drift_matrix(lp).a for lp in lps])
-    rebuilt = np.stack([build_drift_matrix(replace(
-        lp, gamma1=GAMMA_FALLBACK_FACTOR * lp.kappa,
-        gamma2=GAMMA_FALLBACK_FACTOR * lp.kappa)).a for lp in lps])
-    damped = _fallback_damped(raw, [lp.kappa for lp in lps])
-    assert np.array_equal(damped, rebuilt)
-    assert damped.tobytes() == rebuilt.tobytes()
-    assert not np.array_equal(damped, raw)
+    verdicts = classify_branch_stability(lps)
+    assert all(v.gamma_fallback_applied for v in verdicts)
+    assert all(_same_spectrum(v, _rebuilt_verdict(lp))
+               for v, lp in zip(verdicts, lps))
+    raw = classify_branch_stability(lps, gamma_fallback=False)
+    assert any(v.eigenvalues.tobytes() != r.eigenvalues.tobytes()
+               for v, r in zip(verdicts, raw))
+
+
+def test_fallback_verdict_of_complex_g22_record():
+    # with a complex g22 the squeezing term adds +/-2 Im(g22) to the x_2 and
+    # p_2 diagonal entries, so the fallback must rebuild the record, not
+    # overwrite the damping on the diagonal
+    lp = make_linearized(gamma1=0.0, gamma2=0.0, g22=-0.01 + 0.004j)
+    assert build_drift_matrix(lp).a[2, 2] == 2.0 * 0.004
+    verdict = classify_branch_stability(lp)
+    assert verdict.gamma_fallback_applied
+    assert _same_spectrum(verdict, _rebuilt_verdict(lp))
+    (stacked, _) = classify_branch_stability([lp, make_linearized()])
+    assert _same_spectrum(stacked, verdict)
 
 
 def test_branch_cooling_sweep_honours_gamma_fallback(monkeypatch):
@@ -274,12 +311,32 @@ def test_column_linearization_equals_per_branch(sets, gamma_fallback):
     column = classify_branch_stability(cols, gamma_fallback)
     listed = classify_branch_stability(ref, gamma_fallback)
     assert len(column) == len(listed) == len(bs)
-    for a, b in zip(column, listed):
-        assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
-        assert (a.max_real_part, a.stable, a.margin, a.gamma_fallback_applied,
-                a.verdict_flipped) == (b.max_real_part, b.stable, b.margin,
-                                       b.gamma_fallback_applied,
-                                       b.verdict_flipped)
+    for a, b, lp in zip(column, listed, ref):
+        for c in (b, classify_branch_stability(lp, gamma_fallback)):
+            assert a.eigenvalues.dtype == c.eigenvalues.dtype == complex
+            assert a.eigenvalues.tobytes() == c.eigenvalues.tobytes()
+            assert (a.max_real_part, a.stable, a.margin,
+                    a.gamma_fallback_applied, a.verdict_flipped) == \
+                (c.max_real_part, c.stable, c.margin,
+                 c.gamma_fallback_applied, c.verdict_flipped)
+
+
+def test_mixed_real_and_complex_spectra_equal_single_cells():
+    # a real eigenvalue call returns a float array when every eigenvalue of
+    # its stack is real; the verdicts' eigenvalues are complex either way, so
+    # a cell's verdict does not depend on the stack it shares
+    real_spectrum = make_linearized(delta_eff=0.0, omega1=0.0,
+                                    omega2_tilde=0.0, g1_eff=0.1, g2_eff=0.0,
+                                    g22=0.0, omega_ex=0.0)
+    assert np.isrealobj(np.linalg.eigvals(build_drift_matrix(real_spectrum).a))
+    cells = [real_spectrum, make_linearized(), real_spectrum,
+             make_linearized(delta_eff=-1.0)]
+    single = [classify_branch_stability(lp) for lp in cells]
+    for stack in (cells, cells[:1] + cells[2:3], cells[1:2]):
+        got = classify_branch_stability(stack)
+        want = [single[cells.index(lp)] for lp in stack]
+        assert all(_same_spectrum(g, w) for g, w in zip(got, want))
+    assert [v.stable for v in single] == [True, True, True, False]
 
 
 def test_branch_cooling_skips_flipped_verdicts():

@@ -238,8 +238,8 @@ def test_failing_cooling_cells_do_not_fail_their_batch(monkeypatch):
                               gamma1=1e-3, gamma2=1e-3, nbar1=5.0, nbar2=5.0)
     singular = replace(base, g1_eff=0.0, g2_eff=0.0, g22=0.0, omega_ex=0.0,
                        gamma1=0.0, gamma2=0.0)   # undamped, uncoupled
-    c = real_noise(hostile).c.copy()
-    c[1, 4], c[4, 1] = 0.2 * 2e-3, 0.0     # emission weaker than vacuum: n < 0
+    q = real_noise(hostile).q.copy()
+    q[1, 1] = q[4, 4] = 0.2 * 1e-3   # emission weaker than vacuum: n < 0
 
     # the builders get column records; the stubs edit the faulty cells' rows
     def drift(lp):
@@ -253,7 +253,7 @@ def test_failing_cooling_cells_do_not_fail_their_batch(monkeypatch):
     def noise(lp):
         nm = real_noise(lp)
         at = np.atleast_1d(lp.kappa) == kappas[5]
-        nm.c[at], nm.q[at] = c, 0.5 * (c + c.T)
+        nm.q[at] = q
         return nm
     monkeypatch.setattr(cooling, "build_drift_matrix", drift)
     monkeypatch.setattr(cooling, "build_noise_model", noise)
