@@ -33,7 +33,8 @@ from . import __version__
 from .params import (LinearizedParams, ParameterError, SystemParams,
                      validate_linearized, validate_params)
 from .recipes import RECIPES, RecipeResult, run_recipe
-from .steady_state import (Diagnostic, build_polynomial, root_sets,
+from .steady_state import (Diagnostic, ZeroPolynomial, batch_real_roots,
+                           build_polynomial, root_sets, roots_match,
                            solve_branches)
 from .sweep import (Axis, BranchRow, SweepSpec, branch_rows, cooling_rows,
                     run_sweep, sweep_rows)
@@ -307,14 +308,17 @@ def _cmd_roots(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
     if p is None:
         raise ParseError("the roots command needs a [system] section")
     coeffs = build_polynomial(p)
+    (poly,) = batch_real_roots([coeffs])
+    poly = [] if isinstance(poly, ZeroPolynomial) else poly
     diags: list[Diagnostic] = []
-    ((poly, orc, agree),) = root_sets([p], cfg.oracle, cfg.scan_points,
-                                      cfg.with_mech_damping, [diags])
+    (orc,) = root_sets([p], cfg.oracle, cfg.scan_points,
+                       cfg.with_mech_damping, [diags])
+    agree = roots_match(poly, orc) if cfg.oracle else None
     rows = [dict(branch_index=k, n_p=r) for k, r in enumerate(poly)]
     extra = {f"coeff.c{m}": float(coeffs.c[m]) for m in range(8)}
     extra.update({"aux.x": coeffs.aux["x"], "aux.y": coeffs.aux["y"],
                   "aux.z": coeffs.aux["z"],
-                  "oracle_roots": " ".join(_fmt(r) for r in orc or []),
+                  "oracle_roots": " ".join(_fmt(r) for r in orc),
                   "oracle_agreement": agree})
     return rows, extra, diags
 
@@ -365,7 +369,8 @@ def _cmd_sweep(cfg: RunConfig, ndim: int) -> tuple[tuple[str, ...], list[dict],
 
 
 def exit_status(diags: list[Diagnostic]) -> int:
-    """2 when the polynomial and oracle root sets disagreed anywhere, else 0."""
+    """2 when the closed-form coefficients disagreed with the fixed-point
+    map anywhere (a coefficient-mismatch diagnostic), else 0."""
     return 2 if any(d.kind == "coefficient-mismatch" for d in diags) else 0
 
 

@@ -1,29 +1,21 @@
 """Nonlinear steady states of the driven cavity / two-mode mechanical system.
 
-Three routes to the steady-state photon numbers n_p = |alpha|^2, the roots
-of the fixed-point map f(n_p) = eta^2/(kappa^2 + Delta(n_p)^2) - n_p, with
-Delta(n_p) taken from the exact rational form of the mechanical
-displacements (``RationalResponse``):
+The steady-state photon numbers n_p = |alpha|^2 are the roots of the
+fixed-point map f(n_p) = eta^2/(kappa^2 + Delta(n_p)^2) - n_p, with Delta(n_p)
+taken from the exact rational form of the mechanical displacements
+(``RationalResponse``).  ``exact_roots`` solves the degree-7 polynomial Q(n)
+that f(n) = 0 clears to, in a pole-centred variable, by stacked
+companion-matrix eigenvalues, polishes each root by bisection on f and
+certifies each cell.  A cell whose certificate fails takes the roots of the
+scan oracle (``oracle_roots``), which brackets and bisects f on a 4096-point
+grid and is the authority the tests hold the exact route to.  Every root must
+pass the self-consistency residual of a dense 4x4 mechanical solve
+(``reconstruct_branches``).  All routes run on a batch of parameter sets.
 
-* the exact route (``exact_roots``), the production one: the degree-7
-  polynomial Q(n) that f(n) = 0 clears to, built from the rational
-  coefficients and solved in a pole-centred variable by stacked
-  companion-matrix eigenvalues, each root then polished by bisection on f
-  and each cell certified by cheap checks;
-* the scan oracle (``oracle_roots``), which brackets and bisects f on a
-  4096-point grid: the fallback for a cell whose certificate fails, and the
-  authority the tests hold the exact route to; and
-* the verbatim closed-form degree-7 polynomial (``build_polynomial`` /
-  ``batch_real_roots``), kept for the coefficient-mismatch diagnostic.
-
-The closed-form coefficient set C5/C6 is known to disagree with the
-fixed-point map whenever both couplings are active (its mixed g1-g2 terms are
-not reliable), so the fixed-point roots are authoritative: ``root_sets``
-compares the two root sets and emits a coefficient-mismatch diagnostic on
-disagreement, and ``solve_branches`` continues with the fixed-point roots;
-every candidate must then pass the self-consistency residual check of a
-dense 4x4 mechanical solve (``reconstruct_branches``, stacked over the
-candidates of a batch).  All routes run on a batch of parameter sets at once.
+The verbatim closed-form polynomial (``build_polynomial``) serves only the
+coefficient-mismatch diagnostic, which compares its C0..C7 with Q's
+(``coefficient_deviation``: its mixed g1-g2 terms C5/C6 are wrong whenever
+both couplings are active), and ``quadmech roots``, which lists its roots.
 """
 from __future__ import annotations
 
@@ -42,7 +34,8 @@ NEG_TOL = 1e-9            # roots >= -NEG_TOL are clamped to zero
 DEFLATE_TOL = 1e-12       # leading-coefficient deflation, after variable scaling
 IMAG_TOL = 1e-7           # |Im r| < IMAG_TOL*(1+|Re r|) counts as real
 DEDUPE_TOL = 1e-8         # roots closer than DEDUPE_TOL*(1+n) merge
-MATCH_TOL = 1e-6          # polynomial/oracle roots match within MATCH_TOL*max(1,n)
+MATCH_TOL = 1e-6          # `roots` agreement: within MATCH_TOL*max(1,n)
+COEFF_TOL = 1e-12         # closed-form/fixed-point coefficient gap, of max |C_m|
 ORACLE_MARGIN = 0.05      # scan upper bound: (1+margin)*eta^2/kappa^2
 SINGULAR_COND = 1e14      # condition-number cutoff of the 4x4 mechanical solve
 SCAN_BLOCK = 1 << 13      # oracle scan points evaluated at once (bounds memory)
@@ -102,16 +95,22 @@ class Diagnostic:
     cell: Optional[tuple] = None
 
 
-def build_polynomial(p: SystemParams) -> PolynomialCoefficients:
+def build_polynomial(p: Union[SystemParams, Sequence[SystemParams]]):
     """Closed-form coefficients of the photon-number polynomial.
 
+    ``p`` is one parameter set (one PolynomialCoefficients comes back) or a
+    sequence of them (one per set); a single set is a batch of one, and the
+    closed form is evaluated once on the batch's field columns.
     Degenerations: g2 = 0 gives an exact cubic, g1 = 0 a quintic, and with
     both couplings zero only C0, C1 survive (single Lorentzian root).
     """
-    w1, w2, Om = p.omega1, p.omega2, p.omega_ex
-    g1, g2, Dc, kap, eta = p.g1, p.g2, p.delta_c, p.kappa, p.eta
+    if isinstance(p, SystemParams):
+        return build_polynomial([p])[0]
+    w1, w2, Om, g1, g2, Dc, kap, eta, theta = np.array(
+        [(q.omega1, q.omega2, q.omega_ex, q.g1, q.g2, q.delta_c, q.kappa,
+          q.eta, q.theta) for q in p], dtype=float).reshape(-1, 9).T
     x = w1 * w2 - Om**2
-    y = 2.0 * math.cos(2.0 * p.theta)
+    y = 2.0 * np.cos(2.0 * theta)
     z = Dc**2 + kap**2
 
     c7 = 64 * g1**4 * g2**4 * w1**2 * (
@@ -143,25 +142,22 @@ def build_polynomial(p: SystemParams) -> PolynomialCoefficients:
     c1 = -16 * g2 * x**5 * eta**2 * w1 + x**6 * z
     c0 = -(eta**2) * x**6
 
-    coeffs = np.array([c0, c1, c2, c3, c4, c5, c6, c7], dtype=float)
-    n_scale = max(eta**2 / kap**2, 1.0)
-    return PolynomialCoefficients(
-        c=coeffs, aux={"x": x, "y": y, "z": z, "n_scale": n_scale})
+    coeffs = np.stack([c0, c1, c2, c3, c4, c5, c6, c7], axis=1)
+    n_scale = np.maximum(eta**2 / kap**2, 1.0)
+    return [PolynomialCoefficients(c=c, aux=dict(x=a, y=b, z=d, n_scale=n))
+            for c, a, b, d, n in zip(coeffs, x.tolist(), y.tolist(),
+                                     z.tolist(), n_scale.tolist())]
 
 
 def batch_real_roots(coeffs: Sequence[PolynomialCoefficients]) -> list:
     """Real nonnegative roots of each photon-number polynomial, ascending.
 
-    Companion-matrix eigenvalues on variable-rescaled coefficients: the
-    substitution n_p = n_scale * m makes the coefficient magnitudes
-    comparable (they span ~24 decades otherwise, wrecking both the
-    leading-coefficient deflation and the eigenvalue accuracy).  Deflation
-    at DEFLATE_TOL is applied to the rescaled coefficients.  The scaling,
-    deflation and zero-root strip run on the (k, 8) coefficient stack; each
-    companion matrix is built as numpy.roots builds it, and the matrices of
-    one degree share one stacked eigenvalue call, so every set's roots equal
-    numpy.roots on its own coefficients.  A set whose polynomial vanishes or
-    deflates to a constant gets a ZeroPolynomial in place of its roots.
+    ``_companion_roots`` on the coefficients in n_p = n_scale * m, which
+    makes their magnitudes comparable (they span ~24 decades otherwise,
+    wrecking both the deflation and the eigenvalue accuracy), so every set's
+    roots equal numpy.roots on its own scaled coefficients.  A set whose
+    polynomial vanishes or deflates to a constant gets a ZeroPolynomial in
+    place of its roots.
     """
     c = np.array([q.c for q in coeffs], dtype=float).reshape(-1, 8)
     s = np.array([float(q.aux.get("n_scale", 1.0)) or 1.0 for q in coeffs])
@@ -319,12 +315,6 @@ def mechanical_response(p: SystemParams, n_p: float,
     return complex(sol[0, 0], sol[0, 1]), complex(sol[0, 2], sol[0, 3])
 
 
-def effective_detuning(p: SystemParams, beta1: complex, beta2: complex) -> float:
-    """Cavity detuning shifted by the steady mechanical displacements."""
-    quad = (np.conj(beta2)**2 + beta2**2 + 2.0 * abs(beta2)**2).real
-    return p.delta_c + 2.0 * p.g1 * beta1.real + p.g2 * quad
-
-
 @dataclass(frozen=True)
 class RationalResponse:
     """Exact mechanical response of a batch of parameter sets, one column each.
@@ -432,8 +422,10 @@ def reconstruct_branches(ps: Sequence[SystemParams],
 
 
 def _branch(p: SystemParams, n_p: float, beta1: complex, beta2: complex):
-    """The branch record at n_p, or the ResidualTooLarge that rejects it."""
-    delta = effective_detuning(p, beta1, beta2)
+    """The branch record at n_p, or the ResidualTooLarge that rejects it.
+    The cavity detuning is shifted by the steady mechanical displacements."""
+    quad = (np.conj(beta2)**2 + beta2**2 + 2.0 * abs(beta2)**2).real
+    delta = p.delta_c + 2.0 * p.g1 * beta1.real + p.g2 * quad
     n_pred = p.eta**2 / (p.kappa**2 + delta**2)
     residual = abs(n_pred - n_p) / max(1.0, n_p)
     if residual > ROOT_ACCEPT_TOL:
@@ -455,14 +447,6 @@ def reconstruct_branch(p: SystemParams, n_p: float,
     if isinstance(branch, Exception):
         raise branch
     return branch
-
-
-def _resonance_pole(p: SystemParams) -> Optional[float]:
-    """Photon number at which the mechanical solve turns singular, if any."""
-    if p.g2 == 0.0:
-        return None
-    pole = (p.omega_ex**2 - p.omega1 * p.omega2) / (4.0 * p.g2 * p.omega1)
-    return pole if pole > 0.0 else None
 
 
 def _spaced(lo: np.ndarray, hi: np.ndarray, num: int,
@@ -492,9 +476,10 @@ def _scan_grids(ps: Sequence[SystemParams], scan_points: int):
     row sort with a first-of-equal mask merges them in, as np.unique would.
     """
     n_max = [(1.0 + ORACLE_MARGIN) * q.eta**2 / q.kappa**2 for q in ps]
-    poles = [_resonance_pole(q) for q in ps]
-    inside = np.array([x is not None and x < m for x, m in zip(poles, n_max)],
-                      dtype=bool)
+    # the photon number at which the mechanical solve turns singular
+    poles = [(q.omega_ex**2 - q.omega1 * q.omega2) / (4.0 * q.g2 * q.omega1)
+             if q.g2 != 0.0 else math.inf for q in ps]
+    inside = np.array([0.0 < x < m for x, m in zip(poles, n_max)], dtype=bool)
     n_max = np.array(n_max, dtype=float)
     full = np.full((len(ps), scan_points + 1024), np.inf)
     full[:, :scan_points] = _spaced(np.zeros(len(ps)), n_max, scan_points)
@@ -604,16 +589,16 @@ def oracle_roots(p: Union[SystemParams, Sequence[SystemParams]],
         lo, hi, flo, owner = (np.concatenate(x) for x in zip(*brackets))
         for k, r in zip(owner, _bisect(resp.take(owner), lo, hi, flo)):
             found[k].append(float(r))
-    out: list[list[float]] = []
-    for roots in found:
-        roots.sort()
-        kept: list[float] = []
-        for r in roots:
-            if kept and abs(r - kept[-1]) < DEDUPE_TOL * (1.0 + r):
-                continue
+    return [_distinct(roots) for roots in found]
+
+
+def _distinct(roots: list[float]) -> list[float]:
+    """Sorted roots, each dropped within DEDUPE_TOL*(1+r) of the last kept."""
+    kept: list[float] = []
+    for r in sorted(roots):
+        if not (kept and abs(r - kept[-1]) < DEDUPE_TOL * (1.0 + r)):
             kept.append(r)
-        out.append(kept)
-    return out
+    return kept
 
 
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -629,51 +614,57 @@ def _pad(a: np.ndarray, m: int) -> np.ndarray:
     return np.pad(a, ((0, 0), (0, m - a.shape[1])))
 
 
+def _fixed_point_q(resp: RationalResponse, c: np.ndarray,
+                   w: np.ndarray) -> np.ndarray:
+    """Ascending coefficients in t of Q(c + w t) = n kappa^2 D^4 + n P^2 -
+    eta^2 D^4 for every column of ``resp``, with D = d0 + d1 n and
+    P = delta_c D^2 + 2 g1 n (a0 + a1 n) D + 4 g2 e^2 n^2.  Each centre c is 0
+    or the pole -d0/d1, where D vanishes exactly.  Q is homogeneous of degree
+    4 in (a0, a1, e, d0, d1), so D is scaled to unit size."""
+    a0, a1, e, d0, d1, delta_c, g1, g2, eta, kappa = resp.coef
+    with np.errstate(all="ignore"):
+        D = np.stack([np.where(c == 0.0, d0, 0.0), d1 * w], axis=1)
+        s = np.max(np.abs(D), axis=1)
+        s = np.where((s > 0.0) & np.isfinite(s), s, 1.0)
+        D /= s[:, None]
+        A = np.stack([a0 + a1 * c, a1 * w], axis=1) / s[:, None]
+        n = np.stack([c, w], axis=1)
+        D2 = _polymul(D, D)
+        D4 = _polymul(D2, D2)
+        P = (delta_c[:, None] * _pad(D2, 4)
+             + 2.0 * g1[:, None] * _polymul(_polymul(n, A), D)
+             + _pad(4.0 * (g2 * (e / s)**2)[:, None] * _polymul(n, n), 4))
+        return (_polymul(n, _pad(kappa[:, None]**2 * D4, 7) + _polymul(P, P))
+                - _pad((eta**2)[:, None] * D4, 8))
+
+
 def exact_roots(resp: RationalResponse) -> tuple[list[list[float]],
                                                  list[Optional[str]]]:
     """Fixed-point roots of every column of ``resp`` from an exact degree-7
     polynomial, and for each column the certificate check that failed (None
     when its certificate holds).
 
-    With Delta = P/D^2, D = d0 + d1 n and
-    P = delta_c D^2 + 2 g1 n (a0 + a1 n) D + 4 g2 e^2 n^2, f(n) = 0 away from
-    the pole exactly when
-
-        Q(n) = n kappa^2 D^4 + n P^2 - eta^2 D^4 = 0.
-
-    Q is solved in the pole-centred variable n = c + w t, where w is the scan
-    window (1+ORACLE_MARGIN) eta^2/kappa^2 and c is the pole -d0/d1 when it
-    lies inside the window (else 0), by the stacked companion eigenvalues of
-    ``_companion_roots``.  Real roots in [0, w] are kept, except those within
-    POLE_TOL*(1+c) of the pole: the D factors Q carries when e = 0.  Each
-    kept root is polished by ``_bisect`` on f inside +-POLISH_TOL*max(1, n).
+    With Delta = P/D^2, f(n) = 0 away from the pole exactly when Q(n) = 0
+    (``_fixed_point_q``).  Q is solved in the pole-centred variable
+    n = c + w t, where w is the scan window (1+ORACLE_MARGIN) eta^2/kappa^2
+    and c is the pole -d0/d1 when it lies inside the window (else 0), by the
+    stacked companion eigenvalues of ``_companion_roots``.  Real roots in
+    [0, w] are kept, except those within POLE_TOL*(1+c) of the pole: the D
+    factors Q carries when e = 0.  Each kept root is polished by ``_bisect``
+    on f inside +-POLISH_TOL*max(1, n).
 
     A column's certificate holds when its coefficients are finite, f changes
     sign across every polish bracket, no two roots merge under DEDUPE_TOL and,
     with eta > 0, the count is odd (f(0) > 0 > f(w)).  A column with eta = 0
     has the one root 0.
     """
-    a0, a1, e, d0, d1, delta_c, g1, g2, eta, kappa = resp.coef
+    d0, d1 = resp.coef[3:5]
+    eta, kappa = resp.coef[8:]
     w = (1.0 + ORACLE_MARGIN) * eta**2 / kappa**2
     with np.errstate(all="ignore"):
         pole = -d0 / d1
-        centred = (pole > 0.0) & (pole < w)
-        c = np.where(centred, pole, 0.0)
-        D = np.stack([np.where(centred, 0.0, d0), d1 * w], axis=1)
-        # Q is homogeneous of degree 4 in (a0, a1, e, d0, d1): scale D to one
-        s = np.max(np.abs(D), axis=1)
-        s = np.where((s > 0.0) & np.isfinite(s), s, 1.0)
-        D /= s[:, None]
-        A = np.stack([a0 + a1 * c, a1 * w], axis=1) / s[:, None]
-        e = e / s
-        n = np.stack([c, w], axis=1)
-        D2 = _polymul(D, D)
-        D4 = _polymul(D2, D2)
-        P = (delta_c[:, None] * _pad(D2, 4)
-             + 2.0 * g1[:, None] * _polymul(_polymul(n, A), D)
-             + _pad(4.0 * (g2 * e**2)[:, None] * _polymul(n, n), 4))
-        Q = (_polymul(n, _pad(kappa[:, None]**2 * D4, 7) + _polymul(P, P))
-             - _pad((eta**2)[:, None] * D4, 8))
+        c = np.where((pole > 0.0) & (pole < w), pole, 0.0)
+    Q = _fixed_point_q(resp, c, w)
     solvable, zeros, groups = _companion_roots(Q[:, ::-1])
     origin = np.flatnonzero(solvable & (zeros > 0))     # t = 0 is n = c
     owner, found = [origin], [c[origin]]
@@ -705,11 +696,7 @@ def exact_roots(resp: RationalResponse) -> tuple[list[list[float]],
             roots.append([0.0])
             failed.append(None)
             continue
-        cell.sort()
-        kept: list[float] = []
-        for r in cell:
-            if not (kept and abs(r - kept[-1]) < DEDUPE_TOL * (1.0 + r)):
-                kept.append(r)
+        kept = _distinct(cell)
         roots.append(kept)
         failed.append("non-finite coefficients" if not finite[k] else
                       "no sign change across a polished root" if unsigned[k]
@@ -728,46 +715,59 @@ def roots_match(poly_roots: list[float], oracle: list[float],
                for a, b in zip(poly_roots, oracle))
 
 
-def root_sets(ps: list[SystemParams], oracle_mode: bool, scan_points: int,
-              with_damping: bool, sinks: list[list[Diagnostic]]) -> list[tuple]:
-    """``(poly, oracle, agree)`` of each parameter set.
+def coefficient_deviation(ps: Sequence[SystemParams],
+                          resp: RationalResponse) -> np.ndarray:
+    """|C_m - s Q_m| / max_m |C_m|, m = 0..7, for each set: its closed-form
+    coefficients C against the fixed-point Q of ``resp``'s column, both in
+    the window-scaled n = n_scale m of ``batch_real_roots``, with the
+    least-squares scale s = <C, Q>/<Q, Q>.  NaN where either vanishes or
+    overflows."""
+    with np.errstate(all="ignore"):
+        coeffs = build_polynomial(ps)
+        n_scale = np.array([q.aux["n_scale"] for q in coeffs])
+        C = (np.array([q.c for q in coeffs]).reshape(-1, 8)
+             * n_scale[:, None] ** np.arange(8))
+        Q = _fixed_point_q(resp, np.zeros_like(n_scale), n_scale)
+        s = (C * Q).sum(axis=1) / (Q * Q).sum(axis=1)
+        return np.abs(C - s[:, None] * Q) / np.abs(C).max(axis=1)[:, None]
 
-    ``poly`` are the closed-form polynomial's roots (from one
-    ``batch_real_roots`` call; none when the polynomial vanishes) and
-    ``oracle`` the fixed-point roots of the exact route (one ``exact_roots``
-    call for the batch).  With ``oracle_mode`` a set whose certificate fails
-    gets a scan-fallback diagnostic naming the failed check and the scan
-    oracle's roots instead (one ``oracle_roots`` call for all such sets), and
-    ``agree`` says whether ``poly`` and ``oracle`` match; a set where they do
-    not gets a coefficient-mismatch diagnostic in its sink.  Without it,
-    ``oracle`` are the exact route's roots as they come, uncertified ones
-    included, and ``agree`` is None.
+
+def root_sets(ps: list[SystemParams], oracle_mode: bool, scan_points: int,
+              with_damping: bool, sinks: list[list[Diagnostic]]) -> list:
+    """The fixed-point roots of each parameter set.
+
+    The roots come from one ``exact_roots`` call for the batch.  With
+    ``oracle_mode``, a set whose certificate fails gets a scan-fallback
+    diagnostic naming the failed check and the scan oracle's roots instead
+    (one ``oracle_roots`` call for all such sets), and a set whose
+    closed-form coefficients lie more than COEFF_TOL from the fixed-point
+    map's (``coefficient_deviation``) gets a coefficient-mismatch diagnostic
+    naming the coefficients beyond it.  Without it, the exact route's roots
+    stand as they come, uncertified ones included, and nothing is compared.
     """
-    orcs, failed = exact_roots(RationalResponse.of(ps, with_damping))
+    resp = RationalResponse.of(ps, with_damping)
+    roots, failed = exact_roots(resp)
+    if not oracle_mode:
+        return roots
     redo = [k for k, why in enumerate(failed) if why is not None]
-    if oracle_mode and redo:
-        for k in redo:
-            sinks[k].append(Diagnostic(
-                "scan-fallback",
-                f"exact-root certificate failed ({failed[k]}); roots from "
-                f"the {scan_points}-point scan"))
+    for k in redo:
+        sinks[k].append(Diagnostic(
+            "scan-fallback",
+            f"exact-root certificate failed ({failed[k]}); roots from "
+            f"the {scan_points}-point scan"))
+    if redo:
         scanned = oracle_roots([ps[k] for k in redo], scan_points,
                                [sinks[k] for k in redo], with_damping)
-        for k, roots in zip(redo, scanned):
-            orcs[k] = roots
-    out = []
-    for poly, orc, sink in zip(batch_real_roots([build_polynomial(q)
-                                                 for q in ps]), orcs, sinks):
-        if isinstance(poly, ZeroPolynomial):
-            poly = []
-        agree = roots_match(poly, orc) if oracle_mode else None
-        if agree is False:
-            sink.append(Diagnostic(
-                "coefficient-mismatch",
-                f"polynomial roots {poly} vs oracle roots {orc}; "
-                f"oracle is authoritative"))
-        out.append((poly, orc, agree))
-    return out
+        for k, found in zip(redo, scanned):
+            roots[k] = found
+    dev = coefficient_deviation(ps, resp)
+    for k in np.flatnonzero(~(dev.max(axis=1) <= COEFF_TOL)).tolist():
+        off = " ".join(f"C{m} {d:.1e}" for m, d in enumerate(dev[k].tolist())
+                       if not d <= COEFF_TOL)
+        sinks[k].append(Diagnostic(
+            "coefficient-mismatch",
+            f"closed-form {off} off the fixed-point map, of max |C_m|"))
+    return roots
 
 
 def solve_branches(p: Union[SystemParams, Sequence[SystemParams]],
@@ -780,14 +780,11 @@ def solve_branches(p: Union[SystemParams, Sequence[SystemParams]],
     ``p`` is one parameter set (a list of branches comes back, diagnostics go
     to the list ``diagnostics``) or a sequence of them (one branch list per
     set, ``diagnostics`` then holds one list per set).  The candidates are
-    the polynomial roots of ``root_sets``, or the fixed-point roots where the
-    two disagree (a union would double-count roots near folds, where the two
-    estimates of the same root differ by more than the match tolerance yet
-    both pass the residual check) or where ``oracle_mode`` is off.
-    Candidates that fail the self-consistency residual are dropped with a
-    diagnostic either way; all candidates of the batch are reconstructed
-    together.  With eta > 0, f(0) > 0 > f(n_max), so a set that ends with an
-    even number of branches gets a parity-violation diagnostic.
+    the fixed-point roots of ``root_sets``.  Candidates that fail the
+    self-consistency residual are dropped with a diagnostic; all candidates
+    of the batch are reconstructed together.  With eta > 0,
+    f(0) > 0 > f(n_max), so a set that ends with an even number of branches
+    gets a parity-violation diagnostic.
     """
     if isinstance(p, SystemParams):
         sinks = None if diagnostics is None else [diagnostics]
@@ -795,9 +792,7 @@ def solve_branches(p: Union[SystemParams, Sequence[SystemParams]],
                               sinks)[0]
     ps = list(p)
     sinks = diagnostics if diagnostics is not None else [[] for _ in ps]
-    candidates = [poly if agree else orc for poly, orc, agree
-                  in root_sets(ps, oracle_mode, scan_points, with_damping,
-                               sinks)]
+    candidates = root_sets(ps, oracle_mode, scan_points, with_damping, sinks)
     out: list[list[SteadyStateBranch]] = []
     for q, results, sink in zip(
             ps, reconstruct_branches(ps, candidates, with_damping), sinks):

@@ -15,14 +15,14 @@ from hypothesis import strategies as st
 from quadmech import (build_polynomial, find_real_roots, mechanical_response,
                       oracle_roots, reconstruct_branch, rescale_params,
                       solve_branches)
-from quadmech.steady_state import (MATCH_TOL, Diagnostic,
+from quadmech.steady_state import (MATCH_TOL, ORACLE_MARGIN, Diagnostic,
                                    PolynomialCoefficients,
                                    RationalResponse, ResidualTooLarge,
                                    SingularMechanicalSystem, ZeroPolynomial,
                                    _bisect, _scan_blocks, batch_real_roots,
-                                   exact_roots, fixed_point_defect,
-                                   reconstruct_branches, root_sets,
-                                   roots_match)
+                                   coefficient_deviation, exact_roots,
+                                   fixed_point_defect, reconstruct_branches,
+                                   root_sets, roots_match)
 
 from conftest import (make_system, random_system, real_roots_reference,
                       reconstruct_reference, scan_grid_reference,
@@ -531,8 +531,9 @@ def test_even_branch_count_is_reported(monkeypatch):
     monkeypatch.setattr(steady, "exact_roots", drop_one)
     sinks = [[]]
     assert len(solve_branches([p], diagnostics=sinks)[0]) == 2
-    assert [d.kind for d in sinks[0]] == ["coefficient-mismatch",
-                                          "parity-violation"]
+    # the cubic's closed-form coefficients are right, so the dropped root
+    # raises the parity check alone
+    assert [d.kind for d in sinks[0]] == ["parity-violation"]
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +597,11 @@ def _recipe_cells(tag, points):
             for j in range(grids[0].size)]
 
 
-@pytest.mark.parametrize("tag,points", [
-    ("fig2a", 21), ("fig2b", 21), ("fig3a", 21), ("fig3c", 21),
-    ("fig2c", 101), ("fig3b", 101), ("fig3d", 101)])
+FIGURE_GRIDS = [("fig2a", 21), ("fig2b", 21), ("fig3a", 21), ("fig3c", 21),
+                ("fig2c", 101), ("fig3b", 101), ("fig3d", 101)]
+
+
+@pytest.mark.parametrize("tag,points", FIGURE_GRIDS)
 def test_exact_root_counts_equal_the_scan_on_figure_grids(tag, points):
     # fig3c's omega_ex = 0 cells carry the D factors of e = 0 at the pole.
     # Both routes bisect f to 1e-12, so polished roots agree far inside
@@ -628,6 +631,33 @@ def test_exact_roots_are_batch_independent(ps, data):
     assert solve(ps[:cut]) + solve(ps[cut:]) == alone
 
 
+def test_certificate_catches_a_root_without_a_sign_change(monkeypatch):
+    # two spurious companion roots in (eta^2/kappa^2, w], where f < 0 all
+    # through: a pair keeps the count odd, so only the sign test across
+    # their polish brackets can fail the cell, which then takes the scan's
+    import quadmech.steady_state as steady
+    p = _recipe_cells("fig2a", 5)[7]
+    resp = RationalResponse.of([p])
+    d0, d1 = resp.coef[3:5, 0]
+    w = (1.0 + ORACLE_MARGIN) * p.eta**2 / p.kappa**2
+    c = -d0 / d1 if 0.0 < -d0 / d1 < w else 0.0
+    t = (np.array([[1.01, 1.03]]) * p.eta**2 / p.kappa**2 - c) / w
+    real = steady._companion_roots
+
+    def spurious(hi):
+        solvable, zeros, groups = real(hi)
+        return solvable, zeros, groups + [(np.array([0]), t + 0j)]
+    monkeypatch.setattr(steady, "_companion_roots", spurious)
+    roots, failed = exact_roots(resp)
+    assert failed == ["no sign change across a polished root"]
+    assert len(roots[0]) == len(oracle_roots(p)) + 2
+    sinks = [[]]
+    assert root_sets([p], True, 4096, False, sinks) == [oracle_roots(p)]
+    fallback = [d.message for d in sinks[0] if d.kind == "scan-fallback"]
+    assert len(fallback) == 1
+    assert "(no sign change across a polished root)" in fallback[0]
+
+
 def test_uncertified_cell_alone_goes_to_the_scan(monkeypatch):
     import quadmech.steady_state as steady
     ps = [make_system(delta_c=dc, eta=56.5, omega_ex=0.005)
@@ -647,14 +677,14 @@ def test_uncertified_cell_alone_goes_to_the_scan(monkeypatch):
     sinks = [[], [], []]
     got = root_sets(ps, True, 4096, False, sinks)
     assert scanned == [[ps[1]]]
-    assert got[1][1] == real_scan(ps[1])
+    assert got[1] == real_scan(ps[1])
     assert [d.kind for d in sinks[1]].count("scan-fallback") == 1
     assert "(stub)" in next(d.message for d in sinks[1]
                             if d.kind == "scan-fallback")
     assert not any(d.kind == "scan-fallback" for d in sinks[0] + sinks[2])
     # without the oracle the exact roots stand, and nothing is scanned
     scanned.clear()
-    assert [r[1] for r in root_sets(ps, False, 4096, False, [[], [], []])] \
+    assert root_sets(ps, False, 4096, False, [[], [], []]) \
         == real_exact(RationalResponse.of(ps))[0]
     assert scanned == []
 
@@ -666,8 +696,58 @@ def test_oracle_off_takes_the_exact_roots(rng):
     off = solve_branches(ps, oracle_mode=False, diagnostics=off_sinks)
     assert any(d.kind == "coefficient-mismatch" for s in on_sinks for d in s)
     assert [len(b) for b in off] == [len(b) for b in on]
-    # where the two agree, the oracle-on candidates are the polynomial's
+    # both take the fixed-point roots
     for a, b in zip(off, on):
         assert all(x.n_p == pytest.approx(y.n_p, rel=MATCH_TOL)
                    for x, y in zip(a, b))
     assert not any(s for s in off_sinks)
+
+
+# ---------------------------------------------------------------------------
+# coefficient-mismatch: closed-form coefficients against the fixed-point map
+# ---------------------------------------------------------------------------
+
+def _mismatches(ps):
+    sinks = [[] for _ in ps]
+    solve_branches(ps, diagnostics=sinks)
+    return [[d.message for d in sink if d.kind == "coefficient-mismatch"]
+            for sink in sinks]
+
+
+def test_cubic_and_quintic_raise_no_mismatch(rng):
+    # g2 = 0 (cubic) and g1 = 0 (quintic): the closed form is right, and its
+    # coefficients agree with the fixed-point map's to roundoff
+    ps = [random_system(rng, g2_zero=True) for _ in range(100)]
+    ps += [make_system(**{**vars(random_system(rng)), "g1": 0.0})
+           for _ in range(100)]
+    assert _mismatches(ps) == [[] for _ in ps]
+    assert coefficient_deviation(ps, RationalResponse.of(ps)).max() < 1e-14
+
+
+@pytest.mark.parametrize("tag,point", [
+    # the pole's double D factor splits into two verbatim roots
+    ("fig2a", {"g1": 0.0, "delta_c": 1.0}),
+    # a verbatim root near 942, beyond the physical n <= eta^2/kappa^2
+    ("fig3a", {"eta": 1.0, "delta_c": 0.0})])
+def test_root_set_false_positives_raise_no_mismatch(tag, point):
+    from quadmech.recipes import RECIPES
+    p = make_system(**{**vars(RECIPES[tag][1]), **point})
+    poly, orc = find_real_roots(build_polynomial(p)), oracle_roots(p)
+    assert len(poly) > len(orc) and not roots_match(poly, orc)
+    assert _mismatches([p]) == [[]]
+
+
+@pytest.mark.parametrize("tag,points", FIGURE_GRIDS + [("fig2d", 101)])
+def test_coupled_figure_cells_name_c5_and_c6(tag, points):
+    ps = _recipe_cells(tag, points)
+    flagged = 0
+    for p, found in zip(ps, _mismatches(ps)):
+        if p.g1 == 0.0 or p.g2 == 0.0:
+            assert found == []
+        elif found:
+            (message,) = found
+            assert "C5 " in message and "C6 " in message
+            flagged += 1
+    coupled = sum(p.g1 != 0.0 and p.g2 != 0.0 for p in ps)
+    # fig3a's eta = 1 row is the one coupled row whose closed form holds
+    assert flagged == coupled - (points if tag == "fig3a" else 0)

@@ -210,10 +210,10 @@ def test_failing_cell_does_not_fail_its_batch(monkeypatch):
     import quadmech.steady_state as ss
     real = ss.build_polynomial
 
-    def broken(p):
-        if p.delta_c == 3.0:
+    def broken(ps):
+        if any(p.delta_c == 3.0 for p in ps):
             raise RuntimeError("boom")
-        return real(p)
+        return real(ps)
     monkeypatch.setattr(ss, "build_polynomial", broken)
     p = make_system(g1=0.0, g2=0.0, eta=10.0)
     res = run_sweep(_spec(p, (Axis("delta_c", 1.0, 5.0, 5),), "root-count"))
