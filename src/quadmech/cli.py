@@ -29,6 +29,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .params import (LinearizedParams, ParameterError, SystemParams,
                      validate_linearized, validate_params)
@@ -36,10 +38,8 @@ from .recipes import RECIPES, RecipeResult, run_recipe
 from .steady_state import (Diagnostic, ZeroPolynomial, batch_real_roots,
                            build_polynomial, root_sets, roots_match,
                            solve_branches)
-from .sweep import (Axis, BranchRow, SweepSpec, branch_rows, cooling_rows,
-                    run_sweep, sweep_rows)
-
-COLUMNS = tuple(f.name for f in fields(BranchRow))
+from .sweep import (COLUMNS, Axis, SweepSpec, Table, branch_rows,
+                    cooling_rows, run_sweep)
 
 
 class ParseError(ValueError):
@@ -251,19 +251,31 @@ def _meta_for(cfg: RunConfig, params, extra: dict) -> dict:
     return meta
 
 
-def write_table(path: str, fmt: str, columns: tuple[str, ...],
-                rows: list[dict], meta: dict) -> None:
+def _fields(table: Table, column: str) -> list[str]:
+    """One column's fields: floats to 12 significant digits, the rest by
+    ``_fmt``; empty where the column is not present or the table lacks it."""
+    col = table.cols.get(column, np.full(len(table), None))
+    out = ([f"{x:.12g}" for x in col.tolist()] if col.dtype.kind == "f"
+           else list(map(_fmt, col.tolist())))
+    if column in table.present:
+        return [x if keep else ""
+                for x, keep in zip(out, table.present[column].tolist())]
+    return out
+
+
+def write_table(path: str, fmt: str, columns: tuple[str, ...], table: Table,
+                meta: dict) -> None:
+    """Write ``columns`` of ``table`` to ``path``, formatted column-wise."""
+    rows = zip(*(_fields(table, c) for c in columns))
     buf = io.StringIO()
     if fmt == "csv":
         for key in sorted(meta):
             buf.write(f"# {key} = {_fmt(meta[key])}\n")
         buf.write(",".join(columns) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
+        buf.writelines(",".join(row) + "\n" for row in rows)
     else:
         payload = {"meta": {k: _fmt(v) for k, v in sorted(meta.items())},
-                   "rows": [{c: _fmt(row.get(c)) for c in columns}
-                            for row in rows]}
+                   "rows": [dict(zip(columns, row)) for row in rows]}
         json.dump(payload, buf, indent=1, sort_keys=True)
         buf.write("\n")
     Path(path).write_text(buf.getvalue())
@@ -303,7 +315,7 @@ def _write_plot_stub(path: str, tag: str, columns: tuple[str, ...]) -> None:
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_roots(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
+def _cmd_roots(cfg: RunConfig):
     p = cfg.system
     if p is None:
         raise ParseError("the roots command needs a [system] section")
@@ -314,16 +326,17 @@ def _cmd_roots(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
     (orc,) = root_sets([p], cfg.oracle, cfg.scan_points,
                        cfg.with_mech_damping, [diags])
     agree = roots_match(poly, orc) if cfg.oracle else None
-    rows = [dict(branch_index=k, n_p=r) for k, r in enumerate(poly)]
+    rows = Table({"branch_index": np.arange(len(poly)),
+                  "n_p": np.array(poly, dtype=float)})
     extra = {f"coeff.c{m}": float(coeffs.c[m]) for m in range(8)}
     extra.update({"aux.x": coeffs.aux["x"], "aux.y": coeffs.aux["y"],
                   "aux.z": coeffs.aux["z"],
                   "oracle_roots": " ".join(_fmt(r) for r in orc),
                   "oracle_agreement": agree})
-    return rows, extra, diags
+    return (), rows, extra, diags
 
 
-def _cmd_branches(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
+def _cmd_branches(cfg: RunConfig):
     p = cfg.system
     if p is None:
         raise ParseError("the branches command needs a [system] section")
@@ -332,21 +345,21 @@ def _cmd_branches(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
                               scan_points=cfg.scan_points,
                               with_damping=cfg.with_mech_damping,
                               diagnostics=diags)
-    (rows,) = branch_rows([p], [branches], [diags], cfg.gamma_fallback)
-    return [vars(row) for row in rows], {}, diags
+    rows = branch_rows([p], [branches], [diags], cfg.gamma_fallback)
+    return (), rows, {}, diags
 
 
-def _cmd_cool(cfg: RunConfig) -> tuple[list[dict], dict, list[Diagnostic]]:
+def _cmd_cool(cfg: RunConfig):
     lp = cfg.linearized
     if lp is None:
         raise ParseError("the cool command needs a [linearized] section")
     diags: list[Diagnostic] = []
-    (row,) = cooling_rows(lp, [diags])
-    return [vars(row)], {"lyap_residual": row.residual}, diags
+    row = cooling_rows(lp, [diags])
+    return (), row, {"lyap_residual": _fields(row, "residual")[0]}, diags
 
 
-def _cmd_sweep(cfg: RunConfig, ndim: int) -> tuple[tuple[str, ...], list[dict],
-                                                   dict, list[Diagnostic]]:
+def _cmd_sweep(cfg: RunConfig):
+    ndim = 1 if cfg.command == "sweep1d" else 2
     if len(cfg.axes) != ndim:
         raise ParseError(f"sweep{ndim}d needs exactly {ndim} axis definitions "
                          f"in [sweep]")
@@ -360,12 +373,11 @@ def _cmd_sweep(cfg: RunConfig, ndim: int) -> tuple[tuple[str, ...], list[dict],
                      scan_points=cfg.scan_points,
                      with_damping=cfg.with_mech_damping, threads=cfg.threads)
     result = run_sweep(spec)
-    rows = sweep_rows(result)
     names = tuple(ax.name for ax in cfg.axes)
     extra = {"sweep.mode": mode}
     for i, ax in enumerate(cfg.axes):
         extra[f"sweep.axis{i + 1}"] = f"{ax.name} {ax.lo} {ax.hi} {ax.points} {ax.scale}"
-    return names, rows, extra, result.diagnostics
+    return names, result.table, extra, result.diagnostics
 
 
 def exit_status(diags: list[Diagnostic]) -> int:
@@ -378,18 +390,13 @@ def run_command(cfg: RunConfig) -> int:
     """Execute a parsed RunConfig; returns the process exit status."""
     if cfg.command == "reproduce":
         return exit_status(_run_reproduce(cfg))
-    axis_names: tuple[str, ...] = ()
-    if cfg.command == "roots":
-        rows, extra, diags = _cmd_roots(cfg)
-    elif cfg.command == "branches":
-        rows, extra, diags = _cmd_branches(cfg)
-    elif cfg.command == "cool":
-        rows, extra, diags = _cmd_cool(cfg)
-    elif cfg.command in ("sweep1d", "sweep2d"):
-        ndim = 1 if cfg.command == "sweep1d" else 2
-        axis_names, rows, extra, diags = _cmd_sweep(cfg, ndim)
-    else:
+    # each gives (axis names, table, header extras, diagnostics)
+    commands = {"roots": _cmd_roots, "branches": _cmd_branches,
+                "cool": _cmd_cool, "sweep1d": _cmd_sweep,
+                "sweep2d": _cmd_sweep}
+    if cfg.command not in commands:
         raise ParseError(f"unknown command {cfg.command!r}")
+    axis_names, rows, extra, diags = commands[cfg.command](cfg)
     write_table(cfg.out_path, cfg.out_format, axis_names + COLUMNS, rows,
                 _meta_for(cfg, cfg.system or cfg.linearized, extra))
     if diags:

@@ -49,7 +49,9 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class CovarianceResult:
-    """Solved steady-state covariance with extracted phonon numbers."""
+    """Solved steady-state covariance with extracted phonon numbers.  A
+    stacked solve gives v as a (k, 6, 6) array and the other fields as
+    length-k arrays."""
 
     v: np.ndarray
     n1f: float
@@ -142,7 +144,7 @@ def _solve_symmetric(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return u[:, _SLOT, 0]
 
 
-def solve_lyapunov(A: DriftMatrix, nm):
+def solve_lyapunov(A: DriftMatrix, nm) -> CovarianceResult:
     """Solve R V + V R^T + Q = 0 for the real symmetric V, with refinement.
 
     Q must be symmetric; then V = V^T, with the 21 unknowns of its upper
@@ -150,8 +152,9 @@ def solve_lyapunov(A: DriftMatrix, nm):
     when a step does not lower its residual (on the full 6x6 V) or that
     drops below 1e-14, and keeps its best iterate and that one's residual.
     ``A.a`` may be one 6x6 matrix with one ``NoiseModel``, or a (k, 6, 6)
-    stack with a ``NoiseModel`` of (k, 6, 6) stacks or k noise models; a
-    list of k results then comes back, each depending only on its cell.
+    stack with a ``NoiseModel`` of (k, 6, 6) stacks or k noise models; one
+    result with array fields then comes back, each entry depending only on
+    its cell.
 
     An unstable drift matrix still yields a formal solution when the
     Lyapunov system is regular, but the result is flagged physical=False.
@@ -167,8 +170,6 @@ def solve_lyapunov(A: DriftMatrix, nm):
     q = np.asarray(nm.q, dtype=float).reshape(-1, 6, 6)
     if len(q) != len(a):
         raise ValueError(f"{len(a)} drift matrices but {len(q)} noise models")
-    if not len(a):
-        return []
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(q))):
         raise ValueError("array must not contain infs or NaNs")
     if not np.array_equal(q, q.transpose(0, 2, 1)):
@@ -200,12 +201,10 @@ def solve_lyapunov(A: DriftMatrix, nm):
         k = bad[0]
         raise UnphysicalResult(f"stable solve returned negative occupation "
                                f"({n1f[k]:.3e}, {n2f[k]:.3e})")
-    out = [CovarianceResult(v=vk, n1f=n1, n2f=n2, lyap_residual=res,
-                            physical=ok)
-           for vk, n1, n2, res, ok in zip(v, n1f.tolist(), n2f.tolist(),
-                                          residual.tolist(),
-                                          physical.tolist())]
-    return out[0] if single else out
+    if single:
+        return CovarianceResult(v[0], n1f.item(), n2f.item(), residual.item(),
+                                physical.item())
+    return CovarianceResult(v, n1f, n2f, residual, physical)
 
 
 def _occupations(v: np.ndarray):
@@ -221,20 +220,13 @@ def phonon_numbers(cv: CovarianceResult) -> tuple[float, float]:
     return float(n1), float(n2)
 
 
-def row_occupations(cv: CovarianceResult, diagnostics: list[Diagnostic],
-                    stable: bool = True):
-    """(n1f, n2f) of a solved covariance for an output row.
-
-    Records a lyap-residual diagnostic when the solve's residual exceeds
-    LYAP_RESIDUAL_TOL.  The occupations are (None, None) when ``stable`` is
-    false.
-    """
-    if cv.lyap_residual > LYAP_RESIDUAL_TOL:
-        diagnostics.append(Diagnostic(
-            "lyap-residual",
-            f"Lyapunov residual {cv.lyap_residual:.3e} exceeds "
+def flag_residuals(residual: np.ndarray, sinks: list) -> None:
+    """Append a lyap-residual diagnostic to ``sinks[k]`` for each solve k
+    whose residual exceeds LYAP_RESIDUAL_TOL (NaN, for no solve, does not)."""
+    for k in np.flatnonzero(residual > LYAP_RESIDUAL_TOL).tolist():
+        sinks[k].append(Diagnostic(
+            "lyap-residual", f"Lyapunov residual {residual[k]:.3e} exceeds "
             f"{LYAP_RESIDUAL_TOL:g}"))
-    return (cv.n1f, cv.n2f) if stable else (None, None)
 
 
 def dark_mode_diagnostics(lp: LinearizedParams) -> DarkModeDiagnostics:
@@ -265,7 +257,8 @@ def cool_linearized(lp: Union[LinearizedParams, Sequence[LinearizedParams]]):
     """Convenience pipeline: drift matrix + noise model -> covariance.
 
     A column record, or a sequence of parameter sets (stacked into one),
-    gives a list of covariances, from one batched ``solve_lyapunov`` call.
+    gives one covariance with array fields, from one batched
+    ``solve_lyapunov`` call.
     """
     if not isinstance(lp, LinearizedParams):
         lp, _ = linearized_columns(lp)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .params import LinearizedParams, SystemParams, validate_params
 from .steady_state import Diagnostic, solve_branches
-from .sweep import (Axis, SweepSpec, branch_rows, continuation_labels,
-                    run_sweep, sweep_rows)
+from .sweep import (Axis, SweepSpec, Table, branch_rows,
+                    continuation_labels, run_sweep)
 
 # Multistability reference point: kappa units, omega = 5 kappa, theta = pi.
 MULTI_BASE = SystemParams(
@@ -76,9 +76,9 @@ RECIPES = {
 class RecipeResult:
     tag: str
     axis_names: tuple[str, ...]
-    # case -> (rows, parameter set); a recipe without cases has the one
+    # case -> (table, parameter set); a recipe without cases has the one
     # case "" and writes a single table
-    tables: dict[str, tuple[list[dict], Union[SystemParams, LinearizedParams]]]
+    tables: dict[str, tuple[Table, Union[SystemParams, LinearizedParams]]]
     meta: dict
     diagnostics: list[Diagnostic]
 
@@ -87,7 +87,7 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
                          convention: str = "kappa",
                          oracle: bool = True, scan_points: int = 4096,
                          diagnostics: Optional[list[Diagnostic]] = None,
-                         gamma_fallback: bool = True) -> list[dict]:
+                         gamma_fallback: bool = True) -> Table:
     """Cooling along nonlinear branches versus kappa/omega1.
 
     ``convention`` fixes which dimensionless ratios are held while
@@ -97,7 +97,8 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
     mechanical quality factors (gamma_i/omega_i) and thermal occupancies are
     preserved in both cases.  Branch labels follow nearest-n_p continuation.
     ``gamma_fallback`` is passed to the stability verdicts.  All ratios are
-    solved in one batch, and their rows come from one ``branch_rows`` call.
+    solved in one batch, and their rows come from one ``branch_rows`` call;
+    a ratio without branches has no row.
     """
     if convention not in ("kappa", "omega1"):
         raise ValueError(f"unknown convention {convention!r}")
@@ -121,17 +122,15 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
     sinks: list[list[Diagnostic]] = [[] for _ in ps]
     solved = solve_branches(ps, oracle_mode=oracle, scan_points=scan_points,
                             diagnostics=sinks)
-    labels = continuation_labels([[b.n_p for b in bs] for bs in solved])
-    rows: list[dict] = []
-    for r, cell_rows, cell_labels, diags in zip(
-            ratios, branch_rows(ps, solved, sinks, gamma_fallback),
-            labels, sinks):
-        for row, label in zip(cell_rows, cell_labels):
-            row.branch_index = label
-            rows.append({"kappa_over_omega1": float(r), **vars(row)})
-        if diagnostics is not None:
+    counts = [len(bs) for bs in solved]
+    rows = branch_rows(ps, solved, sinks, gamma_fallback)
+    rows.cols["branch_index"] = continuation_labels(
+        rows.cols["n_p"], np.concatenate([[0], np.cumsum(counts)]))
+    rows.cols = {"kappa_over_omega1": np.repeat(ratios, counts), **rows.cols}
+    if diagnostics is not None:
+        for r, diags in zip(ratios.tolist(), sinks):
             for d in diags:
-                d.cell = (float(r),)
+                d.cell = (r,)
             diagnostics.extend(diags)
     return rows
 
@@ -163,7 +162,7 @@ def run_recipe(tag: str, points: Optional[int] = None, threads: int = 1,
         gamma_fallback=gamma_fallback, scan_points=scan_points,
         threads=threads))
     return RecipeResult(
-        tag=tag, axis_names=names, tables={"": (sweep_rows(result), base)},
+        tag=tag, axis_names=names, tables={"": (result.table, base)},
         meta={"mode": mode, "axes": [(ax.name, ax.lo, ax.hi, ax.points,
                                       ax.scale) for ax in axes]},
         diagnostics=result.diagnostics)

@@ -36,7 +36,8 @@ class DriftMatrix:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Eigenvalue-based verdict: stable iff every real part < -stab_tol."""
+    """Eigenvalue-based verdict: stable iff every real part < -stab_tol.
+    A verdict on a stack holds one array entry per matrix in each field."""
 
     eigenvalues: np.ndarray
     max_real_part: float
@@ -129,20 +130,19 @@ def spectra(a: np.ndarray):
             max_re < STAB_TOL_FACTOR * a[..., 0, 0])
 
 
-def classify_stability(A: DriftMatrix):
+def classify_stability(A: DriftMatrix) -> StabilityVerdict:
     """Stability from the full eigenvalue set of the drift matrix.
 
     Marginal spectra (|max Re| below stab_tol) are reported unstable: the
     steady-state Lyapunov solve is invalid on the margin.  ``A.a`` may also
-    be a stack of shape (k, 6, 6); its k verdicts then come back as a list,
-    from one eigenvalue call.
+    be a stack of shape (k, 6, 6); one verdict with length-k array fields
+    (eigenvalues (k, 6)) then comes back, from one eigenvalue call.
     """
     ev, max_re, stable = spectra(A.a)
-    verdicts = [StabilityVerdict(eigenvalues=e, max_real_part=m, stable=s,
-                                 margin=-m)
-                for e, m, s in zip(ev.reshape(-1, 6), np.ravel(max_re).tolist(),
-                                   np.ravel(stable).tolist())]
-    return verdicts if A.a.ndim == 3 else verdicts[0]
+    if A.a.ndim == 3:
+        return StabilityVerdict(ev, max_re, stable, -max_re,
+                                *np.zeros((2, len(stable)), dtype=bool))
+    return StabilityVerdict(ev, max_re.item(), stable.item(), -max_re.item())
 
 
 def classify_branch_stability(lp: Union[LinearizedParams,
@@ -153,10 +153,10 @@ def classify_branch_stability(lp: Union[LinearizedParams,
     With gamma1 = gamma2 = 0 the uncoupled mechanical eigenvalues sit exactly
     on the margin; the fallback classifies with gamma = 1e-6*kappa instead and
     flags verdicts that differ between the two dampings.  ``lp`` may also be
-    a column record or a sequence of parameter sets: a list of verdicts then
-    comes back, from one column drift stack and one stacked eigenvalue call
-    for the raw damping, and one of each for the undamped cells rebuilt with
-    the fallback damping.
+    a column record or a sequence of parameter sets: one verdict with array
+    fields then comes back, from one column drift stack and one stacked
+    eigenvalue call for the raw damping, and one of each for the undamped
+    cells rebuilt with the fallback damping.
     """
     cols, scalar = linearized_columns(lp)
     out = classify_stability(build_drift_matrix(cols))
@@ -167,7 +167,11 @@ def classify_branch_stability(lp: Union[LinearizedParams,
         eps = GAMMA_FALLBACK_FACTOR * sub.kappa
         fb = classify_stability(build_drift_matrix(
             replace(sub, gamma1=eps, gamma2=eps)))
-        for k, v in zip(undamped.tolist(), fb):
-            out[k] = replace(v, gamma_fallback_applied=True,
-                             verdict_flipped=bool(v.stable != out[k].stable))
-    return out[0] if scalar else out
+        out.gamma_fallback_applied[undamped] = True
+        out.verdict_flipped[undamped] = fb.stable != out.stable[undamped]
+        for name in ("eigenvalues", "max_real_part", "stable", "margin"):
+            getattr(out, name)[undamped] = getattr(fb, name)
+    if scalar:   # a batch of one: its entries as a single call's fields
+        return StabilityVerdict(*(v[0] if v.ndim > 1 else v[0].item()
+                                  for v in vars(out).values()))
+    return out

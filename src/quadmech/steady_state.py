@@ -720,15 +720,16 @@ def coefficient_deviation(ps: Sequence[SystemParams],
     """|C_m - s Q_m| / max_m |C_m|, m = 0..7, for each set: its closed-form
     coefficients C against the fixed-point Q of ``resp``'s column, both in
     the window-scaled n = n_scale m of ``batch_real_roots``, with the
-    least-squares scale s = <C, Q>/<Q, Q>.  NaN where either vanishes or
-    overflows."""
+    least-squares scale s = <C, Q>/<Q, Q> over C0..C4 and C7 (the mixed
+    terms C5/C6 would pull it off).  NaN where either vanishes or overflows."""
     with np.errstate(all="ignore"):
         coeffs = build_polynomial(ps)
         n_scale = np.array([q.aux["n_scale"] for q in coeffs])
         C = (np.array([q.c for q in coeffs]).reshape(-1, 8)
              * n_scale[:, None] ** np.arange(8))
         Q = _fixed_point_q(resp, np.zeros_like(n_scale), n_scale)
-        s = (C * Q).sum(axis=1) / (Q * Q).sum(axis=1)
+        fit = [0, 1, 2, 3, 4, 7]
+        s = (C * Q)[:, fit].sum(axis=1) / (Q * Q)[:, fit].sum(axis=1)
         return np.abs(C - s[:, None] * Q) / np.abs(C).max(axis=1)[:, None]
 
 

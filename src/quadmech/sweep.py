@@ -1,8 +1,8 @@
 """Deterministic 1D/2D parameter sweeps.
 
-Cells are independent pure computations; results are assembled in row-major
-cell order regardless of worker count, so identical specs produce identical
-tables.  Cells are solved in batches: one oracle call and two stacked
+Cells are independent pure computations; their rows form one column ``Table``
+in row-major cell order whatever the worker count, so identical specs produce
+identical tables.  Cells are solved in batches: one oracle call and two stacked
 eigenvalue calls per batch of steady-state cells, one batched Lyapunov solve
 per batch of cooling cells; a cell's result depends only on the cell, never
 on the batch it shares.  Supported modes:
@@ -16,12 +16,12 @@ on the batch it shares.  Supported modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
-from typing import Optional, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Union
 
 import numpy as np
 
-from .cooling import cool_linearized, dark_mode_diagnostics, row_occupations
+from .cooling import cool_linearized, dark_mode_diagnostics, flag_residuals
 from .params import (LinearizedParams, SystemParams, linearized_columns,
                      take_columns, validate_params)
 from .stability import classify_branch_stability, derive_linearized
@@ -76,37 +76,44 @@ class SweepSpec:
     threads: int = 1
 
 
-@dataclass
-class BranchRow:
-    """One (cell, branch) record; cooling cells carry a single row."""
-
-    branch_index: int
-    n_p: Optional[float]
-    stable: Optional[bool]
-    n1f: Optional[float] = None
-    n2f: Optional[float] = None
-    dark_overlap: Optional[float] = None
-    residual: Optional[float] = None
+# The value columns of a row table, after its axis columns, and their dtypes.
+ROW_DTYPES = dict(branch_index=np.int64, n_p=float, stable=bool, n1f=float,
+                  n2f=float, dark_overlap=float, residual=float)
+COLUMNS = tuple(ROW_DTYPES)
 
 
 @dataclass
-class CellResult:
-    index: tuple[int, ...]
-    values: tuple[float, ...]
-    root_count: int
-    stable_count: int
-    branches: list[BranchRow]
+class Table:
+    """A row table as columns: one 1-D array per column, and for each column
+    that can be empty a boolean mask of the rows where it is present.  A
+    column the table lacks is empty on every row."""
+
+    cols: dict[str, np.ndarray]
+    present: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(next(iter(self.cols.values()), ()))
+
+    @staticmethod
+    def concat(parts: list[Table]) -> Table:
+        """The parts' rows in order; the parts share their columns."""
+        first = parts[0] if parts else Table({})
+        return Table({name: np.concatenate([t.cols[name] for t in parts])
+                      for name in first.cols},
+                     {name: np.concatenate([t.present[name] for t in parts])
+                      for name in first.present})
 
 
 @dataclass
 class SweepResult:
+    """The table of a sweep: cell c (grid index ``cells[c]``, row-major)
+    owns the rows ``offsets[c]:offsets[c + 1]``, at least one each."""
+
     spec: SweepSpec
-    cells: list[CellResult]
+    cells: np.ndarray            # (n_cells, n_axes) grid indices
+    table: Table
+    offsets: np.ndarray          # (n_cells + 1,) row offsets
     diagnostics: list[Diagnostic]
-
-
-def _field_names(record) -> set[str]:
-    return {f.name for f in fields(record)}
 
 
 def validate_spec(spec: SweepSpec) -> SweepSpec:
@@ -123,7 +130,7 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     if (spec.mode != "cooling" and spec.oracle_mode
             and spec.scan_points < MIN_SCAN_POINTS):
         raise InvalidSpec(f"scan_points must be >= {MIN_SCAN_POINTS}")
-    names = _field_names(spec.base)
+    names = {f.name for f in fields(spec.base)}
     for ax in spec.axes:
         if ax.name not in names:
             raise InvalidSpec(f"axis parameter {ax.name!r} is not a field "
@@ -131,35 +138,29 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     return spec
 
 
-def _cell_params(spec: SweepSpec, values: tuple[float, ...]) -> SystemParams:
-    """A steady-state cell's parameters (SystemParams fields are real)."""
-    return replace(spec.base, **{ax.name: float(v)
-                                 for ax, v in zip(spec.axes, values)})
-
-
 def _cell_error(exc: Exception) -> Diagnostic:
     return Diagnostic("cell-error", f"{type(exc).__name__}: {exc}")
 
 
-def _each_cell(solve, cells: list, sinks: list[list[Diagnostic]], failed):
-    """``solve(cells, sinks)`` in one batch.  If the batch raises, each cell
-    is solved alone, so an error fails only its own cell, whose result is
-    then ``failed``."""
+def _each_cell(solve, cells: list, sinks: list[list[Diagnostic]]):
+    """``solve(cells, sinks)`` in one batch, as ``[(cells, result)]``.  If
+    the batch raises, each cell is solved alone, so an error fails only its
+    own cell, which gets a cell-error and no part of the list."""
     try:
-        return solve(cells, sinks)
+        return [(cells, solve(cells, sinks))]
     except Exception as exc:   # per-cell failures never abort the sweep
         if len(cells) == 1:
             sinks[0].append(_cell_error(exc))
-            return [failed]
+            return []
         for sink in sinks:
             sink.clear()
-        return [_each_cell(solve, [c], [s], failed)[0]
-                for c, s in zip(cells, sinks)]
+        return [part for c, s in zip(cells, sinks)
+                for part in _each_cell(solve, [c], [s])]
 
 
 def branch_rows(ps: list[SystemParams], solved: list[list],
                 sinks: list[list[Diagnostic]],
-                gamma_fallback: bool = True) -> list[list[BranchRow]]:
+                gamma_fallback: bool = True) -> Table:
     """Output rows of each set's steady-state branches, labelled in order.
 
     All branches get one column record and one stacked stability
@@ -170,75 +171,67 @@ def branch_rows(ps: list[SystemParams], solved: list[list],
     their occupations, from one batched Lyapunov solve whose diagnostics go
     to their set's sink.  An undamped set's modes are not coupled to their
     baths, so it has no stationary occupations, and a flipped verdict puts
-    the system on the margin, where the Lyapunov system is singular.
+    the system on the margin, where the Lyapunov system is singular.  (A set
+    is damped or not as a whole, so its sink gets the one kind or the other.)
     """
-    owners = [p for p, bs in zip(ps, solved) for _ in bs]
-    lin = derive_linearized([b for bs in solved for b in bs], owners)
-    verdicts = classify_branch_stability(lin, gamma_fallback)
-    damped = np.array([p.gamma1 > 0.0 or p.gamma2 > 0.0 for p in owners],
-                      dtype=bool)
-    cooled = damped & np.array([v.stable and not v.verdict_flipped
-                                for v in verdicts], dtype=bool)
-    darks = iter(dark_mode_diagnostics(take_columns(lin, damped))
-                 .dark_overlap.tolist() if damped.any() else ())
-    covs = iter(cool_linearized(take_columns(lin, cooled))
-                if cooled.any() else ())
-    per_row = iter(zip(verdicts, damped.tolist(), cooled.tolist()))
-    out = []
-    for bs, diags in zip(solved, sinks):
-        rows = []
-        for k, b in enumerate(bs):
-            verdict, damped_row, cooled_row = next(per_row)
-            row = BranchRow(branch_index=k, n_p=b.n_p, stable=verdict.stable,
-                            residual=b.residual)
-            if verdict.verdict_flipped:
-                diags.append(Diagnostic(
-                    "marginal-verdict",
-                    f"stability verdict at n_p={b.n_p:.6g} flips between "
-                    f"gamma=0 and the fallback damping"))
-            if damped_row:
-                dark = next(darks)
-                row.dark_overlap = None if math.isnan(dark) else dark
-            if cooled_row:
-                row.n1f, row.n2f = row_occupations(next(covs), diags)
-            rows.append(row)
-        out.append(rows)
-    return out
+    counts = [len(bs) for bs in solved]
+    owner = np.repeat(np.arange(len(ps)), counts)
+    branches = [b for bs in solved for b in bs]
+    lin = derive_linearized(branches, [ps[k] for k in owner.tolist()])
+    verdict = classify_branch_stability(lin, gamma_fallback)
+    n_p, residual = np.array([(b.n_p, b.residual) for b in branches],
+                             dtype=float).reshape(-1, 2).T
+    damped = (lin.gamma1 > 0.0) | (lin.gamma2 > 0.0)
+    cooled = damped & verdict.stable & ~verdict.verdict_flipped
+    dark, n1f, n2f = np.full((3, len(owner)), np.nan)
+    if damped.any():
+        dark[damped] = dark_mode_diagnostics(
+            take_columns(lin, damped)).dark_overlap
+    for k in np.flatnonzero(verdict.verdict_flipped).tolist():
+        sinks[owner[k]].append(Diagnostic(
+            "marginal-verdict",
+            f"stability verdict at n_p={n_p[k]:.6g} flips between "
+            f"gamma=0 and the fallback damping"))
+    if cooled.any():
+        cov = cool_linearized(take_columns(lin, cooled))
+        n1f[cooled], n2f[cooled] = cov.n1f, cov.n2f
+        flag_residuals(cov.lyap_residual,
+                       [sinks[k] for k in owner[cooled].tolist()])
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    return Table({"branch_index": np.arange(len(owner)) - first, "n_p": n_p,
+                  "stable": verdict.stable, "n1f": n1f, "n2f": n2f,
+                  "dark_overlap": dark, "residual": residual},
+                 {"n1f": cooled, "n2f": cooled,
+                  "dark_overlap": damped & ~np.isnan(dark)})
 
 
-def _eval_steady_batch(spec: SweepSpec, chunk):
+def _eval_steady_batch(spec: SweepSpec, values: np.ndarray, sinks):
     """One batched solve for the cells, then ``branch_rows`` of all their
-    branches: (each cell's rows, each cell's diagnostics)."""
-    diags: list[list[Diagnostic]] = [[] for _ in chunk]
-    params: list[Optional[SystemParams]] = []
-    for (_, values), sink in zip(chunk, diags):
-        try:
-            params.append(validate_params(_cell_params(spec, values)))
+    branches: (the rows, each cell's branch count)."""
+    params: dict[int, SystemParams] = {}
+    for k, (cell, sink) in enumerate(zip(values.tolist(), sinks)):
+        try:   # one parameter set per cell; SystemParams fields are real
+            params[k] = validate_params(replace(
+                spec.base, **{ax.name: v for ax, v in zip(spec.axes, cell)}))
         except Exception as exc:
             sink.append(_cell_error(exc))
-            params.append(None)
-    solved = iter(_each_cell(
-        lambda ps, sinks: branch_rows(ps, solve_branches(
+
+    def solve(ks, ks_sinks):
+        ps = [params[k] for k in ks]
+        solved = solve_branches(
             ps, oracle_mode=spec.oracle_mode, scan_points=spec.scan_points,
-            with_damping=spec.with_damping, diagnostics=sinks),
-            sinks, spec.gamma_fallback),
-        [p for p in params if p is not None],
-        [sink for p, sink in zip(params, diags) if p is not None], []))
-    return [next(solved) if p is not None else [] for p in params], diags
-
-
-def _column_params(spec: SweepSpec, values: list[tuple[float, ...]]):
-    """One column record for the cells: the base with each axis field an
-    array of the cells' values (complex when the base field is complex)."""
-    updates = {}
-    for ax, col in zip(spec.axes, np.array(values, dtype=float).T):
-        cur = getattr(spec.base, ax.name)
-        updates[ax.name] = col.astype(complex) if isinstance(cur, complex) else col
-    return replace(spec.base, **updates)
+            with_damping=spec.with_damping, diagnostics=ks_sinks)
+        return (branch_rows(ps, solved, ks_sinks, spec.gamma_fallback),
+                [len(bs) for bs in solved])
+    counts = np.zeros(len(values), dtype=np.int64)
+    parts = _each_cell(solve, list(params), [sinks[k] for k in params])
+    for ks, (_, n) in parts:
+        counts[ks] = n
+    return Table.concat([rows for _, (rows, _) in parts]), counts
 
 
 def cooling_rows(lp: LinearizedParams,
-                 sinks: list[list[Diagnostic]]) -> list[BranchRow]:
+                 sinks: list[list[Diagnostic]]) -> Table:
     """One direct-cooling row per cell of ``lp`` (a column record, or a
     scalar record as one cell), each cell's diagnostics going to its sink.
     The cells share one Lyapunov solve (``_each_cell``): a singular cell
@@ -247,108 +240,111 @@ def cooling_rows(lp: LinearizedParams,
     lp, _ = linearized_columns(lp)
     cells = list(range(len(sinks)))
     # the whole record, or a cell's own column when the batch is retried
-    covs = _each_cell(lambda ks, _: cool_linearized(
-        lp if ks is cells else take_columns(lp, ks)), cells, sinks, None)
-    darks = dark_mode_diagnostics(lp).dark_overlap.tolist()
-    rows = []
-    for dark, cov, sink in zip(darks, covs, sinks):
-        row = BranchRow(branch_index=0, n_p=None, stable=False,
-                        dark_overlap=None if math.isnan(dark) else dark)
-        if cov is not None:
-            try:
-                row.n1f, row.n2f = row_occupations(cov, sink, cov.physical)
-                row.stable, row.residual = cov.physical, cov.lyap_residual
-                if not row.stable:
-                    sink.append(Diagnostic(
-                        "unstable-cell", "drift matrix unstable; no "
-                        "stationary state, so n1f and n2f are left empty"))
-            except Exception as exc:
-                sink.append(_cell_error(exc))
-        rows.append(row)
-    return rows
+    parts = _each_cell(lambda ks, _: cool_linearized(
+        lp if ks is cells else take_columns(lp, ks)), cells, sinks)
+    solved, physical = np.zeros((2, len(cells)), dtype=bool)
+    n1f, n2f, residual = np.full((3, len(cells)), np.nan)
+    for ks, cov in parts:
+        solved[ks], physical[ks] = True, cov.physical
+        n1f[ks], n2f[ks], residual[ks] = cov.n1f, cov.n2f, cov.lyap_residual
+    flag_residuals(residual, sinks)
+    for k in np.flatnonzero(solved & ~physical).tolist():
+        sinks[k].append(Diagnostic(
+            "unstable-cell", "drift matrix unstable; no stationary state, "
+            "so n1f and n2f are left empty"))
+    dark = dark_mode_diagnostics(lp).dark_overlap
+    return Table({"branch_index": np.zeros(len(cells), dtype=np.int64),
+                  "stable": physical, "n1f": n1f, "n2f": n2f,
+                  "dark_overlap": dark, "residual": residual},
+                 {"n1f": physical, "n2f": physical,
+                  "dark_overlap": ~np.isnan(dark), "residual": solved})
 
 
-def _eval_cooling_batch(spec: SweepSpec, chunk):
-    """``cooling_rows`` of the cells' column record, one row per cell."""
-    diags: list[list[Diagnostic]] = [[] for _ in chunk]
-    rows = cooling_rows(_column_params(spec, [v for _, v in chunk]), diags)
-    return [[row] for row in rows], diags
+def _eval_cooling_batch(spec: SweepSpec, values: np.ndarray, sinks):
+    """``cooling_rows`` of the cells, one row per cell, from one column
+    record: the base with each axis field an array of the cells' values
+    (complex when the base field is complex)."""
+    lp = replace(spec.base, **{ax.name: col.astype(
+        complex if isinstance(getattr(spec.base, ax.name), complex) else float)
+        for ax, col in zip(spec.axes, values.T)})
+    return cooling_rows(lp, sinks), np.ones(len(values), dtype=np.int64)
 
 
-def _eval_chunk(spec: SweepSpec, chunk: list[tuple[tuple, tuple]]):
-    """The cells' results in batches, each diagnostic stamped with its cell."""
+def _cell_table(names, values: np.ndarray, counts: np.ndarray,
+                rows: Table) -> Table:
+    """Each cell's axis values beside its ``counts`` rows of ``rows``, or
+    alone on one row for a cell without rows."""
+    per_cell = np.maximum(counts, 1)
+    held = np.repeat(counts > 0, per_cell)
+    table = Table({name: np.repeat(col, per_cell)
+                   for name, col in zip(names, values.T)})
+    for name, dtype in ROW_DTYPES.items():
+        col, keep = np.zeros(len(held), dtype=dtype), held & False
+        col[held] = rows.cols.get(name, 0)
+        keep[held] = rows.present.get(name, name in rows.cols)
+        table.cols[name], table.present[name] = col, keep
+    return table
+
+
+def _eval_chunk(spec: SweepSpec, cells: np.ndarray, values: np.ndarray):
+    """The cells' table and branch counts, solved in batches, and their
+    diagnostics, each stamped with its cell."""
     evaluate = (_eval_cooling_batch if spec.mode == "cooling"
                 else _eval_steady_batch)
-    out = []
-    for i in range(0, len(chunk), BATCH_CELLS):
-        batch = chunk[i:i + BATCH_CELLS]
-        for (index, values), rows, sink in zip(batch, *evaluate(spec, batch)):
-            for d in sink:
-                d.cell = tuple(index)
-            out.append((CellResult(index=tuple(index), values=tuple(values),
-                                   root_count=len(rows),
-                                   stable_count=sum(r.stable for r in rows),
-                                   branches=rows), sink))
-    return out
+    sinks: list[list[Diagnostic]] = [[] for _ in cells]
+    parts = [evaluate(spec, values[i:i + BATCH_CELLS],
+                      sinks[i:i + BATCH_CELLS])
+             for i in range(0, len(cells), BATCH_CELLS)]
+    for index, sink in zip(cells.tolist(), sinks):
+        for d in sink:
+            d.cell = tuple(index)
+    counts = np.concatenate([n for _, n in parts])
+    return (_cell_table([ax.name for ax in spec.axes], values, counts,
+                        Table.concat([rows for rows, _ in parts])),
+            counts, [d for sink in sinks for d in sink])
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep grid; deterministic row-major assembly."""
     spec = validate_spec(spec)
     axes_vals = [ax.values() for ax in spec.axes]
-    if len(axes_vals) == 1:
-        cells_iter = [((i,), (float(a),)) for i, a in enumerate(axes_vals[0])]
-    else:
-        cells_iter = [((i, j), (float(a), float(b)))
-                      for i, a in enumerate(axes_vals[0])
-                      for j, b in enumerate(axes_vals[1])]
-    results: list[tuple[CellResult, list[Diagnostic]]]
-    if spec.threads > 1 and len(cells_iter) > 8:
+    cells = np.argwhere(np.ones([len(v) for v in axes_vals], dtype=bool))
+    values = np.stack([v[i] for v, i in zip(axes_vals, cells.T)], axis=1)
+    if spec.threads > 1 and len(cells) > 8:
         # only a multi-worker sweep pays for importing the process pool
         from concurrent.futures import ProcessPoolExecutor
-        chunk_size = max(8, math.ceil(len(cells_iter) / (spec.threads * 4)))
-        chunks = [cells_iter[i:i + chunk_size]
-                  for i in range(0, len(cells_iter), chunk_size)]
-        results = []
+        size = max(8, math.ceil(len(cells) / (spec.threads * 4)))
+        starts = range(0, len(cells), size)
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
-            for part in pool.map(_eval_chunk, [spec] * len(chunks), chunks):
-                results.extend(part)
+            parts = list(pool.map(_eval_chunk, [spec] * len(starts),
+                                  [cells[i:i + size] for i in starts],
+                                  [values[i:i + size] for i in starts]))
     else:
-        results = _eval_chunk(spec, cells_iter)
-    cells = [r[0] for r in results]
-    diagnostics = [d for r in results for d in r[1]]
-    result = SweepResult(spec=spec, cells=cells, diagnostics=diagnostics)
+        parts = [_eval_chunk(spec, cells, values)]
+    table = Table.concat([t for t, _, _ in parts])
+    counts = np.concatenate([n for _, n, _ in parts])
+    offsets = np.concatenate([[0], np.cumsum(np.maximum(counts, 1))])
     if spec.mode == "branch-curve":
-        labels = continuation_labels([[row.n_p for row in cell.branches]
-                                      for cell in cells])
-        for cell, cell_labels in zip(cells, labels):
-            for row, label in zip(cell.branches, cell_labels):
-                row.branch_index = label
-    return result
+        held = table.present["branch_index"]
+        table.cols["branch_index"][held] = continuation_labels(
+            table.cols["n_p"][held], np.concatenate([[0], np.cumsum(counts)]))
+    return SweepResult(spec=spec, cells=cells, table=table, offsets=offsets,
+                       diagnostics=[d for _, _, ds in parts for d in ds])
 
 
-def sweep_rows(result: SweepResult) -> list[dict]:
-    """One output row per (cell, branch): the cell's axis values and the
-    row's fields; a cell without branches keeps a row of its axis values."""
-    names = [ax.name for ax in result.spec.axes]
-    rows: list[dict] = []
-    for cell in result.cells:
-        axes = dict(zip(names, cell.values))
-        rows += [{**axes, **vars(row)} for row in cell.branches] or [axes]
-    return rows
-
-
-def continuation_labels(curve: list[list[float]]) -> list[list[int]]:
+def continuation_labels(n_p: np.ndarray, offsets) -> np.ndarray:
     """Branch labels along a 1D curve by nearest-n_p continuation.
 
-    ``curve`` holds each cell's branch photon numbers.  Ties break toward
-    the lower previous label; branches with no antecedent get fresh labels.
-    Labels stay unique within each cell.
+    Cell c's branch photon numbers are ``n_p[offsets[c]:offsets[c + 1]]``.
+    Ties break toward the lower previous label; branches with no antecedent
+    get fresh labels.  Labels stay unique within each cell.
     """
     prev: dict[int, float] = {}
     next_label = 0
-    out = []
-    for nps in curve:
+    out = np.empty(len(n_p), dtype=np.int64)
+    every = np.asarray(n_p, dtype=float).tolist()
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        nps = every[lo:hi]
         assignment: dict[int, int] = {}
         for _, label, k in sorted((abs(n - n_prev), label, k)
                                   for k, n in enumerate(nps)
@@ -360,5 +356,5 @@ def continuation_labels(curve: list[list[float]]) -> list[list[int]]:
                 assignment[k], next_label = next_label, next_label + 1
         labels = [assignment[k] for k in range(len(nps))]
         prev = dict(zip(labels, nps))
-        out.append(labels)
+        out[lo:hi] = labels
     return out

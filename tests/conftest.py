@@ -10,12 +10,19 @@ resolvent over frequency (against the Lyapunov solve behind
 state read off the flow, one 4x4 system per photon number (against the
 rational response the oracle scans with).
 
-The per-cell references at the end are the one-cell-at-a-time forms of the
-batched steady-state routes (scan grid, polynomial roots, branch
-reconstruction, linearization); the batched routes must equal them exactly.
+The per-cell references are the one-cell-at-a-time forms of the batched
+steady-state routes (scan grid, polynomial roots, branch reconstruction,
+linearization); the batched routes must equal them exactly.  At the end,
+``write_table_rows`` is the per-row table writer the column writer
+``cli.write_table`` must equal byte for byte, and ``table_rows`` and
+``record_at`` read one row of a column table or one entry of a record with
+array fields.
 """
+import io
+import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,3 +321,70 @@ def linearized_reference(branch, p):
         g22=complex(p.g2 * branch.n_p), omega_ex=p.omega_ex, theta=p.theta,
         kappa=p.kappa, gamma1=p.gamma1, gamma2=p.gamma2, nbar1=p.nbar1,
         nbar2=p.nbar2, origin="branch-derived")
+
+
+# ---------------------------------------------------------------------------
+# per-row readers of column tables and array-field records
+# ---------------------------------------------------------------------------
+
+def table_rows(table) -> list[dict]:
+    """The rows of a column table as dicts of Python scalars, with None
+    where a column is not present."""
+    rows = [{} for _ in range(len(table))]
+    for name, col in table.cols.items():
+        keep = table.present.get(name, np.ones(len(col), dtype=bool))
+        for row, value, present in zip(rows, col.tolist(), keep.tolist()):
+            row[name] = value if present else None
+    return rows
+
+
+def root_counts(result) -> list[int]:
+    """Each cell's branch count in a SweepResult: its rows with a branch."""
+    return per_cell(result, result.table.present["branch_index"]).tolist()
+
+
+def per_cell(result, mask) -> np.ndarray:
+    """How many of each cell's rows of a SweepResult ``mask`` marks."""
+    return np.add.reduceat(mask.astype(np.int64), result.offsets[:-1])
+
+
+def record_at(record, k: int):
+    """Entry ``k`` of a record whose fields are arrays over a stack (a
+    StabilityVerdict or CovarianceResult of a stacked call), as the record a
+    single call returns: 0-d entries become Python scalars."""
+    def entry(value):
+        x = np.asarray(value)[k]
+        return x.item() if np.ndim(x) == 0 else x
+    return replace(record, **{f.name: entry(getattr(record, f.name))
+                              for f in fields(record)})
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, complex):
+        return f"{value.real:.12g}{value.imag:+.12g}j" if value.imag else f"{value.real:.12g}"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def write_table_rows(path, fmt: str, columns, rows: list[dict],
+                     meta: dict) -> None:
+    """The per-row table writer: every field of every row through ``_fmt``."""
+    buf = io.StringIO()
+    if fmt == "csv":
+        for key in sorted(meta):
+            buf.write(f"# {key} = {_fmt(meta[key])}\n")
+        buf.write(",".join(columns) + "\n")
+        for row in rows:
+            buf.write(",".join(_fmt(row.get(c)) for c in columns) + "\n")
+    else:
+        payload = {"meta": {k: _fmt(v) for k, v in sorted(meta.items())},
+                   "rows": [{c: _fmt(row.get(c)) for c in columns}
+                            for row in rows]}
+        json.dump(payload, buf, indent=1, sort_keys=True)
+        buf.write("\n")
+    Path(path).write_text(buf.getvalue())

@@ -24,7 +24,8 @@ from quadmech.steady_state import fixed_point_defect, roots_match
 
 from conftest import (QUADRATURE_T, complex_drift_matrix, fd_jacobian,
                       make_linearized, make_system, random_linearized,
-                      random_system, spectral_phonons)
+                      random_system, root_counts, spectral_phonons,
+                      table_rows)
 
 
 def report(num, ok, detail):
@@ -97,13 +98,13 @@ def test_criterion_04_multistability_counts():
                              Axis("delta_c", 0.0, 12.0, 201)),
                        base=base_a, mode="root-count", threads=2)
     res_a = run_sweep(spec_a)
-    counts_a = {c.root_count for c in res_a.cells}
+    counts_a = set(root_counts(res_a))
     base_b = make_system(g1=0.05)     # g2 x delta_c plane
     spec_b = SweepSpec(axes=(Axis("g2", -0.001, -1e-6, 201),
                              Axis("delta_c", 0.0, 12.0, 201)),
                        base=base_b, mode="root-count", threads=2)
     res_b = run_sweep(spec_b)
-    counts_b = {c.root_count for c in res_b.cells}
+    counts_b = set(root_counts(res_b))
     dt = time.time() - t0
     ok = ({1, 3, 5, 7} <= counts_a and max(counts_a) <= 7
           and {1, 3, 5, 7} <= counts_b and max(counts_b) <= 7
@@ -170,7 +171,7 @@ def test_criterion_06_theta_mirror_symmetry():
     p = make_system(delta_c=5.0)
     res = run_sweep(SweepSpec(axes=(Axis("theta", 0.0, math.pi, 41),),
                               base=p, mode="root-count"))
-    counts = [c.root_count for c in res.cells]
+    counts = root_counts(res)
     ok = counts == counts[::-1]
     dt = time.time() - t0
     assert report(6, ok and dt < 60.0,
@@ -289,7 +290,8 @@ def test_criterion_11_branch_resolved_cooling():
             else:
                 base = make_system(delta_c=5.0, gamma1=1e-5, gamma2=1e-5,
                                    nbar1=300.0, nbar2=300.0)
-            rows = branch_cooling_sweep(base, ratios, convention=conv)
+            rows = table_rows(branch_cooling_sweep(base, ratios,
+                                                   convention=conv))
             lowest = {}
             for r in rows:
                 key = r["kappa_over_omega1"]

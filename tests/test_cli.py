@@ -1,12 +1,20 @@
 """Config parsing, subcommands, output stability."""
 import json
+import math
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadmech import RECIPES, run_recipe
-from quadmech.cli import _DASHED, ParseError, UnknownKey, main, parse_config
-from quadmech.sweep import InvalidSpec
+from quadmech.cli import (_DASHED, COLUMNS, ParseError, UnknownKey, main,
+                          parse_config, write_table)
+from quadmech.sweep import ROW_DTYPES, InvalidSpec, Table, _cell_table
+
+from conftest import table_rows, write_table_rows
 
 MINIMAL = """\
 [system]
@@ -462,13 +470,17 @@ def test_fig4_subtables_record_their_own_base(tmp_path):
 
 def test_recipe_axes_keep_declared_points(monkeypatch):
     # fig7 declares 201 x 50; only an explicit points override changes that
+    import numpy as np
+
     import quadmech.recipes as recipes
-    from quadmech.sweep import SweepResult
+    from quadmech.sweep import SweepResult, Table
     seen = []
 
     def fake_run_sweep(spec):
         seen.append(tuple(ax.points for ax in spec.axes))
-        return SweepResult(spec=spec, cells=[], diagnostics=[])
+        return SweepResult(spec=spec, cells=np.empty((0, 2), dtype=int),
+                           table=Table({}), offsets=np.zeros(1, dtype=int),
+                           diagnostics=[])
     monkeypatch.setattr(recipes, "run_sweep", fake_run_sweep)
     recipes.run_recipe("fig7")
     recipes.run_recipe("fig7", points=7)
@@ -478,3 +490,92 @@ def test_recipe_axes_keep_declared_points(monkeypatch):
 
 def test_missing_config_errors():
     assert main(["roots", "--config", "/nonexistent/x.ini"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# the column writer against the per-row writer
+# ---------------------------------------------------------------------------
+
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1e300,
+     -1e300, 1e-300, -1e-300, 0.1, 2.0])
+_ELEMENTS = {
+    "f": _FLOATS,
+    "i": st.integers(-2**63, 2**63 - 1),
+    "b": st.booleans(),
+    "c": st.complex_numbers(allow_nan=True, allow_infinity=True)
+    | st.builds(complex, _FLOATS, st.sampled_from([0.0, -0.0])),
+}
+_DTYPES = {"f": float, "i": np.int64, "b": bool, "c": complex}
+_META = {"a": 1.5, "b": True, "c": 1 - 2j, "d": "text", "e": None, "f": 3,
+         "g": -0.0}
+
+
+@st.composite
+def _column(draw, kind, n):
+    col = np.array(draw(st.lists(_ELEMENTS[kind], min_size=n, max_size=n)),
+                   dtype=_DTYPES[kind])
+    mask = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n))
+    return col, None if mask is None else np.array(mask, dtype=bool)
+
+
+@st.composite
+def _tables(draw):
+    """A column table of every column kind, some columns with masks."""
+    n = draw(st.integers(0, 6))
+    table = Table({})
+    for j, kind in enumerate(draw(st.lists(st.sampled_from("fibc"),
+                                           min_size=1, max_size=6))):
+        col, mask = draw(_column(kind, n))
+        table.cols[f"{kind}{j}"] = col
+        if mask is not None:
+            table.present[f"{kind}{j}"] = mask
+    return table
+
+
+@st.composite
+def _sweep_tables(draw):
+    """Cells with 0 to 3 branch rows each: (the table of ``_cell_table``,
+    the rows the per-row sweep wrote, cell by cell, axis-only when empty)."""
+    counts = np.array(draw(st.lists(st.integers(0, 3), min_size=1,
+                                    max_size=5)), dtype=np.int64)
+    values = np.array(draw(st.lists(st.tuples(_FLOATS, _FLOATS),
+                                    min_size=len(counts),
+                                    max_size=len(counts))), dtype=float)
+    rows = Table({})
+    for name, dtype in ROW_DTYPES.items():
+        kind = np.dtype(dtype).kind
+        col, mask = draw(_column(kind, int(counts.sum())))
+        rows.cols[name] = col
+        if mask is not None:
+            rows.present[name] = mask
+    per_row, want = iter(table_rows(rows)), []
+    for n, (x, y) in zip(counts.tolist(), values.tolist()):
+        axes = {"x": x, "y": y}
+        want += [{**axes, **next(per_row)} for _ in range(n)] or [axes]
+    return _cell_table(("x", "y"), values, counts, rows), want
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_tables(), data=st.data())
+def test_column_writer_equals_per_row_writer(table, data):
+    columns = tuple(data.draw(st.permutations(list(table.cols) + ["absent"])))
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("csv", "json"):
+            got, want = Path(tmp, f"col.{fmt}"), Path(tmp, f"row.{fmt}")
+            write_table(str(got), fmt, columns, table, _META)
+            write_table_rows(want, fmt, columns, table_rows(table), _META)
+            assert got.read_bytes() == want.read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_sweep_tables())
+def test_sweep_table_writes_the_per_row_sweep_rows(case):
+    table, want = case
+    columns = ("x", "y") + COLUMNS
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("csv", "json"):
+            got, ref = Path(tmp, f"col.{fmt}"), Path(tmp, f"row.{fmt}")
+            write_table(str(got), fmt, columns, table, _META)
+            write_table_rows(ref, fmt, columns, want, _META)
+            assert got.read_bytes() == ref.read_bytes()

@@ -23,7 +23,8 @@ from quadmech.cooling import (LYAP_BLOCK, UnphysicalResult, ZeroCoupling,
 from quadmech.params import linearized_columns
 
 from conftest import (QUADRATURE_T, complex_drift_matrix, complex_noise,
-                      make_linearized, random_linearized, spectral_phonons)
+                      make_linearized, random_linearized, record_at,
+                      spectral_phonons)
 
 
 # ---------------------------------------------------------------------------
@@ -99,16 +100,15 @@ def test_lyapunov_residual_small(rng):
 
 
 def test_lyap_residual_above_bound_is_reported():
-    from dataclasses import replace
-
-    from quadmech.cooling import LYAP_RESIDUAL_TOL, row_occupations
-    cov = cool_linearized(make_linearized())
-    diags = []
-    assert row_occupations(cov, diags) == phonon_numbers(cov)
-    assert diags == []
-    loose = replace(cov, lyap_residual=100.0 * LYAP_RESIDUAL_TOL)
-    assert row_occupations(loose, diags, stable=False) == (None, None)
-    assert [d.kind for d in diags] == ["lyap-residual"]
+    from quadmech.cooling import LYAP_RESIDUAL_TOL, flag_residuals
+    cov = cool_linearized([make_linearized(), make_linearized(kappa=0.2)])
+    sinks = [[], []]
+    flag_residuals(cov.lyap_residual, sinks)
+    assert sinks == [[], []]
+    loose = cov.lyap_residual.copy()
+    loose[1] = 100.0 * LYAP_RESIDUAL_TOL
+    flag_residuals(loose, sinks)
+    assert sinks[0] == [] and [d.kind for d in sinks[1]] == ["lyap-residual"]
 
 
 def test_lyap_residual_diagnostic_on_every_cooled_row(monkeypatch, tmp_path):
@@ -118,7 +118,7 @@ def test_lyap_residual_diagnostic_on_every_cooled_row(monkeypatch, tmp_path):
     from quadmech import Axis, SweepSpec, branch_cooling_sweep, run_sweep
     from quadmech.cli import main
 
-    from conftest import make_system
+    from conftest import make_system, table_rows
     monkeypatch.setattr(cooling, "LYAP_RESIDUAL_TOL", -1.0)
     res = run_sweep(SweepSpec(axes=(Axis("kappa", 0.05, 0.5, 3),),
                               base=make_linearized(), mode="cooling"))
@@ -126,10 +126,10 @@ def test_lyap_residual_diagnostic_on_every_cooled_row(monkeypatch, tmp_path):
             if d.kind == "lyap-residual"] == [(0,), (1,), (2,)]
 
     diags = []
-    rows = branch_cooling_sweep(
+    rows = table_rows(branch_cooling_sweep(
         make_system(g2=0.0, eta=56.5, omega_ex=0.2, delta_c=3.2,
                     gamma1=1e-5, gamma2=1e-5, nbar1=300.0, nbar2=300.0),
-        np.array([0.2, 0.3]), diagnostics=diags)
+        np.array([0.2, 0.3]), diagnostics=diags))
     cooled = [r for r in rows if r["n1f"] is not None]
     assert cooled
     assert sum(d.kind == "lyap-residual" for d in diags) == len(cooled)
@@ -237,12 +237,15 @@ def test_batched_lyapunov_equals_per_cell_calls(batch, data):
     cells, alone = batch
     order = data.draw(st.permutations(range(len(cells))))
     batched = cool_linearized([cells[k] for k in order])
-    assert all(_same(batched[order.index(k)], alone[k])
+    assert all(_same(record_at(batched, order.index(k)), alone[k])
                for k in range(len(cells)))
     cut = data.draw(st.sampled_from([1, LYAP_BLOCK - 1, LYAP_BLOCK,
                                      LYAP_BLOCK + 1, 2 * LYAP_BLOCK])
                     | st.integers(1, len(cells) - 1))
-    split = cool_linearized(cells[:cut]) + cool_linearized(cells[cut:])
+    split = [record_at(part, k)
+             for part in (cool_linearized(cells[:cut]),
+                          cool_linearized(cells[cut:]))
+             for k in range(len(part.n1f))]
     assert all(_same(x, y) for x, y in zip(split, alone))
 
 
@@ -285,9 +288,10 @@ def test_column_builders_equal_scalar_records(batch, data):
 def test_single_matrix_is_a_batch_of_one():
     lp = make_linearized()
     a, nm = build_drift_matrix(lp), build_noise_model(lp)
-    (one,) = solve_lyapunov(DriftMatrix(a=a.a[None]), [nm])
+    one = record_at(solve_lyapunov(DriftMatrix(a=a.a[None]), [nm]), 0)
     assert _same(solve_lyapunov(a, nm), one)
-    assert solve_lyapunov(DriftMatrix(a=np.empty((0, 6, 6))), []) == []
+    none = solve_lyapunov(DriftMatrix(a=np.empty((0, 6, 6))), [])
+    assert none.v.shape == (0, 6, 6) and len(none.n1f) == 0
 
 
 def test_symmetric_operator_equals_kron(rng):

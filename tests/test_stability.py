@@ -21,7 +21,7 @@ from quadmech.stability import GAMMA_FALLBACK_FACTOR
 
 from conftest import (QUADRATURE_T, complex_drift_matrix, fd_jacobian,
                       linearized_reference, make_linearized, make_system,
-                      random_linearized)
+                      random_linearized, record_at, table_rows)
 
 
 def test_identity_matrix_stable():
@@ -230,13 +230,14 @@ def test_fallback_damping_equals_rebuilt_matrices(rng):
         p = make_system(**{**p.__dict__, "kappa": rng.uniform(0.2, 3.0)})
         lps += [derive_linearized(b, p) for b in solve_branches(p)]
     assert all(lp.gamma1 == 0.0 and lp.gamma2 == 0.0 for lp in lps)
-    verdicts = classify_branch_stability(lps)
+    stack = classify_branch_stability(lps)
+    verdicts = [record_at(stack, k) for k in range(len(lps))]
     assert all(v.gamma_fallback_applied for v in verdicts)
     assert all(_same_spectrum(v, _rebuilt_verdict(lp))
                for v, lp in zip(verdicts, lps))
     raw = classify_branch_stability(lps, gamma_fallback=False)
-    assert any(v.eigenvalues.tobytes() != r.eigenvalues.tobytes()
-               for v, r in zip(verdicts, raw))
+    assert any(v.eigenvalues.tobytes() != r.tobytes()
+               for v, r in zip(verdicts, raw.eigenvalues))
 
 
 def test_fallback_verdict_of_complex_g22_record():
@@ -248,7 +249,7 @@ def test_fallback_verdict_of_complex_g22_record():
     verdict = classify_branch_stability(lp)
     assert verdict.gamma_fallback_applied
     assert _same_spectrum(verdict, _rebuilt_verdict(lp))
-    (stacked, _) = classify_branch_stability([lp, make_linearized()])
+    stacked = record_at(classify_branch_stability([lp, make_linearized()]), 0)
     assert _same_spectrum(stacked, verdict)
 
 
@@ -264,12 +265,14 @@ def test_branch_cooling_sweep_honours_gamma_fallback(monkeypatch):
         seen.append((lps, gamma_fallback))
         return real(lps, gamma_fallback)
     monkeypatch.setattr(sweep, "classify_branch_stability", spy)
-    rows = branch_cooling_sweep(make_system(g2=0.0, omega_ex=0.0),
-                                np.array([0.2, 0.4]), gamma_fallback=False)
+    rows = table_rows(branch_cooling_sweep(make_system(g2=0.0, omega_ex=0.0),
+                                           np.array([0.2, 0.4]),
+                                           gamma_fallback=False))
     ((lps, flag),) = seen           # one column record of every branch
     assert flag is False and len(lps.kappa) == len(rows) > 0
     assert not any(r["stable"] or r["n1f"] is not None for r in rows)
-    assert any(v.stable and v.verdict_flipped for v in real(lps, True))
+    fallback = real(lps, True)
+    assert any(fallback.stable & fallback.verdict_flipped)
 
 
 @st.composite
@@ -310,8 +313,9 @@ def test_column_linearization_equals_per_branch(sets, gamma_fallback):
     # a column record classifies as its list of scalar records does
     column = classify_branch_stability(cols, gamma_fallback)
     listed = classify_branch_stability(ref, gamma_fallback)
-    assert len(column) == len(listed) == len(bs)
-    for a, b, lp in zip(column, listed, ref):
+    assert len(column.stable) == len(listed.stable) == len(bs)
+    for k, lp in enumerate(ref):
+        a, b = record_at(column, k), record_at(listed, k)
         for c in (b, classify_branch_stability(lp, gamma_fallback)):
             assert a.eigenvalues.dtype == c.eigenvalues.dtype == complex
             assert a.eigenvalues.tobytes() == c.eigenvalues.tobytes()
@@ -335,7 +339,8 @@ def test_mixed_real_and_complex_spectra_equal_single_cells():
     for stack in (cells, cells[:1] + cells[2:3], cells[1:2]):
         got = classify_branch_stability(stack)
         want = [single[cells.index(lp)] for lp in stack]
-        assert all(_same_spectrum(g, w) for g, w in zip(got, want))
+        assert all(_same_spectrum(record_at(got, k), w)
+                   for k, w in enumerate(want))
     assert [v.stable for v in single] == [True, True, True, False]
 
 
@@ -344,8 +349,9 @@ def test_branch_cooling_skips_flipped_verdicts():
     # branches stable, but the undamped Lyapunov system is singular there
     from quadmech import branch_cooling_sweep
     diags = []
-    rows = branch_cooling_sweep(make_system(g2=0.0, omega_ex=0.0),
-                                np.array([0.2, 0.4]), diagnostics=diags)
+    rows = table_rows(branch_cooling_sweep(make_system(g2=0.0, omega_ex=0.0),
+                                           np.array([0.2, 0.4]),
+                                           diagnostics=diags))
     flipped = [d for d in diags if d.kind == "marginal-verdict"]
     assert len(flipped) == sum(r["stable"] for r in rows) > 0
     assert {d.cell for d in flipped} == {(0.2,), (0.4,)}

@@ -747,6 +747,8 @@ def test_coupled_figure_cells_name_c5_and_c6(tag, points):
         elif found:
             (message,) = found
             assert "C5 " in message and "C6 " in message
+            # the scale is fitted on C0..C4 and C7, so only C5/C6 are named
+            assert re.findall(r"C\d", message) == ["C5", "C6"]
             flagged += 1
     coupled = sum(p.g1 != 0.0 and p.g2 != 0.0 for p in ps)
     # fig3a's eta = 1 row is the one coupled row whose closed form holds

@@ -6,13 +6,29 @@ import numpy as np
 import pytest
 
 from quadmech import Axis, SweepSpec, run_sweep
-from quadmech.sweep import InvalidSpec, validate_spec
+from quadmech.cli import write_table
+from quadmech.sweep import COLUMNS, InvalidSpec, validate_spec
 
-from conftest import make_linearized, make_system
+from conftest import (make_linearized, make_system, per_cell, root_counts,
+                      table_rows)
 
 
 def _spec(base, axes, mode, **kw):
     return SweepSpec(axes=axes, base=base, mode=mode, **kw)
+
+
+def _written(res, path) -> list[list[str]]:
+    """The fields of the CSV table of ``res``, row by row."""
+    names = tuple(ax.name for ax in res.spec.axes)
+    write_table(str(path), "csv", names + COLUMNS, res.table, {})
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+def _cell_rows(res) -> list[list[dict]]:
+    """Each cell's rows as dicts, the rows of its branches only."""
+    rows = table_rows(res.table)
+    return [[r for r in rows[lo:hi] if r["branch_index"] is not None]
+            for lo, hi in zip(res.offsets[:-1], res.offsets[1:])]
 
 
 def test_rejects_bad_specs():
@@ -51,16 +67,19 @@ def test_decoupled_root_count_all_one():
     p = make_system(g1=0.0, g2=0.0, eta=30.0)
     res = run_sweep(_spec(p, (Axis("delta_c", 0.0, 6.0, 31),), "root-count"))
     assert len(res.cells) == 31
-    assert all(c.root_count == 1 for c in res.cells)
-    assert all(c.stable_count <= c.root_count for c in res.cells)
+    counts = root_counts(res)
+    stable_counts = per_cell(res, res.table.cols["stable"]
+                             & res.table.present["stable"]).tolist()
+    assert all(c == 1 for c in counts)
+    assert all(s <= c for s, c in zip(stable_counts, counts))
 
 
 def test_row_major_cell_order():
     p = make_system(g1=0.0, g2=0.0, eta=10.0)
     res = run_sweep(_spec(p, (Axis("delta_c", 0.0, 1.0, 3),
                               Axis("eta", 5.0, 10.0, 2)), "root-count"))
-    assert [c.index for c in res.cells] == [(0, 0), (0, 1), (1, 0), (1, 1),
-                                            (2, 0), (2, 1)]
+    assert [tuple(c) for c in res.cells.tolist()] == [
+        (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
 
 def test_determinism_across_workers():
@@ -68,18 +87,14 @@ def test_determinism_across_workers():
     axes = (Axis("delta_c", 2.5, 4.5, 9),)
     serial = run_sweep(_spec(p, axes, "root-count", threads=1))
     parallel = run_sweep(_spec(p, axes, "root-count", threads=2))
-    assert pickle.dumps([(c.index, c.values, c.root_count, c.stable_count,
-                          [(b.branch_index, b.n_p, b.stable, b.residual)
-                           for b in c.branches]) for c in serial.cells]) == \
-        pickle.dumps([(c.index, c.values, c.root_count, c.stable_count,
-                       [(b.branch_index, b.n_p, b.stable, b.residual)
-                        for b in c.branches]) for c in parallel.cells])
+    assert pickle.dumps((serial.cells, serial.offsets, serial.table)) == \
+        pickle.dumps((parallel.cells, parallel.offsets, parallel.table))
 
 
 def test_theta_mirror_counts_on_symmetric_grid():
     p = make_system(delta_c=5.0)
     res = run_sweep(_spec(p, (Axis("theta", 0.0, math.pi, 21),), "root-count"))
-    counts = [c.root_count for c in res.cells]
+    counts = root_counts(res)
     assert counts == counts[::-1]
 
 
@@ -87,10 +102,10 @@ def test_branch_curve_labels_follow_branches():
     p = make_system(g2=0.0, eta=45.0)
     res = run_sweep(_spec(p, (Axis("delta_c", 2.05, 2.25, 21),), "branch-curve"))
     by_label = {}
-    for cell in res.cells:
-        for row in cell.branches:
-            by_label.setdefault(row.branch_index, []).append(
-                (cell.values[0], row.n_p))
+    for cell in _cell_rows(res):
+        for row in cell:
+            by_label.setdefault(row["branch_index"], []).append(
+                (row["delta_c"], row["n_p"]))
     # one label per continuous branch: the lowest-photon branch moves smoothly
     for label, pts in by_label.items():
         if len(pts) < 3:
@@ -102,34 +117,36 @@ def test_branch_curve_labels_follow_branches():
 
 def test_continuation_labels_follow_nearest_n_p():
     from quadmech.sweep import continuation_labels
-    curve = [[1.0, 5.0], [1.1, 3.0, 4.9], [], [2.0], [1.2, 4.0]]
-    # a new branch gets a fresh label; after an empty cell every label is
-    # fresh; a tie goes to the lower previous label
-    assert continuation_labels(curve) == [[0, 1], [0, 2, 1], [], [3], [3, 4]]
-    assert continuation_labels([[1.0, 3.0], [2.0]]) == [[0, 1], [0]]
+    # cells [1.0, 5.0], [1.1, 3.0, 4.9], [], [2.0], [1.2, 4.0]: a new branch
+    # gets a fresh label; after an empty cell every label is fresh; a tie
+    # goes to the lower previous label
+    n_p = np.array([1.0, 5.0, 1.1, 3.0, 4.9, 2.0, 1.2, 4.0])
+    assert continuation_labels(n_p, [0, 2, 5, 5, 6, 8]).tolist() == \
+        [0, 1, 0, 2, 1, 3, 3, 4]
+    assert continuation_labels(np.array([1.0, 3.0, 2.0]),
+                               [0, 2, 3]).tolist() == [0, 1, 0]
 
 
 def test_cooling_map_thermal_cells():
     lp = make_linearized(g1_eff=0.0, g2_eff=0.0, g22=0.0, omega_ex=0.0,
                          gamma1=1e-4, gamma2=1e-4, nbar1=9.0, nbar2=4.0)
     res = run_sweep(_spec(lp, (Axis("kappa", 0.05, 0.5, 7),), "cooling"))
-    for cell in res.cells:
-        (row,) = cell.branches
-        assert row.stable
-        assert row.n1f == pytest.approx(9.0, rel=1e-10)
-        assert row.n2f == pytest.approx(4.0, rel=1e-10)
-        assert row.dark_overlap is None
+    for (row,) in _cell_rows(res):
+        assert row["stable"]
+        assert row["n1f"] == pytest.approx(9.0, rel=1e-10)
+        assert row["n2f"] == pytest.approx(4.0, rel=1e-10)
+        assert row["dark_overlap"] is None
 
 
 def test_cooling_map_marks_unstable_cells():
     lp = make_linearized(g1_eff=0.1, g2_eff=-0.01, g22=-0.01, omega_ex=0.1,
                          delta_eff=-1.0)   # blue-detuned: amplification
     res = run_sweep(_spec(lp, (Axis("kappa", 0.02, 0.2, 5),), "cooling"))
-    rows = [c.branches[0] for c in res.cells]
-    assert any(not r.stable for r in rows)
+    rows = [cell[0] for cell in _cell_rows(res)]
+    assert any(not r["stable"] for r in rows)
     for r in rows:
-        if not r.stable:
-            assert r.n1f is None and r.n2f is None
+        if not r["stable"]:
+            assert r["n1f"] is None and r["n2f"] is None
     assert any(d.kind == "unstable-cell" for d in res.diagnostics)
 
 
@@ -144,9 +161,8 @@ def test_mismatch_diagnostics_carry_cell_index():
 def test_dark_overlap_reported_in_cooling_cells():
     lp = make_linearized(g1_eff=0.1, g2_eff=-0.1, g22=-0.2, omega_ex=0.0)
     res = run_sweep(_spec(lp, (Axis("g22", -0.3, -0.1, 5),), "cooling"))
-    for cell in res.cells:
-        (row,) = cell.branches
-        assert row.dark_overlap == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    for (row,) in _cell_rows(res):
+        assert row["dark_overlap"] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_single_branch_cells_usually_stable(rng):
@@ -181,12 +197,11 @@ def test_dark_diagonal_cells_stay_hot():
                          theta=0.0)
     res = run_sweep(_spec(lp, (Axis("g2_eff", -0.12, -0.08, 9),), "cooling"))
     hit = 0
-    for cell in res.cells:
-        (row,) = cell.branches
-        if row.dark_overlap is not None and row.dark_overlap < 0.02:
+    for (row,) in _cell_rows(res):
+        if row["dark_overlap"] is not None and row["dark_overlap"] < 0.02:
             hit += 1
-            if row.stable:
-                assert max(row.n1f, row.n2f) > 1.0
+            if row["stable"]:
+                assert max(row["n1f"], row["n2f"]) > 1.0
     assert hit >= 1
 
 
@@ -205,7 +220,7 @@ def test_fig2a_plane_tables_identical_across_workers(tmp_path):
     assert side[0] == side[1]
 
 
-def test_failing_cell_does_not_fail_its_batch(monkeypatch):
+def test_failing_cell_does_not_fail_its_batch(monkeypatch, tmp_path):
     # a cell whose solve raises gets a cell-error; its batch-mates still solve
     import quadmech.steady_state as ss
     real = ss.build_polynomial
@@ -217,13 +232,24 @@ def test_failing_cell_does_not_fail_its_batch(monkeypatch):
     monkeypatch.setattr(ss, "build_polynomial", broken)
     p = make_system(g1=0.0, g2=0.0, eta=10.0)
     res = run_sweep(_spec(p, (Axis("delta_c", 1.0, 5.0, 5),), "root-count"))
-    counts = [c.root_count for c in res.cells]
+    counts = root_counts(res)
     assert counts == [1, 1, 0, 1, 1]
     errors = [d for d in res.diagnostics if d.kind == "cell-error"]
     assert [d.cell for d in errors] == [(2,)]
+    # the failed cell writes one row: its axis value, every other field empty
+    rows = _written(res, tmp_path / "five.csv")
+    assert [r for r in rows if r[1:] == [""] * 7] == [["3"] + [""] * 7]
+    assert len(rows) == 5
+    # on more cells than one batch per worker: the same table from 1 and 2
+    tables = [_written(run_sweep(_spec(p, (Axis("delta_c", 1.0, 5.0, 9),),
+                                       "root-count", threads=threads)),
+                       tmp_path / f"nine_{threads}.csv")
+              for threads in (1, 2)]
+    assert tables[0] == tables[1]
+    assert [r for r in tables[0] if r[1] == ""] == [["3"] + [""] * 7]
 
 
-def test_failing_cooling_cells_do_not_fail_their_batch(monkeypatch):
+def test_failing_cooling_cells_do_not_fail_their_batch(monkeypatch, tmp_path):
     # a NaN entry, a singular Lyapunov system and an UnphysicalResult each
     # fail only their own cell; the batch-mates keep their values
     from dataclasses import replace
@@ -232,7 +258,7 @@ def test_failing_cooling_cells_do_not_fail_their_batch(monkeypatch):
     base = make_linearized()
     spec = _spec(base, (Axis("kappa", 0.05, 0.35, 7),), "cooling")
     clean = run_sweep(spec)
-    kappas = [c.values[0] for c in clean.cells]
+    kappas = clean.table.cols["kappa"].tolist()
     real_drift, real_noise = cooling.build_drift_matrix, cooling.build_noise_model
     hostile = make_linearized(g1_eff=0.0, g2_eff=0.0, g22=0.0, omega_ex=0.0,
                               gamma1=1e-3, gamma2=1e-3, nbar1=5.0, nbar2=5.0)
@@ -262,13 +288,24 @@ def test_failing_cooling_cells_do_not_fail_their_batch(monkeypatch):
     assert [d.cell for d in errors] == [(1,), (3,), (5,)]
     assert [d.message.split(":")[0] for d in errors] == \
         ["ValueError", "SingularLyapunov", "UnphysicalResult"]
-    for k, (got, want) in enumerate(zip(res.cells, clean.cells)):
-        (row,) = got.branches
+    for k, ((row,), (want,)) in enumerate(zip(_cell_rows(res),
+                                              _cell_rows(clean))):
         if k in (1, 3, 5):
-            assert not row.stable and row.n1f is None and row.residual is None
-            assert row.dark_overlap == want.branches[0].dark_overlap
+            assert (not row["stable"] and row["n1f"] is None
+                    and row["residual"] is None)
+            assert row["dark_overlap"] == want["dark_overlap"]
         else:
-            assert got == want
+            assert row == want
+    # written: stable 0, empty occupations and residual, the dark overlap
+    header = ("kappa",) + COLUMNS
+    written = [dict(zip(header, r)) for r in _written(res, tmp_path / "f.csv")]
+    clean_rows = _written(clean, tmp_path / "clean.csv")
+    for k in (1, 3, 5):
+        row = written[k]
+        assert row["stable"] == "0"
+        assert row["n1f"] == row["n2f"] == row["residual"] == ""
+        assert row["dark_overlap"] == dict(zip(header, clean_rows[k]))[
+            "dark_overlap"] != ""
 
 
 def test_cooling_map_tables_identical_across_workers(tmp_path):
