@@ -7,7 +7,10 @@ so V is real symmetric and the equation has 21 unknowns (V's upper
 triangle).  The 21x21 system is solved densely, followed by iterative
 refinement so the residual stays at working precision even for stiff
 damping hierarchies (gamma ~ 1e-6 kappa).  Stacks of drift matrices are
-solved together, in blocks of LYAP_BLOCK systems per stacked call.
+solved together, in blocks of LYAP_BLOCK systems per stacked call.  The
+``physical`` flag is read off the solved V: with a positive-definite bath Q,
+the signs of V's eigenvalues give R's stability (one stacked ``eigvalsh``),
+and only cells that certificate cannot settle take the eigenvalues of R.
 """
 from __future__ import annotations
 
@@ -17,7 +20,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .params import LinearizedParams, linearized_columns
-from .stability import DriftMatrix, build_drift_matrix, spectra
+from .stability import (STAB_TOL_FACTOR, DriftMatrix, build_drift_matrix,
+                        spectra)
 from .steady_state import Diagnostic
 
 LYAP_RESIDUAL_TOL = 1e-10
@@ -57,7 +61,7 @@ class CovarianceResult:
     n1f: float
     n2f: float
     lyap_residual: float
-    physical: bool          # drift matrix was classified stable
+    physical: bool          # drift matrix is stable, as ``spectra`` rules
 
 
 @dataclass(frozen=True)
@@ -191,11 +195,11 @@ def solve_lyapunov(A: DriftMatrix, nm) -> CovarianceResult:
         go = trial_res < residual[live]
         live, r = live[go], r[go]
         v[live], residual[live] = trial[go], trial_res[go]
-    physical = spectra(a)[2]
     n1f, n2f = _occupations(v)
     d = np.diagonal(q, axis1=1, axis2=2)
     bath = (np.all(q == d[:, None, :] * np.eye(6), axis=(1, 2))
             & np.all(d >= 0.0, axis=1) & np.all(d[:, :3] == d[:, 3:], axis=1))
+    physical = _stable_from_covariance(a, v, d.min(axis=1), residual, bath)
     bad = np.flatnonzero(physical & (np.minimum(n1f, n2f) < -1e-6) & bath)
     if bad.size:
         k = bad[0]
@@ -205,6 +209,36 @@ def solve_lyapunov(A: DriftMatrix, nm) -> CovarianceResult:
         return CovarianceResult(v[0], n1f.item(), n2f.item(), residual.item(),
                                 physical.item())
     return CovarianceResult(v, n1f, n2f, residual, physical)
+
+
+def _stable_from_covariance(a, v, qmin, residual, bath) -> np.ndarray:
+    """The ``spectra`` verdict of each drift matrix R, read off its solved V.
+
+    With R V + V R^T + Q = 0 and a bath Q >= qmin I > 0, the inertia theorem
+    (Ostrowski & Schneider 1962) makes R unstable iff V has a negative
+    eigenvalue, whose unstable Re lambda is at least qmin / (2 max|mu|);
+    V > 0 bounds every Re lambda by -qmin / (2 mu_max).  Every exact |mu| is
+    at least qmin / (2 ||R||_F).  A cell is settled when its residual is
+    within LYAP_RESIDUAL_TOL, its computed |mu| keep half that gap, and the
+    bound clears the ``spectra`` margin twice over; the rest, and a stack
+    whose eigenvalue call fails, take ``spectra`` (LEDGER "Stability from
+    the Lyapunov solution").
+    """
+    try:
+        mu = np.linalg.eigvalsh(v)
+    except np.linalg.LinAlgError:
+        mu = np.full(v.shape[:2], np.nan)
+    mag = np.abs(mu)
+    norm = np.linalg.norm(a.reshape(-1, 36), axis=1)
+    sound = (bath & (qmin > 0.0) & (residual <= LYAP_RESIDUAL_TOL)
+             & (4.0 * norm * mag.min(axis=1) >= qmin))
+    stable = mu[:, 0] > 0.0
+    margin = np.where(stable, 2.0, -2.0) * STAB_TOL_FACTOR * -a[:, 0, 0]
+    sure = sound & (qmin > 2.0 * mag.max(axis=1) * margin)
+    rest = np.flatnonzero(~sure)
+    if rest.size:
+        stable[rest] = spectra(a[rest])[2]
+    return stable
 
 
 def _occupations(v: np.ndarray):

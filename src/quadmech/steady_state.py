@@ -742,8 +742,9 @@ def root_sets(ps: list[SystemParams], oracle_mode: bool, scan_points: int,
     diagnostic naming the failed check and the scan oracle's roots instead
     (one ``oracle_roots`` call for all such sets), and a set whose
     closed-form coefficients lie more than COEFF_TOL from the fixed-point
-    map's (``coefficient_deviation``) gets a coefficient-mismatch diagnostic
-    naming the coefficients beyond it.  Without it, the exact route's roots
+    map's (``coefficient_deviation``, against the undamped map whatever
+    ``with_damping``) gets a coefficient-mismatch diagnostic naming the
+    coefficients beyond it.  Without it, the exact route's roots
     stand as they come, uncertified ones included, and nothing is compared.
     """
     resp = RationalResponse.of(ps, with_damping)
@@ -761,7 +762,9 @@ def root_sets(ps: list[SystemParams], oracle_mode: bool, scan_points: int,
                                [sinks[k] for k in redo], with_damping)
         for k, found in zip(redo, scanned):
             roots[k] = found
-    dev = coefficient_deviation(ps, resp)
+    # the closed form has no damping terms: compare it with the undamped map
+    dev = coefficient_deviation(
+        ps, RationalResponse.of(ps, False) if with_damping else resp)
     for k in np.flatnonzero(~(dev.max(axis=1) <= COEFF_TOL)).tolist():
         off = " ".join(f"C{m} {d:.1e}" for m, d in enumerate(dev[k].tolist())
                        if not d <= COEFF_TOL)

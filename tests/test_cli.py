@@ -179,6 +179,24 @@ def test_roots_oracle_honours_mech_damping(tmp_path):
     assert meta["oracle_roots"].split() == [r["n_p"] for r in rows]
     assert len(rows) == 7
     assert undamped["oracle_roots"] != meta["oracle_roots"]
+    # the closed form is compared with the undamped map, so only its mixed
+    # terms are named, damped or not
+    for name in ("roots2", "branches2", "roots0"):
+        side = (tmp_path / f"{name}.csv.diagnostics.txt").read_text()
+        assert [line.split(" off ")[0].split("closed-form ")[1].split()[::2]
+                for line in side.splitlines()] == [["C5", "C6"]]
+
+
+def test_damped_cubic_point_has_no_coefficient_mismatch(tmp_path):
+    # g2 = 0: the closed form is exact, and keeping the damping in the
+    # fixed-point map does not make it disagree
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(FIG4A)
+    for cmd in ("roots", "branches"):
+        out = tmp_path / f"{cmd}.csv"
+        assert main([cmd, "--config", str(cfgfile), "--out", str(out),
+                     "--with-mech-damping", "on"]) == 0
+        assert not out.with_suffix(".csv.diagnostics.txt").exists()
 
 
 def test_branch_rows_follow_one_cooling_rule(tmp_path):

@@ -14,13 +14,14 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadmech import (CovarianceResult, DriftMatrix, NoiseModel,
-                      build_drift_matrix, build_noise_model,
+from quadmech import (CovarianceResult, DriftMatrix, LinearizedParams,
+                      NoiseModel, build_drift_matrix, build_noise_model,
                       classify_stability, cool_linearized,
                       dark_mode_diagnostics, phonon_numbers, solve_lyapunov)
 from quadmech.cooling import (LYAP_BLOCK, UnphysicalResult, ZeroCoupling,
                               _lyapunov_operator)
 from quadmech.params import linearized_columns
+from quadmech.stability import spectra
 
 from conftest import (QUADRATURE_T, complex_drift_matrix, complex_noise,
                       make_linearized, random_linearized, record_at,
@@ -427,6 +428,137 @@ def test_real_route_matches_complex_oracle(seed):
         ref = scipy.linalg.solve_sylvester(a, a.T, -complex_noise(lp)[1])
         assert cov.n1f == pytest.approx(ref[4, 1].real - 0.5, rel=1e-9)
         assert cov.n2f == pytest.approx(ref[5, 2].real - 0.5, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# stability from the solved covariance
+# ---------------------------------------------------------------------------
+
+def _mixed_cells(rng, n) -> LinearizedParams:
+    """n cells, half of them near the margin (gamma down to 1e-11 kappa,
+    couplings down to 1e-6), on both sides of the cavity resonance, with
+    complex g1_eff and g22 phases on about half of them."""
+    u = rng.uniform
+    near = rng.random(n) < 0.5
+    kappa = u(0.05, 0.5, n)
+    size = np.where(near, 10 ** u(-6.0, -1.0, (3, n)), u(0.0, 0.3, (3, n)))
+    phase = np.exp(1j * u(0.0, 2 * math.pi, (2, n))
+                   * (rng.random((2, n)) < 0.5))
+    gamma = np.where(near, kappa * 10 ** u(-11.0, -6.0, (2, n)),
+                     10 ** u(-6.0, -3.0, (2, n)))
+    return LinearizedParams(
+        delta_eff=u(-1.5, 1.5, n), omega1=u(0.8, 1.2, n),
+        omega2_tilde=u(0.8, 1.2, n), g1_eff=size[0] * phase[0],
+        g2_eff=-size[1], g22=-size[2] * phase[1], omega_ex=u(0.0, 0.2, n),
+        theta=u(0.0, 2 * math.pi, n), kappa=kappa, gamma1=gamma[0],
+        gamma2=gamma[1], nbar1=u(0.0, 1000.0, n), nbar2=u(0.0, 1000.0, n))
+
+
+def _counting_spectra(mp, sent: list) -> None:
+    """Record each stack the Lyapunov solve hands to ``spectra``."""
+    import quadmech.cooling as cooling
+
+    def counted(a):
+        sent.append(a.copy())
+        return spectra(a)
+    mp.setattr(cooling, "spectra", counted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150), data=st.data())
+def test_certified_verdict_equals_spectra(seed, n, data):
+    # physical from V's inertia equals the eigenvalue verdict cell for cell;
+    # an undamped cell (Q singular) and a symmetric non-diagonal Q (not a
+    # bath) cannot be certified and go to the eigenvalue call
+    lp = _mixed_cells(np.random.default_rng(seed), n)
+    a, q = build_drift_matrix(lp).a, build_noise_model(lp).q
+    undamped = make_linearized(gamma1=0.0, gamma2=0.0, delta_eff=-1.0,
+                               g1_eff=0.1j, g22=-0.05 * np.exp(0.3j))
+    mixed = build_noise_model(make_linearized()).q
+    mixed[1, 2] = mixed[2, 1] = 0.5 * mixed[1, 1]
+    forced = sorted(data.draw(st.lists(st.integers(0, n), min_size=2,
+                                       max_size=2, unique=True)))
+    for k, (drift, noise) in zip(forced, (
+            (build_drift_matrix(undamped).a, build_noise_model(undamped).q),
+            (build_drift_matrix(make_linearized()).a, mixed))):
+        a, q = np.insert(a, k, drift, axis=0), np.insert(q, k, noise, axis=0)
+    sent = []
+    with pytest.MonkeyPatch.context() as mp:
+        _counting_spectra(mp, sent)
+        cov = solve_lyapunov(DriftMatrix(a=a), NoiseModel(q=q))
+    assert np.array_equal(cov.physical, spectra(a)[2])
+    (fell_back,) = sent
+    assert all(np.any(np.all(fell_back == a[k], axis=(1, 2))) for k in forced)
+
+
+def test_certificate_covers_stable_unstable_and_marginal_draws():
+    # the draws of the property above hold certified stable and unstable
+    # cells and near-margin cells the certificate leaves to the eigenvalues
+    lp = _mixed_cells(np.random.default_rng(15), 400)
+    a = build_drift_matrix(lp).a
+    sent = []
+    with pytest.MonkeyPatch.context() as mp:
+        _counting_spectra(mp, sent)
+        cov = solve_lyapunov(DriftMatrix(a=a), build_noise_model(lp))
+    _, max_re, stable = spectra(a)
+    assert np.array_equal(cov.physical, stable)
+    settled = ~np.any(np.all(a[:, None] == sent[0][None], axis=(2, 3)), axis=1)
+    assert np.any(settled & stable) and np.any(settled & ~stable)
+    assert 0 < len(sent[0]) < len(a)
+    assert np.any(np.abs(max_re) < 1e-7 * lp.kappa)
+
+
+def test_unsettled_cells_take_the_eigenvalue_call(monkeypatch):
+    # a residual above LYAP_RESIDUAL_TOL, or a computed eigenvalue of V
+    # inside half the gap q / (2 ||R||_F) every exact one keeps, leaves the
+    # verdict to spectra
+    import quadmech.cooling as cooling
+    lp = linearized_columns([make_linearized(),
+                             make_linearized(delta_eff=-1.0)])[0]
+    a, q = build_drift_matrix(lp).a, build_noise_model(lp).q
+    cov = solve_lyapunov(DriftMatrix(a=a), NoiseModel(q=q))
+    qmin = np.diagonal(q, axis1=1, axis2=2).min(axis=1)
+    sent = []
+    _counting_spectra(monkeypatch, sent)
+    settle = cooling._stable_from_covariance
+    assert list(settle(a, cov.v, qmin, cov.lyap_residual,
+                       np.ones(2, bool))) == [True, False] and sent == []
+    assert list(settle(a, cov.v, qmin, np.array([0.0, 1e-9]),
+                       np.ones(2, bool))) == [True, False]
+    assert len(sent) == 1 and np.array_equal(sent[0], a[1:])
+    mu, x = np.linalg.eigh(cov.v[0])
+    gap = qmin[0] / (2.0 * np.linalg.norm(a[0]))
+    squeezed = cov.v.copy()
+    squeezed[0] += (0.1 * gap - mu[0]) * np.outer(x[:, 0], x[:, 0])
+    assert list(settle(a, squeezed, qmin, cov.lyap_residual,
+                       np.ones(2, bool))) == [True, False]
+    assert len(sent) == 2 and np.array_equal(sent[1], a[:1])
+
+
+def test_figure_maps_send_no_cell_to_the_eigenvalue_call(monkeypatch):
+    # the certificate settles every cell of the fig5-fig7 maps; a cell it
+    # cannot settle (gamma = 0, so Q is singular) goes alone to spectra and
+    # gets the verdict an unpatched eigenvalue call gives it
+    import quadmech.cooling as cooling
+    from quadmech import run_recipe
+    sent, solved = [], []
+    solve = cooling.solve_lyapunov
+
+    def counted(a, nm):
+        solved.append(len(a.a))
+        return solve(a, nm)
+    monkeypatch.setattr(cooling, "solve_lyapunov", counted)
+    _counting_spectra(monkeypatch, sent)
+    for tag in ("fig5", "fig6", "fig7"):
+        run_recipe(tag, points=21)
+    assert sum(solved) == 3 * 21 * 21 and sent == []
+    lp = linearized_columns([make_linearized(),
+                             make_linearized(gamma1=0.0, gamma2=0.0),
+                             make_linearized(kappa=0.2)])[0]
+    a = build_drift_matrix(lp).a
+    cov = cool_linearized(lp)
+    assert len(sent) == 1 and np.array_equal(sent[0], a[1:2])
+    assert np.array_equal(cov.physical, spectra(a)[2])
 
 
 # ---------------------------------------------------------------------------
