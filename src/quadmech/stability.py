@@ -5,7 +5,8 @@ matrix A = [[B, C], [C*, B*]].  The unitary quadrature map q = T u, with
 x_j = (u_j + u_{j+3})/sqrt(2) and p_j = (u_j - u_{j+3})/(i sqrt(2)), makes it
 the real matrix R = T A T^dagger = [[Re(B+C), -Im(B-C)], [Im(B+C), Re(B-C)]]
 of q = (x_a, x_1, x_2, p_a, p_1, p_2), which the constructor fills directly;
-R and A share their spectrum.
+R and A share their spectrum.  Branch verdicts come from Routh's test; only
+the cells it cannot settle, and spectral fields when read, take eigenvalues.
 """
 from __future__ import annotations
 
@@ -20,6 +21,9 @@ from .steady_state import SteadyStateBranch
 
 STAB_TOL_FACTOR = 1e-9      # margin below stab_tol*kappa counts as marginal
 GAMMA_FALLBACK_FACTOR = 1e-6  # gamma used when both dampings are exactly zero
+# error per Faddeev-LeVerrier step of a scaled drift matrix: rounding plus an
+# eigenvalue call's backward error (LEDGER.md, "Hurwitz verdicts")
+HURWITZ_ETA = 2.0 ** -40
 
 
 class EigenSolveFailure(ArithmeticError):
@@ -37,7 +41,8 @@ class DriftMatrix:
 @dataclass(frozen=True)
 class StabilityVerdict:
     """Eigenvalue-based verdict: stable iff every real part < -stab_tol.
-    A verdict on a stack holds one array entry per matrix in each field."""
+    A verdict on a stack holds one array entry per matrix in each field; a
+    branch verdict computes its eigenvalues and margins when first read."""
 
     eigenvalues: np.ndarray
     max_real_part: float
@@ -45,6 +50,18 @@ class StabilityVerdict:
     margin: float
     gamma_fallback_applied: bool = False
     verdict_flipped: bool = False    # raw gamma=0 verdict disagreed with fallback
+
+    def __getattr__(self, name):
+        # only unset fields get here: a branch verdict's deferred spectra
+        if name not in self.__dataclass_fields__ or "_drift" not in vars(self):
+            raise AttributeError(name)
+        a, fb, undamped, scalar = vars(self).pop("_drift")
+        ev, max_re, _ = spectra(a)
+        ev[undamped], max_re[undamped], _ = spectra(fb)
+        if scalar:
+            ev, max_re = ev[0], max_re[0].item()
+        vars(self).update(eigenvalues=ev, max_real_part=max_re, margin=-max_re)
+        return vars(self)[name]
 
 
 def derive_linearized(branch: Union[SteadyStateBranch,
@@ -145,6 +162,44 @@ def classify_stability(A: DriftMatrix) -> StabilityVerdict:
     return StabilityVerdict(ev, max_re.item(), stable.item(), -max_re.item())
 
 
+def hurwitz_stable(a: np.ndarray) -> np.ndarray:
+    """Stable of each matrix of a real drift stack, as ``spectra(a)[2]``:
+    Routh's test of R + STAB_TOL_FACTOR*kappa*I scaled to largest entry 1
+    (characteristic polynomial by Faddeev-LeVerrier).  Each Routh entry
+    carries a first-order error bound grown from HURWITZ_ETA per step; a cell
+    with an entry inside twice its bound takes ``spectra``."""
+    k, u = len(a), np.finfo(float).eps / 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = a.copy()
+        s.reshape(k, 36)[:, ::7] -= STAB_TOL_FACTOR * a[:, :1, 0]
+        s /= np.abs(s).max(axis=(1, 2), keepdims=True)
+        rho = np.abs(s).sum(axis=2).max(axis=1)   # max|S M| <= rho max|M|
+        t, e = np.zeros((2, k, 7, 4))     # Routh rows, their error bounds
+        t[:, 0, 0] = 1.0
+        # m = S M_j, with bounds on its error and on the entries of M_j
+        m, err, size = np.eye(6), 0.0, 1.0
+        for j in range(1, 7):
+            m = s @ m
+            c = -m.reshape(k, 36)[:, ::7].sum(axis=1) / j
+            err = rho * err + 6.0 * HURWITZ_ETA * size
+            t[:, j % 2, j // 2] = c
+            e[:, j % 2, j // 2] = dc = 6.0 * err / j + u * np.abs(c)
+            m.reshape(k, 36)[:, ::7] += c[:, None]
+            err, size = err + dc, rho * size + np.abs(c)
+        for i in range(2, 7):
+            p, q, dp, dq = t[:, i - 2], t[:, i - 1], e[:, i - 2], e[:, i - 1]
+            r = p[:, :1] / q[:, :1]
+            dr = (dp[:, :1] + abs(r) * dq[:, :1]) / abs(q[:, :1]) + u * abs(r)
+            t[:, i, :3] = p[:, 1:] - r * q[:, 1:]
+            e[:, i, :3] = (dp[:, 1:] + abs(r) * dq[:, 1:] + dr * abs(q[:, 1:])
+                           + 2.0 * u * (abs(p[:, 1:]) + abs(r * q[:, 1:])))
+        stable = (t[:, :, 0] > 0.0).all(axis=1)
+        unsure = ~(abs(t[:, :, 0]) > 2.0 * e[:, :, 0]).all(axis=1)
+    if unsure.any():
+        stable[unsure] = spectra(a[unsure])[2]
+    return stable
+
+
 def classify_branch_stability(lp: Union[LinearizedParams,
                                         Sequence[LinearizedParams]],
                               gamma_fallback: bool = True):
@@ -154,24 +209,26 @@ def classify_branch_stability(lp: Union[LinearizedParams,
     on the margin; the fallback classifies with gamma = 1e-6*kappa instead and
     flags verdicts that differ between the two dampings.  ``lp`` may also be
     a column record or a sequence of parameter sets: one verdict with array
-    fields then comes back, from one column drift stack and one stacked
-    eigenvalue call for the raw damping, and one of each for the undamped
-    cells rebuilt with the fallback damping.
+    fields then comes back, from ``hurwitz_stable`` on one drift stack for
+    the raw damping and one for the undamped cells rebuilt with the fallback
+    damping; the spectral fields are ``spectra`` of both, when first read.
     """
     cols, scalar = linearized_columns(lp)
-    out = classify_stability(build_drift_matrix(cols))
-    undamped = np.flatnonzero(~((cols.gamma1 > 0.0) | (cols.gamma2 > 0.0))
-                              & gamma_fallback)
+    a = build_drift_matrix(cols).a
+    stable, fb = hurwitz_stable(a), a[:0]
+    applied = ~((cols.gamma1 > 0.0) | (cols.gamma2 > 0.0)) & gamma_fallback
+    undamped, flipped = np.flatnonzero(applied), np.zeros_like(applied)
     if undamped.size:
         sub = take_columns(cols, undamped)
         eps = GAMMA_FALLBACK_FACTOR * sub.kappa
-        fb = classify_stability(build_drift_matrix(
-            replace(sub, gamma1=eps, gamma2=eps)))
-        out.gamma_fallback_applied[undamped] = True
-        out.verdict_flipped[undamped] = fb.stable != out.stable[undamped]
-        for name in ("eigenvalues", "max_real_part", "stable", "margin"):
-            getattr(out, name)[undamped] = getattr(fb, name)
+        fb = build_drift_matrix(replace(sub, gamma1=eps, gamma2=eps)).a
+        fb_stable = hurwitz_stable(fb)
+        flipped[undamped] = fb_stable != stable[undamped]
+        stable[undamped] = fb_stable
     if scalar:   # a batch of one: its entries as a single call's fields
-        return StabilityVerdict(*(v[0] if v.ndim > 1 else v[0].item()
-                                  for v in vars(out).values()))
+        stable, applied, flipped = (stable.item(), applied.item(),
+                                    flipped.item())
+    out = object.__new__(StabilityVerdict)   # spectral fields deferred
+    vars(out).update(stable=stable, gamma_fallback_applied=applied,
+                     verdict_flipped=flipped, _drift=(a, fb, undamped, scalar))
     return out

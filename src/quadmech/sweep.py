@@ -3,9 +3,9 @@
 Cells are independent pure computations; their rows form one column ``Table``
 in row-major cell order whatever the worker count, so identical specs produce
 identical tables.  Cells are solved in batches: one oracle call and two stacked
-eigenvalue calls per batch of steady-state cells, one batched Lyapunov solve
-per batch of cooling cells; a cell's result depends only on the cell, never
-on the batch it shares.  Supported modes:
+Routh tests per batch of steady-state cells, one batched Lyapunov solve per
+batch of cooling cells; a cell's result depends only on the cell, never on
+the batch it shares.  Supported modes:
 
 * ``root-count`` / ``stable-count`` — steady-state branches with stability
   verdicts per cell (SystemParams base), rows from ``branch_rows``,
@@ -313,7 +313,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     if spec.threads > 1 and len(cells) > 8:
         # only a multi-worker sweep pays for importing the process pool
         from concurrent.futures import ProcessPoolExecutor
-        size = max(8, math.ceil(len(cells) / (spec.threads * 4)))
+        # whole batches where the grid allows: each batch has a fixed cost
+        chunks = min(spec.threads * 4, max(
+            spec.threads, math.ceil(len(cells) / BATCH_CELLS)))
+        size = math.ceil(len(cells) / chunks)
         starts = range(0, len(cells), size)
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
             parts = list(pool.map(_eval_chunk, [spec] * len(starts),

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from quadmech import (DriftMatrix, build_drift_matrix,
                       classify_branch_stability, classify_stability,
                       derive_linearized, solve_branches)
-from quadmech.stability import GAMMA_FALLBACK_FACTOR
+from quadmech.params import LinearizedParams, linearized_columns
+from quadmech.stability import (GAMMA_FALLBACK_FACTOR, STAB_TOL_FACTOR,
+                                hurwitz_stable, spectra)
 
 from conftest import (QUADRATURE_T, complex_drift_matrix, fd_jacobian,
                       linearized_reference, make_linearized, make_system,
@@ -310,12 +312,19 @@ def test_column_linearization_equals_per_branch(sets, gamma_fallback):
             assert repr(getattr(cols, name)[k].item()) == \
                 repr(getattr(want, name)) == repr(getattr(one, name))
         assert one == want
-    # a column record classifies as its list of scalar records does
+    # a column record classifies as its list of scalar records does, and
+    # the spectral fields, read lazily, are those of the eigenvalue call on
+    # each record's drift matrix (rebuilt with the fallback damping if used)
     column = classify_branch_stability(cols, gamma_fallback)
     listed = classify_branch_stability(ref, gamma_fallback)
     assert len(column.stable) == len(listed.stable) == len(bs)
     for k, lp in enumerate(ref):
         a, b = record_at(column, k), record_at(listed, k)
+        eager = (_rebuilt_verdict(lp) if a.gamma_fallback_applied
+                 else classify_stability(build_drift_matrix(lp)))
+        assert a.gamma_fallback_applied == (
+            gamma_fallback and lp.gamma1 == lp.gamma2 == 0.0)
+        assert _same_spectrum(a, eager)
         for c in (b, classify_branch_stability(lp, gamma_fallback)):
             assert a.eigenvalues.dtype == c.eigenvalues.dtype == complex
             assert a.eigenvalues.tobytes() == c.eigenvalues.tobytes()
@@ -356,3 +365,110 @@ def test_branch_cooling_skips_flipped_verdicts():
     assert len(flipped) == sum(r["stable"] for r in rows) > 0
     assert {d.cell for d in flipped} == {(0.2,), (0.4,)}
     assert all(r["n1f"] is None and r["n2f"] is None for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# Hurwitz verdicts: Routh's test, with spectra for the cells it cannot settle
+# ---------------------------------------------------------------------------
+
+def _routh_cells(rng, n) -> np.ndarray:
+    """A drift stack of n cells: complex g1_eff and g22 phases on about half,
+    undamped cells on a fifth, and near-margin cells on a third, whose
+    diagonal is shifted to put their largest real part within about
+    +-1e-7 kappa of the threshold -STAB_TOL_FACTOR*kappa."""
+    u = rng.uniform
+    phase = np.exp(1j * u(0.0, 2 * math.pi, (2, n))
+                   * (rng.random((2, n)) < 0.5))
+    undamped = rng.random(n) < 0.2
+    kappa = u(0.05, 0.5, n)
+    gamma = np.where(undamped, 0.0, 10 ** u(-6.0, -3.0, (2, n)))
+    a = build_drift_matrix(LinearizedParams(
+        delta_eff=u(-1.5, 1.5, n), omega1=u(0.8, 1.2, n),
+        omega2_tilde=u(0.8, 1.2, n), g1_eff=u(0.0, 0.2, n) * phase[0],
+        g2_eff=-u(0.0, 0.2, n), g22=-u(0.0, 0.2, n) * phase[1],
+        omega_ex=u(0.0, 0.2, n), theta=u(0.0, 2 * math.pi, n), kappa=kappa,
+        gamma1=gamma[0], gamma2=gamma[1], nbar1=np.zeros(n),
+        nbar2=np.zeros(n))).a
+    # R + sigma I has kappa - sigma on its cavity diagonal: solve
+    # max Re + sigma = (delta - t)(kappa - sigma) for sigma
+    near = np.flatnonzero(rng.random(n) < 1 / 3)
+    delta, t = u(-1e-7, 1e-7, len(near)), STAB_TOL_FACTOR
+    sigma = (((delta - t) * kappa[near] - spectra(a[near])[1])
+             / (1.0 + delta - t))
+    a[near] += sigma[:, None, None] * np.eye(6)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 120))
+def test_hurwitz_verdict_equals_spectra(seed, n):
+    # cell for cell, including near-margin, undamped and complex-phase cells
+    # and the empty stack; a cell's verdict does not depend on its stack
+    a = _routh_cells(np.random.default_rng(seed), n)
+    stable = hurwitz_stable(a)
+    assert stable.shape == (n,) and stable.dtype == bool
+    assert np.array_equal(stable, spectra(a)[2])
+    assert all(hurwitz_stable(a[k:k + 1])[0] == stable[k] for k in range(n))
+
+
+def test_hurwitz_draws_reach_the_margin():
+    # the draws above hold stable and unstable cells, cells within 1e-7
+    # kappa of the threshold, and cells Routh's test leaves to spectra
+    a = _routh_cells(np.random.default_rng(16), 600)
+    _, max_re, stable = spectra(a)
+    gap = np.abs(max_re - STAB_TOL_FACTOR * a[:, 0, 0]) / -a[:, 0, 0]
+    assert stable.any() and (~stable).any()
+    assert np.sum(gap < 1e-7) > 100
+    sent = []
+    with pytest.MonkeyPatch.context() as mp:
+        _counting_spectra(mp, sent)
+        assert np.array_equal(hurwitz_stable(a), stable)
+    assert 0 < len(sent[0]) < len(a)
+
+
+def _counting_spectra(mp, sent: list) -> None:
+    """Record each stack the Routh test hands to ``spectra``."""
+    import quadmech.stability as stability
+
+    def counted(a):
+        sent.append(a.copy())
+        return spectra(a)
+    mp.setattr(stability, "spectra", counted)
+
+
+def test_unsettled_routh_cells_take_the_eigenvalue_call(monkeypatch):
+    # a decoupled mechanical mode damped exactly at the threshold sits on
+    # the margin of the shifted matrix: its Routh entries cannot be trusted,
+    # so that cell alone goes to spectra and gets its verdict
+    t = STAB_TOL_FACTOR
+    cells = [make_linearized(), make_linearized(delta_eff=-1.0),
+             make_linearized(g1_eff=0.0, omega_ex=0.0, gamma1=t * 0.1),
+             make_linearized(gamma1=0.0, gamma2=0.0)]
+    a = build_drift_matrix(linearized_columns(cells)[0]).a
+    sent = []
+    _counting_spectra(monkeypatch, sent)
+    stable = hurwitz_stable(a)
+    assert len(sent) == 1 and np.array_equal(sent[0], a[2:3])
+    assert list(stable) == list(spectra(a)[2]) == [True, False, True, True]
+
+
+def test_figure_planes_send_few_matrices_to_the_eigenvalue_call(monkeypatch):
+    # perf guard: the fig2a, fig2b and fig3c planes at 21x21 send at most
+    # the counts LEDGER.md records ("Hurwitz verdicts on the steady side")
+    # to spectra; lazily read spectral fields are never needed on the way
+    import quadmech.stability as stability
+    from quadmech import run_recipe
+    classified = []
+    routh = stability.hurwitz_stable
+
+    def counted(a):
+        classified.append(len(a))
+        return routh(a)
+    monkeypatch.setattr(stability, "hurwitz_stable", counted)
+    for tag, bound in (("fig2a", 49), ("fig2b", 34), ("fig3c", 126)):
+        sent, classified[:] = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            _counting_spectra(mp, sent)
+            run_recipe(tag, points=21)
+        assert sum(classified) > 2500
+        assert sum(len(x) for x in sent) <= bound

@@ -318,3 +318,54 @@ def test_cooling_map_tables_identical_across_workers(tmp_path):
                      "points=9", "--threads", str(threads)]) == 0
         paths.append(out)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+
+class _Chunked(Exception):
+    """Raised by the serial pool once it has recorded the chunks."""
+
+
+class _SerialPool:
+    """A serial stand-in for ProcessPoolExecutor that records the length of
+    each chunk it is handed; with ``solve`` off it raises instead."""
+
+    chunks: list = []
+    solve = True
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, specs, cells, values):
+        cells = list(cells)
+        type(self).chunks = [len(c) for c in cells]
+        if not self.solve:
+            raise _Chunked
+        return map(fn, specs, cells, values)
+
+
+@pytest.mark.parametrize("points, axes, want", [
+    (21, 2, [221, 220]),            # a small plane: whole batches
+    (201, 2, [5051] * 7 + [5044]),  # a large plane: four chunks a worker
+    (9, 1, [5, 4]),                 # fewer cells than a batch
+])
+def test_pool_chunks_of_whole_batches(monkeypatch, points, axes, want):
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "solve", points < 100)
+    grid = (Axis("delta_eff", 0.5, 1.5, points),
+            Axis("kappa", 0.05, 0.5, points))[:axes]
+    spec = _spec(make_linearized(), grid, "cooling", threads=2)
+    if _SerialPool.solve:   # the chunks assemble the one-worker table
+        serial = run_sweep(_spec(make_linearized(), grid, "cooling"))
+        assert pickle.dumps(run_sweep(spec).table) == \
+            pickle.dumps(serial.table)
+    else:
+        with pytest.raises(_Chunked):
+            run_sweep(spec)
+    assert _SerialPool.chunks == want
