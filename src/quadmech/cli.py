@@ -341,11 +341,11 @@ def _cmd_branches(cfg: RunConfig):
     if p is None:
         raise ParseError("the branches command needs a [system] section")
     diags: list[Diagnostic] = []
-    branches = solve_branches(p, oracle_mode=cfg.oracle,
-                              scan_points=cfg.scan_points,
-                              with_damping=cfg.with_mech_damping,
-                              diagnostics=diags)
-    rows = branch_rows([p], [branches], [diags], cfg.gamma_fallback)
+    solved = solve_branches([p], oracle_mode=cfg.oracle,
+                            scan_points=cfg.scan_points,
+                            with_damping=cfg.with_mech_damping,
+                            diagnostics=[diags])
+    rows = branch_rows(p, solved, [diags], cfg.gamma_fallback)
     return (), rows, {}, diags
 
 

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .params import LinearizedParams, linearized_columns
+from .params import LinearizedParams, param_columns
 from .stability import (STAB_TOL_FACTOR, DriftMatrix, build_drift_matrix,
                         spectra)
 from .steady_state import Diagnostic
@@ -86,7 +86,7 @@ def build_noise_model(lp: LinearizedParams) -> NoiseModel:
     """Bath diffusion: vacuum for the cavity, thermal for the mechanics,
     Q = diag(kappa, gamma1 (2 nbar1 + 1), gamma2 (2 nbar2 + 1)) on both the
     x and the p quadratures (a (k, 6, 6) stack for a column record)."""
-    p, scalar = linearized_columns(lp)
+    p, scalar = param_columns(lp, LinearizedParams)
     q = np.zeros((len(p.kappa), 6, 6))
     for j, rate in enumerate((p.kappa, p.gamma1 * (2.0 * p.nbar1 + 1.0),
                               p.gamma2 * (2.0 * p.nbar2 + 1.0))):
@@ -268,7 +268,7 @@ def dark_mode_diagnostics(lp: LinearizedParams) -> DarkModeDiagnostics:
 
     A column record gives length-k arrays in every field, with NaN overlaps
     where g1_eff = g2_eff = 0; a scalar record raises ZeroCoupling there."""
-    p, scalar = linearized_columns(lp)
+    p, scalar = param_columns(lp, LinearizedParams)
     total = np.hypot(np.abs(p.g1_eff), np.abs(p.g2_eff))
     if scalar and total[0] == 0.0:
         raise ZeroCoupling("dark-mode overlap undefined for g1_eff = g2_eff = 0")
@@ -295,5 +295,5 @@ def cool_linearized(lp: Union[LinearizedParams, Sequence[LinearizedParams]]):
     ``solve_lyapunov`` call.
     """
     if not isinstance(lp, LinearizedParams):
-        lp, _ = linearized_columns(lp)
+        lp, _ = param_columns(lp, LinearizedParams)
     return solve_lyapunov(build_drift_matrix(lp), build_noise_model(lp))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -102,73 +101,82 @@ _LINEARIZED_COMPLEX = ("g1_eff", "g2_eff", "g22")
 LINEARIZED_NUMERIC = ("delta_eff", "omega1", "omega2_tilde", "g1_eff",
                        "g2_eff", "g22", "omega_ex", "theta", "kappa",
                        "gamma1", "gamma2", "nbar1", "nbar2")
+SYSTEM_NUMERIC = SystemParams._RATE_FIELDS + ("theta", "nbar1", "nbar2")
+# record type -> (its numeric fields, those of them that are complex)
+_NUMERIC = {SystemParams: (SYSTEM_NUMERIC, ()),
+            LinearizedParams: (LINEARIZED_NUMERIC, _LINEARIZED_COMPLEX)}
 
 
-def linearized_columns(lp: Union[LinearizedParams,
-                                 Sequence[LinearizedParams]]):
-    """(columns, scalar): ``lp`` with every numeric field a 1-D array of one
-    length k, and whether it was a scalar record (then k = 1).  A sequence
-    of scalar records gives one column record holding their values."""
-    if not isinstance(lp, LinearizedParams):
-        lps = list(lp)
-        lp = LinearizedParams(**{name: [getattr(r, name) for r in lps]
-                                 for name in LINEARIZED_NUMERIC},
-                              origin=lps[0].origin if lps else "direct")
-    vals = [np.asarray(getattr(lp, name),
-                       complex if name in _LINEARIZED_COMPLEX else None)
-            for name in LINEARIZED_NUMERIC]
+def param_columns(p, kind: type = SystemParams):
+    """(columns, scalar): the SystemParams or LinearizedParams record ``p``
+    with every numeric field a 1-D array of one length k, and whether it was
+    a scalar record (then k = 1).  A sequence of scalar records of one type
+    gives one column record holding their values, with the first one's
+    metadata (``unit_label``, ``origin``); an empty one, an empty column
+    record of type ``kind``."""
+    if not isinstance(p, tuple(_NUMERIC)):
+        records = list(p)
+        first = (records[0] if records   # or a placeholder, all replaced
+                 else kind(**dict.fromkeys(_NUMERIC[kind][0], 0.0)))
+        p = replace(first, **{name: [getattr(r, name) for r in records]
+                              for name in _NUMERIC[type(first)][0]})
+    numeric, complex_fields = _NUMERIC[type(p)]
+    vals = [np.asarray(getattr(p, name),
+                       complex if name in complex_fields else float)
+            for name in numeric]
     scalar = all(v.ndim == 0 for v in vals)
     cols = np.broadcast_arrays(*(np.atleast_1d(v) for v in vals))
-    return replace(lp, **dict(zip(LINEARIZED_NUMERIC, cols))), scalar
+    return replace(p, **dict(zip(numeric, cols))), scalar
 
 
-def take_columns(lp: LinearizedParams, index) -> LinearizedParams:
+def take_columns(p, index):
     """The rows ``index`` of a column record whose fields are all arrays."""
-    return replace(lp, **{name: getattr(lp, name)[index]
-                          for name in LINEARIZED_NUMERIC})
+    return replace(p, **{name: getattr(p, name)[index]
+                         for name in _NUMERIC[type(p)][0]})
 
 
-def _check_finite(obj, fields) -> None:
-    for name in fields:
-        v = getattr(obj, name)
-        if isinstance(v, complex):
-            ok = math.isfinite(v.real) and math.isfinite(v.imag)
-        else:
-            ok = math.isfinite(v)
-        if not ok:
-            raise NonFinite(f"{name} = {v!r} is not finite")
+# (entry test, error, message) of each validation rule
+_FINITE = (np.isfinite, NonFinite, "{name} = {v!r} is not finite")
+_POSITIVE = (lambda v: v > 0.0, NonPositiveRate, "{name} = {v} must be > 0")
+_NONNEGATIVE = (lambda v: v >= 0.0, NegativeValue,
+                "{name} = {v} must be >= 0")
+
+
+def _require(p, names, rule) -> None:
+    """Raise the rule's error for the first of ``names`` with an entry that
+    fails it, naming its first failing entry."""
+    test, error, message = rule
+    for name in names:
+        v = np.asarray(getattr(p, name))
+        bad = ~test(v)
+        if bad.any():
+            raise error(message.format(name=name, v=v[bad][0].item()))
 
 
 def validate_params(p: SystemParams) -> SystemParams:
     """Validate a SystemParams record, reducing theta to [0, 2*pi).
 
+    A column record raises for the first rule and field any entry fails,
+    naming that entry, as the scalar record of that entry would.
     Idempotent: applying it twice equals applying it once.
     """
-    _check_finite(p, SystemParams._RATE_FIELDS + ("theta", "nbar1", "nbar2"))
-    for name in ("kappa", "omega1", "omega2"):
-        if getattr(p, name) <= 0.0:
-            raise NonPositiveRate(f"{name} = {getattr(p, name)} must be > 0")
-    for name in ("eta", "gamma1", "gamma2", "nbar1", "nbar2"):
-        if getattr(p, name) < 0.0:
-            raise NegativeValue(f"{name} = {getattr(p, name)} must be >= 0")
-    theta = math.fmod(p.theta, TWO_PI)
-    if theta < 0.0:
-        theta += TWO_PI
-    if theta >= TWO_PI:  # fmod rounding at the boundary
-        theta = 0.0
-    if theta != p.theta:
-        p = replace(p, theta=theta)
+    _require(p, SYSTEM_NUMERIC, _FINITE)
+    _require(p, ("kappa", "omega1", "omega2"), _POSITIVE)
+    _require(p, ("eta", "gamma1", "gamma2", "nbar1", "nbar2"), _NONNEGATIVE)
+    theta = np.fmod(p.theta, TWO_PI)
+    theta = np.where(theta < 0.0, theta + TWO_PI, theta)
+    theta = np.where(theta >= TWO_PI, 0.0, theta)   # fmod rounding at 2*pi
+    if np.any(theta != p.theta):
+        p = replace(p, theta=theta.item() if theta.ndim == 0 else theta)
     return p
 
 
 def validate_linearized(lp: LinearizedParams) -> LinearizedParams:
-    """Validate a LinearizedParams record (finiteness, kappa > 0)."""
-    _check_finite(lp, LINEARIZED_NUMERIC)
-    if lp.kappa <= 0.0:
-        raise NonPositiveRate(f"kappa = {lp.kappa} must be > 0")
-    for name in ("gamma1", "gamma2", "nbar1", "nbar2"):
-        if getattr(lp, name) < 0.0:
-            raise NegativeValue(f"{name} = {getattr(lp, name)} must be >= 0")
+    """Validate a LinearizedParams record (finiteness, kappa > 0), entry by
+    entry for a column record."""
+    _require(lp, LINEARIZED_NUMERIC, _FINITE)
+    _require(lp, ("kappa",), _POSITIVE)
+    _require(lp, ("gamma1", "gamma2", "nbar1", "nbar2"), _NONNEGATIVE)
     if lp.origin not in ("branch-derived", "direct"):
         raise ParameterError(f"unknown origin tag {lp.origin!r}")
     return lp

@@ -97,8 +97,9 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
     mechanical quality factors (gamma_i/omega_i) and thermal occupancies are
     preserved in both cases.  Branch labels follow nearest-n_p continuation.
     ``gamma_fallback`` is passed to the stability verdicts.  All ratios are
-    solved in one batch, and their rows come from one ``branch_rows`` call;
-    a ratio without branches has no row.
+    solved in one batch, from one column record of the ratios' parameter
+    sets, and their rows come from one ``branch_rows`` call; a ratio
+    without branches has no row.
     """
     if convention not in ("kappa", "omega1"):
         raise ValueError(f"unknown convention {convention!r}")
@@ -106,24 +107,21 @@ def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
     q1 = base.gamma1 / base.omega1
     q2 = base.gamma2 / base.omega2
     ratios = np.asarray(ratios, dtype=float)
-    ps = []
-    for r in ratios:
-        if convention == "kappa":
-            w = base.kappa / r
-            ps.append(replace(base, omega1=w, omega2=w, gamma1=q1 * w,
-                              gamma2=q2 * w))
-        else:
-            s = base.omega1                      # convert rates to omega1 units
-            ps.append(replace(
-                base, delta_c=base.delta_c / s, omega1=1.0, omega2=base.omega2 / s,
-                g1=base.g1 / s, g2=base.g2 / s, omega_ex=base.omega_ex / s,
-                eta=base.eta / s, kappa=r, gamma1=q1, gamma2=q2 * base.omega2 / s,
-                unit_label="omega1"))
-    sinks: list[list[Diagnostic]] = [[] for _ in ps]
-    solved = solve_branches(ps, oracle_mode=oracle, scan_points=scan_points,
+    if convention == "kappa":
+        w = base.kappa / ratios
+        p = replace(base, omega1=w, omega2=w, gamma1=q1 * w, gamma2=q2 * w)
+    else:
+        s = base.omega1                          # convert rates to omega1 units
+        p = replace(
+            base, delta_c=base.delta_c / s, omega1=1.0, omega2=base.omega2 / s,
+            g1=base.g1 / s, g2=base.g2 / s, omega_ex=base.omega_ex / s,
+            eta=base.eta / s, kappa=ratios, gamma1=q1,
+            gamma2=q2 * base.omega2 / s, unit_label="omega1")
+    sinks: list[list[Diagnostic]] = [[] for _ in ratios]
+    solved = solve_branches(p, oracle_mode=oracle, scan_points=scan_points,
                             diagnostics=sinks)
-    counts = [len(bs) for bs in solved]
-    rows = branch_rows(ps, solved, sinks, gamma_fallback)
+    counts = np.bincount(solved.owner, minlength=len(ratios))
+    rows = branch_rows(p, solved, sinks, gamma_fallback)
     rows.cols["branch_index"] = continuation_labels(
         rows.cols["n_p"], np.concatenate([[0], np.cumsum(counts)]))
     rows.cols = {"kappa_over_omega1": np.repeat(ratios, counts), **rows.cols}

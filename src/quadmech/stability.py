@@ -16,8 +16,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .params import (LINEARIZED_NUMERIC, LinearizedParams, SystemParams,
-                     linearized_columns, take_columns)
-from .steady_state import SteadyStateBranch
+                     param_columns, take_columns)
+from .steady_state import Branches, SteadyStateBranch
 
 STAB_TOL_FACTOR = 1e-9      # margin below stab_tol*kappa counts as marginal
 GAMMA_FALLBACK_FACTOR = 1e-6  # gamma used when both dampings are exactly zero
@@ -64,53 +64,39 @@ class StabilityVerdict:
         return vars(self)[name]
 
 
-def derive_linearized(branch: Union[SteadyStateBranch,
-                                    Sequence[SteadyStateBranch]],
-                      p: Union[SystemParams, Sequence[SystemParams]]
-                      ) -> LinearizedParams:
+def derive_linearized(branch: Union[SteadyStateBranch, Branches],
+                      p: SystemParams) -> LinearizedParams:
     """Effective linearized parameters of a steady-state branch.
 
     g1_eff = g1*alpha, g2_eff = 4*g2*alpha*Re[beta2], g22 = g2*|alpha|^2 and
     omega2_tilde = omega2 + 2*g2*|alpha|^2; the effective detuning is copied
-    from the branch.  ``branch`` may also be a sequence of branches with
-    ``p`` the sequence of their parameter sets, one per branch: one column
-    record then comes back.  A single branch is a batch of one.
+    from the branch.  ``branch`` may also be a Branches record, with ``p``
+    the column record (or sequence) of the sets its ``owner`` entries index:
+    one column record then comes back.  A single branch is a batch of one.
     """
-    if isinstance(branch, SteadyStateBranch):
-        cols = derive_linearized([branch], [p])
+    q, _ = param_columns(p)
+    scalar = isinstance(branch, SteadyStateBranch)
+    if not scalar:
+        q = take_columns(q, branch.owner)
+    n_p, alpha, delta, beta2 = (np.atleast_1d(getattr(branch, name)) for name
+                                in ("n_p", "alpha", "delta_eff", "beta2"))
+    cols = LinearizedParams(
+        delta_eff=delta, omega2_tilde=q.omega2 + 2.0 * q.g2 * n_p,
+        g1_eff=q.g1 * alpha, g2_eff=4.0 * q.g2 * alpha * beta2.real,
+        g22=(q.g2 * n_p).astype(complex), origin="branch-derived",
+        **{name: getattr(q, name) for name in (
+            "omega1", "omega_ex", "theta", "kappa", "gamma1", "gamma2",
+            "nbar1", "nbar2")})
+    if scalar:
         return replace(cols, **{name: getattr(cols, name)[0].item()
                                 for name in LINEARIZED_NUMERIC})
-    bs = list(branch)
-    n_p, delta, beta2_re = np.array(
-        [(b.n_p, b.delta_eff, b.beta2.real) for b in bs],
-        dtype=float).reshape(-1, 3).T
-    alpha = np.array([b.alpha for b in bs], dtype=complex)
-    (omega1, omega2, g1, g2, omega_ex, theta, kappa, gamma1, gamma2, nbar1,
-     nbar2) = np.array([(q.omega1, q.omega2, q.g1, q.g2, q.omega_ex, q.theta,
-                         q.kappa, q.gamma1, q.gamma2, q.nbar1, q.nbar2)
-                        for q in p], dtype=float).reshape(-1, 11).T
-    return LinearizedParams(
-        delta_eff=delta,
-        omega1=omega1,
-        omega2_tilde=omega2 + 2.0 * g2 * n_p,
-        g1_eff=g1 * alpha,
-        g2_eff=4.0 * g2 * alpha * beta2_re,
-        g22=(g2 * n_p).astype(complex),
-        omega_ex=omega_ex,
-        theta=theta,
-        kappa=kappa,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        nbar1=nbar1,
-        nbar2=nbar2,
-        origin="branch-derived",
-    )
+    return cols
 
 
 def build_drift_matrix(lp: LinearizedParams) -> DriftMatrix:
     """Assemble the real drift matrix R from linearized parameters: a
     (k, 6, 6) stack for a column record, one 6x6 matrix for a scalar record."""
-    c, scalar = linearized_columns(lp)
+    c, scalar = param_columns(lp, LinearizedParams)
     G1, G2, G22 = c.g1_eff, c.g2_eff, c.g22
     ws, wc = c.omega_ex * np.sin(c.theta), c.omega_ex * np.cos(c.theta)
     r = np.zeros((len(c.kappa), 6, 6))
@@ -213,7 +199,7 @@ def classify_branch_stability(lp: Union[LinearizedParams,
     the raw damping and one for the undamped cells rebuilt with the fallback
     damping; the spectral fields are ``spectra`` of both, when first read.
     """
-    cols, scalar = linearized_columns(lp)
+    cols, scalar = param_columns(lp, LinearizedParams)
     a = build_drift_matrix(cols).a
     stable, fb = hurwitz_stable(a), a[:0]
     applied = ~((cols.gamma1 > 0.0) | (cols.gamma2 > 0.0)) & gamma_fallback

@@ -10,7 +10,8 @@ certifies each cell.  A cell whose certificate fails takes the roots of the
 scan oracle (``oracle_roots``), which brackets and bisects f on a 4096-point
 grid and is the authority the tests hold the exact route to.  Every root must
 pass the self-consistency residual of a dense 4x4 mechanical solve
-(``reconstruct_branches``).  All routes run on a batch of parameter sets.
+(``reconstruct_branches``).  All routes run on a column record of parameter
+sets (a single set is a batch of one) and give one ``Branches`` record.
 
 The verbatim closed-form polynomial (``build_polynomial``) serves only the
 coefficient-mismatch diagnostic, which compares its C0..C7 with Q's
@@ -19,14 +20,13 @@ both couplings are active), and ``quadmech roots``, which lists its roots.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .params import SystemParams
+from .params import SystemParams, param_columns, take_columns
 
 # Frozen numerical policy (see the project decision ledger):
 ROOT_ACCEPT_TOL = 1e-6    # relative self-consistency residual for a kept root
@@ -63,7 +63,8 @@ class PolynomialCoefficients:
 
     aux records x = omega1*omega2 - omega_ex^2, y = 2 cos(2 theta),
     z = delta_c^2 + kappa^2 and the natural photon-number scale used to
-    condition the root solve.
+    condition the root solve.  The coefficients of a column record's sets
+    are one record with c of shape (k, 8) and aux arrays.
     """
 
     c: np.ndarray                    # shape (8,), ascending order
@@ -86,6 +87,29 @@ class SteadyStateBranch:
     residual: float
 
 
+@dataclass(frozen=True)
+class Branches:
+    """Branch column record: one entry per candidate photon number of a
+    batch of sets, in set order.  ``rejection`` is None or the error that
+    drops the entry (whose other fields then mean nothing)."""
+
+    owner: np.ndarray        # int
+    n_p: np.ndarray
+    alpha: np.ndarray        # complex
+    beta1: np.ndarray        # complex
+    beta2: np.ndarray        # complex
+    delta_eff: np.ndarray
+    residual: np.ndarray
+    rejection: np.ndarray    # object
+
+    def branch(self, k: int) -> SteadyStateBranch:
+        """Entry k as a SteadyStateBranch; raises its rejection, if any."""
+        if self.rejection[k] is not None:
+            raise self.rejection[k]
+        return SteadyStateBranch(*(getattr(self, f)[k].item()
+                                   for f in SteadyStateBranch.__annotations__))
+
+
 @dataclass
 class Diagnostic:
     """A non-fatal event recorded during a solve or sweep."""
@@ -95,20 +119,20 @@ class Diagnostic:
     cell: Optional[tuple] = None
 
 
-def build_polynomial(p: Union[SystemParams, Sequence[SystemParams]]):
+def build_polynomial(p):
     """Closed-form coefficients of the photon-number polynomial.
 
-    ``p`` is one parameter set (one PolynomialCoefficients comes back) or a
-    sequence of them (one per set); a single set is a batch of one, and the
-    closed form is evaluated once on the batch's field columns.
-    Degenerations: g2 = 0 gives an exact cubic, g1 = 0 a quintic, and with
-    both couplings zero only C0, C1 survive (single Lorentzian root).
+    ``p`` is one parameter set, or a column record (or a sequence of sets),
+    whose coefficients come back as one PolynomialCoefficients of stacked
+    rows; the closed form is evaluated once on the record's columns, and a
+    single set is a batch of one.  Degenerations: g2 = 0 gives an exact
+    cubic, g1 = 0 a quintic, and with both couplings zero only C0, C1
+    survive (single Lorentzian root).
     """
-    if isinstance(p, SystemParams):
-        return build_polynomial([p])[0]
-    w1, w2, Om, g1, g2, Dc, kap, eta, theta = np.array(
-        [(q.omega1, q.omega2, q.omega_ex, q.g1, q.g2, q.delta_c, q.kappa,
-          q.eta, q.theta) for q in p], dtype=float).reshape(-1, 9).T
+    q, scalar = param_columns(p)
+    w1, w2, Om, g1, g2, Dc, kap, eta, theta = (
+        q.omega1, q.omega2, q.omega_ex, q.g1, q.g2, q.delta_c, q.kappa, q.eta,
+        q.theta)
     x = w1 * w2 - Om**2
     y = 2.0 * np.cos(2.0 * theta)
     z = Dc**2 + kap**2
@@ -143,10 +167,11 @@ def build_polynomial(p: Union[SystemParams, Sequence[SystemParams]]):
     c0 = -(eta**2) * x**6
 
     coeffs = np.stack([c0, c1, c2, c3, c4, c5, c6, c7], axis=1)
-    n_scale = np.maximum(eta**2 / kap**2, 1.0)
-    return [PolynomialCoefficients(c=c, aux=dict(x=a, y=b, z=d, n_scale=n))
-            for c, a, b, d, n in zip(coeffs, x.tolist(), y.tolist(),
-                                     z.tolist(), n_scale.tolist())]
+    aux = dict(x=x, y=y, z=z, n_scale=np.maximum(eta**2 / kap**2, 1.0))
+    if scalar:
+        return PolynomialCoefficients(
+            c=coeffs[0], aux={k: v.item() for k, v in aux.items()})
+    return PolynomialCoefficients(c=coeffs, aux=aux)
 
 
 def batch_real_roots(coeffs: Sequence[PolynomialCoefficients]) -> list:
@@ -235,8 +260,9 @@ def find_real_roots(coeffs: PolynomialCoefficients) -> list[float]:
 # mechanical fixed point at given photon number
 # ---------------------------------------------------------------------------
 
-def _mech_matrix(p: SystemParams, with_damping: bool) -> tuple:
-    """Rows of the 4x4 mechanical system M0 at n_p = 0.
+def _mech_matrices(q: SystemParams, with_damping: bool) -> np.ndarray:
+    """The (k, 4, 4) stack of the mechanical systems M0 at n_p = 0 of a
+    column record's sets.
 
     Unknowns (Re b1, Im b1, Re b2, Im b2); rows are Re/Im of the b1
     equation, then of the b2 equation, for (gamma + i*omega)*b + i*drive = 0.
@@ -244,39 +270,31 @@ def _mech_matrix(p: SystemParams, with_damping: bool) -> tuple:
     only, so M(n_p) = M0 + 4 g2 n_p e3 e2^T, and the drive -g1 n_p enters
     row 1 alone.
     """
-    c, s = math.cos(p.theta), math.sin(p.theta)
-    Om = p.omega_ex
-    g1m = p.gamma1 if with_damping else 0.0
-    g2m = p.gamma2 if with_damping else 0.0
-    return ((g1m, -p.omega1, -Om * s, -Om * c),
-            (p.omega1, g1m, Om * c, -Om * s),
-            (Om * s, -Om * c, g2m, -p.omega2),
-            (Om * c, Om * s, p.omega2, g2m))
+    c, s = np.cos(q.theta), np.sin(q.theta)
+    Om = q.omega_ex
+    g1m, g2m = ((q.gamma1, q.gamma2) if with_damping
+                else (np.zeros_like(c), np.zeros_like(c)))
+    return np.stack([g1m, -q.omega1, -Om * s, -Om * c,
+                     q.omega1, g1m, Om * c, -Om * s,
+                     Om * s, -Om * c, g2m, -q.omega2,
+                     Om * c, Om * s, q.omega2, g2m], axis=1).reshape(-1, 4, 4)
 
 
-def _mech_matrices(ps: Sequence[SystemParams], with_damping: bool) -> np.ndarray:
-    """The (k, 4, 4) stack of the sets' M0."""
-    return np.array([_mech_matrix(p, with_damping) for p in ps],
-                    dtype=float).reshape(-1, 4, 4)
-
-
-def _mechanical_solve(ps: Sequence[SystemParams], counts: Sequence[int],
-                      n_p: np.ndarray, with_damping: bool):
+def _mechanical_solve(q: SystemParams, owner: np.ndarray, n_p: np.ndarray,
+                      with_damping: bool):
     """Mechanical steady states (Re b1, Im b1, Re b2, Im b2) at the photon
-    numbers ``n_p``, ``counts[k]`` of them for set k, in a (len(n_p), 4)
-    array, and for each an error message (None when the solve is sound).
+    numbers ``n_p`` of the column record's sets ``owner``, in a
+    (len(n_p), 4) array, and for each the SingularMechanicalSystem that
+    rejects it (None when the solve is sound).
 
     One stacked condition check and one stacked solve of the matrices under
     SINGULAR_COND; each row equals the dense 4x4 solve of its own system.
     """
     n_p = np.asarray(n_p, dtype=float)
-    g1, g2, omega2 = np.repeat(np.array([(p.g1, p.g2, p.omega2) for p in ps],
-                                        dtype=float).reshape(-1, 3),
-                               counts, axis=0).T
-    M = np.repeat(_mech_matrices(ps, with_damping), counts, axis=0)
-    M[:, 3, 2] = omega2 + 4.0 * g2 * n_p
+    M = _mech_matrices(q, with_damping)[owner]
+    M[:, 3, 2] = q.omega2[owner] + 4.0 * q.g2[owner] * n_p
     rhs = np.zeros((len(n_p), 4, 1))
-    rhs[:, 1, 0] = -g1 * n_p
+    rhs[:, 1, 0] = -q.g1[owner] * n_p
     sol = np.full((len(n_p), 4), np.nan)
     sound = ~(np.linalg.cond(M) > SINGULAR_COND)
     rows = np.flatnonzero(sound)
@@ -289,12 +307,12 @@ def _mechanical_solve(ps: Sequence[SystemParams], counts: Sequence[int],
             except np.linalg.LinAlgError:
                 sound[k] = False
     finite = np.isfinite(sol).all(axis=1)
-    errors = [None if ok and fin else
+    errors = [None if ok and fin else SingularMechanicalSystem(
               f"mechanical solve overflowed at n_p = {n:.6g}" if ok else
-              f"mechanical system singular at n_p = {n:.6g}"
+              f"mechanical system singular at n_p = {n:.6g}")
               for n, ok, fin in zip(n_p.tolist(), sound.tolist(),
                                     finite.tolist())]
-    return sol, errors
+    return sol, np.array(errors, dtype=object)
 
 
 def mechanical_response(p: SystemParams, n_p: float,
@@ -309,15 +327,16 @@ def mechanical_response(p: SystemParams, n_p: float,
     root against it.  A batch of one of the stacked solve behind
     ``reconstruct_branches``.
     """
-    sol, (error,) = _mechanical_solve([p], [1], [n_p], with_damping)
+    sol, (error,) = _mechanical_solve(param_columns(p)[0], [0], [n_p],
+                                      with_damping)
     if error is not None:
-        raise SingularMechanicalSystem(error)
+        raise error
     return complex(sol[0, 0], sol[0, 1]), complex(sol[0, 2], sol[0, 3])
 
 
 @dataclass(frozen=True)
 class RationalResponse:
-    """Exact mechanical response of a batch of parameter sets, one column each.
+    """Exact mechanical response of a column record's sets, one column each.
 
     Only M[3, 2] depends on n_p and the drive is proportional to n_p, so by
     Cramer's rule (equivalently Sherman-Morrison)
@@ -333,19 +352,15 @@ class RationalResponse:
     coef: np.ndarray                 # shape (10, cells)
 
     @classmethod
-    def of(cls, ps: Sequence[SystemParams],
-           with_damping: bool = False) -> "RationalResponse":
-        M0 = _mech_matrices(ps, with_damping)
-        g1, g2, delta_c, eta, kappa = np.array(
-            [(p.g1, p.g2, p.delta_c, p.eta, p.kappa) for p in ps],
-            dtype=float).reshape(-1, 5).T
-        det = np.linalg.det
-        a0 = g1 * det(M0[:, [0, 2, 3]][:, :, [1, 2, 3]])
-        a1 = -4.0 * g1 * g2 * det(M0[:, [0, 2]][:, :, [1, 3]])
-        e = g1 * det(M0[:, [0, 2, 3]][:, :, [0, 1, 3]])
-        d1 = -4.0 * g2 * det(M0[:, [0, 1, 2]][:, :, [0, 1, 3]])
-        return cls(np.stack([a0, a1, e, det(M0), d1, delta_c, g1, g2, eta,
-                             kappa]))
+    def of(cls, p, with_damping: bool = False) -> "RationalResponse":
+        q, _ = param_columns(p)
+        M0, det = _mech_matrices(q, with_damping), np.linalg.det
+        a0 = q.g1 * det(M0[:, [0, 2, 3]][:, :, [1, 2, 3]])
+        a1 = -4.0 * q.g1 * q.g2 * det(M0[:, [0, 2]][:, :, [1, 3]])
+        e = q.g1 * det(M0[:, [0, 2, 3]][:, :, [0, 1, 3]])
+        d1 = -4.0 * q.g2 * det(M0[:, [0, 1, 2]][:, :, [0, 1, 3]])
+        return cls(np.stack([a0, a1, e, det(M0), d1, q.delta_c, q.g1, q.g2,
+                             q.eta, q.kappa]))
 
     def take(self, cells, repeats=1) -> "RationalResponse":
         """The columns picked by ``cells``, each repeated ``repeats`` times."""
@@ -382,71 +397,67 @@ def fixed_point_defect(p: Union[SystemParams, RationalResponse],
     """
     n_p = np.atleast_1d(np.asarray(n_p, dtype=float))
     if not isinstance(p, RationalResponse):
-        p = RationalResponse.of([p], with_damping)
+        p = RationalResponse.of(p, with_damping)
     return p.defect(n_p)
 
 
-def reconstruct_branches(ps: Sequence[SystemParams],
-                         candidates: Sequence[Sequence[float]],
-                         with_damping: bool = False) -> list[list]:
-    """Branch records of every candidate photon number of every set.
+def reconstruct_branches(p, candidates: Sequence[Sequence[float]],
+                         with_damping: bool = False) -> Branches:
+    """The Branches record of every candidate photon number of every set.
 
-    ``candidates[k]`` holds set k's photon numbers; the result holds, in the
-    same places, a SteadyStateBranch or the ResidualTooLarge /
-    SingularMechanicalSystem that rejects the candidate.  The mechanical
-    solves of all candidates are stacked; detuning, residual and alpha are
-    then worked out per candidate, in Python's own arithmetic.
+    ``candidates[k]`` holds the photon numbers of set k of the column record
+    (or sequence of sets) ``p``.  The mechanical solves of all candidates
+    are stacked; detuning, residual and alpha are worked out on the columns
+    in real arithmetic, in the order of Python's complex arithmetic (LEDGER
+    "Steady columns").
 
     alpha keeps the phase of -i*eta/(kappa + i*Delta) but is rescaled so that
     |alpha|^2 = n_p exactly; the relative defect between n_p and the
     Lorentzian prediction is stored as ``residual`` and must not exceed
     ROOT_ACCEPT_TOL.
     """
-    counts = [len(c) for c in candidates]
-    flat = [n for c in candidates for n in c]
-    sol, errors = _mechanical_solve(ps, counts, flat, with_damping)
-    rows = iter(zip(flat, sol.tolist(), errors))
-    out = []
-    for p, count in zip(ps, counts):
-        cell: list = []
-        for n_p, x, error in itertools.islice(rows, count):
-            if n_p < 0.0:
-                cell.append(ResidualTooLarge(f"negative photon number {n_p}"))
-            elif error is not None:
-                cell.append(SingularMechanicalSystem(error))
-            else:
-                cell.append(_branch(p, n_p, complex(x[0], x[1]),
-                                    complex(x[2], x[3])))
-        out.append(cell)
-    return out
-
-
-def _branch(p: SystemParams, n_p: float, beta1: complex, beta2: complex):
-    """The branch record at n_p, or the ResidualTooLarge that rejects it.
-    The cavity detuning is shifted by the steady mechanical displacements."""
-    quad = (np.conj(beta2)**2 + beta2**2 + 2.0 * abs(beta2)**2).real
-    delta = p.delta_c + 2.0 * p.g1 * beta1.real + p.g2 * quad
-    n_pred = p.eta**2 / (p.kappa**2 + delta**2)
-    residual = abs(n_pred - n_p) / max(1.0, n_p)
-    if residual > ROOT_ACCEPT_TOL:
-        return ResidualTooLarge(
-            f"n_p = {n_p:.9g} has self-consistency defect {residual:.3e}")
-    raw = -1j * p.eta / (p.kappa + 1j * delta)
-    mag = abs(raw)
-    alpha = raw * math.sqrt(n_p) / mag if mag > 0.0 else complex(math.sqrt(n_p))
-    return SteadyStateBranch(n_p=float(n_p), alpha=alpha, beta1=beta1,
-                             beta2=beta2, delta_eff=float(delta),
-                             residual=float(residual))
+    q, _ = param_columns(p)
+    owner = np.repeat(np.arange(len(candidates)), [len(c) for c in candidates])
+    n_p = np.array([n for c in candidates for n in c], dtype=float)
+    sol, errors = _mechanical_solve(q, owner, n_p, with_damping)
+    beta = sol.view(complex)                 # columns beta1, beta2
+    c = take_columns(q, owner)
+    with np.errstate(all="ignore"):
+        # the detuning shifted by the steady mechanical displacements, with
+        # Re[conj(b2)^2 + b2^2 + 2|b2|^2] summed as written
+        re2, im2 = sol[:, 2], sol[:, 3]
+        sq, h = re2 * re2 - im2 * im2, np.hypot(re2, im2)
+        delta = (c.delta_c + 2.0 * c.g1 * sol[:, 0]
+                 + c.g2 * ((sq + sq) + 2.0 * (h * h)))
+        residual = (np.abs(c.eta * c.eta / (c.kappa * c.kappa + delta * delta)
+                           - n_p) / np.maximum(1.0, n_p))
+        # raw = -i eta / (kappa + i delta) = (0, -eta) / (kappa, delta), by
+        # Smith's quotient as Python divides complex numbers
+        small = np.abs(delta) <= c.kappa
+        ratio = np.where(small, delta / c.kappa, c.kappa / delta)
+        den = np.where(small, c.kappa + delta * ratio, c.kappa * ratio + delta)
+        raw_re = np.where(small, -c.eta * ratio, -c.eta) / den
+        raw_im = np.where(small, -c.eta, -c.eta * ratio) / den
+        mag, root = np.hypot(raw_re, raw_im), np.sqrt(n_p)
+        alpha = np.empty(len(n_p), dtype=complex)
+        alpha.real = np.where(mag > 0.0, raw_re * root / mag, root)
+        alpha.imag = np.where(mag > 0.0, raw_im * root / mag, 0.0)
+    for k in np.flatnonzero(np.equal(errors, None)
+                            & (residual > ROOT_ACCEPT_TOL)).tolist():
+        errors[k] = ResidualTooLarge(
+            f"n_p = {n_p[k]:.9g} has self-consistency defect "
+            f"{residual[k]:.3e}")
+    for k in np.flatnonzero(n_p < 0.0).tolist():
+        errors[k] = ResidualTooLarge(f"negative photon number {n_p[k]}")
+    return Branches(owner, n_p, alpha, beta[:, 0], beta[:, 1], delta,
+                    residual, errors)
 
 
 def reconstruct_branch(p: SystemParams, n_p: float,
                        with_damping: bool = False) -> SteadyStateBranch:
     """Full branch record at a given photon number: a batch of one of
     ``reconstruct_branches``, raising the error that rejects ``n_p``."""
-    ((branch,),) = reconstruct_branches([p], [[n_p]], with_damping)
-    if isinstance(branch, Exception):
-        raise branch
-    return branch
+    return reconstruct_branches(p, [[n_p]], with_damping).branch(0)
 
 
 def _spaced(lo: np.ndarray, hi: np.ndarray, num: int,
@@ -466,23 +477,27 @@ def _spaced(lo: np.ndarray, hi: np.ndarray, num: int,
     return out
 
 
-def _scan_grids(ps: Sequence[SystemParams], scan_points: int):
-    """Scan grids of a group of sets, flattened in order, and their sizes.
+def _scan_grids(q: SystemParams, scan_points: int):
+    """Scan grids of a column record's sets, flattened in order, and their
+    sizes.
 
     Each grid is uniform on [0, (1+margin)*eta^2/kappa^2].  When the
     quadratic coupling puts the mechanical resonance pole inside the window,
     extra geometrically clustered points straddle it: the fixed-point map
     varies over many decades there and a uniform grid misses brackets.  A
     row sort with a first-of-equal mask merges them in, as np.unique would.
+    Window and pole take Python's float arithmetic (``x**2`` is pow).
     """
-    n_max = [(1.0 + ORACLE_MARGIN) * q.eta**2 / q.kappa**2 for q in ps]
+    n_max = [(1.0 + ORACLE_MARGIN) * e**2 / k**2
+             for e, k in zip(q.eta.tolist(), q.kappa.tolist())]
     # the photon number at which the mechanical solve turns singular
-    poles = [(q.omega_ex**2 - q.omega1 * q.omega2) / (4.0 * q.g2 * q.omega1)
-             if q.g2 != 0.0 else math.inf for q in ps]
+    poles = [(x**2 - w1 * w2) / (4.0 * g2 * w1) if g2 != 0.0 else math.inf
+             for x, w1, w2, g2 in zip(q.omega_ex.tolist(), q.omega1.tolist(),
+                                      q.omega2.tolist(), q.g2.tolist())]
     inside = np.array([0.0 < x < m for x, m in zip(poles, n_max)], dtype=bool)
     n_max = np.array(n_max, dtype=float)
-    full = np.full((len(ps), scan_points + 1024), np.inf)
-    full[:, :scan_points] = _spaced(np.zeros(len(ps)), n_max, scan_points)
+    full = np.full((len(n_max), scan_points + 1024), np.inf)
+    full[:, :scan_points] = _spaced(np.zeros(len(n_max)), n_max, scan_points)
     if inside.any():
         pole = np.array([x for x, ok in zip(poles, inside) if ok])[:, None]
         top = n_max[inside, None]
@@ -497,7 +512,7 @@ def _scan_grids(ps: Sequence[SystemParams], scan_points: int):
     return full[keep], keep.sum(axis=1)
 
 
-def _scan_blocks(ps: list[SystemParams], cells: list[int], scan_points: int):
+def _scan_blocks(q: SystemParams, cells: list[int], scan_points: int):
     """Scan grids of ``cells`` in blocks of whole cells, about SCAN_BLOCK
     points each; yields (block cells, their point counts, flattened grid).
     Grids are built for groups of cells that fill about four blocks, which
@@ -505,7 +520,7 @@ def _scan_blocks(ps: list[SystemParams], cells: list[int], scan_points: int):
     group = max(1, 4 * SCAN_BLOCK // scan_points)
     for g in range(0, len(cells), group):
         owners = cells[g:g + group]
-        grid, counts = _scan_grids([ps[k] for k in owners], scan_points)
+        grid, counts = _scan_grids(take_columns(q, owners), scan_points)
         first = start = 0
         for j, end in enumerate(np.cumsum(counts).tolist()):
             if end - start >= SCAN_BLOCK or j == len(owners) - 1:
@@ -542,42 +557,43 @@ def _bisect(resp: RationalResponse, lo: np.ndarray, hi: np.ndarray,
     return out
 
 
-def oracle_roots(p: Union[SystemParams, Sequence[SystemParams]],
-                 scan_points: int = 4096,
+def oracle_roots(p, scan_points: int = 4096,
                  diagnostics=None,
                  with_damping: bool = False):
     """Fixed-point roots by scan/bracket/bisection; never touches the
     closed-form polynomial coefficients.
 
     ``p`` is one parameter set (roots come back as a list, diagnostics go to
-    the list ``diagnostics``) or a sequence of them (one root list per set,
-    ``diagnostics`` then holds one list per set).  A single set is a batch
-    of one.  Each set is scanned on its own grid (``_scan_grid``); the grids
-    of a batch are flattened with per-cell owners and evaluated in blocks,
-    and every bracket of the batch is bisected at once.
+    the list ``diagnostics``) or a column record or sequence of them (one
+    root list per set, ``diagnostics`` then holds one list per set).  A
+    single set is a batch of one.  Each set is scanned on its own grid
+    (``_scan_grids``); the grids of a batch are flattened with per-cell
+    owners and evaluated in blocks, and every bracket of the batch is
+    bisected at once.
     """
-    if isinstance(p, SystemParams):
+    q, scalar = param_columns(p)
+    if scalar:
         sinks = None if diagnostics is None else [diagnostics]
-        return oracle_roots([p], scan_points, sinks, with_damping)[0]
+        return oracle_roots(q, scan_points, sinks, with_damping)[0]
     if scan_points < MIN_SCAN_POINTS:
         raise ValueError(f"scan_points must be >= {MIN_SCAN_POINTS}")
-    ps = list(p)
-    found: list[list[float]] = [[0.0] if q.eta == 0.0 else [] for q in ps]
-    live = [k for k, q in enumerate(ps) if q.eta != 0.0]
-    resp = RationalResponse.of(ps, with_damping)
+    found: list[list[float]] = [[0.0] if e == 0.0 else []
+                                for e in q.eta.tolist()]
+    live = [k for k, roots in enumerate(found) if not roots]
+    resp = RationalResponse.of(q, with_damping)
     brackets = []
-    for owners, counts, grid in _scan_blocks(ps, live, scan_points):
+    for owners, counts, grid in _scan_blocks(q, live, scan_points):
         cell = np.repeat(owners, counts)
         f = fixed_point_defect(resp.take(owners, counts), grid)
         ok = np.isfinite(f)
         if not ok.all():
-            bad = np.bincount(cell[~ok], minlength=len(ps))
+            bad = np.bincount(cell[~ok], minlength=len(found))
             if diagnostics is not None:
                 for k in np.nonzero(bad)[0]:
                     diagnostics[k].append(Diagnostic(
                         "singular-scan-point",
                         f"skipped {int(bad[k])} singular scan points"))
-            ok &= np.bincount(cell[ok], minlength=len(ps))[cell] >= 2
+            ok &= np.bincount(cell[ok], minlength=len(found))[cell] >= 2
             grid, f, cell = grid[ok], f[ok], cell[ok]
         for k, g in zip(cell[f == 0.0], grid[f == 0.0]):
             found[k].append(float(g))
@@ -690,20 +706,15 @@ def exact_roots(resp: RationalResponse) -> tuple[list[list[float]],
     cells: list[list[float]] = [[] for _ in eta]
     for k, r in zip(owner.tolist(), n.tolist()):
         cells[k].append(r)
-    roots, failed = [], []
-    for k, cell in enumerate(cells):
-        if eta[k] == 0.0:
-            roots.append([0.0])
-            failed.append(None)
-            continue
-        kept = _distinct(cell)
-        roots.append(kept)
-        failed.append("non-finite coefficients" if not finite[k] else
-                      "no sign change across a polished root" if unsigned[k]
-                      else "roots merge" if len(kept) < len(cell) else
-                      "even root count" if eta[k] > 0.0 and len(kept) % 2 == 0
-                      else None)
-    return roots, failed
+    roots = [[0.0] if e == 0.0 else _distinct(cell)
+             for e, cell in zip(eta.tolist(), cells)]
+    return roots, [
+        None if e == 0.0 else "non-finite coefficients" if not fin
+        else "no sign change across a polished root" if uns
+        else "roots merge" if len(kept) < len(cell)
+        else "even root count" if e > 0.0 and len(kept) % 2 == 0 else None
+        for e, fin, uns, kept, cell in zip(eta.tolist(), finite.tolist(),
+                                           unsigned.tolist(), roots, cells)]
 
 
 def roots_match(poly_roots: list[float], oracle: list[float],
@@ -715,27 +726,27 @@ def roots_match(poly_roots: list[float], oracle: list[float],
                for a, b in zip(poly_roots, oracle))
 
 
-def coefficient_deviation(ps: Sequence[SystemParams],
-                          resp: RationalResponse) -> np.ndarray:
-    """|C_m - s Q_m| / max_m |C_m|, m = 0..7, for each set: its closed-form
-    coefficients C against the fixed-point Q of ``resp``'s column, both in
-    the window-scaled n = n_scale m of ``batch_real_roots``, with the
-    least-squares scale s = <C, Q>/<Q, Q> over C0..C4 and C7 (the mixed
-    terms C5/C6 would pull it off).  NaN where either vanishes or overflows."""
+def coefficient_deviation(p, resp: RationalResponse) -> np.ndarray:
+    """|C_m - s Q_m| / max_m |C_m|, m = 0..7, for each set of ``p``: its
+    closed-form coefficients C against the fixed-point Q of ``resp``'s
+    column, both in the window-scaled n = n_scale m of ``batch_real_roots``,
+    with the least-squares scale s = <C, Q>/<Q, Q> over C0..C4 and C7 (the
+    mixed terms C5/C6 would pull it off).  NaN where either vanishes or
+    overflows."""
     with np.errstate(all="ignore"):
-        coeffs = build_polynomial(ps)
-        n_scale = np.array([q.aux["n_scale"] for q in coeffs])
-        C = (np.array([q.c for q in coeffs]).reshape(-1, 8)
-             * n_scale[:, None] ** np.arange(8))
+        coeffs = build_polynomial(param_columns(p)[0])
+        n_scale = coeffs.aux["n_scale"]
+        C = coeffs.c * n_scale[:, None] ** np.arange(8)
         Q = _fixed_point_q(resp, np.zeros_like(n_scale), n_scale)
         fit = [0, 1, 2, 3, 4, 7]
         s = (C * Q)[:, fit].sum(axis=1) / (Q * Q)[:, fit].sum(axis=1)
         return np.abs(C - s[:, None] * Q) / np.abs(C).max(axis=1)[:, None]
 
 
-def root_sets(ps: list[SystemParams], oracle_mode: bool, scan_points: int,
-              with_damping: bool, sinks: list[list[Diagnostic]]) -> list:
-    """The fixed-point roots of each parameter set.
+def root_sets(p, oracle_mode: bool, scan_points: int, with_damping: bool,
+              sinks: list[list[Diagnostic]]) -> list:
+    """The fixed-point roots of each set of a column record (or sequence of
+    sets), ascending and distinct.
 
     The roots come from one ``exact_roots`` call for the batch.  With
     ``oracle_mode``, a set whose certificate fails gets a scan-fallback
@@ -747,7 +758,8 @@ def root_sets(ps: list[SystemParams], oracle_mode: bool, scan_points: int,
     coefficients beyond it.  Without it, the exact route's roots
     stand as they come, uncertified ones included, and nothing is compared.
     """
-    resp = RationalResponse.of(ps, with_damping)
+    q, _ = param_columns(p)
+    resp = RationalResponse.of(q, with_damping)
     roots, failed = exact_roots(resp)
     if not oracle_mode:
         return roots
@@ -758,13 +770,13 @@ def root_sets(ps: list[SystemParams], oracle_mode: bool, scan_points: int,
             f"exact-root certificate failed ({failed[k]}); roots from "
             f"the {scan_points}-point scan"))
     if redo:
-        scanned = oracle_roots([ps[k] for k in redo], scan_points,
+        scanned = oracle_roots(take_columns(q, redo), scan_points,
                                [sinks[k] for k in redo], with_damping)
         for k, found in zip(redo, scanned):
             roots[k] = found
     # the closed form has no damping terms: compare it with the undamped map
     dev = coefficient_deviation(
-        ps, RationalResponse.of(ps, False) if with_damping else resp)
+        q, RationalResponse.of(q, False) if with_damping else resp)
     for k in np.flatnonzero(~(dev.max(axis=1) <= COEFF_TOL)).tolist():
         off = " ".join(f"C{m} {d:.1e}" for m, d in enumerate(dev[k].tolist())
                        if not d <= COEFF_TOL)
@@ -774,45 +786,40 @@ def root_sets(ps: list[SystemParams], oracle_mode: bool, scan_points: int,
     return roots
 
 
-def solve_branches(p: Union[SystemParams, Sequence[SystemParams]],
-                   oracle_mode: bool = True,
-                   scan_points: int = 4096,
-                   with_damping: bool = False,
-                   diagnostics=None):
+def solve_branches(p, oracle_mode: bool = True, scan_points: int = 4096,
+                   with_damping: bool = False, diagnostics=None):
     """All self-consistent steady-state branches, ascending in n_p.
 
-    ``p`` is one parameter set (a list of branches comes back, diagnostics go
-    to the list ``diagnostics``) or a sequence of them (one branch list per
-    set, ``diagnostics`` then holds one list per set).  The candidates are
-    the fixed-point roots of ``root_sets``.  Candidates that fail the
-    self-consistency residual are dropped with a diagnostic; all candidates
-    of the batch are reconstructed together.  With eta > 0,
-    f(0) > 0 > f(n_max), so a set that ends with an even number of branches
-    gets a parity-violation diagnostic.
+    ``p`` is one parameter set (a list of SteadyStateBranch comes back,
+    diagnostics go to the list ``diagnostics``) or a column record or
+    sequence of them (one Branches record of every set's branches, in set
+    order; ``diagnostics`` then holds one list per set).  The candidates
+    are the fixed-point roots of ``root_sets``, all reconstructed together;
+    those that fail the self-consistency residual are dropped with a
+    diagnostic.  With eta > 0, f(0) > 0 > f(n_max), so a set that ends with
+    an even number of branches gets a parity-violation diagnostic.
     """
-    if isinstance(p, SystemParams):
+    q, scalar = param_columns(p)
+    if scalar:
         sinks = None if diagnostics is None else [diagnostics]
-        return solve_branches([p], oracle_mode, scan_points, with_damping,
-                              sinks)[0]
-    ps = list(p)
-    sinks = diagnostics if diagnostics is not None else [[] for _ in ps]
-    candidates = root_sets(ps, oracle_mode, scan_points, with_damping, sinks)
-    out: list[list[SteadyStateBranch]] = []
-    for q, results, sink in zip(
-            ps, reconstruct_branches(ps, candidates, with_damping), sinks):
-        branches: list[SteadyStateBranch] = []
-        for r in results:
-            if isinstance(r, ResidualTooLarge):
-                sink.append(Diagnostic("residual-drop", str(r)))
-            elif isinstance(r, SingularMechanicalSystem):
-                sink.append(Diagnostic("singular-root", str(r)))
-            else:
-                branches.append(r)
-        branches.sort(key=lambda b: b.n_p)
-        if q.eta > 0.0 and len(branches) % 2 == 0:
-            sink.append(Diagnostic(
-                "parity-violation",
-                f"{len(branches)} branches where eta > 0 needs an odd count "
-                f"(f(0) > 0 > f(n_max))"))
-        out.append(branches)
-    return out
+        found = solve_branches(q, oracle_mode, scan_points, with_damping,
+                               sinks)
+        return [found.branch(k) for k in range(len(found.n_p))]
+    sinks = diagnostics if diagnostics is not None else [[] for _ in q.eta]
+    found = reconstruct_branches(
+        q, root_sets(q, oracle_mode, scan_points, with_damping, sinks),
+        with_damping)
+    kept = np.equal(found.rejection, None)
+    for k in np.flatnonzero(~kept).tolist():
+        r = found.rejection[k]
+        sinks[found.owner[k]].append(Diagnostic(
+            "residual-drop" if isinstance(r, ResidualTooLarge)
+            else "singular-root", str(r)))
+    found = Branches(*(v[kept] for v in vars(found).values()))
+    counts = np.bincount(found.owner, minlength=len(sinks))
+    for k in np.flatnonzero((q.eta > 0.0) & (counts % 2 == 0)).tolist():
+        sinks[k].append(Diagnostic(
+            "parity-violation",
+            f"{counts[k]} branches where eta > 0 needs an odd count "
+            f"(f(0) > 0 > f(n_max))"))
+    return found

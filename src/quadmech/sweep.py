@@ -2,10 +2,12 @@
 
 Cells are independent pure computations; their rows form one column ``Table``
 in row-major cell order whatever the worker count, so identical specs produce
-identical tables.  Cells are solved in batches: one oracle call and two stacked
-Routh tests per batch of steady-state cells, one batched Lyapunov solve per
-batch of cooling cells; a cell's result depends only on the cell, never on
-the batch it shares.  Supported modes:
+identical tables.  Cells are solved in batches, each one column record of
+parameters: per batch of steady-state cells one exact-root call (the scan
+oracle runs only for cells whose roots it cannot certify), one stacked
+reconstruction of every candidate and two stacked Routh tests; per batch of
+cooling cells one batched Lyapunov solve.  A cell's result depends only on
+the cell, never on the batch it shares.  Supported modes:
 
 * ``root-count`` / ``stable-count`` — steady-state branches with stability
   verdicts per cell (SystemParams base), rows from ``branch_rows``,
@@ -16,16 +18,18 @@ the batch it shares.  Supported modes:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
 
 from .cooling import cool_linearized, dark_mode_diagnostics, flag_residuals
-from .params import (LinearizedParams, SystemParams, linearized_columns,
-                     take_columns, validate_params)
+from .params import (LINEARIZED_NUMERIC, SYSTEM_NUMERIC, LinearizedParams,
+                     SystemParams, param_columns, take_columns,
+                     validate_params)
 from .stability import classify_branch_stability, derive_linearized
-from .steady_state import MIN_SCAN_POINTS, Diagnostic, solve_branches
+from .steady_state import (MIN_SCAN_POINTS, Branches, Diagnostic,
+                           solve_branches)
 
 MODES = ("root-count", "stable-count", "branch-curve", "cooling")
 # Cells solved as one batch: enough to amortise the per-call NumPy overhead
@@ -130,11 +134,12 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     if (spec.mode != "cooling" and spec.oracle_mode
             and spec.scan_points < MIN_SCAN_POINTS):
         raise InvalidSpec(f"scan_points must be >= {MIN_SCAN_POINTS}")
-    names = {f.name for f in fields(spec.base)}
+    numeric = (SYSTEM_NUMERIC if isinstance(spec.base, SystemParams)
+               else LINEARIZED_NUMERIC)
     for ax in spec.axes:
-        if ax.name not in names:
-            raise InvalidSpec(f"axis parameter {ax.name!r} is not a field "
-                              f"of {type(spec.base).__name__}")
+        if ax.name not in numeric:
+            raise InvalidSpec(f"axis parameter {ax.name!r} is not a numeric "
+                              f"field of {type(spec.base).__name__}")
     return spec
 
 
@@ -144,8 +149,9 @@ def _cell_error(exc: Exception) -> Diagnostic:
 
 def _each_cell(solve, cells: list, sinks: list[list[Diagnostic]]):
     """``solve(cells, sinks)`` in one batch, as ``[(cells, result)]``.  If
-    the batch raises, each cell is solved alone, so an error fails only its
-    own cell, which gets a cell-error and no part of the list."""
+    the batch raises, each half is solved the same way, down to single
+    cells, so an error fails only its own cell, which gets a cell-error and
+    no part of the list, while its batch-mates stay in batches."""
     try:
         return [(cells, solve(cells, sinks))]
     except Exception as exc:   # per-cell failures never abort the sweep
@@ -154,18 +160,21 @@ def _each_cell(solve, cells: list, sinks: list[list[Diagnostic]]):
             return []
         for sink in sinks:
             sink.clear()
-        return [part for c, s in zip(cells, sinks)
-                for part in _each_cell(solve, [c], [s])]
+        half = len(cells) // 2
+        return (_each_cell(solve, cells[:half], sinks[:half])
+                + _each_cell(solve, cells[half:], sinks[half:]))
 
 
-def branch_rows(ps: list[SystemParams], solved: list[list],
+def branch_rows(p: SystemParams, solved: Branches,
                 sinks: list[list[Diagnostic]],
                 gamma_fallback: bool = True) -> Table:
     """Output rows of each set's steady-state branches, labelled in order.
 
-    All branches get one column record and one stacked stability
-    classification; a branch whose verdict flips under the gamma fallback
-    gets a marginal-verdict diagnostic in its set's sink.  The cooling rule:
+    ``solved`` holds the branches of the sets of the column record (or
+    sequence) ``p``, one sink each.  All branches get one linearized column
+    record and one stacked stability classification; a branch whose
+    verdict flips under the gamma fallback gets a marginal-verdict
+    diagnostic in its set's sink.  The cooling rule:
     rows of a damped set (gamma1 > 0 or gamma2 > 0) carry their dark
     overlap, and those that are also stable with an unflipped verdict carry
     their occupations, from one batched Lyapunov solve whose diagnostics go
@@ -174,13 +183,10 @@ def branch_rows(ps: list[SystemParams], solved: list[list],
     the system on the margin, where the Lyapunov system is singular.  (A set
     is damped or not as a whole, so its sink gets the one kind or the other.)
     """
-    counts = [len(bs) for bs in solved]
-    owner = np.repeat(np.arange(len(ps)), counts)
-    branches = [b for bs in solved for b in bs]
-    lin = derive_linearized(branches, [ps[k] for k in owner.tolist()])
+    owner, n_p, residual = solved.owner, solved.n_p, solved.residual
+    counts = np.bincount(owner, minlength=len(sinks))
+    lin = derive_linearized(solved, p)
     verdict = classify_branch_stability(lin, gamma_fallback)
-    n_p, residual = np.array([(b.n_p, b.residual) for b in branches],
-                             dtype=float).reshape(-1, 2).T
     damped = (lin.gamma1 > 0.0) | (lin.gamma2 > 0.0)
     cooled = damped & verdict.stable & ~verdict.verdict_flipped
     dark, n1f, n2f = np.full((3, len(owner)), np.nan)
@@ -205,26 +211,22 @@ def branch_rows(ps: list[SystemParams], solved: list[list],
                   "dark_overlap": damped & ~np.isnan(dark)})
 
 
-def _eval_steady_batch(spec: SweepSpec, values: np.ndarray, sinks):
-    """One batched solve for the cells, then ``branch_rows`` of all their
-    branches: (the rows, each cell's branch count)."""
-    params: dict[int, SystemParams] = {}
-    for k, (cell, sink) in enumerate(zip(values.tolist(), sinks)):
-        try:   # one parameter set per cell; SystemParams fields are real
-            params[k] = validate_params(replace(
-                spec.base, **{ax.name: v for ax, v in zip(spec.axes, cell)}))
-        except Exception as exc:
-            sink.append(_cell_error(exc))
+def _eval_steady_batch(spec: SweepSpec, p: SystemParams, sinks):
+    """One batched solve for the cells of the column record ``p``, then
+    ``branch_rows`` of all their branches: (the rows, each cell's branch
+    count).  Validation is part of the batch, so an invalid cell fails
+    alone (``_each_cell``)."""
+    cells = list(range(len(sinks)))
 
     def solve(ks, ks_sinks):
-        ps = [params[k] for k in ks]
+        q = validate_params(p if ks is cells else take_columns(p, ks))
         solved = solve_branches(
-            ps, oracle_mode=spec.oracle_mode, scan_points=spec.scan_points,
+            q, oracle_mode=spec.oracle_mode, scan_points=spec.scan_points,
             with_damping=spec.with_damping, diagnostics=ks_sinks)
-        return (branch_rows(ps, solved, ks_sinks, spec.gamma_fallback),
-                [len(bs) for bs in solved])
-    counts = np.zeros(len(values), dtype=np.int64)
-    parts = _each_cell(solve, list(params), [sinks[k] for k in params])
+        return (branch_rows(q, solved, ks_sinks, spec.gamma_fallback),
+                np.bincount(solved.owner, minlength=len(ks)))
+    counts = np.zeros(len(cells), dtype=np.int64)
+    parts = _each_cell(solve, cells, sinks)
     for ks, (_, n) in parts:
         counts[ks] = n
     return Table.concat([rows for _, (rows, _) in parts]), counts
@@ -237,7 +239,7 @@ def cooling_rows(lp: LinearizedParams,
     The cells share one Lyapunov solve (``_each_cell``): a singular cell
     gets a cell-error, and its row, like an unstable cell's, keeps the
     occupations empty."""
-    lp, _ = linearized_columns(lp)
+    lp, _ = param_columns(lp, LinearizedParams)
     cells = list(range(len(sinks)))
     # the whole record, or a cell's own column when the batch is retried
     parts = _each_cell(lambda ks, _: cool_linearized(
@@ -260,16 +262,6 @@ def cooling_rows(lp: LinearizedParams,
                   "dark_overlap": ~np.isnan(dark), "residual": solved})
 
 
-def _eval_cooling_batch(spec: SweepSpec, values: np.ndarray, sinks):
-    """``cooling_rows`` of the cells, one row per cell, from one column
-    record: the base with each axis field an array of the cells' values
-    (complex when the base field is complex)."""
-    lp = replace(spec.base, **{ax.name: col.astype(
-        complex if isinstance(getattr(spec.base, ax.name), complex) else float)
-        for ax, col in zip(spec.axes, values.T)})
-    return cooling_rows(lp, sinks), np.ones(len(values), dtype=np.int64)
-
-
 def _cell_table(names, values: np.ndarray, counts: np.ndarray,
                 rows: Table) -> Table:
     """Each cell's axis values beside its ``counts`` rows of ``rows``, or
@@ -288,18 +280,23 @@ def _cell_table(names, values: np.ndarray, counts: np.ndarray,
 
 def _eval_chunk(spec: SweepSpec, cells: np.ndarray, values: np.ndarray):
     """The cells' table and branch counts, solved in batches, and their
-    diagnostics, each stamped with its cell."""
-    evaluate = (_eval_cooling_batch if spec.mode == "cooling"
-                else _eval_steady_batch)
+    diagnostics, each stamped with its cell.  A batch is one column record:
+    the base with each axis field an array of the batch cells' values."""
+    names = [ax.name for ax in spec.axes]
     sinks: list[list[Diagnostic]] = [[] for _ in cells]
-    parts = [evaluate(spec, values[i:i + BATCH_CELLS],
-                      sinks[i:i + BATCH_CELLS])
-             for i in range(0, len(cells), BATCH_CELLS)]
+    parts = []
+    for i in range(0, len(cells), BATCH_CELLS):
+        p, _ = param_columns(replace(spec.base, **dict(zip(
+            names, values[i:i + BATCH_CELLS].T))), type(spec.base))
+        batch = sinks[i:i + BATCH_CELLS]
+        parts.append((cooling_rows(p, batch), np.ones(len(batch), np.int64))
+                     if spec.mode == "cooling"
+                     else _eval_steady_batch(spec, p, batch))
     for index, sink in zip(cells.tolist(), sinks):
         for d in sink:
             d.cell = tuple(index)
     counts = np.concatenate([n for _, n in parts])
-    return (_cell_table([ax.name for ax in spec.axes], values, counts,
+    return (_cell_table(names, values, counts,
                         Table.concat([rows for rows, _ in parts])),
             counts, [d for sink in sinks for d in sink])
 

@@ -16,7 +16,8 @@ linearization); the batched routes must equal them exactly.  At the end,
 ``write_table_rows`` is the per-row table writer the column writer
 ``cli.write_table`` must equal byte for byte, and ``table_rows`` and
 ``record_at`` read one row of a column table or one entry of a record with
-array fields.
+array fields; ``branch_lists`` reads a Branches record as one list of
+branch objects per set.
 """
 import io
 import json
@@ -346,6 +347,13 @@ def root_counts(result) -> list[int]:
 def per_cell(result, mask) -> np.ndarray:
     """How many of each cell's rows of a SweepResult ``mask`` marks."""
     return np.add.reduceat(mask.astype(np.int64), result.offsets[:-1])
+
+
+def branch_lists(record, sets: int) -> list[list]:
+    """The entries of a Branches record as SteadyStateBranch objects, one
+    list per set of the ``sets`` its ``owner`` entries index."""
+    return [[record.branch(k) for k in np.flatnonzero(record.owner == j)]
+            for j in range(sets)]
 
 
 def record_at(record, k: int):

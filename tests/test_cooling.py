@@ -20,7 +20,7 @@ from quadmech import (CovarianceResult, DriftMatrix, LinearizedParams,
                       dark_mode_diagnostics, phonon_numbers, solve_lyapunov)
 from quadmech.cooling import (LYAP_BLOCK, UnphysicalResult, ZeroCoupling,
                               _lyapunov_operator)
-from quadmech.params import linearized_columns
+from quadmech.params import param_columns
 from quadmech.stability import spectra
 
 from conftest import (QUADRATURE_T, complex_drift_matrix, complex_noise,
@@ -266,7 +266,7 @@ def test_column_builders_equal_scalar_records(batch, data):
     cut = data.draw(st.integers(0, len(cells)))
     for part in ([cells[k] for k in order[:cut]],
                  [cells[k] for k in order[cut:]]):
-        cols, _ = linearized_columns(part)
+        cols, _ = param_columns(part, LinearizedParams)
         drift, noise = build_drift_matrix(cols).a, build_noise_model(cols)
         dark = dark_mode_diagnostics(cols).dark_overlap
         assert drift.shape == noise.q.shape == (len(part), 6, 6)
@@ -332,7 +332,7 @@ def test_asymmetric_q_rejected():
     skew[1, 4] = 1e-3
     with pytest.raises(ValueError, match="symmetric"):
         solve_lyapunov(build_drift_matrix(lp), NoiseModel(q=skew))
-    a = build_drift_matrix(linearized_columns([lp, lp])[0]).a
+    a = build_drift_matrix(param_columns([lp, lp])[0]).a
     with pytest.raises(ValueError, match="symmetric"):
         solve_lyapunov(DriftMatrix(a=a), [nm, NoiseModel(q=skew)])
 
@@ -513,7 +513,7 @@ def test_unsettled_cells_take_the_eigenvalue_call(monkeypatch):
     # inside half the gap q / (2 ||R||_F) every exact one keeps, leaves the
     # verdict to spectra
     import quadmech.cooling as cooling
-    lp = linearized_columns([make_linearized(),
+    lp = param_columns([make_linearized(),
                              make_linearized(delta_eff=-1.0)])[0]
     a, q = build_drift_matrix(lp).a, build_noise_model(lp).q
     cov = solve_lyapunov(DriftMatrix(a=a), NoiseModel(q=q))
@@ -552,7 +552,7 @@ def test_figure_maps_send_no_cell_to_the_eigenvalue_call(monkeypatch):
     for tag in ("fig5", "fig6", "fig7"):
         run_recipe(tag, points=21)
     assert sum(solved) == 3 * 21 * 21 and sent == []
-    lp = linearized_columns([make_linearized(),
+    lp = param_columns([make_linearized(),
                              make_linearized(gamma1=0.0, gamma2=0.0),
                              make_linearized(kappa=0.2)])[0]
     a = build_drift_matrix(lp).a

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from quadmech import (DriftMatrix, build_drift_matrix,
                       classify_branch_stability, classify_stability,
                       derive_linearized, solve_branches)
-from quadmech.params import LinearizedParams, linearized_columns
+from quadmech.params import LinearizedParams, param_columns
 from quadmech.stability import (GAMMA_FALLBACK_FACTOR, STAB_TOL_FACTOR,
                                 hurwitz_stable, spectra)
 
@@ -279,8 +279,8 @@ def test_branch_cooling_sweep_honours_gamma_fallback(monkeypatch):
 
 @st.composite
 def branch_sets(draw):
-    """The branches of a few parameter sets, damped and undamped, with one
-    per-branch parameter set each."""
+    """A few parameter sets, damped and undamped, and the Branches record
+    of their branches."""
     ps = [make_system(
         delta_c=draw(st.floats(0.0, 10.0)),
         g1=draw(st.sampled_from([0.0, 0.05, 0.08])),
@@ -291,18 +291,19 @@ def branch_sets(draw):
         gamma1=draw(st.sampled_from([0.0, 1e-5])),
         gamma2=draw(st.sampled_from([0.0, 2e-5])))
         for _ in range(draw(st.integers(1, 4)))]
-    bs, owners = [], []
-    for p, branches in zip(ps, solve_branches(ps)):
-        bs += branches
-        owners += [p] * len(branches)
-    return bs, owners
+    return ps, solve_branches(ps)
 
 
 @settings(max_examples=30, deadline=None)
 @given(sets=branch_sets(), gamma_fallback=st.booleans())
 def test_column_linearization_equals_per_branch(sets, gamma_fallback):
-    bs, owners = sets
-    cols = derive_linearized(bs, owners)
+    ps, record = sets
+    cols = derive_linearized(record, ps)
+    # the record's entries are the branches each set solved alone has
+    bs = [b for p in ps for b in solve_branches(p)]
+    owners = [ps[k] for k in record.owner.tolist()]
+    assert repr(bs) == repr([record.branch(k)
+                             for k in range(len(record.n_p))])
     ref = [linearized_reference(b, p) for b, p in zip(bs, owners)]
     for k, want in enumerate(ref):
         one = derive_linearized(bs[k], owners[k])
@@ -444,7 +445,7 @@ def test_unsettled_routh_cells_take_the_eigenvalue_call(monkeypatch):
     cells = [make_linearized(), make_linearized(delta_eff=-1.0),
              make_linearized(g1_eff=0.0, omega_ex=0.0, gamma1=t * 0.1),
              make_linearized(gamma1=0.0, gamma2=0.0)]
-    a = build_drift_matrix(linearized_columns(cells)[0]).a
+    a = build_drift_matrix(param_columns(cells)[0]).a
     sent = []
     _counting_spectra(monkeypatch, sent)
     stable = hurwitz_stable(a)

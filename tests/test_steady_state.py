@@ -24,9 +24,11 @@ from quadmech.steady_state import (MATCH_TOL, ORACLE_MARGIN, Diagnostic,
                                    fixed_point_defect, reconstruct_branches,
                                    root_sets, roots_match)
 
-from conftest import (make_system, random_system, real_roots_reference,
-                      reconstruct_reference, scan_grid_reference,
-                      stacked_detuning)
+from quadmech.params import param_columns
+
+from conftest import (branch_lists, make_system, random_system,
+                      real_roots_reference, reconstruct_reference,
+                      scan_grid_reference, stacked_detuning)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +324,7 @@ def test_batched_solve_keeps_per_cell_diagnostics():
     ps = [make_system(eta=56.5, omega_ex=0.005, delta_c=3.2),
           make_system(g1=0.0, g2=0.0, eta=10.0, delta_c=2.0)]
     sinks: list[list[Diagnostic]] = [[], []]
-    batched = solve_branches(ps, diagnostics=sinks)
+    batched = branch_lists(solve_branches(ps, diagnostics=sinks), len(ps))
     assert [[b.n_p for b in bs] for bs in batched] == \
         [[b.n_p for b in solve_branches(p)] for p in ps]
     assert any(d.kind == "coefficient-mismatch" for d in sinks[0])
@@ -354,7 +356,8 @@ def any_systems(draw):
 
 def _grids_of_blocks(ps, scan_points):
     cells, grids = [], []
-    for owners, counts, grid in _scan_blocks(ps, list(range(len(ps))),
+    for owners, counts, grid in _scan_blocks(param_columns(ps)[0],
+                                             list(range(len(ps))),
                                              scan_points):
         cells += owners
         grids += np.split(grid, np.cumsum(counts)[:-1])
@@ -452,10 +455,53 @@ def _reconstructed_or_error(p, n, with_damping):
         return exc
 
 
-def _same(a, b):
-    if isinstance(b, Exception):
-        return type(a) is type(b) and str(a) == str(b)
-    return repr(a) == repr(b)
+U = 2.0 ** -53      # unit roundoff
+
+
+def _pow_gap_bounds(p, b):
+    """The (delta_eff, alpha, residual) gaps allowed between a batched
+    branch and the per-candidate reference branch ``b`` at ``p`` (LEDGER
+    "Steady columns").  The reference squares with Python's ``x**2``
+    (libm's pow, within one ulp of x^2), the batch with products, in the
+    same order of operations: two squares lie within 2u relative of each
+    other, and every rounded operation fed by a gap may round differently,
+    by at most 2u of its result."""
+    h2 = abs(b.beta2) ** 2
+    den = p.kappa**2 + b.delta_eff**2
+    pred = p.eta**2 / den
+    # |b2|^2 doubled, the quadrature sum, g2 times it: 20u g2 |b2|^2; the
+    # final sum: 2u |delta|
+    d_delta = 2.0 * U * (10.0 * abs(p.g2) * h2 + abs(b.delta_eff))
+    # the phase of alpha moves by kappa/den per unit of delta; the nine
+    # rounded operations from delta to alpha, each 2u of a component whose
+    # normalisation by |raw| at most doubles it: 36u, taken as 40u
+    d_alpha = math.sqrt(b.n_p) * (p.kappa * d_delta / den + 40.0 * U)
+    # eta^2, kappa^2 and delta^2 by pow, the sum, the quotient: 10u of the
+    # Lorentzian prediction, plus delta's gap through delta^2; then the
+    # difference and the scaling: 4u of the residual
+    d_residual = (pred * (10.0 * U + 2.0 * abs(b.delta_eff) * d_delta / den)
+                  / max(1.0, b.n_p) + 4.0 * U * b.residual)
+    return d_delta, d_alpha, d_residual
+
+
+def _same(p, got, want):
+    """The reconstruction contract: rejections exact; n_p, beta1 and beta2
+    bit-equal; delta_eff, alpha and residual within ``_pow_gap_bounds``."""
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    d_delta, d_alpha, d_residual = _pow_gap_bounds(p, want)
+    return (repr((got.n_p, got.beta1, got.beta2))
+            == repr((want.n_p, want.beta1, want.beta2))
+            and abs(got.delta_eff - want.delta_eff) <= d_delta
+            and abs(got.alpha - want.alpha) <= d_alpha
+            and abs(got.residual - want.residual) <= d_residual)
+
+
+def _entry(record, k):
+    try:
+        return record.branch(k)
+    except (ResidualTooLarge, SingularMechanicalSystem) as exc:
+        return exc
 
 
 @settings(max_examples=30, deadline=None)
@@ -475,24 +521,25 @@ def test_batched_reconstruction_equals_per_candidate(ps, with_damping, data):
     candidates.append([1e299])
     with np.errstate(over="ignore"):
         got = reconstruct_branches(ps, candidates, with_damping)
+    owners = [k for k, cands in enumerate(candidates) for _ in cands]
+    assert got.owner.tolist() == owners
     kinds = set()
-    for p, cands, results in zip(ps, candidates, got):
-        assert len(results) == len(cands)
-        for n, r in zip(cands, results):
-            with np.errstate(over="ignore"):
-                want = _reconstructed_or_error(p, n, with_damping)
-            assert _same(r, want)
-            kinds.add(str(want).split(" at ")[0] if isinstance(
-                want, SingularMechanicalSystem) else type(want).__name__)
+    for k, (owner, n) in enumerate(zip(owners, (n for c in candidates
+                                                 for n in c))):
+        with np.errstate(over="ignore"):
+            want = _reconstructed_or_error(ps[owner], n, with_damping)
+        assert _same(ps[owner], _entry(got, k), want)
+        kinds.add(str(want).split(" at ")[0] if isinstance(
+            want, SingularMechanicalSystem) else type(want).__name__)
     assert {"ResidualTooLarge", "mechanical system singular",
-            "mechanical solve overflowed"} <= kinds
+            "mechanical solve overflowed", "SteadyStateBranch"} <= kinds
     n = data.draw(st.sampled_from(candidates[0]))
     want = _reconstructed_or_error(ps[0], n, with_damping)
     if isinstance(want, Exception):
         with pytest.raises(type(want), match=re.escape(str(want))):
             reconstruct_branch(ps[0], n, with_damping)
     else:
-        assert repr(reconstruct_branch(ps[0], n, with_damping)) == repr(want)
+        assert _same(ps[0], reconstruct_branch(ps[0], n, with_damping), want)
 
 
 def test_mechanical_response_is_a_batch_of_one():
@@ -506,7 +553,8 @@ def test_mechanical_response_is_a_batch_of_one():
 def test_batched_solve_equals_per_cell_solves(ps, data):
     def solve(batch):
         sinks = [[] for _ in batch]
-        out = solve_branches(batch, diagnostics=sinks)
+        out = branch_lists(solve_branches(batch, diagnostics=sinks),
+                           len(batch))
         return [(repr(bs), [(d.kind, d.message) for d in sink])
                 for bs, sink in zip(out, sinks)]
     alone = [solve([p])[0] for p in ps]
@@ -521,7 +569,7 @@ def test_even_branch_count_is_reported(monkeypatch):
     import quadmech.steady_state as steady
     p = make_system(g2=0.0, eta=45.0, delta_c=2.15)     # three branches
     sinks = [[]]
-    assert len(solve_branches([p], diagnostics=sinks)[0]) == 3
+    assert len(solve_branches([p], diagnostics=sinks).n_p) == 3
     assert not any(d.kind == "parity-violation" for d in sinks[0])
     real = steady.exact_roots
 
@@ -530,7 +578,7 @@ def test_even_branch_count_is_reported(monkeypatch):
         return [r[:2] for r in roots], failed
     monkeypatch.setattr(steady, "exact_roots", drop_one)
     sinks = [[]]
-    assert len(solve_branches([p], diagnostics=sinks)[0]) == 2
+    assert len(solve_branches([p], diagnostics=sinks).n_p) == 2
     # the cubic's closed-form coefficients are right, so the dropped root
     # raises the parity check alone
     assert [d.kind for d in sinks[0]] == ["parity-violation"]
@@ -670,13 +718,13 @@ def test_uncertified_cell_alone_goes_to_the_scan(monkeypatch):
         return roots, [None, "stub", None]
 
     def spy(sets, *a, **k):
-        scanned.append(list(sets))
+        scanned.append(sets.delta_c.tolist())    # a column record
         return real_scan(sets, *a, **k)
     monkeypatch.setattr(steady, "exact_roots", break_middle)
     monkeypatch.setattr(steady, "oracle_roots", spy)
     sinks = [[], [], []]
     got = root_sets(ps, True, 4096, False, sinks)
-    assert scanned == [[ps[1]]]
+    assert scanned == [[ps[1].delta_c]]
     assert got[1] == real_scan(ps[1])
     assert [d.kind for d in sinks[1]].count("scan-fallback") == 1
     assert "(stub)" in next(d.message for d in sinks[1]
@@ -692,8 +740,9 @@ def test_uncertified_cell_alone_goes_to_the_scan(monkeypatch):
 def test_oracle_off_takes_the_exact_roots(rng):
     ps = [random_system(rng) for _ in range(40)]
     on_sinks, off_sinks = [[] for _ in ps], [[] for _ in ps]
-    on = solve_branches(ps, diagnostics=on_sinks)
-    off = solve_branches(ps, oracle_mode=False, diagnostics=off_sinks)
+    on = branch_lists(solve_branches(ps, diagnostics=on_sinks), len(ps))
+    off = branch_lists(solve_branches(ps, oracle_mode=False,
+                                      diagnostics=off_sinks), len(ps))
     assert any(d.kind == "coefficient-mismatch" for s in on_sinks for d in s)
     assert [len(b) for b in off] == [len(b) for b in on]
     # both take the fixed-point roots

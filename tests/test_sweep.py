@@ -63,6 +63,89 @@ def test_rejects_bad_specs():
                         scan_points=999))
 
 
+def test_axes_take_numeric_fields_only(tmp_path):
+    # unit_label and origin are metadata, which no computed quantity reads:
+    # a sweep over either would write identical rows
+    from quadmech.cli import main
+    with pytest.raises(InvalidSpec, match="numeric field"):
+        validate_spec(_spec(make_system(), (Axis("unit_label", 0, 1, 3),),
+                            "root-count"))
+    with pytest.raises(InvalidSpec, match="numeric field"):
+        validate_spec(_spec(make_linearized(), (Axis("origin", 0, 1, 3),),
+                            "cooling"))
+    cfgfile = tmp_path / "c.ini"
+    for section, axis in (
+            ("[system]\ndelta_c = 5\nomega1 = 5\nomega2 = 5\ng1 = 0.05\n"
+             "g2 = -0.0004\nomega_ex = 1\ntheta = 3.14\neta = 95\n"
+             "kappa = 1\n", "unit_label 0 1 3"),
+            ("[linearized]\ndelta_eff = 1\nomega1 = 1\nomega2_tilde = 1\n"
+             "g1_eff = 0.1\ng2_eff = -0.01\ng22 = -0.01\nomega_ex = 0.1\n"
+             "theta = 3.14\nkappa = 0.1\n", "origin 0 1 3")):
+        cfgfile.write_text(section + f"[sweep]\naxis1 = {axis}\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep1d", "--config", str(cfgfile), "--out",
+                     str(out)]) == 1
+        assert not out.exists()
+
+
+def test_invalid_cells_fail_alone_in_their_batch():
+    # validation runs on the batch's column record: exactly the eta < 0
+    # cells get a cell-error, with the scalar validator's message, and the
+    # other cells' rows and diagnostics are those of a sweep over them alone
+    p = make_system(gamma1=1e-5, gamma2=1e-5, nbar1=300.0, nbar2=300.0)
+    res = run_sweep(_spec(p, (Axis("eta", -20.0, 20.0, 5),), "root-count"))
+    errors = [(d.cell, d.message) for d in res.diagnostics
+              if d.kind == "cell-error"]
+    assert errors == [((0,), "NegativeValue: eta = -20.0 must be >= 0"),
+                      ((1,), "NegativeValue: eta = -10.0 must be >= 0")]
+    alone = run_sweep(_spec(p, (Axis("eta", 0.0, 20.0, 3),), "root-count"))
+    assert table_rows(res.table)[2:] == table_rows(alone.table)
+    assert root_counts(res) == [0, 0] + root_counts(alone)
+    assert [(d.cell[0], d.kind, d.message) for d in res.diagnostics
+            if d.kind != "cell-error"] == \
+        [(d.cell[0] + 2, d.kind, d.message) for d in alone.diagnostics]
+
+
+def test_steady_sweep_builds_no_per_cell_objects(monkeypatch):
+    # a perf guard: a steady batch is one column record from parameters to
+    # branch rows, so a one-worker 21x21 fig2a sweep constructs no
+    # SteadyStateBranch and calls validate_params and dataclasses.replace a
+    # fixed number of times per batch, not per cell or per branch
+    import collections
+    import dataclasses
+    import sys
+
+    from quadmech import validate_params
+    from quadmech.recipes import RECIPES
+    from quadmech.steady_state import SteadyStateBranch
+    from quadmech.sweep import BATCH_CELLS
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for name, fn in (("replace", dataclasses.replace),
+                     ("validate_params", validate_params)):
+        wrapper = counted(name, fn)
+        for module in [m for n, m in sys.modules.items()
+                       if n == "quadmech" or n.startswith("quadmech.")]:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    monkeypatch.setattr(SteadyStateBranch, "__init__", counted(
+        "SteadyStateBranch", SteadyStateBranch.__init__))
+    _, base, axes = RECIPES["fig2a"]
+    axes = tuple(dataclasses.replace(ax, points=21) for ax in axes)
+    res = run_sweep(_spec(base, axes, "root-count"))
+    batches = math.ceil(len(res.cells) / BATCH_CELLS)
+    assert batches == 2 and len(res.table) > 1000
+    assert calls["SteadyStateBranch"] == 0
+    assert calls["validate_params"] == batches
+    assert 0 < calls["replace"] <= 20 * batches
+
+
 def test_decoupled_root_count_all_one():
     p = make_system(g1=0.0, g2=0.0, eta=30.0)
     res = run_sweep(_spec(p, (Axis("delta_c", 0.0, 6.0, 31),), "root-count"))
@@ -225,10 +308,10 @@ def test_failing_cell_does_not_fail_its_batch(monkeypatch, tmp_path):
     import quadmech.steady_state as ss
     real = ss.build_polynomial
 
-    def broken(ps):
-        if any(p.delta_c == 3.0 for p in ps):
+    def broken(p):       # a batch's column record
+        if np.any(np.asarray(p.delta_c) == 3.0):
             raise RuntimeError("boom")
-        return real(ps)
+        return real(p)
     monkeypatch.setattr(ss, "build_polynomial", broken)
     p = make_system(g1=0.0, g2=0.0, eta=10.0)
     res = run_sweep(_spec(p, (Axis("delta_c", 1.0, 5.0, 5),), "root-count"))
