@@ -84,6 +84,14 @@ def commands():
                                   "--threads", "2"], None))
     out.append(("fig2a_21_serial", ["reproduce", "fig2a", "--set",
                                     "points=21"], None))
+    # grids of more batches than workers go to the process pool; the
+    # serial twin must write the same tables
+    out.append(("fig2a_41", ["reproduce", "fig2a", "--set", "points=41",
+                             "--threads", "2"], None))
+    out.append(("fig2a_41_serial", ["reproduce", "fig2a", "--set",
+                                    "points=41"], None))
+    out.append(("fig5_61_pool", ["reproduce", "fig5", "--set", "points=61",
+                                 "--threads", "2"], None))
     out.append(("fig2a_21_oracle_off", ["reproduce", "fig2a", "--set",
                                         "points=21", "--oracle", "off"], None))
     out.append(("fig3c_21_fallback_off", ["reproduce", "fig3c", "--set",

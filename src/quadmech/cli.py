@@ -252,15 +252,23 @@ def _meta_for(cfg: RunConfig, params, extra: dict) -> dict:
 
 
 def _fields(table: Table, column: str) -> list[str]:
-    """One column's fields: floats to 12 significant digits, the rest by
-    ``_fmt``; empty where the column is not present or the table lacks it."""
-    col = table.cols.get(column, np.full(len(table), None))
-    out = ([f"{x:.12g}" for x in col.tolist()] if col.dtype.kind == "f"
-           else list(map(_fmt, col.tolist())))
-    if column in table.present:
-        return [x if keep else ""
-                for x, keep in zip(out, table.present[column].tolist())]
-    return out
+    """One column's fields, as ``_fmt`` gives them: floats to 12 significant
+    digits, bools as 1/0, ints by ``str``, the rest by ``_fmt``; empty where
+    the column is not present or the table lacks it.  Only present entries
+    are formatted."""
+    if column not in table.cols:
+        return [""] * len(table)
+    col, keep = table.cols[column], table.present.get(column)
+    values = (col if keep is None else col[keep]).tolist()
+    kind = col.dtype.kind
+    out = ([f"{x:.12g}" for x in values] if kind == "f"
+           else [("0", "1")[x] for x in values] if kind == "b"
+           else list(map(str, values)) if kind in "iu"
+           else list(map(_fmt, values)))
+    if keep is None:
+        return out
+    present = iter(out)
+    return [next(present) if k else "" for k in keep.tolist()]
 
 
 def write_table(path: str, fmt: str, columns: tuple[str, ...], table: Table,

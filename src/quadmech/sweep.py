@@ -7,7 +7,10 @@ parameters: per batch of steady-state cells one exact-root call (the scan
 oracle runs only for cells whose roots it cannot certify), one stacked
 reconstruction of every candidate and two stacked Routh tests; per batch of
 cooling cells one batched Lyapunov solve.  A cell's result depends only on
-the cell, never on the batch it shares.  Supported modes:
+the cell, never on the batch it shares.  A sweep on N > 1 workers starts a
+process pool only when its grid holds more than N whole batches, and then
+cuts it into min(4N, batches) chunks; a smaller grid is solved in the
+calling process, as on one worker.  Supported modes:
 
 * ``root-count`` / ``stable-count`` — steady-state branches with stability
   verdicts per cell (SystemParams base), rows from ``branch_rows``,
@@ -307,13 +310,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     axes_vals = [ax.values() for ax in spec.axes]
     cells = np.argwhere(np.ones([len(v) for v in axes_vals], dtype=bool))
     values = np.stack([v[i] for v, i in zip(axes_vals, cells.T)], axis=1)
-    if spec.threads > 1 and len(cells) > 8:
-        # only a multi-worker sweep pays for importing the process pool
+    batches = math.ceil(len(cells) / BATCH_CELLS)
+    if batches > spec.threads > 1:
+        # a pool pays only when some worker gets more than one batch; below
+        # that its start-up costs more than the second core saves (LEDGER
+        # "Sweep routing")
         from concurrent.futures import ProcessPoolExecutor
-        # whole batches where the grid allows: each batch has a fixed cost
-        chunks = min(spec.threads * 4, max(
-            spec.threads, math.ceil(len(cells) / BATCH_CELLS)))
-        size = math.ceil(len(cells) / chunks)
+        # whole batches, at most four chunks a worker
+        size = math.ceil(len(cells) / min(spec.threads * 4, batches))
         starts = range(0, len(cells), size)
         with ProcessPoolExecutor(max_workers=spec.threads) as pool:
             parts = list(pool.map(_eval_chunk, [spec] * len(starts),

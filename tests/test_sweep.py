@@ -1,5 +1,6 @@
 """Sweep engine: validation, determinism, symmetry, counting."""
 import math
+import os
 import pickle
 
 import numpy as np
@@ -29,6 +30,25 @@ def _cell_rows(res) -> list[list[dict]]:
     rows = table_rows(res.table)
     return [[r for r in rows[lo:hi] if r["branch_index"] is not None]
             for lo, hi in zip(res.offsets[:-1], res.offsets[1:])]
+
+
+def _on_the_pool(monkeypatch) -> list[int]:
+    """Send the next multi-worker sweeps to a real process pool: batches
+    of 4 cells give a small grid more batches than two workers (forked
+    workers inherit the cut).  Returns the worker counts of the pools
+    started, as they start."""
+    import concurrent.futures
+
+    import quadmech.sweep as sweep
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(sweep, "BATCH_CELLS", 4)
+    return started
 
 
 def test_rejects_bad_specs():
@@ -165,11 +185,13 @@ def test_row_major_cell_order():
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
 
 
-def test_determinism_across_workers():
+def test_determinism_across_workers(monkeypatch):
     p = make_system(eta=56.5, omega_ex=0.005)
     axes = (Axis("delta_c", 2.5, 4.5, 9),)
     serial = run_sweep(_spec(p, axes, "root-count", threads=1))
+    started = _on_the_pool(monkeypatch)
     parallel = run_sweep(_spec(p, axes, "root-count", threads=2))
+    assert started == [2]
     assert pickle.dumps((serial.cells, serial.offsets, serial.table)) == \
         pickle.dumps((parallel.cells, parallel.offsets, parallel.table))
 
@@ -288,16 +310,20 @@ def test_dark_diagonal_cells_stay_hot():
     assert hit >= 1
 
 
-def test_fig2a_plane_tables_identical_across_workers(tmp_path):
-    # each chunk of the two-worker run is its own batch; a cell's roots and
-    # verdicts must not depend on which cells share its batch
+def test_fig2a_plane_tables_identical_across_workers(monkeypatch, tmp_path):
+    # the two-worker run solves 4-cell batches, the one-worker run one
+    # batch; a cell's roots and verdicts must not depend on which cells
+    # share its batch
     from quadmech.cli import main
-    paths = []
+    paths, started = [], []
     for threads in (1, 2):
+        if threads == 2:
+            started = _on_the_pool(monkeypatch)
         out = tmp_path / f"fig2a_{threads}.csv"
         assert main(["reproduce", "fig2a", "--out", str(out), "--set",
                      "points=9", "--threads", str(threads)]) in (0, 2)
         paths.append(out)
+    assert started == [2]
     assert paths[0].read_bytes() == paths[1].read_bytes()
     side = [p.with_suffix(".csv.diagnostics.txt").read_text() for p in paths]
     assert side[0] == side[1]
@@ -323,11 +349,14 @@ def test_failing_cell_does_not_fail_its_batch(monkeypatch, tmp_path):
     rows = _written(res, tmp_path / "five.csv")
     assert [r for r in rows if r[1:] == [""] * 7] == [["3"] + [""] * 7]
     assert len(rows) == 5
-    # on more cells than one batch per worker: the same table from 1 and 2
-    tables = [_written(run_sweep(_spec(p, (Axis("delta_c", 1.0, 5.0, 9),),
-                                       "root-count", threads=threads)),
-                       tmp_path / f"nine_{threads}.csv")
-              for threads in (1, 2)]
+    # on the pool, in 4-cell batches: the same table from 1 and 2 workers
+    nine = (Axis("delta_c", 1.0, 5.0, 9),)
+    tables = [_written(run_sweep(_spec(p, nine, "root-count")),
+                       tmp_path / "nine_1.csv")]
+    started = _on_the_pool(monkeypatch)
+    tables.append(_written(run_sweep(_spec(p, nine, "root-count", threads=2)),
+                           tmp_path / "nine_2.csv"))
+    assert started == [2]
     assert tables[0] == tables[1]
     assert [r for r in tables[0] if r[1] == ""] == [["3"] + [""] * 7]
 
@@ -391,15 +420,18 @@ def test_failing_cooling_cells_do_not_fail_their_batch(monkeypatch, tmp_path):
             "dark_overlap"] != ""
 
 
-def test_cooling_map_tables_identical_across_workers(tmp_path):
+def test_cooling_map_tables_identical_across_workers(monkeypatch, tmp_path):
     # the two-worker run solves other batches than the one-worker run
     from quadmech.cli import main
-    paths = []
+    paths, started = [], []
     for threads in (1, 2):
+        if threads == 2:
+            started = _on_the_pool(monkeypatch)
         out = tmp_path / f"fig6_{threads}.csv"
         assert main(["reproduce", "fig6", "--out", str(out), "--set",
                      "points=9", "--threads", str(threads)]) == 0
         paths.append(out)
+    assert started == [2]
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
@@ -433,14 +465,16 @@ class _SerialPool:
 
 
 @pytest.mark.parametrize("points, axes, want", [
-    (21, 2, [221, 220]),            # a small plane: whole batches
+    (21, 2, []),                    # two batches: one a worker, no pool
     (201, 2, [5051] * 7 + [5044]),  # a large plane: four chunks a worker
-    (9, 1, [5, 4]),                 # fewer cells than a batch
+    (9, 1, []),                     # fewer cells than a batch: no pool
+    (23, 2, [177, 177, 175]),       # three batches: whole batches
 ])
 def test_pool_chunks_of_whole_batches(monkeypatch, points, axes, want):
     import concurrent.futures
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "solve", points < 100)
+    monkeypatch.setattr(_SerialPool, "chunks", [])
     grid = (Axis("delta_eff", 0.5, 1.5, points),
             Axis("kappa", 0.05, 0.5, points))[:axes]
     spec = _spec(make_linearized(), grid, "cooling", threads=2)
@@ -452,3 +486,22 @@ def test_pool_chunks_of_whole_batches(monkeypatch, points, axes, want):
         with pytest.raises(_Chunked):
             run_sweep(spec)
     assert _SerialPool.chunks == want
+
+
+def test_steady_sweep_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs a cold pool worker about 12 ms to import; no steady
+    # batch needs it
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "from quadmech.cli import main\n"
+            f"main(['reproduce', 'fig2a', '--set', 'points=9', "
+            f"'--out', {str(tmp_path / 'fig2a.csv')!r}])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert (tmp_path / "fig2a.csv").stat().st_size > 0
+    assert out.stdout.strip() == "False"
