@@ -84,8 +84,8 @@ def commands():
                                   "--threads", "2"], None))
     out.append(("fig2a_21_serial", ["reproduce", "fig2a", "--set",
                                     "points=21"], None))
-    # grids of more batches than workers go to the process pool; the
-    # serial twin must write the same tables
+    # grids of more than SERIAL_BATCHES batches go to the process pool;
+    # the serial twin must write the same tables
     out.append(("fig2a_41", ["reproduce", "fig2a", "--set", "points=41",
                              "--threads", "2"], None))
     out.append(("fig2a_41_serial", ["reproduce", "fig2a", "--set",

@@ -281,24 +281,6 @@ def _mech_matrices(q: SystemParams, with_damping: bool) -> np.ndarray:
                      Om * c, Om * s, q.omega2, g2m], axis=1).reshape(-1, 4, 4)
 
 
-def _well_conditioned(M: np.ndarray) -> np.ndarray:
-    """``~(np.linalg.cond(M) > SINGULAR_COND)`` for each matrix of the stack
-    ``M``, taking the SVD of a matrix only where a cheaper bound does not
-    settle it: ``|M|_F |M^-1|_F`` bounds the 2-norm condition number from
-    above, and a factor 8 covers the rounding of ``inv``.  Raises what
-    ``cond`` raises on the unsettled matrices (a NaN entry never settles)."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = (np.linalg.norm(M, axis=(1, 2))
-                     * np.linalg.norm(np.linalg.inv(M), axis=(1, 2)))
-    except np.linalg.LinAlgError:       # an exactly singular matrix
-        return ~(np.linalg.cond(M) > SINGULAR_COND)
-    sound = bound <= SINGULAR_COND / 8
-    rest = np.flatnonzero(~sound)
-    sound[rest] = ~(np.linalg.cond(M[rest]) > SINGULAR_COND)
-    return sound
-
-
 def _mechanical_solve(q: SystemParams, owner: np.ndarray, n_p: np.ndarray,
                       with_damping: bool):
     """Mechanical steady states (Re b1, Im b1, Re b2, Im b2) at the photon
@@ -306,9 +288,8 @@ def _mechanical_solve(q: SystemParams, owner: np.ndarray, n_p: np.ndarray,
     (len(n_p), 4) array, and for each the SingularMechanicalSystem that
     rejects it (None when the solve is sound).
 
-    One stacked condition screen (``_well_conditioned``) and one stacked
-    solve of the matrices under SINGULAR_COND; each row equals the dense 4x4
-    solve of its own system.
+    One stacked condition check and one stacked solve of the matrices under
+    SINGULAR_COND; each row equals the dense 4x4 solve of its own system.
     """
     n_p = np.asarray(n_p, dtype=float)
     M = _mech_matrices(q, with_damping)[owner]
@@ -316,7 +297,7 @@ def _mechanical_solve(q: SystemParams, owner: np.ndarray, n_p: np.ndarray,
     rhs = np.zeros((len(n_p), 4, 1))
     rhs[:, 1, 0] = -q.g1[owner] * n_p
     sol = np.full((len(n_p), 4), np.nan)
-    sound = _well_conditioned(M)
+    sound = ~(np.linalg.cond(M) > SINGULAR_COND)
     rows = np.flatnonzero(sound)
     try:
         sol[rows] = np.linalg.solve(M[rows], rhs[rows])[..., 0]

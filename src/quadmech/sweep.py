@@ -8,9 +8,10 @@ oracle runs only for cells whose roots it cannot certify), one stacked
 reconstruction of every candidate and two stacked Routh tests; per batch of
 cooling cells one batched Lyapunov solve.  A cell's result depends only on
 the cell, never on the batch it shares.  A sweep on N > 1 workers starts a
-process pool only when its grid holds more than N whole batches, and then
-cuts it into min(4N, batches) chunks; a smaller grid is solved in the
-calling process, as on one worker.  Supported modes:
+process pool only when its grid holds more than SERIAL_BATCHES whole
+batches, and then cuts it into min(4N, batches) chunks for at most that
+many workers; a smaller grid is solved in the calling process, as on one
+worker.  Supported modes:
 
 * ``root-count`` / ``stable-count`` — steady-state branches with stability
   verdicts per cell (SystemParams base), rows from ``branch_rows``,
@@ -39,6 +40,11 @@ MODES = ("root-count", "stable-count", "branch-curve", "cooling")
 # of the oracle, the eigenvalue stacks and the Lyapunov stacks, few enough to
 # keep their arrays and branch records small.  Results do not depend on it.
 BATCH_CELLS = 256
+# A grid of at most this many batches is solved in the calling process
+# whatever the worker count: on two workers the pool's start-up costs more
+# than the second core saves there (LEDGER "Sweep routing").  The crossover
+# was measured on two workers only, so it does not scale with N.
+SERIAL_BATCHES = 2
 
 
 class InvalidSpec(ValueError):
@@ -311,15 +317,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     cells = np.argwhere(np.ones([len(v) for v in axes_vals], dtype=bool))
     values = np.stack([v[i] for v, i in zip(axes_vals, cells.T)], axis=1)
     batches = math.ceil(len(cells) / BATCH_CELLS)
-    if batches > spec.threads > 1:
-        # a pool pays only when some worker gets more than one batch; below
-        # that its start-up costs more than the second core saves (LEDGER
-        # "Sweep routing")
+    if spec.threads > 1 and batches > SERIAL_BATCHES:
         from concurrent.futures import ProcessPoolExecutor
         # whole batches, at most four chunks a worker
         size = math.ceil(len(cells) / min(spec.threads * 4, batches))
         starts = range(0, len(cells), size)
-        with ProcessPoolExecutor(max_workers=spec.threads) as pool:
+        with ProcessPoolExecutor(
+                max_workers=min(spec.threads, len(starts))) as pool:
             parts = list(pool.map(_eval_chunk, [spec] * len(starts),
                                   [cells[i:i + size] for i in starts],
                                   [values[i:i + size] for i in starts]))

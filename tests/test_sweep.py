@@ -34,8 +34,8 @@ def _cell_rows(res) -> list[list[dict]]:
 
 def _on_the_pool(monkeypatch) -> list[int]:
     """Send the next multi-worker sweeps to a real process pool: batches
-    of 4 cells give a small grid more batches than two workers (forked
-    workers inherit the cut).  Returns the worker counts of the pools
+    of 4 cells give a small grid more than ``SERIAL_BATCHES`` batches
+    (forked workers inherit the cut).  Returns the worker counts of the pools
     started, as they start."""
     import concurrent.futures
 
@@ -445,10 +445,11 @@ class _SerialPool:
     each chunk it is handed; with ``solve`` off it raises instead."""
 
     chunks: list = []
+    workers = 0
     solve = True
 
     def __init__(self, max_workers):
-        self.max_workers = max_workers
+        type(self).workers = max_workers
 
     def __enter__(self):
         return self
@@ -486,6 +487,26 @@ def test_pool_chunks_of_whole_batches(monkeypatch, points, axes, want):
         with pytest.raises(_Chunked):
             run_sweep(spec)
     assert _SerialPool.chunks == want
+
+
+@pytest.mark.parametrize("points, want", [
+    (21, []),                       # two batches: no pool on any count
+    (23, [177, 177, 175]),          # three batches: three of eight workers
+])
+def test_pool_rule_ignores_the_worker_count(monkeypatch, points, want):
+    # the serial crossover was measured on two workers; more workers must
+    # not send larger grids to one core
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "chunks", [])
+    monkeypatch.setattr(_SerialPool, "workers", 0)
+    grid = (Axis("delta_eff", 0.5, 1.5, points),
+            Axis("kappa", 0.05, 0.5, points))
+    serial = run_sweep(_spec(make_linearized(), grid, "cooling"))
+    spec = _spec(make_linearized(), grid, "cooling", threads=8)
+    assert pickle.dumps(run_sweep(spec).table) == pickle.dumps(serial.table)
+    assert _SerialPool.chunks == want
+    assert _SerialPool.workers == len(want)
 
 
 def test_steady_sweep_leaves_numpy_ma_unimported(tmp_path):
