@@ -84,12 +84,14 @@ def commands():
                                   "--threads", "2"], None))
     out.append(("fig2a_21_serial", ["reproduce", "fig2a", "--set",
                                     "points=21"], None))
-    # grids of more than SERIAL_BATCHES batches go to the process pool;
-    # the serial twin must write the same tables
-    out.append(("fig2a_41", ["reproduce", "fig2a", "--set", "points=41",
-                             "--threads", "2"], None))
-    out.append(("fig2a_41_serial", ["reproduce", "fig2a", "--set",
-                                    "points=41"], None))
+    # grids of more than one batch go to the process pool (23x23 is the
+    # smallest such plane); the serial twins must write the same tables
+    for points in (23, 41):
+        out.append((f"fig2a_{points}", ["reproduce", "fig2a", "--set",
+                                        f"points={points}", "--threads", "2"],
+                    None))
+        out.append((f"fig2a_{points}_serial", ["reproduce", "fig2a", "--set",
+                                               f"points={points}"], None))
     out.append(("fig5_61_pool", ["reproduce", "fig5", "--set", "points=61",
                                  "--threads", "2"], None))
     out.append(("fig2a_21_oracle_off", ["reproduce", "fig2a", "--set",

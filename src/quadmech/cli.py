@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import io
 import json
 import math
@@ -457,6 +458,7 @@ _DASHED = {"out": "path", "format": "format",
            **{key: key for key in FLAGS if key != "points"}}
 
 
+@functools.cache   # one parser a process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="quadmech",

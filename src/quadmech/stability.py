@@ -158,29 +158,31 @@ def hurwitz_stable(a: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         s = a.copy()
         s.reshape(k, 36)[:, ::7] -= STAB_TOL_FACTOR * a[:, :1, 0]
-        s /= np.abs(s).max(axis=(1, 2), keepdims=True)
-        rho = np.abs(s).sum(axis=2).max(axis=1)   # max|S M| <= rho max|M|
-        t, e = np.zeros((2, k, 7, 4))     # Routh rows, their error bounds
-        t[:, 0, 0] = 1.0
+        s /= abs(s.reshape(k, 36)).max(1)[:, None, None]
+        # max|S M| <= rho max|M|: rho the largest row sum of |S|
+        rho = sum(abs(s).transpose(2, 0, 1)).max(axis=1)
+        # Routh rows and their error bounds, entries (k,) arrays
+        t, e = np.zeros((2, 7, 4, k))
+        t[0, 0] = 1.0
         # m = S M_j, with bounds on its error and on the entries of M_j
         m, err, size = np.eye(6), 0.0, 1.0
         for j in range(1, 7):
             m = s @ m
-            c = -m.reshape(k, 36)[:, ::7].sum(axis=1) / j
+            c = -np.einsum("kii->k", m) / j
             err = rho * err + 6.0 * HURWITZ_ETA * size
-            t[:, j % 2, j // 2] = c
-            e[:, j % 2, j // 2] = dc = 6.0 * err / j + u * np.abs(c)
+            t[j % 2, j // 2] = c
+            e[j % 2, j // 2] = dc = 6.0 * err / j + u * np.abs(c)
             m.reshape(k, 36)[:, ::7] += c[:, None]
             err, size = err + dc, rho * size + np.abs(c)
         for i in range(2, 7):
-            p, q, dp, dq = t[:, i - 2], t[:, i - 1], e[:, i - 2], e[:, i - 1]
-            r = p[:, :1] / q[:, :1]
-            dr = (dp[:, :1] + abs(r) * dq[:, :1]) / abs(q[:, :1]) + u * abs(r)
-            t[:, i, :3] = p[:, 1:] - r * q[:, 1:]
-            e[:, i, :3] = (dp[:, 1:] + abs(r) * dq[:, 1:] + dr * abs(q[:, 1:])
-                           + 2.0 * u * (abs(p[:, 1:]) + abs(r * q[:, 1:])))
-        stable = (t[:, :, 0] > 0.0).all(axis=1)
-        unsure = ~(abs(t[:, :, 0]) > 2.0 * e[:, :, 0]).all(axis=1)
+            p, q, dp, dq = t[i - 2], t[i - 1], e[i - 2], e[i - 1]
+            r = p[0] / q[0]
+            dr = (dp[0] + abs(r) * dq[0]) / abs(q[0]) + u * abs(r)
+            t[i, :3] = p[1:] - r * q[1:]
+            e[i, :3] = (dp[1:] + abs(r) * dq[1:] + dr * abs(q[1:])
+                        + 2.0 * u * (abs(p[1:]) + abs(r * q[1:])))
+        stable = (t[:, 0] > 0.0).all(axis=0)
+        unsure = ~(abs(t[:, 0]) > 2.0 * e[:, 0]).all(axis=0)
     if unsure.any():
         stable[unsure] = spectra(a[unsure])[2]
     return stable

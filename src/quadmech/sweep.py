@@ -8,9 +8,9 @@ oracle runs only for cells whose roots it cannot certify), one stacked
 reconstruction of every candidate and two stacked Routh tests; per batch of
 cooling cells one batched Lyapunov solve.  A cell's result depends only on
 the cell, never on the batch it shares.  A sweep on N > 1 workers starts a
-process pool only when its grid holds more than SERIAL_BATCHES whole
-batches, and then cuts it into min(4N, batches) chunks for at most that
-many workers; a smaller grid is solved in the calling process, as on one
+process pool only when its grid holds more than one batch, and then cuts it
+into min(4N, batches) chunks of whole batches for at most that many
+workers; a one-batch grid is solved in the calling process, as on one
 worker.  Supported modes:
 
 * ``root-count`` / ``stable-count`` — steady-state branches with stability
@@ -36,15 +36,15 @@ from .steady_state import (MIN_SCAN_POINTS, Branches, Diagnostic,
                            solve_branches)
 
 MODES = ("root-count", "stable-count", "branch-curve", "cooling")
-# Cells solved as one batch: enough to amortise the per-call NumPy overhead
-# of the oracle, the eigenvalue stacks and the Lyapunov stacks, few enough to
-# keep their arrays and branch records small.  Results do not depend on it.
-BATCH_CELLS = 256
-# A grid of at most this many batches is solved in the calling process
-# whatever the worker count: on two workers the pool's start-up costs more
-# than the second core saves there (LEDGER "Sweep routing").  The crossover
-# was measured on two workers only, so it does not scale with N.
-SERIAL_BATCHES = 2
+# Cells solved as one batch: enough to amortise the fixed per-batch cost of
+# the oracle, the Routh and eigenvalue stacks and the Lyapunov stacks, so a
+# 21x21 plane is one batch, few enough to keep their arrays and branch
+# records small.  Results do not depend on it.  A grid of one batch is
+# solved in the calling process whatever the worker count: on two workers
+# the pool's start-up costs more than the second core saves there (LEDGER
+# "Sweep routing").  The crossover was measured on two workers only, so it
+# does not scale with N.
+BATCH_CELLS = 512
 
 
 class InvalidSpec(ValueError):
@@ -317,7 +317,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     cells = np.argwhere(np.ones([len(v) for v in axes_vals], dtype=bool))
     values = np.stack([v[i] for v, i in zip(axes_vals, cells.T)], axis=1)
     batches = math.ceil(len(cells) / BATCH_CELLS)
-    if spec.threads > 1 and batches > SERIAL_BATCHES:
+    if spec.threads > 1 and batches > 1:
         from concurrent.futures import ProcessPoolExecutor
         # whole batches, at most four chunks a worker
         size = math.ceil(len(cells) / min(spec.threads * 4, batches))

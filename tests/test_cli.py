@@ -103,6 +103,23 @@ def test_flag_overrides():
     assert cfg.threads == 2
 
 
+def test_cached_parser_shares_no_overrides(monkeypatch, tmp_path):
+    # main builds its parser once a process; a --set given to one call must
+    # not reach the next
+    import quadmech.cli as cli
+    seen = []
+
+    def spy(text, overrides, command):
+        seen.append(list(overrides))
+        raise ParseError("stop")
+    monkeypatch.setattr(cli, "parse_config", spy)
+    out = str(tmp_path / "t.csv")
+    for extra in (["--set", "points=5"], []):
+        assert main(["reproduce", "fig2c", "--out", out] + extra) == 1
+    assert seen == [["points=5", f"path={out}"], [f"path={out}"]]
+    assert cli._build_parser.cache_info().hits >= 1
+
+
 def _read_table(path: Path):
     meta = {}
     rows = []

@@ -15,14 +15,15 @@ from hypothesis import strategies as st
 from quadmech import (build_polynomial, find_real_roots, mechanical_response,
                       oracle_roots, reconstruct_branch, rescale_params,
                       solve_branches)
-from quadmech.steady_state import (MATCH_TOL, ORACLE_MARGIN, Diagnostic,
-                                   PolynomialCoefficients,
+from quadmech.steady_state import (MATCH_TOL, ORACLE_MARGIN, SINGULAR_COND,
+                                   Diagnostic, PolynomialCoefficients,
                                    RationalResponse, ResidualTooLarge,
                                    SingularMechanicalSystem, ZeroPolynomial,
-                                   _bisect, _scan_blocks, batch_real_roots,
-                                   coefficient_deviation, exact_roots,
-                                   fixed_point_defect, reconstruct_branches,
-                                   root_sets, roots_match)
+                                   _bisect, _scan_blocks, _well_conditioned,
+                                   batch_real_roots, coefficient_deviation,
+                                   exact_roots, fixed_point_defect,
+                                   reconstruct_branches, root_sets,
+                                   roots_match)
 
 from quadmech.params import param_columns
 
@@ -546,6 +547,39 @@ def test_mechanical_response_is_a_batch_of_one():
     p = make_system()
     branch = reconstruct_reference(p, oracle_roots(p)[0])
     assert mechanical_response(p, branch.n_p) == (branch.beta1, branch.beta2)
+
+
+def _screen_matrix(kind: str, seed: int, log_cond: float,
+                   log_scale: float) -> np.ndarray:
+    """A 4x4 matrix ``U diag(s) V^T`` of 2-norm condition 10**log_cond, an
+    exactly singular one (a repeated row) or one with a NaN entry."""
+    rng = np.random.default_rng(seed)
+    u, v = (np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(2))
+    s = 10.0 ** -np.sort(np.r_[0.0, rng.uniform(0.0, log_cond, 2), log_cond])
+    m = 10.0 ** log_scale * (u * s) @ v.T
+    if kind == "singular":
+        m[3] = m[1]
+    elif kind == "nan":
+        m[rng.integers(4), rng.integers(4)] = np.nan
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.sampled_from(["cond"] * 8 + ["singular", "nan"]),
+    st.integers(0, 2**32 - 1), st.floats(12.0, 16.0), st.floats(-3.0, 3.0)),
+    min_size=1, max_size=10))
+def test_condition_screen_equals_cond(rows):
+    # the inv-and-norms bound settles a matrix only where cond agrees; the
+    # draws straddle SINGULAR_COND = 1e14, where the bound alone would not
+    m = np.stack([_screen_matrix(*row) for row in rows])
+    try:
+        want = ~(np.linalg.cond(m) > SINGULAR_COND)
+    except np.linalg.LinAlgError:      # an SVD that does not converge (NaN)
+        with pytest.raises(np.linalg.LinAlgError):
+            _well_conditioned(m)
+        return
+    assert _well_conditioned(m).tolist() == want.tolist()
 
 
 @settings(max_examples=20, deadline=None)

@@ -34,9 +34,9 @@ def _cell_rows(res) -> list[list[dict]]:
 
 def _on_the_pool(monkeypatch) -> list[int]:
     """Send the next multi-worker sweeps to a real process pool: batches
-    of 4 cells give a small grid more than ``SERIAL_BATCHES`` batches
-    (forked workers inherit the cut).  Returns the worker counts of the pools
-    started, as they start."""
+    of 4 cells give a small grid more than one batch (forked workers
+    inherit the cut).  Returns the worker counts of the pools started, as
+    they start."""
     import concurrent.futures
 
     import quadmech.sweep as sweep
@@ -128,7 +128,7 @@ def test_invalid_cells_fail_alone_in_their_batch():
 
 def test_steady_sweep_builds_no_per_cell_objects(monkeypatch):
     # a perf guard: a steady batch is one column record from parameters to
-    # branch rows, so a one-worker 21x21 fig2a sweep constructs no
+    # branch rows, so a one-worker 23x23 fig2a sweep constructs no
     # SteadyStateBranch and calls validate_params and dataclasses.replace a
     # fixed number of times per batch, not per cell or per branch
     import collections
@@ -157,7 +157,7 @@ def test_steady_sweep_builds_no_per_cell_objects(monkeypatch):
     monkeypatch.setattr(SteadyStateBranch, "__init__", counted(
         "SteadyStateBranch", SteadyStateBranch.__init__))
     _, base, axes = RECIPES["fig2a"]
-    axes = tuple(dataclasses.replace(ax, points=21) for ax in axes)
+    axes = tuple(dataclasses.replace(ax, points=23) for ax in axes)
     res = run_sweep(_spec(base, axes, "root-count"))
     batches = math.ceil(len(res.cells) / BATCH_CELLS)
     assert batches == 2 and len(res.table) > 1000
@@ -466,10 +466,10 @@ class _SerialPool:
 
 
 @pytest.mark.parametrize("points, axes, want", [
-    (21, 2, []),                    # two batches: one a worker, no pool
+    (21, 2, []),                    # one batch: no pool
     (201, 2, [5051] * 7 + [5044]),  # a large plane: four chunks a worker
     (9, 1, []),                     # fewer cells than a batch: no pool
-    (23, 2, [177, 177, 175]),       # three batches: whole batches
+    (23, 2, [265, 264]),            # two batches: whole batches
 ])
 def test_pool_chunks_of_whole_batches(monkeypatch, points, axes, want):
     import concurrent.futures
@@ -490,8 +490,8 @@ def test_pool_chunks_of_whole_batches(monkeypatch, points, axes, want):
 
 
 @pytest.mark.parametrize("points, want", [
-    (21, []),                       # two batches: no pool on any count
-    (23, [177, 177, 175]),          # three batches: three of eight workers
+    (21, []),                       # one batch: no pool on any count
+    (23, [265, 264]),               # two batches: two of eight workers
 ])
 def test_pool_rule_ignores_the_worker_count(monkeypatch, points, want):
     # the serial crossover was measured on two workers; more workers must
