@@ -159,10 +159,8 @@ def hurwitz_stable(a: np.ndarray) -> np.ndarray:
         s = a.copy()
         s.reshape(k, 36)[:, ::7] -= STAB_TOL_FACTOR * a[:, :1, 0]
         s /= abs(s.reshape(k, 36)).max(1)[:, None, None]
-        # max|S M| <= rho max|M|: rho the largest row sum of |S|
-        rho = sum(abs(s).transpose(2, 0, 1)).max(axis=1)
-        # Routh rows and their error bounds, entries (k,) arrays
-        t, e = np.zeros((2, 7, 4, k))
+        rho = sum(abs(s).T).max(0)        # max|S M| <= rho max|M|
+        t, e = np.zeros((2, 7, 4, k))     # Routh rows, their error bounds
         t[0, 0] = 1.0
         # m = S M_j, with bounds on its error and on the entries of M_j
         m, err, size = np.eye(6), 0.0, 1.0
