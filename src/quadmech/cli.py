@@ -107,8 +107,8 @@ def _parse_bool(key: str, raw: str) -> bool:
 
 def _parse_count(key: str, raw: str) -> int:
     value = _to_float(key, raw)
-    if not 1.0 <= value < math.inf:
-        raise ParseError(f"key {key!r}: expected a count of at least 1, "
+    if not (1.0 <= value < math.inf and value.is_integer()):
+        raise ParseError(f"key {key!r}: expected a whole count of at least 1, "
                          f"got {raw!r}")
     return int(value)
 

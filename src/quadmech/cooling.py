@@ -4,13 +4,15 @@ Everything is real, in the quadrature basis q = T u of ``stability``: the
 symmetrized covariance V of q obeys R V + V R^T + Q = 0, where R is the real
 drift matrix and Q = T Q_u T^T the diagonal diffusion matrix of the baths,
 so V is real symmetric and the equation has 21 unknowns (V's upper
-triangle).  The 21x21 system is solved densely, followed by iterative
-refinement so the residual stays at working precision even for stiff
-damping hierarchies (gamma ~ 1e-6 kappa).  Stacks of drift matrices are
-solved together, in blocks of LYAP_BLOCK systems per stacked call.  The
-``physical`` flag is read off the solved V: with a positive-definite bath Q,
-the signs of V's eigenvalues give R's stability (one stacked ``eigvalsh``),
-and only cells that certificate cannot settle take the eigenvalues of R.
+triangle).  The 21x21 system is solved densely, once: LU with partial
+pivoting is backward stable, and its residual stays far below
+LYAP_RESIDUAL_TOL even for stiff damping hierarchies (gamma ~ 1e-6 kappa),
+so refinement at the same precision would buy nothing.  Stacks of drift
+matrices are solved together, in blocks of LYAP_BLOCK systems per stacked
+call.  The ``physical`` flag is read off the solved V: with a
+positive-definite bath Q, the signs of V's eigenvalues give R's stability
+(one stacked ``eigvalsh``), and only cells that certificate cannot settle
+take the eigenvalues of R.
 """
 from __future__ import annotations
 
@@ -60,7 +62,7 @@ class CovarianceResult:
     v: np.ndarray
     n1f: float
     n2f: float
-    lyap_residual: float
+    lyap_residual: float    # |R V + V R^T + Q|_F / |Q|_F, of this v
     physical: bool          # drift matrix is stable, as ``spectra`` rules
 
 
@@ -130,9 +132,9 @@ def _lyapunov_operator(a: np.ndarray) -> np.ndarray:
 
 
 def _residual(a, v, q, scale):
-    """A V + V A^T + Q and its Frobenius norm relative to ``scale``."""
+    """The Frobenius norm of A V + V A^T + Q relative to ``scale``."""
     r = a @ v + v @ a.transpose(0, 2, 1) + q
-    return r, np.linalg.norm(r.reshape(-1, 36), axis=1) / scale
+    return np.linalg.norm(r.reshape(-1, 36), axis=1) / scale
 
 
 def _solve_symmetric(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -149,12 +151,13 @@ def _solve_symmetric(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_lyapunov(A: DriftMatrix, nm) -> CovarianceResult:
-    """Solve R V + V R^T + Q = 0 for the real symmetric V, with refinement.
+    """Solve R V + V R^T + Q = 0 for the real symmetric V.
 
     Q must be symmetric; then V = V^T, with the 21 unknowns of its upper
-    triangle.  Up to three refinement steps follow the solve; a cell stops
-    when a step does not lower its residual (on the full 6x6 V) or that
-    drops below 1e-14, and keeps its best iterate and that one's residual.
+    triangle, from one stacked solve per LYAP_BLOCK cells and no refinement.
+    The reported residual is that of the returned V on the full 6x6
+    equation; a cell above LYAP_RESIDUAL_TOL is not re-solved, but
+    ``flag_residuals`` reports it and its ``physical`` flag takes ``spectra``.
     ``A.a`` may be one 6x6 matrix with one ``NoiseModel``, or a (k, 6, 6)
     stack with a ``NoiseModel`` of (k, 6, 6) stacks or k noise models; one
     result with array fields then comes back, each entry depending only on
@@ -183,18 +186,7 @@ def solve_lyapunov(A: DriftMatrix, nm) -> CovarianceResult:
         raise SingularLyapunov("Lyapunov solve overflowed")
     qnorm = np.linalg.norm(q.reshape(-1, 36), axis=1)
     scale = np.where(qnorm > 0.0, qnorm, 1.0)
-    r, residual = _residual(a, v, q, scale)
-    live = np.arange(len(a))
-    for _ in range(3):
-        go = ~(residual[live] < 1e-14)
-        live, r = live[go], r[go]
-        if not live.size:
-            break
-        trial = v[live] - _solve_symmetric(a[live], r)
-        r, trial_res = _residual(a[live], trial, q[live], scale[live])
-        go = trial_res < residual[live]
-        live, r = live[go], r[go]
-        v[live], residual[live] = trial[go], trial_res[go]
+    residual = _residual(a, v, q, scale)
     n1f, n2f = _occupations(v)
     d = np.diagonal(q, axis1=1, axis2=2)
     bath = (np.all(q == d[:, None, :] * np.eye(6), axis=(1, 2))

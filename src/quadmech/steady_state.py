@@ -779,7 +779,11 @@ def root_sets(p, oracle_mode: bool, scan_points: int, with_damping: bool,
     ``with_damping``) gets a coefficient-mismatch diagnostic naming the
     coefficients beyond it.  Without it, the exact route's roots
     stand as they come, uncertified ones included, and nothing is compared.
+    With it, a scan grid coarser than MIN_SCAN_POINTS raises ValueError
+    before any solve, whether or not a fallback would scan.
     """
+    if oracle_mode and scan_points < MIN_SCAN_POINTS:
+        raise ValueError(f"scan_points must be >= {MIN_SCAN_POINTS}")
     q, _ = param_columns(p)
     resp = RationalResponse.of(q, with_damping)
     roots, failed = exact_roots(resp)

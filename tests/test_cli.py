@@ -333,32 +333,36 @@ def test_sweep2d_requires_two_axes(tmp_path):
 
 
 def test_steady_sweep_rejects_coarse_scan_grid(tmp_path):
+    # every steady command, not only those whose fallback would scan
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(MINIMAL + "\n[sweep]\nmode = root-count\n"
                        "axis1 = delta_c 0 4 5 linear\n")
     out = tmp_path / "x.csv"
-    assert main(["sweep1d", "--config", str(cfgfile), "--out", str(out),
-                 "--scan-points", "500"]) == 1
-    assert not out.exists()
+    for argv in (["sweep1d", "--config", str(cfgfile)],
+                 ["roots", "--config", str(cfgfile)],
+                 ["branches", "--config", str(cfgfile)],
+                 ["reproduce", "fig4", "--set", "points=3"]):
+        assert main([*argv, "--out", str(out), "--scan-points", "500"]) == 1
+    assert not list(tmp_path.glob("x*"))
 
 
-# config key of a dashed flag -> (command line, a good value, a bad value)
+# config key of a dashed flag -> (command line, a good value, bad values)
 FLAG_CASES = {
-    "format": (["roots", "--config", "MINIMAL"], "json", "xml"),
-    "oracle": (["roots", "--config", "MINIMAL"], "off", "maybe"),
-    "gamma_fallback": (["branches", "--config", "FIG4A"], "off", "maybe"),
+    "format": (["roots", "--config", "MINIMAL"], "json", ["xml"]),
+    "oracle": (["roots", "--config", "MINIMAL"], "off", ["maybe"]),
+    "gamma_fallback": (["branches", "--config", "FIG4A"], "off", ["maybe"]),
     "convention": (["reproduce", "fig4", "--set", "points=3"], "omega1",
-                   "sideways"),
-    "scan_points": (["roots", "--config", "MINIMAL"], "2000", "0"),
-    "threads": (["sweep1d", "--config", "SWEEP"], "2", "0"),
-    "with_mech_damping": (["roots", "--config", "MINIMAL"], "on", "maybe"),
+                   ["sideways"]),
+    "scan_points": (["roots", "--config", "MINIMAL"], "2e3", ["0", "2000.5"]),
+    "threads": (["sweep1d", "--config", "SWEEP"], "2", ["0", "2.9"]),
+    "with_mech_damping": (["roots", "--config", "MINIMAL"], "on", ["maybe"]),
 }
 
 
 @pytest.mark.parametrize("key", sorted(set(_DASHED.values()) - {"path"}))
 def test_flag_and_set_share_one_parser(key, tmp_path):
     # `--flag v` is the override `key=v`: same tables, same exit code
-    argv, good, bad = FLAG_CASES[key]
+    argv, good, bads = FLAG_CASES[key]
     configs = {"MINIMAL": MINIMAL, "FIG4A": FIG4A,
                "SWEEP": MINIMAL + "\n[sweep]\naxis1 = delta_c 0 4 9\n"}
     for name, text in configs.items():
@@ -375,8 +379,9 @@ def test_flag_and_set_share_one_parser(key, tmp_path):
     assert written[0] == written[1]
     assert written[0][0] in (0, 2) and written[0][1]
     out = str(tmp_path / "bad.csv")
-    assert main([*argv, "--out", out, flag, bad]) == 1
-    assert main([*argv, "--out", out, "--set", f"{key}={bad}"]) == 1
+    for bad in bads:
+        assert main([*argv, "--out", out, flag, bad]) == 1
+        assert main([*argv, "--out", out, "--set", f"{key}={bad}"]) == 1
 
 
 def test_usage_errors_exit_1(tmp_path):
@@ -416,7 +421,7 @@ def test_reproduce_rejects_mech_damping(tmp_path):
 
 def test_fig4_points_need_two_like_every_recipe(tmp_path):
     for tag in ("fig4", "fig2a"):
-        for points in ("1", "0"):
+        for points in ("1", "0", "20.5"):
             assert main(["reproduce", tag, "--out", str(tmp_path / "x.csv"),
                          "--set", f"points={points}"]) == 1
         with pytest.raises(InvalidSpec):
