@@ -9,10 +9,9 @@ pivoting is backward stable, and its residual stays far below
 LYAP_RESIDUAL_TOL even for stiff damping hierarchies (gamma ~ 1e-6 kappa),
 so refinement at the same precision would buy nothing.  Stacks of drift
 matrices are solved together, in blocks of LYAP_BLOCK systems per stacked
-call.  The ``physical`` flag is read off the solved V: with a
-positive-definite bath Q, the signs of V's eigenvalues give R's stability
-(one stacked ``eigvalsh``), and only cells that certificate cannot settle
-take the eigenvalues of R.
+call.  The ``physical`` flag is R's stability from Routh's test
+(``stability.hurwitz_stable``), the verdict the branches get; it does not
+depend on V, Q or the residual.
 """
 from __future__ import annotations
 
@@ -22,8 +21,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .params import LinearizedParams, param_columns
-from .stability import (STAB_TOL_FACTOR, DriftMatrix, build_drift_matrix,
-                        spectra)
+from .stability import DriftMatrix, build_drift_matrix, hurwitz_stable
 from .steady_state import Diagnostic
 
 LYAP_RESIDUAL_TOL = 1e-10
@@ -63,7 +61,7 @@ class CovarianceResult:
     n1f: float
     n2f: float
     lyap_residual: float    # |R V + V R^T + Q|_F / |Q|_F, of this v
-    physical: bool          # drift matrix is stable, as ``spectra`` rules
+    physical: bool          # R is stable, by ``hurwitz_stable``
 
 
 @dataclass(frozen=True)
@@ -157,7 +155,8 @@ def solve_lyapunov(A: DriftMatrix, nm) -> CovarianceResult:
     triangle, from one stacked solve per LYAP_BLOCK cells and no refinement.
     The reported residual is that of the returned V on the full 6x6
     equation; a cell above LYAP_RESIDUAL_TOL is not re-solved, but
-    ``flag_residuals`` reports it and its ``physical`` flag takes ``spectra``.
+    ``flag_residuals`` reports it.  ``physical`` is ``hurwitz_stable`` of
+    the drift matrix, whatever V, Q and the residual.
     ``A.a`` may be one 6x6 matrix with one ``NoiseModel``, or a (k, 6, 6)
     stack with a ``NoiseModel`` of (k, 6, 6) stacks or k noise models; one
     result with array fields then comes back, each entry depending only on
@@ -191,7 +190,7 @@ def solve_lyapunov(A: DriftMatrix, nm) -> CovarianceResult:
     d = np.diagonal(q, axis1=1, axis2=2)
     bath = (np.all(q == d[:, None, :] * np.eye(6), axis=(1, 2))
             & np.all(d >= 0.0, axis=1) & np.all(d[:, :3] == d[:, 3:], axis=1))
-    physical = _stable_from_covariance(a, v, d.min(axis=1), residual, bath)
+    physical = hurwitz_stable(a)
     bad = np.flatnonzero(physical & (np.minimum(n1f, n2f) < -1e-6) & bath)
     if bad.size:
         k = bad[0]
@@ -201,36 +200,6 @@ def solve_lyapunov(A: DriftMatrix, nm) -> CovarianceResult:
         return CovarianceResult(v[0], n1f.item(), n2f.item(), residual.item(),
                                 physical.item())
     return CovarianceResult(v, n1f, n2f, residual, physical)
-
-
-def _stable_from_covariance(a, v, qmin, residual, bath) -> np.ndarray:
-    """The ``spectra`` verdict of each drift matrix R, read off its solved V.
-
-    With R V + V R^T + Q = 0 and a bath Q >= qmin I > 0, the inertia theorem
-    (Ostrowski & Schneider 1962) makes R unstable iff V has a negative
-    eigenvalue, whose unstable Re lambda is at least qmin / (2 max|mu|);
-    V > 0 bounds every Re lambda by -qmin / (2 mu_max).  Every exact |mu| is
-    at least qmin / (2 ||R||_F).  A cell is settled when its residual is
-    within LYAP_RESIDUAL_TOL, its computed |mu| keep half that gap, and the
-    bound clears the ``spectra`` margin twice over; the rest, and a stack
-    whose eigenvalue call fails, take ``spectra`` (LEDGER "Stability from
-    the Lyapunov solution").
-    """
-    try:
-        mu = np.linalg.eigvalsh(v)
-    except np.linalg.LinAlgError:
-        mu = np.full(v.shape[:2], np.nan)
-    mag = np.abs(mu)
-    norm = np.linalg.norm(a.reshape(-1, 36), axis=1)
-    sound = (bath & (qmin > 0.0) & (residual <= LYAP_RESIDUAL_TOL)
-             & (4.0 * norm * mag.min(axis=1) >= qmin))
-    stable = mu[:, 0] > 0.0
-    margin = np.where(stable, 2.0, -2.0) * STAB_TOL_FACTOR * -a[:, 0, 0]
-    sure = sound & (qmin > 2.0 * mag.max(axis=1) * margin)
-    rest = np.flatnonzero(~sure)
-    if rest.size:
-        stable[rest] = spectra(a[rest])[2]
-    return stable
 
 
 def _occupations(v: np.ndarray):

@@ -5,8 +5,9 @@ matrix A = [[B, C], [C*, B*]].  The unitary quadrature map q = T u, with
 x_j = (u_j + u_{j+3})/sqrt(2) and p_j = (u_j - u_{j+3})/(i sqrt(2)), makes it
 the real matrix R = T A T^dagger = [[Re(B+C), -Im(B-C)], [Im(B+C), Re(B-C)]]
 of q = (x_a, x_1, x_2, p_a, p_1, p_2), which the constructor fills directly;
-R and A share their spectrum.  Branch verdicts come from Routh's test; only
-the cells it cannot settle, and spectral fields when read, take eigenvalues.
+R and A share their spectrum.  Branch and cooling verdicts come from Routh's
+test; only the cells it cannot settle, and spectral fields when read, take
+eigenvalues.
 """
 from __future__ import annotations
 

@@ -19,13 +19,14 @@ from quadmech import (Axis, SweepSpec, branch_cooling_sweep,
                       build_polynomial, classify_branch_stability,
                       cool_linearized, derive_linearized, find_real_roots,
                       oracle_roots, run_sweep, solve_branches)
+from quadmech.recipes import FIG4_BASE
 from quadmech.stability import GAMMA_FALLBACK_FACTOR
 from quadmech.steady_state import fixed_point_defect, roots_match
 
 from conftest import (QUADRATURE_T, complex_drift_matrix, fd_jacobian,
-                      make_linearized, make_system, random_linearized,
-                      random_system, root_counts, spectral_phonons,
-                      table_rows)
+                      make_linearized, make_system, per_cell,
+                      random_linearized, random_system, root_counts,
+                      spectral_phonons, table_rows)
 
 
 def report(num, ok, detail):
@@ -343,6 +344,40 @@ def test_criterion_11_branch_resolved_cooling():
                   f"Discrepancy documented in LEDGER.md.")
     dt = time.time() - t0
     assert report(11, ok and dt < 120.0, detail + f", runtime {dt:.0f}s (<120s)")
+
+
+def test_headline_ground_state_on_stable_multistable_branches():
+    # The abstract: both resonators reach the ground state on the dynamically
+    # stable branch of the multistable solutions.  On the fig3a (eta x
+    # delta_c) and fig2a (g1 x delta_c) axes at fig4's damped point, 21x21,
+    # the test asserts what the model gives: the multistable cells, those
+    # with a stable branch at n1f, n2f < 1, every cooled row stable, and no
+    # diagnostic but the contracted coefficient mismatch (no lyap-residual).
+    t0 = time.time()
+    found, ok = {}, True
+    for tag, axis, expect in (
+            ("fig3a", Axis("eta", 1.0, 150.0, 21), (220, 146)),
+            ("fig2a", Axis("g1", 0.0, 0.1, 21), (311, 188))):
+        res = run_sweep(SweepSpec(
+            axes=(axis, Axis("delta_c", 0.0, 12.0, 21)), base=FIG4_BASE,
+            mode="root-count"))
+        cols, cooled = res.table.cols, res.table.present["n1f"]
+        ground = cooled & cols["stable"] & (cols["n1f"] < 1.0) & (
+            cols["n2f"] < 1.0)
+        multi = np.array(root_counts(res)) > 1
+        found[tag] = (int(multi.sum()),
+                      int(np.sum(multi & (per_cell(res, ground) > 0))))
+        kinds = {d.kind for d in res.diagnostics}
+        ok &= (found[tag] == expect and bool(cols["stable"][cooled].all())
+               and kinds == {"coefficient-mismatch"})
+    dt = time.time() - t0
+    assert report("headline", ok and dt < 60.0,
+                  f"multistable cells with a stable ground-state branch "
+                  f"(n1f, n2f < 1) of all multistable cells: fig3a axes "
+                  f"{found['fig3a'][1]} of {found['fig3a'][0]}, fig2a axes "
+                  f"{found['fig2a'][1]} of {found['fig2a'][0]} (21x21, "
+                  f"fig4 damping); every cooled row stable, no diagnostic "
+                  f"but coefficient-mismatch; runtime {dt:.1f}s (<60s)")
 
 
 def test_criterion_12_structural_suite(rng):

@@ -442,7 +442,7 @@ def test_real_route_matches_complex_oracle(seed):
 
 
 # ---------------------------------------------------------------------------
-# stability from the solved covariance
+# the cooling verdict: Routh's test, as for the branches
 # ---------------------------------------------------------------------------
 
 def _mixed_cells(rng, n) -> LinearizedParams:
@@ -466,21 +466,22 @@ def _mixed_cells(rng, n) -> LinearizedParams:
 
 
 def _counting_spectra(mp, sent: list) -> None:
-    """Record each stack the Lyapunov solve hands to ``spectra``."""
-    import quadmech.cooling as cooling
+    """Record each stack Routh's test hands to ``spectra``."""
+    import quadmech.stability as stability
 
     def counted(a):
         sent.append(a.copy())
         return spectra(a)
-    mp.setattr(cooling, "spectra", counted)
+    mp.setattr(stability, "spectra", counted)
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150), data=st.data())
 def test_certified_verdict_equals_spectra(seed, n, data):
-    # physical from V's inertia equals the eigenvalue verdict cell for cell;
-    # an undamped cell (Q singular) and a symmetric non-diagonal Q (not a
-    # bath) cannot be certified and go to the eigenvalue call
+    # physical from Routh's test equals the eigenvalue verdict cell for cell,
+    # also for an undamped cell (Q singular) and a symmetric non-diagonal Q
+    # (not a bath): the verdict reads R alone.  The cells Routh cannot
+    # settle go to spectra in one stacked call.
     lp = _mixed_cells(np.random.default_rng(seed), n)
     a, q = build_drift_matrix(lp).a, build_noise_model(lp).q
     undamped = make_linearized(gamma1=0.0, gamma2=0.0, delta_eff=-1.0,
@@ -498,13 +499,13 @@ def test_certified_verdict_equals_spectra(seed, n, data):
         _counting_spectra(mp, sent)
         cov = solve_lyapunov(DriftMatrix(a=a), NoiseModel(q=q))
     assert np.array_equal(cov.physical, spectra(a)[2])
-    (fell_back,) = sent
-    assert all(np.any(np.all(fell_back == a[k], axis=(1, 2))) for k in forced)
+    assert len(sent) <= 1
+    assert all(np.any(np.all(a == m, axis=(1, 2))) for s in sent for m in s)
 
 
 def test_certificate_covers_stable_unstable_and_marginal_draws():
-    # the draws of the property above hold certified stable and unstable
-    # cells and near-margin cells the certificate leaves to the eigenvalues
+    # the draws of the property above hold stable and unstable cells Routh
+    # settles and near-margin cells it leaves to the eigenvalues
     lp = _mixed_cells(np.random.default_rng(15), 400)
     a = build_drift_matrix(lp).a
     sent = []
@@ -517,59 +518,6 @@ def test_certificate_covers_stable_unstable_and_marginal_draws():
     assert np.any(settled & stable) and np.any(settled & ~stable)
     assert 0 < len(sent[0]) < len(a)
     assert np.any(np.abs(max_re) < 1e-7 * lp.kappa)
-
-
-def test_unsettled_cells_take_the_eigenvalue_call(monkeypatch):
-    # a residual above LYAP_RESIDUAL_TOL, or a computed eigenvalue of V
-    # inside half the gap q / (2 ||R||_F) every exact one keeps, leaves the
-    # verdict to spectra
-    import quadmech.cooling as cooling
-    lp = param_columns([make_linearized(),
-                             make_linearized(delta_eff=-1.0)])[0]
-    a, q = build_drift_matrix(lp).a, build_noise_model(lp).q
-    cov = solve_lyapunov(DriftMatrix(a=a), NoiseModel(q=q))
-    qmin = np.diagonal(q, axis1=1, axis2=2).min(axis=1)
-    sent = []
-    _counting_spectra(monkeypatch, sent)
-    settle = cooling._stable_from_covariance
-    assert list(settle(a, cov.v, qmin, cov.lyap_residual,
-                       np.ones(2, bool))) == [True, False] and sent == []
-    assert list(settle(a, cov.v, qmin, np.array([0.0, 1e-9]),
-                       np.ones(2, bool))) == [True, False]
-    assert len(sent) == 1 and np.array_equal(sent[0], a[1:])
-    mu, x = np.linalg.eigh(cov.v[0])
-    gap = qmin[0] / (2.0 * np.linalg.norm(a[0]))
-    squeezed = cov.v.copy()
-    squeezed[0] += (0.1 * gap - mu[0]) * np.outer(x[:, 0], x[:, 0])
-    assert list(settle(a, squeezed, qmin, cov.lyap_residual,
-                       np.ones(2, bool))) == [True, False]
-    assert len(sent) == 2 and np.array_equal(sent[1], a[:1])
-
-
-def test_figure_maps_send_no_cell_to_the_eigenvalue_call(monkeypatch):
-    # the certificate settles every cell of the fig5-fig7 maps; a cell it
-    # cannot settle (gamma = 0, so Q is singular) goes alone to spectra and
-    # gets the verdict an unpatched eigenvalue call gives it
-    import quadmech.cooling as cooling
-    from quadmech import run_recipe
-    sent, solved = [], []
-    solve = cooling.solve_lyapunov
-
-    def counted(a, nm):
-        solved.append(len(a.a))
-        return solve(a, nm)
-    monkeypatch.setattr(cooling, "solve_lyapunov", counted)
-    _counting_spectra(monkeypatch, sent)
-    for tag in ("fig5", "fig6", "fig7"):
-        run_recipe(tag, points=21)
-    assert sum(solved) == 3 * 21 * 21 and sent == []
-    lp = param_columns([make_linearized(),
-                             make_linearized(gamma1=0.0, gamma2=0.0),
-                             make_linearized(kappa=0.2)])[0]
-    a = build_drift_matrix(lp).a
-    cov = cool_linearized(lp)
-    assert len(sent) == 1 and np.array_equal(sent[0], a[1:2])
-    assert np.array_equal(cov.physical, spectra(a)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -588,6 +536,47 @@ def test_phonons_match_spectral_integral(kw):
     s1, s2 = spectral_phonons(lp)
     assert cov.n1f == pytest.approx(s1, rel=1e-6, abs=1e-9)
     assert cov.n2f == pytest.approx(s2, rel=1e-6, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# weak-coupling sideband limit (Marquardt, Chen, Clerk & Girvin, PRL 99,
+# 093902 (2007)); the constant of the bound is in LEDGER.md
+# ---------------------------------------------------------------------------
+
+def _sideband_occupation(g, kappa, delta, gamma, nbar, omega=1.0):
+    """n_f = (2 gamma nbar + A+)/(2 gamma + A- - A+) with
+    A-+ = 2 kappa g^2/(kappa^2 + (delta -+ omega)^2), in the drift's units:
+    -kappa and -gamma on its diagonal, x_c coupled to x_j with 2 g."""
+    a_minus, a_plus = (2.0 * kappa * g**2 / (kappa**2 + (delta - s * omega)**2)
+                       for s in (1.0, -1.0))
+    return (2.0 * gamma * nbar + a_plus) / (2.0 * gamma + a_minus - a_plus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=st.floats(1e-3, 0.02), kappa=st.floats(0.05, 0.2),
+       delta=st.floats(0.8, 1.2), log_gamma=st.floats(-6.0, -4.0),
+       nbar=st.floats(100.0, 1000.0), phi=st.floats(0.0, math.pi / 2))
+def test_weak_coupling_matches_the_sideband_limit(g, kappa, delta, log_gamma,
+                                                 nbar, phi):
+    # one mode: the sideband rate formula; two degenerate modes (omega_ex =
+    # g22 = 0): the bright combination cools as one mode of coupling
+    # hypot(g1, g2), the dark one keeps nbar, and each oscillator holds
+    # their mix.  Both within 2 (g/kappa)^2 relative.
+    gamma = 10.0 ** log_gamma
+    rates = dict(g22=0.0, omega_ex=0.0, theta=0.0, omega2_tilde=1.0,
+                 kappa=kappa, delta_eff=delta, gamma1=gamma, gamma2=gamma,
+                 nbar1=nbar, nbar2=nbar)
+    bound = 2.0 * (g / kappa) ** 2
+    n_b = _sideband_occupation(g, kappa, delta, gamma, nbar)
+    one = cool_linearized(make_linearized(g1_eff=g, g2_eff=0.0, **rates))
+    assert one.physical
+    assert abs(one.n1f - n_b) <= bound * n_b
+    g1, g2 = g * math.cos(phi), g * math.sin(phi)
+    two = cool_linearized(make_linearized(g1_eff=g1, g2_eff=-g2, **rates))
+    assert two.physical
+    for n, bright in ((two.n1f, g1**2), (two.n2f, g2**2)):
+        split = (bright * n_b + (g**2 - bright) * nbar) / g**2
+        assert abs(n - split) <= bound * split
 
 
 # ---------------------------------------------------------------------------

@@ -454,9 +454,12 @@ def test_unsettled_routh_cells_take_the_eigenvalue_call(monkeypatch):
 
 
 def test_figure_planes_send_few_matrices_to_the_eigenvalue_call(monkeypatch):
-    # perf guard: the fig2a, fig2b and fig3c planes at 21x21 send at most
-    # the counts LEDGER.md records ("Hurwitz verdicts on the steady side")
-    # to spectra; lazily read spectral fields are never needed on the way
+    # perf guard: the fig2a, fig2b and fig3c planes and the fig5-fig7 cooling
+    # maps at 21x21 send at most the counts LEDGER.md records ("Hurwitz
+    # verdicts on the steady side") to spectra; lazily read spectral fields
+    # are never needed on the way; a cooling map classifies its cells inside
+    # the Lyapunov solve
+    import quadmech.cooling as cooling
     import quadmech.stability as stability
     from quadmech import run_recipe
     classified = []
@@ -466,10 +469,13 @@ def test_figure_planes_send_few_matrices_to_the_eigenvalue_call(monkeypatch):
         classified.append(len(a))
         return routh(a)
     monkeypatch.setattr(stability, "hurwitz_stable", counted)
-    for tag, bound in (("fig2a", 49), ("fig2b", 34), ("fig3c", 126)):
+    monkeypatch.setattr(cooling, "hurwitz_stable", counted)
+    for tag, bound, least in (("fig2a", 49, 2501), ("fig2b", 34, 2501),
+                              ("fig3c", 126, 2501), ("fig5", 0, 441),
+                              ("fig6", 14, 441), ("fig7", 0, 441)):
         sent, classified[:] = [], []
         with pytest.MonkeyPatch.context() as mp:
             _counting_spectra(mp, sent)
             run_recipe(tag, points=21)
-        assert sum(classified) > 2500
+        assert sum(classified) >= least
         assert sum(len(x) for x in sent) <= bound
