@@ -520,6 +520,33 @@ def test_certificate_covers_stable_unstable_and_marginal_draws():
     assert np.any(np.abs(max_re) < 1e-7 * lp.kappa)
 
 
+def test_figure_maps_send_no_cell_to_the_eigenvalue_call(monkeypatch):
+    # Routh settles every cell of the fig5 and fig7 maps inside the Lyapunov
+    # solve (fig6's near-margin cells are bounded in test_stability); an
+    # undamped cell (gamma = 0, so Q is singular) needs no eigenvalue call
+    # either, since the verdict reads R alone
+    import quadmech.cooling as cooling
+    from quadmech import run_recipe
+    sent, solved = [], []
+    solve = cooling.solve_lyapunov
+
+    def counted(a, nm):
+        solved.append(len(a.a))
+        return solve(a, nm)
+    monkeypatch.setattr(cooling, "solve_lyapunov", counted)
+    _counting_spectra(monkeypatch, sent)
+    for tag in ("fig5", "fig7"):
+        run_recipe(tag, points=21)
+    assert sum(solved) == 2 * 21 * 21 and sent == []
+    lp = param_columns([make_linearized(),
+                        make_linearized(gamma1=0.0, gamma2=0.0),
+                        make_linearized(kappa=0.2)])[0]
+    a = build_drift_matrix(lp).a
+    cov = cool_linearized(lp)
+    assert sent == []
+    assert np.array_equal(cov.physical, spectra(a)[2])
+
+
 # ---------------------------------------------------------------------------
 # independent spectral-integral oracle
 # ---------------------------------------------------------------------------
