@@ -107,6 +107,14 @@ def commands():
             out.append((f"fig4_{convention}_{fallback}",
                         ["reproduce", "fig4", "--convention", convention,
                          "--gamma-fallback", fallback], None))
+        # both cases share one batch: split it without the oracle, and at a
+        # second ratio count
+        out.append((f"fig4_{convention}_oracle_off",
+                    ["reproduce", "fig4", "--convention", convention,
+                     "--oracle", "off"], None))
+        out.append((f"fig4_{convention}_7",
+                    ["reproduce", "fig4", "--convention", convention,
+                     "--set", "points=7"], None))
     for tag in ("fig5", "fig6", "fig7"):
         for points in (21, 61):
             out.append((f"{tag}_{points}", ["reproduce", tag, "--set",

@@ -262,14 +262,19 @@ def _fields(table: Table, column: str) -> list[str]:
     col, keep = table.cols[column], table.present.get(column)
     values = (col if keep is None else col[keep]).tolist()
     kind = col.dtype.kind
-    out = ([f"{x:.12g}" for x in values] if kind == "f"
+    # "%.12g" formats a float as f"{x:.12g}" does; one format of the whole
+    # column, then split, is faster than a format per field
+    out = (("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1]
+           if kind == "f"
            else [("0", "1")[x] for x in values] if kind == "b"
            else list(map(str, values)) if kind in "iu"
            else list(map(_fmt, values)))
     if keep is None:
         return out
-    present = iter(out)
-    return [next(present) if k else "" for k in keep.tolist()]
+    fields = [""] * len(keep)
+    for k, field in zip(np.flatnonzero(keep).tolist(), out):
+        fields[k] = field
+    return fields
 
 
 def write_table(path: str, fmt: str, columns: tuple[str, ...], table: Table,
@@ -280,8 +285,8 @@ def write_table(path: str, fmt: str, columns: tuple[str, ...], table: Table,
     if fmt == "csv":
         for key in sorted(meta):
             buf.write(f"# {key} = {_fmt(meta[key])}\n")
-        buf.write(",".join(columns) + "\n")
-        buf.writelines(",".join(row) + "\n" for row in rows)
+        buf.write("\n".join([",".join(columns), *map(",".join, rows)]))
+        buf.write("\n")
     else:
         payload = {"meta": {k: _fmt(v) for k, v in sorted(meta.items())},
                    "rows": [dict(zip(columns, row)) for row in rows]}

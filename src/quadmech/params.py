@@ -107,13 +107,30 @@ _NUMERIC = {SystemParams: (SYSTEM_NUMERIC, ()),
             LinearizedParams: (LINEARIZED_NUMERIC, _LINEARIZED_COMPLEX)}
 
 
+def _is_columns(p) -> bool:
+    """Whether ``p`` is a record whose numeric fields are 1-D arrays of one
+    length, each of the dtype ``param_columns`` gives it."""
+    if type(p) not in _NUMERIC:
+        return False
+    numeric, complex_fields = _NUMERIC[type(p)]
+    vals = [getattr(p, name) for name in numeric]
+    return (all(type(v) is np.ndarray and v.ndim == 1 for v in vals)
+            and len({len(v) for v in vals}) == 1
+            and all(v.dtype == (complex if name in complex_fields else float)
+                    for name, v in zip(numeric, vals)))
+
+
 def param_columns(p, kind: type = SystemParams):
     """(columns, scalar): the SystemParams or LinearizedParams record ``p``
     with every numeric field a 1-D array of one length k, and whether it was
     a scalar record (then k = 1).  A sequence of scalar records of one type
     gives one column record holding their values, with the first one's
     metadata (``unit_label``, ``origin``); an empty one, an empty column
-    record of type ``kind``."""
+    record of type ``kind``.  A record that is already a column record (every
+    numeric field a 1-D float array, complex for the complex fields, all of
+    one length) comes back as it is."""
+    if _is_columns(p):
+        return p, False
     if not isinstance(p, tuple(_NUMERIC)):
         records = list(p)
         first = (records[0] if records   # or a placeholder, all replaced

@@ -8,12 +8,14 @@ solution-count regions; they are recorded in the emitted header.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
 
-from .params import LinearizedParams, SystemParams, validate_params
+from .params import (LinearizedParams, SystemParams, param_columns,
+                     take_columns, validate_params)
 from .steady_state import Diagnostic, solve_branches
 from .sweep import (Axis, SweepSpec, Table, branch_rows,
                     continuation_labels, run_sweep)
@@ -35,8 +37,8 @@ FIG4_BASE = replace(MULTI_BASE, gamma1=2e-6 * 5.0, gamma2=2e-6 * 5.0,
                     nbar1=300.0, nbar2=300.0)
 
 # tag -> (mode, base, axes).  A "branch-cooling" recipe has one base per
-# case and sweeps kappa/omega1 along its one axis (``branch_cooling_sweep``);
-# every other mode is a ``run_sweep`` mode.
+# case and sweeps kappa/omega1 along its one axis, all cases in one
+# ``branch_cooling_sweep`` batch; every other mode is a ``run_sweep`` mode.
 RECIPES = {
     "fig2a": ("root-count", MULTI_BASE,
               (Axis("g1", 0.0, 0.1, 201), Axis("delta_c", 0.0, 12.0, 201))),
@@ -83,54 +85,72 @@ class RecipeResult:
     diagnostics: list[Diagnostic]
 
 
-def branch_cooling_sweep(base: SystemParams, ratios: np.ndarray,
-                         convention: str = "kappa",
+def _ratio_columns(bases: list[SystemParams], ratios: np.ndarray,
+                   convention: str) -> SystemParams:
+    """One column record of the parameter sets of every base at each
+    kappa/omega1 of ``ratios``, base by base."""
+    b, _ = param_columns([validate_params(base) for base in bases])
+    b = take_columns(b, np.repeat(np.arange(len(bases)), len(ratios)))
+    ratios = np.tile(ratios, len(bases))
+    q1 = b.gamma1 / b.omega1
+    q2 = b.gamma2 / b.omega2
+    if convention == "kappa":
+        w = b.kappa / ratios
+        return replace(b, omega1=w, omega2=w, gamma1=q1 * w, gamma2=q2 * w)
+    s = b.omega1                                 # convert rates to omega1 units
+    return replace(
+        b, delta_c=b.delta_c / s, omega1=np.ones(len(ratios)),
+        omega2=b.omega2 / s, g1=b.g1 / s, g2=b.g2 / s,
+        omega_ex=b.omega_ex / s, eta=b.eta / s, kappa=ratios, gamma1=q1,
+        gamma2=q2 * b.omega2 / s, unit_label="omega1")
+
+
+def branch_cooling_sweep(base: Union[SystemParams, Mapping[str, SystemParams]],
+                         ratios: np.ndarray, convention: str = "kappa",
                          oracle: bool = True, scan_points: int = 4096,
                          diagnostics: Optional[list[Diagnostic]] = None,
-                         gamma_fallback: bool = True) -> Table:
+                         gamma_fallback: bool = True
+                         ) -> Union[Table, dict[str, Table]]:
     """Cooling along nonlinear branches versus kappa/omega1.
 
+    ``base`` is one parameter set, which gives one Table, or a mapping of
+    cases to sets, which gives a mapping of the cases to their Tables.
     ``convention`` fixes which dimensionless ratios are held while
     kappa/omega1 varies: "kappa" keeps the couplings, drive and detuning fixed
     relative to kappa and moves the mechanical frequencies; "omega1" converts
     the base set to omega1 units once and then varies only kappa.  The
     mechanical quality factors (gamma_i/omega_i) and thermal occupancies are
-    preserved in both cases.  Branch labels follow nearest-n_p continuation.
-    ``gamma_fallback`` is passed to the stability verdicts.  All ratios are
-    solved in one batch, from one column record of the ratios' parameter
-    sets, and their rows come from one ``branch_rows`` call; a ratio
-    without branches has no row.
+    preserved in both cases.  Branch labels follow nearest-n_p continuation
+    within each case.  ``gamma_fallback`` is passed to the stability
+    verdicts.  Every case's ratios are solved in one batch, from one column
+    record of their parameter sets, and their rows come from one
+    ``branch_rows`` call; a ratio without branches has no row.  Diagnostics
+    come case by case, each stamped with its ratio.
     """
     if convention not in ("kappa", "omega1"):
         raise ValueError(f"unknown convention {convention!r}")
-    base = validate_params(base)
-    q1 = base.gamma1 / base.omega1
-    q2 = base.gamma2 / base.omega2
+    cases = base if isinstance(base, Mapping) else {"": base}
     ratios = np.asarray(ratios, dtype=float)
-    if convention == "kappa":
-        w = base.kappa / ratios
-        p = replace(base, omega1=w, omega2=w, gamma1=q1 * w, gamma2=q2 * w)
-    else:
-        s = base.omega1                          # convert rates to omega1 units
-        p = replace(
-            base, delta_c=base.delta_c / s, omega1=1.0, omega2=base.omega2 / s,
-            g1=base.g1 / s, g2=base.g2 / s, omega_ex=base.omega_ex / s,
-            eta=base.eta / s, kappa=ratios, gamma1=q1,
-            gamma2=q2 * base.omega2 / s, unit_label="omega1")
-    sinks: list[list[Diagnostic]] = [[] for _ in ratios]
+    p = _ratio_columns(list(cases.values()), ratios, convention)
+    sinks: list[list[Diagnostic]] = [[] for _ in p.eta]
     solved = solve_branches(p, oracle_mode=oracle, scan_points=scan_points,
                             diagnostics=sinks)
-    counts = np.bincount(solved.owner, minlength=len(ratios))
+    counts = np.bincount(solved.owner, minlength=len(sinks)).reshape(
+        len(cases), len(ratios))
     rows = branch_rows(p, solved, sinks, gamma_fallback)
-    rows.cols["branch_index"] = continuation_labels(
-        rows.cols["n_p"], np.concatenate([[0], np.cumsum(counts)]))
-    rows.cols = {"kappa_over_omega1": np.repeat(ratios, counts), **rows.cols}
+    tables = {}
+    for case, n, part in zip(cases, counts,
+                             rows.split(counts.sum(axis=1))):
+        part.cols["branch_index"] = continuation_labels(
+            part.cols["n_p"], np.concatenate([[0], np.cumsum(n)]))
+        part.cols = {"kappa_over_omega1": np.repeat(ratios, n), **part.cols}
+        tables[case] = part
     if diagnostics is not None:
-        for r, diags in zip(ratios.tolist(), sinks):
+        for r, diags in zip(ratios.tolist() * len(cases), sinks):
             for d in diags:
                 d.cell = (r,)
             diagnostics.extend(diags)
-    return rows
+    return tables if isinstance(base, Mapping) else tables[""]
 
 
 def run_recipe(tag: str, points: Optional[int] = None, threads: int = 1,
@@ -147,11 +167,12 @@ def run_recipe(tag: str, points: Optional[int] = None, threads: int = 1,
     names = tuple(ax.name for ax in axes)
     if mode == "branch-cooling":
         diags: list[Diagnostic] = []
-        tables = {case: (branch_cooling_sweep(
-            case_base, axes[0].values(), convention=convention, oracle=oracle,
+        rows = branch_cooling_sweep(
+            base, axes[0].values(), convention=convention, oracle=oracle,
             scan_points=scan_points, diagnostics=diags,
-            gamma_fallback=gamma_fallback), case_base)
-            for case, case_base in base.items()}
+            gamma_fallback=gamma_fallback)
+        tables = {case: (rows[case], case_base)
+                  for case, case_base in base.items()}
         return RecipeResult(tag=tag, axis_names=names, tables=tables,
                             meta={"mode": mode, "convention": convention},
                             diagnostics=diags)

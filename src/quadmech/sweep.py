@@ -116,6 +116,15 @@ class Table:
                      {name: np.concatenate([t.present[name] for t in parts])
                       for name in first.present})
 
+    def split(self, sizes) -> list[Table]:
+        """The table cut into consecutive parts of ``sizes`` rows, as views;
+        ``concat`` of the parts gives it back."""
+        ends = np.cumsum(sizes).tolist()
+        return [Table({name: col[lo:hi] for name, col in self.cols.items()},
+                      {name: keep[lo:hi]
+                       for name, keep in self.present.items()})
+                for lo, hi in zip([0] + ends[:-1], ends)]
+
 
 @dataclass
 class SweepResult:
@@ -340,29 +349,81 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                        diagnostics=[d for _, _, ds in parts for d in ds])
 
 
+def _antecedents(n_p: np.ndarray, counts: np.ndarray):
+    """(near, taken) of consecutive cells of ``counts`` entries of ``n_p``:
+    for each entry of a cell after the first, the index of the nearest entry
+    of the cell before it; and for each cell, whether it takes the labels of
+    those nearest entries without a greedy matching.  A cell does when each
+    of its entries is strictly nearest (a finite distance, no tie) to a
+    different entry of the cell before, so it has no more entries than that
+    cell."""
+    cell = np.repeat(np.arange(len(counts)), counts)
+    before = np.maximum(cell - 1, 0)
+    n_prev = np.where(cell > 0, counts[before], 0)
+    first = np.cumsum(n_prev) - n_prev          # each entry's first pair
+    entry = np.repeat(np.arange(len(cell)), n_prev)
+    prev = (np.repeat((np.cumsum(counts) - counts)[before] - first, n_prev)
+            + np.arange(len(entry)))
+    dist = np.abs(n_p[entry] - n_p[prev])
+    near = np.arange(len(cell))
+    clear = np.zeros(len(cell), dtype=bool)
+    has = np.flatnonzero(n_prev > 0)
+    if len(has):
+        lead = first[has]
+        least = np.minimum.reduceat(dist, lead)
+        hit = dist == np.repeat(least, n_prev[has])
+        near[has] = prev[np.maximum.reduceat(
+            np.where(hit, np.arange(len(hit)), -1), lead)]
+        clear[has] = (np.add.reduceat(hit, lead) == 1) & np.isfinite(least)
+    shared = np.bincount(near[clear], minlength=len(cell))[near] > 1
+    return near, np.bincount(cell[~clear | shared], minlength=len(counts)) == 0
+
+
 def continuation_labels(n_p: np.ndarray, offsets) -> np.ndarray:
     """Branch labels along a 1D curve by nearest-n_p continuation.
 
     Cell c's branch photon numbers are ``n_p[offsets[c]:offsets[c + 1]]``.
-    Ties break toward the lower previous label; branches with no antecedent
-    get fresh labels.  Labels stay unique within each cell.
+    Pairs of a branch and a previous label are matched greedily in the order
+    (distance, label, branch).  Ties break toward the lower previous label;
+    branches with no antecedent get fresh labels.  Labels stay unique within
+    each cell.  A cell whose branches are each strictly nearest to a
+    different branch of the cell before takes those branches' labels: that
+    is what the greedy matching gives, so only the other cells sort pairs.
     """
-    prev: dict[int, float] = {}
-    next_label = 0
     out = np.empty(len(n_p), dtype=np.int64)
-    every = np.asarray(n_p, dtype=float).tolist()
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
+    if len(offsets) < 2:
+        return out
+    offsets = np.asarray(offsets, dtype=np.int64)
+    n_p = np.asarray(n_p, dtype=float)[offsets[0]:offsets[-1]]
+    counts = np.diff(offsets)
+    near, taken = _antecedents(n_p, counts)
+    # each entry's root: the first entry up its chain of taken labels
+    root = np.where(np.repeat(taken, counts), near, np.arange(len(near)))
+    while not np.array_equal(root[root], root):
+        root = root[root]
+    labels = np.zeros(len(n_p), dtype=np.int64)
+    every = n_p.tolist()
+    bounds = (offsets - offsets[0]).tolist()
+    next_label = 0
+    for c in np.flatnonzero(~taken & (counts > 0)).tolist():
+        lo, hi = bounds[c], bounds[c + 1]
+        start = bounds[c - 1] if c else lo
+        prev = labels[root[start:lo]].tolist()
         nps = every[lo:hi]
         assignment: dict[int, int] = {}
-        for _, label, k in sorted((abs(n - n_prev), label, k)
-                                  for k, n in enumerate(nps)
-                                  for label, n_prev in prev.items()):
-            if label not in assignment.values() and k not in assignment:
+        used: set[int] = set()
+        matches = min(len(nps), len(prev))
+        for _, label, k in sorted(
+                (abs(n - n_prev), label, k) for k, n in enumerate(nps)
+                for label, n_prev in zip(prev, every[start:lo])):
+            if label not in used and k not in assignment:
                 assignment[k] = label
+                used.add(label)
+                if len(used) == matches:
+                    break
         for k in range(len(nps)):
             if k not in assignment:
                 assignment[k], next_label = next_label, next_label + 1
-        labels = [assignment[k] for k in range(len(nps))]
-        prev = dict(zip(labels, nps))
-        out[lo:hi] = labels
+        labels[lo:hi] = [assignment[k] for k in range(len(nps))]
+    out[offsets[0]:offsets[-1]] = labels[root]
     return out

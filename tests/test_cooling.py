@@ -153,6 +153,57 @@ def test_lyap_residual_diagnostic_on_every_cooled_row(monkeypatch, tmp_path):
     assert side.startswith("lyap-residual")
 
 
+@pytest.mark.parametrize("convention", ["kappa", "omega1"])
+@pytest.mark.parametrize("gamma_fallback", [True, False])
+def test_one_batch_of_cases_equals_a_batch_per_case(monkeypatch, convention,
+                                                    gamma_fallback):
+    # fig4's cases solved as one batch give each case the table and the
+    # diagnostics of its own batch; with the residual bound below any
+    # residual, every cooled row adds a lyap-residual to its ratio's
+    # coefficient-mismatch, so each sink holds diagnostics of two kinds
+    import quadmech.cooling as cooling
+    from quadmech import branch_cooling_sweep
+    from quadmech.recipes import RECIPES
+    monkeypatch.setattr(cooling, "LYAP_RESIDUAL_TOL", -1.0)
+    bases = RECIPES["fig4"][1]
+    ratios = np.linspace(0.05, 0.62, 20)
+    kw = dict(convention=convention, gamma_fallback=gamma_fallback)
+    diags = []
+    tables = branch_cooling_sweep(bases, ratios, diagnostics=diags, **kw)
+    assert list(tables) == list(bases)
+    alone = []
+    for case, base in bases.items():
+        table = branch_cooling_sweep(base, ratios, diagnostics=alone, **kw)
+        assert list(tables[case].cols) == list(table.cols)
+        assert list(tables[case].present) == list(table.present)
+        for name, col in table.cols.items():
+            got = tables[case].cols[name]
+            assert got.dtype == col.dtype
+            assert np.array_equal(got, col, equal_nan=col.dtype.kind == "f")
+        for name, keep in table.present.items():
+            assert np.array_equal(tables[case].present[name], keep)
+    assert len({d.kind for d in alone}) == 2
+    assert [(d.kind, d.message, d.cell) for d in diags] == \
+        [(d.kind, d.message, d.cell) for d in alone]
+
+
+def test_fig4_solves_both_cases_in_one_batch(monkeypatch):
+    # a perf guard: one steady solve and one branch_rows call (one Routh
+    # stack, one Lyapunov stack) per fig4 call, whatever its case count
+    import collections
+
+    import quadmech.recipes as recipes
+    calls = collections.Counter()
+    for name in ("solve_branches", "branch_rows"):
+        def counted(*args, _fn=getattr(recipes, name), _name=name, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(recipes, name, counted)
+    result = recipes.run_recipe("fig4", points=5)
+    assert list(result.tables) == ["linear", "quadratic"]
+    assert calls == {"solve_branches": 1, "branch_rows": 1}
+
+
 def test_hermitian_consistency(rng):
     # V is real symmetric; mapped back to the ladder operators, the
     # symmetrized <b+ b + b b+>/2 is V_u[4,1] = V_u[1,4]*

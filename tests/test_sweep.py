@@ -5,10 +5,13 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadmech import Axis, SweepSpec, run_sweep
 from quadmech.cli import write_table
-from quadmech.sweep import COLUMNS, InvalidSpec, validate_spec
+from quadmech.sweep import (COLUMNS, InvalidSpec, Table, continuation_labels,
+                            validate_spec)
 
 from conftest import (make_linearized, make_system, per_cell, root_counts,
                       table_rows)
@@ -221,7 +224,6 @@ def test_branch_curve_labels_follow_branches():
 
 
 def test_continuation_labels_follow_nearest_n_p():
-    from quadmech.sweep import continuation_labels
     # cells [1.0, 5.0], [1.1, 3.0, 4.9], [], [2.0], [1.2, 4.0]: a new branch
     # gets a fresh label; after an empty cell every label is fresh; a tie
     # goes to the lower previous label
@@ -230,6 +232,109 @@ def test_continuation_labels_follow_nearest_n_p():
         [0, 1, 0, 2, 1, 3, 3, 4]
     assert continuation_labels(np.array([1.0, 3.0, 2.0]),
                                [0, 2, 3]).tolist() == [0, 1, 0]
+
+
+def _greedy_labels(n_p, offsets):
+    """The labeller as a plain greedy matching of every cell's pairs in the
+    order (distance, label, branch): the reference of continuation_labels."""
+    prev = {}
+    next_label = 0
+    out = np.empty(len(n_p), dtype=np.int64)
+    every = np.asarray(n_p, dtype=float).tolist()
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        nps = every[lo:hi]
+        assignment = {}
+        for _, label, k in sorted((abs(n - n_prev), label, k)
+                                  for k, n in enumerate(nps)
+                                  for label, n_prev in prev.items()):
+            if label not in assignment.values() and k not in assignment:
+                assignment[k] = label
+        for k in range(len(nps)):
+            if k not in assignment:
+                assignment[k], next_label = next_label, next_label + 1
+        labels = [assignment[k] for k in range(len(nps))]
+        prev = dict(zip(labels, nps))
+        out[lo:hi] = labels
+    return out
+
+
+@st.composite
+def labelled_curves(draw):
+    """A curve of 1-40 cells of 0-7 branches each, with n_p on a coarse
+    grid, so that repeated values and exact distance ties occur, and in
+    ascending order within a cell when the draw says so, as the solver
+    gives them."""
+    counts = draw(st.lists(st.integers(0, 7), min_size=1, max_size=40))
+    step = draw(st.sampled_from([0.25, 0.5, 1.0, 3.0]))
+    n_p = [step * draw(st.integers(0, 12)) for _ in range(sum(counts))]
+    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    if draw(st.booleans()):
+        n_p = [x for lo, hi in zip(offsets[:-1], offsets[1:])
+               for x in sorted(n_p[lo:hi])]
+    return np.array(n_p, dtype=float), offsets
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(curve=labelled_curves())
+def test_continuation_labels_equal_the_greedy_reference(curve):
+    n_p, offsets = curve
+    assert continuation_labels(n_p, offsets).tolist() == \
+        _greedy_labels(n_p, offsets).tolist()
+    assert continuation_labels(n_p, offsets.tolist()).tolist() == \
+        _greedy_labels(n_p, offsets).tolist()
+
+
+def test_continuation_labels_on_figure_curves():
+    # the fig3d curve and the fig4 cases: the cells that take their
+    # nearest antecedents' labels and those matched greedily give the
+    # reference labels
+    from quadmech.recipes import RECIPES, branch_cooling_sweep
+    res = run_sweep(_spec(RECIPES["fig3d"][1], (Axis("theta", 0.0, math.pi,
+                                                     201),), "branch-curve"))
+    held = res.table.present["branch_index"]
+    counts = per_cell(res, held)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    n_p = res.table.cols["n_p"][held]
+    assert len(set(counts.tolist())) > 1
+    assert continuation_labels(n_p, offsets).tolist() == \
+        _greedy_labels(n_p, offsets).tolist()
+    ratios = np.linspace(0.05, 0.62, 58)
+    for convention in ("kappa", "omega1"):
+        for table in branch_cooling_sweep(RECIPES["fig4"][1], ratios,
+                                          convention).values():
+            ratio = table.cols["kappa_over_omega1"]
+            counts = np.array([np.count_nonzero(ratio == r) for r in ratios])
+            offsets = np.concatenate([[0], np.cumsum(counts)])
+            assert table.cols["branch_index"].tolist() == \
+                _greedy_labels(table.cols["n_p"], offsets).tolist()
+
+
+def test_table_split_gives_each_case_its_rows():
+    # per-cell row counts with zeros (a cell without rows, and a whole case
+    # without rows), cut case by case as branch_cooling_sweep cuts its batch
+    counts = np.array([[2, 0, 1], [0, 0, 0], [3, 1, 0]])
+    n = int(counts.sum())
+    table = Table({"n_p": np.arange(n, dtype=float),
+                   "stable": np.arange(n) % 2 == 0},
+                  {"n1f": np.arange(n) % 3 == 0})
+    parts = table.split(counts.sum(axis=1))
+    assert [len(t) for t in parts] == [3, 0, 4]
+    cell_rows = np.split(np.arange(n), np.cumsum(counts.ravel())[:-1])
+    for case, part in enumerate(parts):
+        rows = np.concatenate(cell_rows[3 * case:3 * case + 3])
+        assert list(part.cols) == ["n_p", "stable"]
+        assert list(part.present) == ["n1f"]
+        for name, col in table.cols.items():
+            assert part.cols[name].dtype == col.dtype
+            assert part.cols[name].tolist() == col[rows].tolist()
+        assert part.present["n1f"].tolist() == \
+            table.present["n1f"][rows].tolist()
+    whole = Table.concat(parts)
+    assert {k: v.tolist() for k, v in whole.cols.items()} == \
+        {k: v.tolist() for k, v in table.cols.items()}
+    assert whole.present["n1f"].tolist() == table.present["n1f"].tolist()
+    assert [len(t) for t in Table({"n_p": np.zeros(0)}).split([0, 0])] == \
+        [0, 0]
 
 
 def test_cooling_map_thermal_cells():
