@@ -63,7 +63,6 @@ class RunConfig:
     oracle: bool = True
     gamma_fallback: bool = True
     convention: str = "kappa"
-    scan_points: int = 4096
     threads: int = 1
     with_mech_damping: bool = False
     recipe: Optional[str] = None
@@ -125,7 +124,6 @@ FLAGS = {
     "oracle": _parse_bool,
     "gamma_fallback": _parse_bool,
     "convention": _parse_convention,
-    "scan_points": _parse_count,
     "threads": _parse_count,
     "with_mech_damping": _parse_bool,
     "points": _parse_count,
@@ -246,7 +244,6 @@ def _meta_for(cfg: RunConfig, params, extra: dict) -> dict:
     meta.update({"flag.oracle": cfg.oracle,
                  "flag.gamma_fallback": cfg.gamma_fallback,
                  "flag.convention": cfg.convention,
-                 "flag.scan_points": cfg.scan_points,
                  "flag.with_mech_damping": cfg.with_mech_damping})
     meta.update(extra)
     return meta
@@ -337,8 +334,7 @@ def _cmd_roots(cfg: RunConfig):
     (poly,) = batch_real_roots([coeffs])
     poly = [] if isinstance(poly, ZeroPolynomial) else poly
     diags: list[Diagnostic] = []
-    (orc,) = root_sets([p], cfg.oracle, cfg.scan_points,
-                       cfg.with_mech_damping, [diags])
+    (orc,) = root_sets([p], cfg.oracle, cfg.with_mech_damping, [diags])
     agree = roots_match(poly, orc) if cfg.oracle else None
     rows = Table({"branch_index": np.arange(len(poly)),
                   "n_p": np.array(poly, dtype=float)})
@@ -356,7 +352,6 @@ def _cmd_branches(cfg: RunConfig):
         raise ParseError("the branches command needs a [system] section")
     diags: list[Diagnostic] = []
     solved = solve_branches([p], oracle_mode=cfg.oracle,
-                            scan_points=cfg.scan_points,
                             with_damping=cfg.with_mech_damping,
                             diagnostics=[diags])
     rows = branch_rows(p, solved, [diags], cfg.gamma_fallback)
@@ -384,7 +379,6 @@ def _cmd_sweep(cfg: RunConfig):
         raise ParseError(f"mode {mode!r} needs the matching params section")
     spec = SweepSpec(axes=cfg.axes, base=base, mode=mode,
                      oracle_mode=cfg.oracle, gamma_fallback=cfg.gamma_fallback,
-                     scan_points=cfg.scan_points,
                      with_damping=cfg.with_mech_damping, threads=cfg.threads)
     result = run_sweep(spec)
     names = tuple(ax.name for ax in cfg.axes)
@@ -425,8 +419,7 @@ def _run_reproduce(cfg: RunConfig) -> list[Diagnostic]:
                          "damping in the steady-state algebra; "
                          "with_mech_damping on is not supported")
     result: RecipeResult = run_recipe(
-        cfg.recipe, points=cfg.points, threads=cfg.threads,
-        scan_points=cfg.scan_points, oracle=cfg.oracle,
+        cfg.recipe, points=cfg.points, threads=cfg.threads, oracle=cfg.oracle,
         gamma_fallback=cfg.gamma_fallback, convention=cfg.convention)
     columns = result.axis_names + COLUMNS
     recipe = {f"recipe.{k}": str(v) for k, v in result.meta.items()}

@@ -107,7 +107,7 @@ def _ratio_columns(bases: list[SystemParams], ratios: np.ndarray,
 
 def branch_cooling_sweep(base: Union[SystemParams, Mapping[str, SystemParams]],
                          ratios: np.ndarray, convention: str = "kappa",
-                         oracle: bool = True, scan_points: int = 4096,
+                         oracle: bool = True,
                          diagnostics: Optional[list[Diagnostic]] = None,
                          gamma_fallback: bool = True
                          ) -> Union[Table, dict[str, Table]]:
@@ -133,8 +133,7 @@ def branch_cooling_sweep(base: Union[SystemParams, Mapping[str, SystemParams]],
     ratios = np.asarray(ratios, dtype=float)
     p = _ratio_columns(list(cases.values()), ratios, convention)
     sinks: list[list[Diagnostic]] = [[] for _ in p.eta]
-    solved = solve_branches(p, oracle_mode=oracle, scan_points=scan_points,
-                            diagnostics=sinks)
+    solved = solve_branches(p, oracle_mode=oracle, diagnostics=sinks)
     counts = np.bincount(solved.owner, minlength=len(sinks)).reshape(
         len(cases), len(ratios))
     rows = branch_rows(p, solved, sinks, gamma_fallback)
@@ -154,8 +153,7 @@ def branch_cooling_sweep(base: Union[SystemParams, Mapping[str, SystemParams]],
 
 
 def run_recipe(tag: str, points: Optional[int] = None, threads: int = 1,
-               scan_points: int = 4096, oracle: bool = True,
-               gamma_fallback: bool = True,
+               oracle: bool = True, gamma_fallback: bool = True,
                convention: str = "kappa") -> RecipeResult:
     """Run one canned reproduction; see RECIPES for available tags.
     ``points``, when given, overrides every axis's own."""
@@ -169,8 +167,7 @@ def run_recipe(tag: str, points: Optional[int] = None, threads: int = 1,
         diags: list[Diagnostic] = []
         rows = branch_cooling_sweep(
             base, axes[0].values(), convention=convention, oracle=oracle,
-            scan_points=scan_points, diagnostics=diags,
-            gamma_fallback=gamma_fallback)
+            diagnostics=diags, gamma_fallback=gamma_fallback)
         tables = {case: (rows[case], case_base)
                   for case, case_base in base.items()}
         return RecipeResult(tag=tag, axis_names=names, tables=tables,
@@ -178,8 +175,7 @@ def run_recipe(tag: str, points: Optional[int] = None, threads: int = 1,
                             diagnostics=diags)
     result = run_sweep(SweepSpec(
         axes=axes, base=base, mode=mode, oracle_mode=oracle,
-        gamma_fallback=gamma_fallback, scan_points=scan_points,
-        threads=threads))
+        gamma_fallback=gamma_fallback, threads=threads))
     return RecipeResult(
         tag=tag, axis_names=names, tables={"": (result.table, base)},
         meta={"mode": mode, "axes": [(ax.name, ax.lo, ax.hi, ax.points,

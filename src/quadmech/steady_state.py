@@ -6,9 +6,10 @@ taken from the exact rational form of the mechanical displacements
 (``RationalResponse``).  ``exact_roots`` solves the degree-7 polynomial Q(n)
 that f(n) = 0 clears to, in a pole-centred variable, by stacked
 companion-matrix eigenvalues, polishes each root by bisection on f and
-certifies each cell.  A cell whose certificate fails takes the roots of the
-scan oracle (``oracle_roots``), which brackets and bisects f on a 4096-point
-grid and is the authority the tests hold the exact route to.  Every root must
+certifies each cell.  A cell whose certificate fails takes the roots of
+critical-point isolation (``oracle_roots``), which brackets every root of the
+same polynomial between the real roots of its derivative and bisects f; the
+tests hold both routes to an exact rational Sturm count.  Every root must
 pass the self-consistency residual of a dense 4x4 mechanical solve
 (``reconstruct_branches``).  All routes run on a column record of parameter
 sets (a single set is a batch of one) and give one ``Branches`` record.
@@ -36,10 +37,8 @@ IMAG_TOL = 1e-7           # |Im r| < IMAG_TOL*(1+|Re r|) counts as real
 DEDUPE_TOL = 1e-8         # roots closer than DEDUPE_TOL*(1+n) merge
 MATCH_TOL = 1e-6          # `roots` agreement: within MATCH_TOL*max(1,n)
 COEFF_TOL = 1e-12         # closed-form/fixed-point coefficient gap, of max |C_m|
-ORACLE_MARGIN = 0.05      # scan upper bound: (1+margin)*eta^2/kappa^2
+ORACLE_MARGIN = 0.05      # root window: [0, (1+margin)*eta^2/kappa^2]
 SINGULAR_COND = 1e14      # condition-number cutoff of the 4x4 mechanical solve
-SCAN_BLOCK = 1 << 13      # oracle scan points evaluated at once (bounds memory)
-MIN_SCAN_POINTS = 1000    # coarsest oracle scan grid accepted
 POLE_TOL = 1e-9           # exact roots within POLE_TOL*(1+c) of the pole drop
 POLISH_TOL = 1e-7         # exact-route polish bracket: +-POLISH_TOL*max(1,n)
 
@@ -343,8 +342,8 @@ def mechanical_response(p: SystemParams, n_p: float,
     polynomial encodes; ``with_damping=True`` retains gamma for sensitivity
     studies.  Raises SingularMechanicalSystem when the 4x4 system is
     (numerically) singular.  This dense solve is independent of the rational
-    response the oracle scans with, so ``reconstruct_branch`` checks every
-    root against it.  A batch of one of the stacked solve behind
+    response both root routes solve with, so ``reconstruct_branch`` checks
+    every root against it.  A batch of one of the stacked solve behind
     ``reconstruct_branches``.
     """
     sol, (error,) = _mechanical_solve(param_columns(p)[0], [0], [n_p],
@@ -480,74 +479,6 @@ def reconstruct_branch(p: SystemParams, n_p: float,
     return reconstruct_branches(p, [[n_p]], with_damping).branch(0)
 
 
-def _spaced(lo: np.ndarray, hi: np.ndarray, num: int,
-            log: bool = False) -> np.ndarray:
-    """np.linspace (or np.geomspace) from lo to hi, one row per cell.
-
-    Once any row of a stack has a zero step, NumPy spaces the whole stack by
-    a second formula, which rounds differently; such rows get a call of
-    their own, so every row equals the call for its cell alone."""
-    space, ends = (np.geomspace, np.log10) if log else (np.linspace, np.asarray)
-    flat = (ends(hi) - ends(lo)) / (num - 1) == 0.0
-    if not flat.any():
-        return space(lo, hi, num, axis=1)
-    out = np.empty((len(lo), num))
-    for rows in (flat, ~flat):
-        out[rows] = space(lo[rows], hi[rows], num, axis=1)
-    return out
-
-
-def _scan_grids(q: SystemParams, scan_points: int):
-    """Scan grids of a column record's sets, flattened in order, and their
-    sizes.
-
-    Each grid is uniform on [0, (1+margin)*eta^2/kappa^2].  When the
-    quadratic coupling puts the mechanical resonance pole inside the window,
-    extra geometrically clustered points straddle it: the fixed-point map
-    varies over many decades there and a uniform grid misses brackets.  A
-    row sort with a first-of-equal mask merges them in, as np.unique would.
-    Window and pole take Python's float arithmetic (``x**2`` is pow).
-    """
-    n_max = [(1.0 + ORACLE_MARGIN) * e**2 / k**2
-             for e, k in zip(q.eta.tolist(), q.kappa.tolist())]
-    # the photon number at which the mechanical solve turns singular
-    poles = [(x**2 - w1 * w2) / (4.0 * g2 * w1) if g2 != 0.0 else math.inf
-             for x, w1, w2, g2 in zip(q.omega_ex.tolist(), q.omega1.tolist(),
-                                      q.omega2.tolist(), q.g2.tolist())]
-    inside = np.array([0.0 < x < m for x, m in zip(poles, n_max)], dtype=bool)
-    n_max = np.array(n_max, dtype=float)
-    full = np.full((len(n_max), scan_points + 1024), np.inf)
-    full[:, :scan_points] = _spaced(np.zeros(len(n_max)), n_max, scan_points)
-    if inside.any():
-        pole = np.array([x for x, ok in zip(poles, inside) if ok])[:, None]
-        top = n_max[inside, None]
-        d = _spaced(1e-9 * (1.0 + pole[:, 0]), top[:, 0], 512, log=True)
-        extra = np.concatenate([pole - d, pole + d], axis=1)
-        extra[~((extra > 0.0) & (extra < top))] = np.inf
-        full[inside, scan_points:] = extra
-        full.sort(axis=1)       # leaves the rows without a cluster as they are
-    # repeats are dropped only where np.unique ran: rows with a pole cluster
-    keep = np.isfinite(full)
-    keep[:, 1:] &= (full[:, 1:] != full[:, :-1]) | ~inside[:, None]
-    return full[keep], keep.sum(axis=1)
-
-
-def _scan_blocks(q: SystemParams, cells: list[int], scan_points: int):
-    """Scan grids of ``cells`` in blocks of whole cells, about SCAN_BLOCK
-    points each; yields (block cells, their point counts, flattened grid).
-    Grids are built for groups of cells that fill about four blocks, which
-    bounds the memory the grids of a batch take."""
-    group = max(1, 4 * SCAN_BLOCK // scan_points)
-    for g in range(0, len(cells), group):
-        owners = cells[g:g + group]
-        grid, counts = _scan_grids(take_columns(q, owners), scan_points)
-        first = start = 0
-        for j, end in enumerate(np.cumsum(counts).tolist()):
-            if end - start >= SCAN_BLOCK or j == len(owners) - 1:
-                yield owners[first:j + 1], counts[first:j + 1], grid[start:end]
-                first, start = j + 1, end
-
-
 def _bisect(resp: RationalResponse, lo: np.ndarray, hi: np.ndarray,
             flo: np.ndarray) -> np.ndarray:
     """Midpoints of all brackets after bisection, evaluated together.
@@ -577,55 +508,66 @@ def _bisect(resp: RationalResponse, lo: np.ndarray, hi: np.ndarray,
     return out
 
 
-def oracle_roots(p, scan_points: int = 4096,
-                 diagnostics=None,
-                 with_damping: bool = False):
-    """Fixed-point roots by scan/bracket/bisection; never touches the
-    closed-form polynomial coefficients.
+def oracle_roots(p, diagnostics=None, with_damping: bool = False):
+    """Fixed-point roots by critical-point isolation of the exact degree-7
+    polynomial; never touches the closed-form coefficients.
 
     ``p`` is one parameter set (roots come back as a list, diagnostics go to
     the list ``diagnostics``) or a column record or sequence of them (one
     root list per set, ``diagnostics`` then holds one list per set).  A
-    single set is a batch of one.  Each set is scanned on its own grid
-    (``_scan_grids``); the grids of a batch are flattened with per-cell
-    owners and evaluated in blocks, and every bracket of the batch is
-    bisected at once.
+    single set is a batch of one.  Q (``_fixed_point_q``, in the
+    pole-centred variable of ``exact_roots``) is monotone between
+    consecutive real roots of Q', so its signs at the breakpoints (the
+    window ends 0 and w, the real parts of Q''s companion roots and the
+    edges of the pole exclusion |n - pole| <= POLE_TOL*(1+c)) count and
+    bracket every root in [0, w].  Each strict sign change between
+    consecutive breakpoints outside the exclusion is one root, bisected on
+    f by ``_bisect``.  A set with eta = 0 has the one root 0, and a set
+    whose Q is not finite gets a non-finite-polynomial diagnostic and no
+    roots.
     """
     q, scalar = param_columns(p)
     if scalar:
         sinks = None if diagnostics is None else [diagnostics]
-        return oracle_roots(q, scan_points, sinks, with_damping)[0]
-    if scan_points < MIN_SCAN_POINTS:
-        raise ValueError(f"scan_points must be >= {MIN_SCAN_POINTS}")
-    found: list[list[float]] = [[0.0] if e == 0.0 else []
-                                for e in q.eta.tolist()]
-    live = [k for k, roots in enumerate(found) if not roots]
+        return oracle_roots(q, sinks, with_damping)[0]
     resp = RationalResponse.of(q, with_damping)
-    brackets = []
-    for owners, counts, grid in _scan_blocks(q, live, scan_points):
-        cell = np.repeat(owners, counts)
-        f = fixed_point_defect(resp.take(owners, counts), grid)
-        ok = np.isfinite(f)
-        if not ok.all():
-            bad = np.bincount(cell[~ok], minlength=len(found))
-            if diagnostics is not None:
-                for k in np.nonzero(bad)[0]:
-                    diagnostics[k].append(Diagnostic(
-                        "singular-scan-point",
-                        f"skipped {int(bad[k])} singular scan points"))
-            ok &= np.bincount(cell[ok], minlength=len(found))[cell] >= 2
-            grid, f, cell = grid[ok], f[ok], cell[ok]
-        for k, g in zip(cell[f == 0.0], grid[f == 0.0]):
-            found[k].append(float(g))
-        sgn = np.sign(f)
-        idx = np.nonzero((sgn[:-1] * sgn[1:] < 0.0)
-                         & (cell[:-1] == cell[1:]))[0]
-        brackets.append((grid[idx], grid[idx + 1], f[idx], cell[idx]))
-    if brackets:
-        lo, hi, flo, owner = (np.concatenate(x) for x in zip(*brackets))
-        for k, r in zip(owner, _bisect(resp.take(owner), lo, hi, flo)):
-            found[k].append(float(r))
-    return [_distinct(roots) for roots in found]
+    pole, c, w = _window(resp)
+    Q = _fixed_point_q(resp, c, w)
+    _, zeros, groups = _companion_roots(
+        (Q[:, 1:] * np.arange(1.0, 8.0))[:, ::-1])        # Q'
+    h = POLE_TOL * (1.0 + c)
+    B = np.zeros((len(c), 11))              # breakpoints in n; spares are 0
+    B[:, 1], B[:, 2], B[:, 3] = w, pole - h, pole + h
+    B[:, 4] = np.where(zeros > 0, c, 0.0)   # a critical point at t = 0
+    for rows, t in groups:
+        B[rows, 5:5 + t.shape[1]] = c[rows, None] + w[rows, None] * t.real
+    B = np.clip(np.nan_to_num(B), 0.0, w[:, None])
+    B.sort(axis=1)
+    with np.errstate(all="ignore"):
+        t = (B - c[:, None]) / w[:, None]
+        V = np.zeros_like(B)                # Q at the breakpoints
+        for j in range(7, -1, -1):
+            V = V * t + Q[:, j:j + 1]
+    V = np.sign(V)      # products of signs cannot underflow
+    eta = resp.coef[8]
+    finite = np.isfinite(Q).all(axis=1)
+    live = ((eta != 0.0) & finite)[:, None]
+    mid = 0.5 * (B[:, 1:] + B[:, :-1])
+    sign = ((V[:, :-1] * V[:, 1:] < 0.0) & live
+            & ~(np.abs(mid - pole[:, None]) <= h[:, None]))
+    k, i = np.nonzero(sign)
+    found: list[list[float]] = [[0.0] if e == 0.0 else []
+                                for e in eta.tolist()]
+    # f has the sign of -Q away from the pole
+    roots = _bisect(resp.take(k), B[k, i], B[k, i + 1], -V[k, i])
+    for cell, r in zip(k.tolist(), roots.tolist()):
+        found[cell].append(r)
+    if diagnostics is not None:
+        for cell in np.flatnonzero((eta != 0.0) & ~finite).tolist():
+            diagnostics[cell].append(Diagnostic(
+                "non-finite-polynomial",
+                "Q has non-finite coefficients; no roots isolated"))
+    return [_distinct(r) for r in found]
 
 
 def _distinct(roots: list[float]) -> list[float]:
@@ -676,6 +618,18 @@ def _fixed_point_q(resp: RationalResponse, c: np.ndarray,
                 - _pad((eta**2)[:, None] * D4, 8))
 
 
+def _window(resp: RationalResponse):
+    """The mechanical pole -d0/d1 of every column of ``resp``, the centre c
+    of its pole-centred variable (the pole when it lies inside the window,
+    else 0) and the window w = (1+ORACLE_MARGIN) eta^2/kappa^2."""
+    d0, d1 = resp.coef[3:5]
+    eta, kappa = resp.coef[8:]
+    with np.errstate(all="ignore"):
+        w = (1.0 + ORACLE_MARGIN) * eta**2 / kappa**2
+        pole = -d0 / d1
+    return pole, np.where((pole > 0.0) & (pole < w), pole, 0.0), w
+
+
 def exact_roots(resp: RationalResponse) -> tuple[list[list[float]],
                                                  list[Optional[str]]]:
     """Fixed-point roots of every column of ``resp`` from an exact degree-7
@@ -684,7 +638,7 @@ def exact_roots(resp: RationalResponse) -> tuple[list[list[float]],
 
     With Delta = P/D^2, f(n) = 0 away from the pole exactly when Q(n) = 0
     (``_fixed_point_q``).  Q is solved in the pole-centred variable
-    n = c + w t, where w is the scan window (1+ORACLE_MARGIN) eta^2/kappa^2
+    n = c + w t, where w is the root window (1+ORACLE_MARGIN) eta^2/kappa^2
     and c is the pole -d0/d1 when it lies inside the window (else 0), by the
     stacked companion eigenvalues of ``_companion_roots``.  Real roots in
     [0, w] are kept, except those within POLE_TOL*(1+c) of the pole: the D
@@ -696,12 +650,8 @@ def exact_roots(resp: RationalResponse) -> tuple[list[list[float]],
     with eta > 0, the count is odd (f(0) > 0 > f(w)).  A column with eta = 0
     has the one root 0.
     """
-    d0, d1 = resp.coef[3:5]
-    eta, kappa = resp.coef[8:]
-    w = (1.0 + ORACLE_MARGIN) * eta**2 / kappa**2
-    with np.errstate(all="ignore"):
-        pole = -d0 / d1
-        c = np.where((pole > 0.0) & (pole < w), pole, 0.0)
+    eta = resp.coef[8]
+    pole, c, w = _window(resp)
     Q = _fixed_point_q(resp, c, w)
     solvable, zeros, groups = _companion_roots(Q[:, ::-1])
     origin = np.flatnonzero(solvable & (zeros > 0))     # t = 0 is n = c
@@ -765,25 +715,22 @@ def coefficient_deviation(p, resp: RationalResponse) -> np.ndarray:
         return np.abs(C - s[:, None] * Q) / np.abs(C).max(axis=1)[:, None]
 
 
-def root_sets(p, oracle_mode: bool, scan_points: int, with_damping: bool,
+def root_sets(p, oracle_mode: bool, with_damping: bool,
               sinks: list[list[Diagnostic]]) -> list:
     """The fixed-point roots of each set of a column record (or sequence of
     sets), ascending and distinct.
 
     The roots come from one ``exact_roots`` call for the batch.  With
-    ``oracle_mode``, a set whose certificate fails gets a scan-fallback
-    diagnostic naming the failed check and the scan oracle's roots instead
-    (one ``oracle_roots`` call for all such sets), and a set whose
-    closed-form coefficients lie more than COEFF_TOL from the fixed-point
-    map's (``coefficient_deviation``, against the undamped map whatever
-    ``with_damping``) gets a coefficient-mismatch diagnostic naming the
-    coefficients beyond it.  Without it, the exact route's roots
-    stand as they come, uncertified ones included, and nothing is compared.
-    With it, a scan grid coarser than MIN_SCAN_POINTS raises ValueError
-    before any solve, whether or not a fallback would scan.
+    ``oracle_mode``, a set whose certificate fails gets an
+    isolation-fallback diagnostic naming the failed check and the roots of
+    critical-point isolation instead (one ``oracle_roots`` call for all such
+    sets), and a set whose closed-form coefficients lie more than COEFF_TOL
+    from the fixed-point map's (``coefficient_deviation``, against the
+    undamped map whatever ``with_damping``) gets a coefficient-mismatch
+    diagnostic naming the coefficients beyond it.  Without it, the exact
+    route's roots stand as they come, uncertified ones included, and nothing
+    is compared.
     """
-    if oracle_mode and scan_points < MIN_SCAN_POINTS:
-        raise ValueError(f"scan_points must be >= {MIN_SCAN_POINTS}")
     q, _ = param_columns(p)
     resp = RationalResponse.of(q, with_damping)
     roots, failed = exact_roots(resp)
@@ -792,28 +739,35 @@ def root_sets(p, oracle_mode: bool, scan_points: int, with_damping: bool,
     redo = [k for k, why in enumerate(failed) if why is not None]
     for k in redo:
         sinks[k].append(Diagnostic(
-            "scan-fallback",
+            "isolation-fallback",
             f"exact-root certificate failed ({failed[k]}); roots from "
-            f"the {scan_points}-point scan"))
+            f"critical-point isolation"))
     if redo:
-        scanned = oracle_roots(take_columns(q, redo), scan_points,
-                               [sinks[k] for k in redo], with_damping)
-        for k, found in zip(redo, scanned):
+        isolated = oracle_roots(take_columns(q, redo),
+                                [sinks[k] for k in redo], with_damping)
+        for k, found in zip(redo, isolated):
             roots[k] = found
     # the closed form has no damping terms: compare it with the undamped map
     dev = coefficient_deviation(
         q, RationalResponse.of(q, False) if with_damping else resp)
-    for k in np.flatnonzero(~(dev.max(axis=1) <= COEFF_TOL)).tolist():
-        off = " ".join(f"C{m} {d:.1e}" for m, d in enumerate(dev[k].tolist())
-                       if not d <= COEFF_TOL)
+    off = ~(dev <= COEFF_TOL)
+    cells, terms = np.nonzero(off)
+    # every flagged "C<m> <deviation>" of the batch in one format
+    named = ("C%d %.1e\n" * len(terms) % tuple(
+        x for pair in zip(terms.tolist(), dev[off].tolist()) for x in pair)
+             ).split("\n")
+    counts = np.bincount(cells, minlength=len(dev))
+    for k, end in zip(np.flatnonzero(counts).tolist(),
+                      np.cumsum(counts)[counts > 0].tolist()):
         sinks[k].append(Diagnostic(
             "coefficient-mismatch",
-            f"closed-form {off} off the fixed-point map, of max |C_m|"))
+            f"closed-form {' '.join(named[end - counts[k]:end])} off the "
+            f"fixed-point map, of max |C_m|"))
     return roots
 
 
-def solve_branches(p, oracle_mode: bool = True, scan_points: int = 4096,
-                   with_damping: bool = False, diagnostics=None):
+def solve_branches(p, oracle_mode: bool = True, with_damping: bool = False,
+                   diagnostics=None):
     """All self-consistent steady-state branches, ascending in n_p.
 
     ``p`` is one parameter set (a list of SteadyStateBranch comes back,
@@ -828,12 +782,11 @@ def solve_branches(p, oracle_mode: bool = True, scan_points: int = 4096,
     q, scalar = param_columns(p)
     if scalar:
         sinks = None if diagnostics is None else [diagnostics]
-        found = solve_branches(q, oracle_mode, scan_points, with_damping,
-                               sinks)
+        found = solve_branches(q, oracle_mode, with_damping, sinks)
         return [found.branch(k) for k in range(len(found.n_p))]
     sinks = diagnostics if diagnostics is not None else [[] for _ in q.eta]
     found = reconstruct_branches(
-        q, root_sets(q, oracle_mode, scan_points, with_damping, sinks),
+        q, root_sets(q, oracle_mode, with_damping, sinks),
         with_damping)
     kept = np.equal(found.rejection, None)
     for k in np.flatnonzero(~kept).tolist():

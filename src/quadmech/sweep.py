@@ -3,8 +3,9 @@
 Cells are independent pure computations; their rows form one column ``Table``
 in row-major cell order whatever the worker count, so identical specs produce
 identical tables.  Cells are solved in batches, each one column record of
-parameters: per batch of steady-state cells one exact-root call (the scan
-oracle runs only for cells whose roots it cannot certify), one stacked
+parameters: per batch of steady-state cells one exact-root call
+(critical-point isolation runs only for cells whose roots it cannot
+certify), one stacked
 reconstruction of every candidate and two stacked Routh tests; per batch of
 cooling cells one batched Lyapunov solve.  A cell's result depends only on
 the cell, never on the batch it shares.  A sweep on N > 1 workers starts a
@@ -32,8 +33,7 @@ from .params import (LINEARIZED_NUMERIC, SYSTEM_NUMERIC, LinearizedParams,
                      SystemParams, param_columns, take_columns,
                      validate_params)
 from .stability import classify_branch_stability, derive_linearized
-from .steady_state import (MIN_SCAN_POINTS, Branches, Diagnostic,
-                           solve_branches)
+from .steady_state import Branches, Diagnostic, solve_branches
 
 MODES = ("root-count", "stable-count", "branch-curve", "cooling")
 # Cells solved as one batch: enough to amortise the fixed per-batch cost of
@@ -84,7 +84,6 @@ class SweepSpec:
     mode: str
     oracle_mode: bool = True
     gamma_fallback: bool = True
-    scan_points: int = 4096
     with_damping: bool = False
     threads: int = 1
 
@@ -149,9 +148,6 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         raise InvalidSpec("cooling sweeps take a LinearizedParams base")
     if spec.mode != "cooling" and not isinstance(spec.base, SystemParams):
         raise InvalidSpec(f"{spec.mode} sweeps take a SystemParams base")
-    if (spec.mode != "cooling" and spec.oracle_mode
-            and spec.scan_points < MIN_SCAN_POINTS):
-        raise InvalidSpec(f"scan_points must be >= {MIN_SCAN_POINTS}")
     numeric = (SYSTEM_NUMERIC if isinstance(spec.base, SystemParams)
                else LINEARIZED_NUMERIC)
     for ax in spec.axes:
@@ -239,8 +235,8 @@ def _eval_steady_batch(spec: SweepSpec, p: SystemParams, sinks):
     def solve(ks, ks_sinks):
         q = validate_params(p if ks is cells else take_columns(p, ks))
         solved = solve_branches(
-            q, oracle_mode=spec.oracle_mode, scan_points=spec.scan_points,
-            with_damping=spec.with_damping, diagnostics=ks_sinks)
+            q, oracle_mode=spec.oracle_mode, with_damping=spec.with_damping,
+            diagnostics=ks_sinks)
         return (branch_rows(q, solved, ks_sinks, spec.gamma_fallback),
                 np.bincount(solved.owner, minlength=len(ks)))
     counts = np.zeros(len(cells), dtype=np.int64)

@@ -6,12 +6,14 @@ the nonlinear mean-field flow numerically (against ``build_drift_matrix``),
 matrices of the ladder-operator fluctuations (against the real quadrature
 forms, through ``QUADRATURE_T``), ``spectral_phonons`` integrates their
 resolvent over frequency (against the Lyapunov solve behind
-``cool_linearized``), and ``stacked_detuning`` solves the mechanical steady
+``cool_linearized``), ``stacked_detuning`` solves the mechanical steady
 state read off the flow, one 4x4 system per photon number (against the
-rational response the oracle scans with).
+rational response both root routes use), and ``sturm_root_count`` counts
+the fixed-point roots exactly, by a Sturm chain on a rational polynomial
+built from the 4x4 system (against both root routes).
 
 The per-cell references are the one-cell-at-a-time forms of the batched
-steady-state routes (scan grid, polynomial roots, branch reconstruction,
+steady-state routes (polynomial roots, branch reconstruction,
 linearization); the batched routes must equal them exactly.  At the end,
 ``write_table_rows`` is the per-row table writer the column writer
 ``cli.write_table`` must equal byte for byte, and ``table_rows`` and
@@ -23,6 +25,7 @@ import io
 import json
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +35,7 @@ from scipy.integrate import quad
 from quadmech import (LinearizedParams, SystemParams, SteadyStateBranch,
                       validate_params)
 from quadmech.steady_state import (DEDUPE_TOL, DEFLATE_TOL, IMAG_TOL, NEG_TOL,
-                                   ORACLE_MARGIN, ROOT_ACCEPT_TOL,
+                                   ORACLE_MARGIN, POLE_TOL, ROOT_ACCEPT_TOL,
                                    SINGULAR_COND, ResidualTooLarge,
                                    SingularMechanicalSystem, ZeroPolynomial)
 
@@ -217,24 +220,168 @@ def stacked_detuning(p, n_values):
 
 
 # ---------------------------------------------------------------------------
-# per-cell references of the batched steady-state routes
+# exact root count: rational polynomials and a Sturm chain
 # ---------------------------------------------------------------------------
 
-def scan_grid_reference(p, scan_points):
-    """Uniform scan grid, plus the geometric cluster around the mechanical
-    pole when it lies inside the window, merged by np.unique."""
-    n_max = (1.0 + ORACLE_MARGIN) * p.eta**2 / p.kappa**2
-    grid = np.linspace(0.0, n_max, scan_points)
-    pole = None
-    if p.g2 != 0.0:
-        pole = (p.omega_ex**2 - p.omega1 * p.omega2) / (4.0 * p.g2 * p.omega1)
-    if pole is not None and 0.0 < pole < n_max:
-        d = np.geomspace(1e-9 * (1.0 + pole), n_max, 512)
-        extra = np.concatenate([pole - d, pole + d])
-        extra = extra[(extra > 0.0) & (extra < n_max)]
-        grid = np.unique(np.concatenate([grid, extra]))
-    return grid
+def _padd(a, b):
+    """Sum of two ascending coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + (b[k] if k < len(b) else 0) for k, x in enumerate(a)]
 
+
+def _pmul(a, b):
+    """Product of two ascending coefficient lists."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _trim(a):
+    """The list without its zero leading (highest) coefficients."""
+    while a and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
+def _det(m):
+    """Determinant of a square matrix of polynomials, by Laplace expansion
+    along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    out = [Fraction(0)]
+    for j, entry in enumerate(m[0]):
+        minor = [row[:j] + row[j + 1:] for row in m[1:]]
+        term = _pmul(entry, _det(minor))
+        out = _padd(out, term if j % 2 == 0 else [-x for x in term])
+    return out
+
+
+def exact_q(p, with_damping=False):
+    """Ascending rational coefficients of Q(n) = n (kappa^2 D^4 + P^2) -
+    eta^2 D^4, and those of D, for one parameter set taken as exact
+    rationals (cos and sin of theta as the floats NumPy gives).
+
+    The mechanical steady state solves the 4x4 real system of Re/Im of the
+    b1 and b2 equations of ``classical_rhs`` at photon number n, with
+    unknowns (Re b1, Im b1, Re b2, Im b2).  By Cramer's rule Re b1 = N1/D
+    and Re b2 = N3/D, with D the determinant and N1, N3 the numerators, all
+    polynomials in n; then Delta = delta_c + 2 g1 Re b1 + 4 g2 (Re b2)^2 =
+    P / D^2 with P = delta_c D^2 + 2 g1 N1 D + 4 g2 N3^2, and f(n) = 0 away
+    from D = 0 exactly when Q(n) = 0.
+    """
+    F = Fraction
+    c, s = (F(float(x)) for x in (np.cos(p.theta), np.sin(p.theta)))
+    w1, w2, om, g1, g2 = (F(x) for x in (p.omega1, p.omega2, p.omega_ex,
+                                         p.g1, p.g2))
+    y1, y2 = ((F(p.gamma1), F(p.gamma2)) if with_damping
+              else (F(0), F(0)))
+    m = [[[-y1], [w1], [om * s], [om * c]],
+         [[-w1], [-y1], [-om * c], [om * s]],
+         [[-om * s], [om * c], [-y2], [w2]],
+         [[-om * c], [-om * s], [-w2, -4 * g2], [-y2]]]
+    rhs = [[F(0)], [F(0), g1], [F(0)], [F(0)]]
+
+    def numerator(j):
+        return _det([row[:j] + [r] + row[j + 1:] for row, r in zip(m, rhs)])
+    D, N1, N3 = _det(m), numerator(0), numerator(2)
+    D2 = _pmul(D, D)
+    D4 = _pmul(D2, D2)
+    P = _padd(_padd([F(p.delta_c) * x for x in D2],
+                    [2 * g1 * x for x in _pmul(N1, D)]),
+              [4 * g2 * x for x in _pmul(N3, N3)])
+    inner = _padd([F(p.kappa) ** 2 * x for x in D4], _pmul(P, P))
+    Q = _padd([F(0)] + inner, [-F(p.eta) ** 2 * x for x in D4])
+    return _trim(Q), _trim(D)
+
+
+def _pdiv(a, b):
+    """Integer pseudo-division: quotient and remainder of |lc(b)|^m a by b,
+    m = deg a - deg b + 1 (ascending integer lists, b trimmed).  The factor
+    is positive, so signs are kept."""
+    a, lc = list(a), b[-1]
+    sign, scale = (1 if lc > 0 else -1), abs(lc)
+    quot = [0] * max(1, len(a) - len(b) + 1)
+    for k in range(len(a) - len(b), -1, -1):
+        f = a[k + len(b) - 1] * sign
+        a = [x * scale for x in a]
+        quot = [x * scale for x in quot]
+        quot[k] = f
+        for j, y in enumerate(b):
+            a[k + j] -= f * y
+    return quot, _trim(a[:len(b) - 1])
+
+
+def _primitive(a):
+    """An integer list divided by the gcd of its entries."""
+    g = math.gcd(*a)
+    return [x // g for x in a]
+
+
+def _sturm_chain(q):
+    """Sturm chain of the square-free part of the rational list q (trimmed,
+    degree >= 1), as integer lists: each link is a positive multiple of the
+    textbook one, which keeps every sign."""
+    def chain(p):
+        out = [p, _primitive([k * x for k, x in enumerate(p)][1:])]
+        while len(out[-1]) > 1:
+            r = _pdiv(out[-2], out[-1])[1]
+            if not r:
+                break
+            out.append([-x for x in _primitive(r)])
+        return out
+    scale = math.lcm(*(x.denominator for x in q))
+    p = _primitive([int(x * scale) for x in q])
+    links = chain(p)
+    if len(links[-1]) > 1:                  # gcd(q, q') of positive degree
+        links = chain(_primitive(_pdiv(p, links[-1])[0]))
+    return links
+
+
+def _sign_at(poly, x):
+    """The sign of an ascending integer list at the rational x = u/v: that
+    of the sum of c_k u^k v^(n-k), since v > 0."""
+    u, v, n = x.numerator, x.denominator, len(poly) - 1
+    value = sum(c * u**k * v**(n - k) for k, c in enumerate(poly))
+    return (value > 0) - (value < 0)
+
+
+def _variations(chain, x):
+    """Sign changes of the chain evaluated at x, zeros dropped."""
+    signs = [v for v in (_sign_at(poly, x) for poly in chain) if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def sturm_root_count(p, with_damping=False, exclude_pole=True):
+    """The number of distinct roots of the exact Q (``exact_q``) in (0, w],
+    w = (1+ORACLE_MARGIN) eta^2/kappa^2, counted by a Sturm chain without
+    rounding.  With ``exclude_pole``, roots with |n - pole| <=
+    POLE_TOL*(1+c) do not count, pole = -D0/D1 and c the pole when it lies
+    in (0, w), else 0: the convention of the exact route.  A set with
+    eta = 0 has the one root 0."""
+    if p.eta == 0.0:
+        return 1
+    q, d = exact_q(p, with_damping)
+    chain = _sturm_chain(q)
+    w = (1 + Fraction(ORACLE_MARGIN)) * Fraction(p.eta) ** 2 \
+        / Fraction(p.kappa) ** 2
+    count = _variations(chain, Fraction(0)) - _variations(chain, w)
+    if exclude_pole and len(d) == 2:
+        pole = -d[0] / d[1]
+        h = Fraction(POLE_TOL) * (1 + (pole if 0 < pole < w else 0))
+        lo, hi = max(pole - h, Fraction(0)), min(pole + h, w)
+        if lo < hi:
+            count -= _variations(chain, lo) - _variations(chain, hi)
+            count -= lo > 0 and _sign_at(chain[0], lo) == 0   # closed
+    return count
+
+
+# ---------------------------------------------------------------------------
+# per-cell references of the batched steady-state routes
+# ---------------------------------------------------------------------------
 
 def real_roots_reference(coeffs):
     """Real nonnegative polynomial roots from numpy.roots, one polynomial."""

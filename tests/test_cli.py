@@ -70,7 +70,7 @@ def test_parse_minimal_defaults():
     assert cfg.system.kappa == 1.0
     assert cfg.out_format == "csv"
     assert cfg.oracle and cfg.gamma_fallback
-    assert cfg.scan_points == 4096
+    assert not hasattr(cfg, "scan_points")
 
 
 def test_override_precedence():
@@ -96,10 +96,8 @@ def test_validation_propagates():
 
 
 def test_flag_overrides():
-    cfg = parse_config(MINIMAL, overrides=["oracle=off", "scan_points=2000",
-                                           "threads=2"])
+    cfg = parse_config(MINIMAL, overrides=["oracle=off", "threads=2"])
     assert not cfg.oracle
-    assert cfg.scan_points == 2000
     assert cfg.threads == 2
 
 
@@ -332,17 +330,34 @@ def test_sweep2d_requires_two_axes(tmp_path):
     assert rc == 1
 
 
-def test_steady_sweep_rejects_coarse_scan_grid(tmp_path):
-    # every steady command, not only those whose fallback would scan
+def _steady_commands(tmp_path):
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(MINIMAL + "\n[sweep]\nmode = root-count\n"
                        "axis1 = delta_c 0 4 5 linear\n")
+    return (["sweep1d", "--config", str(cfgfile)],
+            ["roots", "--config", str(cfgfile)],
+            ["branches", "--config", str(cfgfile)],
+            ["reproduce", "fig4", "--set", "points=3"])
+
+
+def test_scan_points_flag_is_a_usage_error(tmp_path, capsys):
+    # the scan grid is gone, so its flag is unknown to argparse: exit 1
+    # before any solve, with nothing written
     out = tmp_path / "x.csv"
-    for argv in (["sweep1d", "--config", str(cfgfile)],
-                 ["roots", "--config", str(cfgfile)],
-                 ["branches", "--config", str(cfgfile)],
-                 ["reproduce", "fig4", "--set", "points=3"]):
-        assert main([*argv, "--out", str(out), "--scan-points", "500"]) == 1
+    for argv in _steady_commands(tmp_path):
+        assert main([*argv, "--out", str(out), "--scan-points", "4096"]) == 1
+        assert "unrecognized arguments: --scan-points" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x*"))
+
+
+def test_scan_points_key_is_unknown(tmp_path, capsys):
+    with pytest.raises(UnknownKey, match="scan_points"):
+        parse_config(MINIMAL, overrides=["scan_points=4096"])
+    out = tmp_path / "x.csv"
+    for argv in _steady_commands(tmp_path):
+        assert main([*argv, "--out", str(out), "--set",
+                     "scan_points=4096"]) == 1
+        assert "'scan_points' matches no config field" in capsys.readouterr().err
     assert not list(tmp_path.glob("x*"))
 
 
@@ -353,7 +368,6 @@ FLAG_CASES = {
     "gamma_fallback": (["branches", "--config", "FIG4A"], "off", ["maybe"]),
     "convention": (["reproduce", "fig4", "--set", "points=3"], "omega1",
                    ["sideways"]),
-    "scan_points": (["roots", "--config", "MINIMAL"], "2e3", ["0", "2000.5"]),
     "threads": (["sweep1d", "--config", "SWEEP"], "2", ["0", "2.9"]),
     "with_mech_damping": (["roots", "--config", "MINIMAL"], "on", ["maybe"]),
 }
@@ -475,8 +489,7 @@ def test_reproduce_fig7_small(tmp_path):
 
 def test_reproduce_fig4_writes_two_tables(tmp_path):
     out = tmp_path / "fig4.csv"
-    rc = main(["reproduce", "fig4", "--out", str(out), "--set", "points=6",
-               "--scan-points", "2000"])
+    rc = main(["reproduce", "fig4", "--out", str(out), "--set", "points=6"])
     assert rc in (0, 2)
     assert (tmp_path / "fig4_linear.csv").exists()
     assert (tmp_path / "fig4_quadratic.csv").exists()

@@ -15,21 +15,19 @@ from hypothesis import strategies as st
 from quadmech import (build_polynomial, find_real_roots, mechanical_response,
                       oracle_roots, reconstruct_branch, rescale_params,
                       solve_branches)
-from quadmech.steady_state import (MATCH_TOL, ORACLE_MARGIN, SINGULAR_COND,
-                                   Diagnostic, PolynomialCoefficients,
-                                   RationalResponse, ResidualTooLarge,
-                                   SingularMechanicalSystem, ZeroPolynomial,
-                                   _bisect, _scan_blocks, _well_conditioned,
+from quadmech.steady_state import (COEFF_TOL, MATCH_TOL, ORACLE_MARGIN,
+                                   POLISH_TOL, SINGULAR_COND, Diagnostic,
+                                   PolynomialCoefficients, RationalResponse,
+                                   ResidualTooLarge, SingularMechanicalSystem,
+                                   ZeroPolynomial, _bisect, _well_conditioned,
                                    batch_real_roots, coefficient_deviation,
                                    exact_roots, fixed_point_defect,
                                    reconstruct_branches, root_sets,
                                    roots_match)
 
-from quadmech.params import param_columns
-
 from conftest import (branch_lists, make_system, random_system,
                       real_roots_reference, reconstruct_reference,
-                      scan_grid_reference, stacked_detuning)
+                      stacked_detuning, sturm_root_count)
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +250,6 @@ def test_rescaling_preserves_verdicts_and_phonons(rng):
                 assert cp.n2f == pytest.approx(cq.n2f, rel=1e-6, abs=1e-9)
 
 
-def test_oracle_requires_scan_points():
-    with pytest.raises(ValueError):
-        oracle_roots(make_system(), scan_points=10)
-
-
 def test_eta_zero_gives_vacuum_branch():
     p = make_system(eta=0.0)
     branches = solve_branches(p)
@@ -338,7 +331,7 @@ def test_batched_solve_keeps_per_cell_diagnostics():
 
 @st.composite
 def any_systems(draw):
-    """Parameter sets whose mechanical pole lies inside the scan window,
+    """Parameter sets whose mechanical pole lies inside the root window,
     beyond it, or nowhere (g2 = 0, or g2 > 0), with g1 = 0 or eta = 0 at
     times (a quintic, or a root at the origin)."""
     g2 = draw(st.sampled_from([0.0, 1.0, -1.0, -1.0])) * \
@@ -353,45 +346,6 @@ def any_systems(draw):
         theta=draw(st.floats(0.0, 2.0 * math.pi)),
         eta=draw(st.sampled_from([0.0, 1.0, 1.0, 1.0])) * 10**draw(st.floats(0.0, 2.5)),
     )
-
-
-def _grids_of_blocks(ps, scan_points):
-    cells, grids = [], []
-    for owners, counts, grid in _scan_blocks(param_columns(ps)[0],
-                                             list(range(len(ps))),
-                                             scan_points):
-        cells += owners
-        grids += np.split(grid, np.cumsum(counts)[:-1])
-    assert cells == list(range(len(ps)))
-    return grids
-
-
-@settings(max_examples=40, deadline=None)
-@given(ps=st.lists(any_systems(), min_size=1, max_size=20),
-       scan_points=st.sampled_from([1000, 4096]))
-def test_scan_grids_equal_per_cell_grids(ps, scan_points):
-    ps = [p for p in ps if p.eta > 0.0]
-    for got, p in zip(_grids_of_blocks(ps, scan_points), ps):
-        want = scan_grid_reference(p, scan_points)
-        assert got.tobytes() == want.tobytes()
-
-
-def test_scan_grids_cover_pole_inside_outside_and_absent():
-    inside = make_system()                      # pole at 3000 < n_max
-    outside = make_system(g2=-1e-5)             # pole at 120000 > n_max
-    absent = make_system(g2=0.0)
-    # subnormal windows: a zero linspace step, whose grid repeats points;
-    # np.unique drops the repeats only when a pole lies inside the window
-    tiny = make_system(eta=5e-161)
-    tiny_pole = make_system(omega1=1.0, omega2=1.0,
-                            omega_ex=math.sqrt(1.0000000000000004),
-                            g1=0.0, g2=2e304, eta=9.3e-161)
-    ps = [inside, tiny, outside, absent, tiny_pole, inside]
-    grids = _grids_of_blocks(ps, 4096)
-    assert [len(g) for g in grids[1:5]] == [4096, 4096, 4096, 1840]
-    assert len(grids[0]) > 4096 and len(np.unique(grids[1])) < 4096
-    for got, p in zip(grids, ps):
-        assert got.tobytes() == scan_grid_reference(p, 4096).tobytes()
 
 
 def _coefficient_sets(ps):
@@ -619,7 +573,8 @@ def test_even_branch_count_is_reported(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the exact degree-7 route against the scan oracle
+# the exact degree-7 route and critical-point isolation against the exact
+# rational Sturm count
 # ---------------------------------------------------------------------------
 
 def test_bisection_freezes_on_an_exact_root():
@@ -633,39 +588,67 @@ def test_bisection_freezes_on_an_exact_root():
     assert got.tolist() == [64.0]
 
 
-def _within(root, roots, tol=1e-9):
-    return any(abs(r - root) <= tol * max(1.0, root) for r in roots)
+def test_exact_count_is_held_to_the_flow_and_to_known_roots(rng):
+    # Q of the exact count is D^4 (n (kappa^2 + Delta^2) - eta^2) at every
+    # n, with Delta the flow's own detuning (``stacked_detuning``), so it
+    # vanishes exactly where f does
+    from fractions import Fraction
+
+    from conftest import _sturm_chain, _variations, exact_q
+    for _ in range(10):
+        p = random_system(rng)
+        q, d = exact_q(p)
+        assert len(q) == 8 and len(d) == 2
+        n = rng.uniform(0.0, 1.05, 5) * p.eta**2 / p.kappa**2
+        delta = stacked_detuning(p, n)
+        for x, dx in zip(n.tolist(), delta.tolist()):
+            want = (float(sum(c * Fraction(x)**k for k, c in enumerate(d)))
+                    ** 4 * (x * (p.kappa**2 + dx**2) - p.eta**2))
+            got = float(sum(c * Fraction(x)**k for k, c in enumerate(q)))
+            scale = float(sum(abs(c) * Fraction(x)**k
+                              for k, c in enumerate(q)))
+            assert abs(got - want) <= 1e-8 * scale
+    # n (n - 1)(n - 2)^2 (n - 3): distinct roots counted once, on (a, b]
+    chain = _sturm_chain([Fraction(c) for c in (0, 12, -28, 23, -8, 1)])
+    count = [_variations(chain, Fraction(a)) - _variations(chain, Fraction(b))
+             for a, b in ((0, 4), (1, 2), (Fraction(3, 2), 4), (3, 9))]
+    assert count == [3, 1, 2, 0]
 
 
-def _assert_contains_scan(ps, with_damping=False, tol=1e-9):
-    """Certified exact roots hold the 4096-point scan's, root for root
-    within ``tol`` relative, and every extra root is one that a
-    400000-point scan finds too (within 1e-9).  Returns the
-    numbers of uncertified cells and of cells whose certified exact root
-    count differs from the scan's."""
+def _assert_routes_agree(ps, with_damping=False, tol=1e-11, sturm=True):
+    """Critical-point isolation (``oracle_roots``) finds as many roots as
+    the exact Sturm count (when ``sturm``), f changes sign across each
+    one's polish bracket, and every certified cell of the exact route has
+    the same roots within ``tol`` relative.  Returns the number of
+    uncertified cells."""
     exact, failed = exact_roots(RationalResponse.of(ps, with_damping))
-    scan = oracle_roots(ps, with_damping=with_damping)
-    extra = []
-    for k, (ex, sc, why) in enumerate(zip(exact, scan, failed)):
-        if why is not None:
-            continue
-        assert all(_within(r, ex, tol) for r in sc), (ps[k], ex, sc)
-        if len(ex) != len(sc):
-            extra.append(k)
-    dense = oracle_roots([ps[k] for k in extra], scan_points=400_000,
-                         with_damping=with_damping)
-    for k, roots in zip(extra, dense):
-        assert all(_within(r, roots) for r in exact[k]), (ps[k], exact[k])
-    return sum(why is not None for why in failed), len(extra)
+    isolated = oracle_roots(ps, with_damping=with_damping)
+    for k, (p, ex, iso, why) in enumerate(zip(ps, exact, isolated, failed)):
+        if sturm:
+            assert len(iso) == sturm_root_count(p, with_damping), (p, iso)
+        if p.eta > 0.0 and iso:
+            n = np.array(iso)
+            h = POLISH_TOL * np.maximum(1.0, n)
+            f = fixed_point_defect(RationalResponse.of([p] * 2 * len(n),
+                                                       with_damping),
+                                   np.concatenate([n - h, n + h]))
+            assert np.all(f[:len(n)] * f[len(n):] < 0.0), (p, iso)
+        if why is None:
+            assert len(ex) == len(iso), (p, ex, iso)
+            assert all(abs(a - b) <= tol * max(1.0, b)
+                       for a, b in zip(ex, iso)), (p, ex, iso)
+    return sum(why is not None for why in failed)
 
 
 @settings(max_examples=60, deadline=None)
 @given(ps=st.lists(any_systems(), min_size=1, max_size=8),
        damping=st.sampled_from([0.0, 0.0, 1e-3, 0.05]))
 def test_exact_roots_contain_the_scan_roots(ps, damping):
+    # three routes agree: isolation's count is the exact rational count, and
+    # certified exact roots equal isolation's within 1e-11
     ps = [make_system(**{**vars(p), "gamma1": damping, "gamma2": 2 * damping})
           for p in ps]
-    _assert_contains_scan(ps, with_damping=damping > 0.0)
+    _assert_routes_agree(ps, with_damping=damping > 0.0)
 
 
 def _recipe_cells(tag, points):
@@ -685,18 +668,48 @@ FIGURE_GRIDS = [("fig2a", 21), ("fig2b", 21), ("fig3a", 21), ("fig3c", 21),
 
 @pytest.mark.parametrize("tag,points", FIGURE_GRIDS)
 def test_exact_root_counts_equal_the_scan_on_figure_grids(tag, points):
-    # fig3c's omega_ex = 0 cells carry the D factors of e = 0 at the pole.
-    # Both routes bisect f to 1e-12, so polished roots agree far inside
-    # 1e-11; unpolished eigenvalue roots miss that by up to 3e-10 (fig3a)
-    assert _assert_contains_scan(_recipe_cells(tag, points),
-                                 tol=1e-11) == (0, 0)
+    # the exact route certifies every cell and equals isolation; fig3c's
+    # omega_ex = 0 cells carry the D factors of e = 0 at the pole.  Both
+    # routes bisect f to 1e-12, so polished roots agree far inside 1e-11.
+    # The Sturm count is held to the roots of one plane (the next test)
+    assert _assert_routes_agree(_recipe_cells(tag, points), sturm=False) == 0
+
+
+def test_sturm_count_equals_the_root_sets_on_a_figure_plane():
+    ps = _recipe_cells("fig2a", 21)
+    roots = root_sets(ps, True, False, [[] for _ in ps])
+    assert [len(r) for r in roots] == [sturm_root_count(p) for p in ps]
+    assert {len(r) for r in roots} >= {1, 3, 5}
 
 
 def test_fig2d_extra_roots_are_close_pairs_beside_the_pole():
-    # the 4096-point scan misses close root pairs beside the mechanical pole
-    # on part of this curve; a 400000-point scan finds every one of them
-    uncertified, extra = _assert_contains_scan(_recipe_cells("fig2d", 101))
-    assert uncertified == 0 and extra > 0
+    # right of delta_c ~ 6.3 the four roots beside the mechanical pole come
+    # in pairs less than 0.1 photon apart, which a 4096-point scan missed at
+    # delta_c = 6.96, 7.28, 7.6 and 8; the exact count holds every one
+    ps = _recipe_cells("fig2d", 101)
+    exact, failed = exact_roots(RationalResponse.of(ps))
+    close = [k for k, roots in enumerate(exact)
+             if len(roots) > 1 and np.diff(roots).min() < 0.1]
+    assert len(close) >= 20 and {87, 91, 95, 100} <= set(close)
+    picked = [ps[k] for k in close]
+    assert _assert_routes_agree(picked) == 0
+    assert {len(exact[k]) for k in close} == {5}
+
+
+def test_pole_exclusion_at_theta_half_pi():
+    # cos(float(pi/2)) = 6.1e-17: four exact roots of Q sit within 1e-13
+    # relative of the pole on these fig3c cells.  The exact count is 7;
+    # without the roots within POLE_TOL of the pole it is 3, the count every
+    # route gives (LEDGER "Exact degree-7 root route")
+    ps = [p for p in _recipe_cells("fig3c", 15)
+          if p.theta == float(math.pi / 2) and p.omega_ex > 0.0]
+    assert len(ps) == 14
+    assert [sturm_root_count(p, exclude_pole=False) for p in ps] == [7] * 14
+    assert [sturm_root_count(p) for p in ps] == [3] * 14
+    sinks = [[] for _ in ps]
+    assert [len(r) for r in root_sets(ps, True, False, sinks)] == [3] * 14
+    assert [len(r) for r in oracle_roots(ps)] == [3] * 14
+    assert not any(d.kind == "isolation-fallback" for s in sinks for d in s)
 
 
 @settings(max_examples=25, deadline=None)
@@ -716,7 +729,8 @@ def test_exact_roots_are_batch_independent(ps, data):
 def test_certificate_catches_a_root_without_a_sign_change(monkeypatch):
     # two spurious companion roots in (eta^2/kappa^2, w], where f < 0 all
     # through: a pair keeps the count odd, so only the sign test across
-    # their polish brackets can fail the cell, which then takes the scan's
+    # their polish brackets can fail the cell, which then takes the roots of
+    # critical-point isolation
     import quadmech.steady_state as steady
     p = _recipe_cells("fig2a", 5)[7]
     resp = RationalResponse.of([p])
@@ -724,6 +738,7 @@ def test_certificate_catches_a_root_without_a_sign_change(monkeypatch):
     w = (1.0 + ORACLE_MARGIN) * p.eta**2 / p.kappa**2
     c = -d0 / d1 if 0.0 < -d0 / d1 < w else 0.0
     t = (np.array([[1.01, 1.03]]) * p.eta**2 / p.kappa**2 - c) / w
+    isolated = oracle_roots(p)
     real = steady._companion_roots
 
     def spurious(hi):
@@ -732,43 +747,61 @@ def test_certificate_catches_a_root_without_a_sign_change(monkeypatch):
     monkeypatch.setattr(steady, "_companion_roots", spurious)
     roots, failed = exact_roots(resp)
     assert failed == ["no sign change across a polished root"]
-    assert len(roots[0]) == len(oracle_roots(p)) + 2
+    assert len(roots[0]) == len(isolated) + 2
+    assert len(isolated) == sturm_root_count(p)
+    monkeypatch.setattr(steady, "_companion_roots", real)
+    monkeypatch.setattr(steady, "exact_roots", lambda resp: (roots, failed))
     sinks = [[]]
-    assert root_sets([p], True, 4096, False, sinks) == [oracle_roots(p)]
-    fallback = [d.message for d in sinks[0] if d.kind == "scan-fallback"]
-    assert len(fallback) == 1
-    assert "(no sign change across a polished root)" in fallback[0]
+    assert root_sets([p], True, False, sinks) == [isolated]
+    fallback = [d.message for d in sinks[0] if d.kind == "isolation-fallback"]
+    assert fallback == ["exact-root certificate failed (no sign change "
+                        "across a polished root); roots from critical-point "
+                        "isolation"]
 
 
 def test_uncertified_cell_alone_goes_to_the_scan(monkeypatch):
+    # only the uncertified cell goes to the fallback, whose roots come from
+    # critical-point isolation
     import quadmech.steady_state as steady
     ps = [make_system(delta_c=dc, eta=56.5, omega_ex=0.005)
           for dc in (2.0, 3.2, 5.0)]
-    real_exact, real_scan = steady.exact_roots, steady.oracle_roots
-    scanned = []
+    real_exact, real_isolate = steady.exact_roots, steady.oracle_roots
+    isolated = []
 
     def break_middle(resp):
         roots, failed = real_exact(resp)
         return roots, [None, "stub", None]
 
     def spy(sets, *a, **k):
-        scanned.append(sets.delta_c.tolist())    # a column record
-        return real_scan(sets, *a, **k)
+        isolated.append(sets.delta_c.tolist())    # a column record
+        return real_isolate(sets, *a, **k)
     monkeypatch.setattr(steady, "exact_roots", break_middle)
     monkeypatch.setattr(steady, "oracle_roots", spy)
     sinks = [[], [], []]
-    got = root_sets(ps, True, 4096, False, sinks)
-    assert scanned == [[ps[1].delta_c]]
-    assert got[1] == real_scan(ps[1])
-    assert [d.kind for d in sinks[1]].count("scan-fallback") == 1
+    got = root_sets(ps, True, False, sinks)
+    assert isolated == [[ps[1].delta_c]]
+    assert got[1] == real_isolate(ps[1])
+    assert len(got[1]) == sturm_root_count(ps[1]) == 5
+    assert [d.kind for d in sinks[1]].count("isolation-fallback") == 1
     assert "(stub)" in next(d.message for d in sinks[1]
-                            if d.kind == "scan-fallback")
-    assert not any(d.kind == "scan-fallback" for d in sinks[0] + sinks[2])
-    # without the oracle the exact roots stand, and nothing is scanned
-    scanned.clear()
-    assert root_sets(ps, False, 4096, False, [[], [], []]) \
+                            if d.kind == "isolation-fallback")
+    assert not any(d.kind == "isolation-fallback"
+                   for d in sinks[0] + sinks[2])
+    # without the oracle the exact roots stand, and nothing is isolated
+    isolated.clear()
+    assert root_sets(ps, False, False, [[], [], []]) \
         == real_exact(RationalResponse.of(ps))[0]
-    assert scanned == []
+    assert isolated == []
+
+
+def test_isolation_reports_a_non_finite_polynomial():
+    # eta^2 overflows: Q is not finite, so no root is isolated and the
+    # cell says why
+    p = make_system(eta=1e200)
+    sinks = [[], []]
+    assert oracle_roots([p, make_system()], sinks)[0] == []
+    assert [d.kind for d in sinks[0]] == ["non-finite-polynomial"]
+    assert sinks[1] == []
 
 
 def test_oracle_off_takes_the_exact_roots(rng):
@@ -818,6 +851,31 @@ def test_root_set_false_positives_raise_no_mismatch(tag, point):
     poly, orc = find_real_roots(build_polynomial(p)), oracle_roots(p)
     assert len(poly) > len(orc) and not roots_match(poly, orc)
     assert _mismatches([p]) == [[]]
+
+
+def test_mismatch_messages_equal_the_per_cell_format():
+    # root_sets formats every flagged coefficient of a batch in one go; the
+    # messages equal the per-cell generator's on the fig3d and fig4 cells
+    from quadmech.params import param_columns
+    from quadmech.recipes import RECIPES, _ratio_columns
+    _, bases, (axis,) = RECIPES["fig4"]
+    records = [_ratio_columns(list(bases.values()), axis.values(), way)
+               for way in ("kappa", "omega1")]
+    records.append(param_columns(_recipe_cells("fig3d", 101))[0])
+    for q in records:
+        dev = coefficient_deviation(q, RationalResponse.of(q))
+        want = [[] for _ in dev]
+        for k in np.flatnonzero(~(dev.max(axis=1) <= COEFF_TOL)).tolist():
+            off = " ".join(f"C{m} {d:.1e}"
+                           for m, d in enumerate(dev[k].tolist())
+                           if not d <= COEFF_TOL)
+            want[k].append(f"closed-form {off} off the fixed-point map, "
+                           f"of max |C_m|")
+        sinks = [[] for _ in dev]
+        root_sets(q, True, False, sinks)
+        assert [[d.message for d in sink if d.kind == "coefficient-mismatch"]
+                for sink in sinks] == want
+        assert sum(map(len, want)) > 50
 
 
 @pytest.mark.parametrize("tag,points", FIGURE_GRIDS + [("fig2d", 101)])

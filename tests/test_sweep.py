@@ -76,14 +76,6 @@ def test_rejects_bad_specs():
     with pytest.raises(InvalidSpec):
         validate_spec(_spec(p, (Axis("delta_c", 0, 1, 5),
                                 Axis("g1", 0, 0.1, 5)), "branch-curve"))
-    with pytest.raises(InvalidSpec):   # coarser than the oracle accepts
-        validate_spec(_spec(p, (Axis("delta_c", 0, 1, 5),), "root-count",
-                            scan_points=999))
-    # the scan grid is unused without the oracle and in cooling sweeps
-    validate_spec(_spec(p, (Axis("delta_c", 0, 1, 5),), "root-count",
-                        scan_points=999, oracle_mode=False))
-    validate_spec(_spec(lp, (Axis("kappa", 0.1, 1, 5),), "cooling",
-                        scan_points=999))
 
 
 def test_axes_take_numeric_fields_only(tmp_path):
