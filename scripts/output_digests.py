@@ -139,12 +139,18 @@ def commands():
     out.append(("sweep1d_negative_eta", ["sweep1d"], _config(
         "system", {**SYSTEM_COMMON, **SYSTEM_BASES["fig4q"]},
         ("root-count", ["eta -20 20 5"]))))
+    # a drive whose root window eta^2/kappa^2 is subnormal
+    out.append(("branches_subnormal_eta", ["branches"], _config(
+        "system", {**SYSTEM_COMMON, **SYSTEM_BASES["multi"], "eta": 5e-161})))
     for name, base in LINEARIZED_BASES.items():
         values = {**LINEARIZED_COMMON, **base}
         out.append((f"cool_{name}", ["cool"], _config("linearized", values)))
         for command, axes in COOLING_SWEEPS.items():
             out.append((f"{command}_cooling_{name}", [command], _config(
                 "linearized", values, ("cooling", axes))))
+    # a cooling sweep whose nbar1 axis crosses zero: the negative cells fail
+    out.append(("sweep1d_cooling_negative_nbar1", ["sweep1d"], _config(
+        "linearized", LINEARIZED_COMMON, ("cooling", ["nbar1 -2 2 5"]))))
     return out
 
 

@@ -3,13 +3,13 @@ coupled linearly and quadratically to two mechanical oscillators."""
 
 __version__ = "0.1.0"
 
-from .cooling import (CovarianceResult, DarkModeDiagnostics, NoiseModel,
-                      build_noise_model, cool_linearized,
-                      dark_mode_diagnostics, phonon_numbers, solve_lyapunov)
+from .cooling import (CovarianceResult, DarkModeDiagnostics, build_noise_model,
+                      cool_linearized, dark_mode_diagnostics, phonon_numbers,
+                      solve_lyapunov)
 from .params import (LinearizedParams, SystemParams, rescale_params,
                      validate_linearized, validate_params)
 from .recipes import RECIPES, branch_cooling_sweep, run_recipe
-from .stability import (DriftMatrix, StabilityVerdict, build_drift_matrix,
+from .stability import (StabilityVerdict, build_drift_matrix,
                         classify_branch_stability, classify_stability,
                         derive_linearized)
 from .steady_state import (Diagnostic, PolynomialCoefficients,
@@ -20,8 +20,8 @@ from .sweep import Axis, SweepResult, SweepSpec, run_sweep
 
 __all__ = [
     "Axis", "CovarianceResult", "DarkModeDiagnostics", "Diagnostic",
-    "DriftMatrix", "LinearizedParams", "NoiseModel", "PolynomialCoefficients",
-    "RECIPES", "StabilityVerdict", "SteadyStateBranch", "SweepResult",
+    "LinearizedParams", "PolynomialCoefficients", "RECIPES",
+    "StabilityVerdict", "SteadyStateBranch", "SweepResult",
     "SweepSpec", "SystemParams", "branch_cooling_sweep",
     "build_drift_matrix", "build_noise_model", "build_polynomial",
     "classify_branch_stability", "classify_stability", "cool_linearized",

@@ -21,7 +21,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .params import LinearizedParams, param_columns
-from .stability import DriftMatrix, build_drift_matrix, hurwitz_stable
+from .stability import build_drift_matrix, hurwitz_stable
 from .steady_state import Diagnostic
 
 LYAP_RESIDUAL_TOL = 1e-10
@@ -42,13 +42,6 @@ class UnphysicalResult(ArithmeticError):
 
 class ZeroCoupling(ValueError):
     """Dark-mode overlap undefined because g1_eff = g2_eff = 0."""
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Diffusion matrix Q of the quadrature noise (or a stack of them)."""
-
-    q: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ class DarkModeDiagnostics:
     dark_flag: bool
 
 
-def build_noise_model(lp: LinearizedParams) -> NoiseModel:
+def build_noise_model(lp: LinearizedParams) -> np.ndarray:
     """Bath diffusion: vacuum for the cavity, thermal for the mechanics,
     Q = diag(kappa, gamma1 (2 nbar1 + 1), gamma2 (2 nbar2 + 1)) on both the
     x and the p quadratures (a (k, 6, 6) stack for a column record)."""
@@ -91,7 +84,7 @@ def build_noise_model(lp: LinearizedParams) -> NoiseModel:
     for j, rate in enumerate((p.kappa, p.gamma1 * (2.0 * p.nbar1 + 1.0),
                               p.gamma2 * (2.0 * p.nbar2 + 1.0))):
         q[:, j, j] = q[:, j + 3, j + 3] = rate
-    return NoiseModel(q=q[0] if scalar else q)
+    return q[0] if scalar else q
 
 
 # The 21 unknowns are the upper triangle of the symmetric V, row by row;
@@ -148,7 +141,7 @@ def _solve_symmetric(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return u[:, _SLOT, 0]
 
 
-def solve_lyapunov(A: DriftMatrix, nm) -> CovarianceResult:
+def solve_lyapunov(a: np.ndarray, q: np.ndarray) -> CovarianceResult:
     """Solve R V + V R^T + Q = 0 for the real symmetric V.
 
     Q must be symmetric; then V = V^T, with the 21 unknowns of its upper
@@ -157,25 +150,22 @@ def solve_lyapunov(A: DriftMatrix, nm) -> CovarianceResult:
     equation; a cell above LYAP_RESIDUAL_TOL is not re-solved, but
     ``flag_residuals`` reports it.  ``physical`` is ``hurwitz_stable`` of
     the drift matrix, whatever V, Q and the residual.
-    ``A.a`` may be one 6x6 matrix with one ``NoiseModel``, or a (k, 6, 6)
-    stack with a ``NoiseModel`` of (k, 6, 6) stacks or k noise models; one
-    result with array fields then comes back, each entry depending only on
-    its cell.
+    ``a`` and ``q`` may be one 6x6 matrix each, or (k, 6, 6) stacks of
+    equal length; one result with array fields then comes back, each entry
+    depending only on its cell.
 
     An unstable drift matrix still yields a formal solution when the
     Lyapunov system is regular, but the result is flagged physical=False.
     A stable solve with a negative occupation raises UnphysicalResult when
     Q is a physical bath: diagonal, nonnegative, equal in its x and p halves.
     """
-    if not isinstance(nm, NoiseModel):
-        nm = NoiseModel(q=np.array([m.q for m in nm]))
-    if np.iscomplexobj(A.a) or np.iscomplexobj(nm.q):
+    if np.iscomplexobj(a) or np.iscomplexobj(q):
         raise ValueError("the Lyapunov solve takes the real quadrature forms")
-    single = A.a.ndim == 2
-    a = np.asarray(A.a, dtype=float).reshape(-1, 6, 6)
-    q = np.asarray(nm.q, dtype=float).reshape(-1, 6, 6)
+    single = np.ndim(a) == 2
+    a = np.asarray(a, dtype=float).reshape(-1, 6, 6)
+    q = np.asarray(q, dtype=float).reshape(-1, 6, 6)
     if len(q) != len(a):
-        raise ValueError(f"{len(a)} drift matrices but {len(q)} noise models")
+        raise ValueError(f"{len(a)} drift matrices but {len(q)} Q matrices")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(q))):
         raise ValueError("array must not contain infs or NaNs")
     if not np.array_equal(q, q.transpose(0, 2, 1)):
@@ -249,7 +239,7 @@ def dark_mode_diagnostics(lp: LinearizedParams) -> DarkModeDiagnostics:
 
 
 def cool_linearized(lp: Union[LinearizedParams, Sequence[LinearizedParams]]):
-    """Convenience pipeline: drift matrix + noise model -> covariance.
+    """Convenience pipeline: drift and noise matrices -> covariance.
 
     A column record, or a sequence of parameter sets (stacked into one),
     gives one covariance with array fields, from one batched

@@ -161,13 +161,18 @@ _NONNEGATIVE = (lambda v: v >= 0.0, NegativeValue,
 
 def _require(p, names, rule) -> None:
     """Raise the rule's error for the first of ``names`` with an entry that
-    fails it, naming its first failing entry."""
+    fails it, naming its first failing entry as that field holds it.  The
+    fields are tested stacked, in one call, when they share a shape."""
     test, error, message = rule
-    for name in names:
-        v = np.asarray(getattr(p, name))
-        bad = ~test(v)
-        if bad.any():
-            raise error(message.format(name=name, v=v[bad][0].item()))
+    vals = [getattr(p, name) for name in names]
+    try:
+        failed = ~test(np.array(vals)).reshape(len(vals), -1).all(axis=1)
+    except ValueError:   # fields of unequal shapes: one test each
+        failed = np.array([not test(np.asarray(v)).all() for v in vals])
+    if failed.any():
+        i = failed.argmax()
+        v = np.asarray(vals[i])
+        raise error(message.format(name=names[i], v=v[~test(v)][0].item()))
 
 
 def validate_params(p: SystemParams) -> SystemParams:
@@ -203,8 +208,10 @@ def rescale_params(p: SystemParams, factor: float) -> SystemParams:
     """Divide every rate field by ``factor`` (unit relabeling).
 
     Dimensionless outputs (root counts, stability verdicts, phonon numbers)
-    are invariant under this transformation; used by tests and the unit
-    conversion in the CLI.
+    are invariant under this transformation.  A library helper: nothing in
+    the package calls it (the ``omega1`` convention of
+    ``branch_cooling_sweep`` converts its column records itself), and the
+    tests use it to check that invariance.
     """
     if factor <= 0.0 or not math.isfinite(factor):
         raise ParameterError(f"rescale factor must be finite and > 0, got {factor}")

@@ -33,13 +33,6 @@ class EigenSolveFailure(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class DriftMatrix:
-    """6x6 real drift matrix of the quadrature fluctuations (or a stack)."""
-
-    a: np.ndarray
-
-
-@dataclass(frozen=True)
 class StabilityVerdict:
     """Eigenvalue-based verdict: stable iff every real part < -stab_tol.
     A verdict on a stack holds one array entry per matrix in each field; a
@@ -94,7 +87,7 @@ def derive_linearized(branch: Union[SteadyStateBranch, Branches],
     return cols
 
 
-def build_drift_matrix(lp: LinearizedParams) -> DriftMatrix:
+def build_drift_matrix(lp: LinearizedParams) -> np.ndarray:
     """Assemble the real drift matrix R from linearized parameters: a
     (k, 6, 6) stack for a column record, one 6x6 matrix for a scalar record."""
     c, scalar = param_columns(lp, LinearizedParams)
@@ -117,7 +110,7 @@ def build_drift_matrix(lp: LinearizedParams) -> DriftMatrix:
     r[:, 2, 1] = r[:, 5, 4] = -ws
     r[:, 1, 5] = r[:, 2, 4] = wc
     r[:, 4, 2] = r[:, 5, 1] = -wc
-    return DriftMatrix(a=r[0] if scalar else r)
+    return r[0] if scalar else r
 
 
 def spectra(a: np.ndarray):
@@ -134,16 +127,16 @@ def spectra(a: np.ndarray):
             max_re < STAB_TOL_FACTOR * a[..., 0, 0])
 
 
-def classify_stability(A: DriftMatrix) -> StabilityVerdict:
-    """Stability from the full eigenvalue set of the drift matrix.
+def classify_stability(a: np.ndarray) -> StabilityVerdict:
+    """Stability from the full eigenvalue set of the real drift matrix ``a``.
 
     Marginal spectra (|max Re| below stab_tol) are reported unstable: the
-    steady-state Lyapunov solve is invalid on the margin.  ``A.a`` may also
-    be a stack of shape (k, 6, 6); one verdict with length-k array fields
+    steady-state Lyapunov solve is invalid on the margin.  ``a`` may also be
+    a stack of shape (k, 6, 6); one verdict with length-k array fields
     (eigenvalues (k, 6)) then comes back, from one eigenvalue call.
     """
-    ev, max_re, stable = spectra(A.a)
-    if A.a.ndim == 3:
+    ev, max_re, stable = spectra(a)
+    if a.ndim == 3:
         return StabilityVerdict(ev, max_re, stable, -max_re,
                                 *np.zeros((2, len(stable)), dtype=bool))
     return StabilityVerdict(ev, max_re.item(), stable.item(), -max_re.item())
@@ -201,14 +194,14 @@ def classify_branch_stability(lp: Union[LinearizedParams,
     damping; the spectral fields are ``spectra`` of both, when first read.
     """
     cols, scalar = param_columns(lp, LinearizedParams)
-    a = build_drift_matrix(cols).a
+    a = build_drift_matrix(cols)
     stable, fb = hurwitz_stable(a), a[:0]
     applied = ~((cols.gamma1 > 0.0) | (cols.gamma2 > 0.0)) & gamma_fallback
     undamped, flipped = np.flatnonzero(applied), np.zeros_like(applied)
     if undamped.size:
         sub = take_columns(cols, undamped)
         eps = GAMMA_FALLBACK_FACTOR * sub.kappa
-        fb = build_drift_matrix(replace(sub, gamma1=eps, gamma2=eps)).a
+        fb = build_drift_matrix(replace(sub, gamma1=eps, gamma2=eps))
         fb_stable = hurwitz_stable(fb)
         flipped[undamped] = fb_stable != stable[undamped]
         stable[undamped] = fb_stable

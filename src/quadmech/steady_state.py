@@ -215,7 +215,11 @@ def _companion_roots(hi: np.ndarray):
     roots at the origin, and (rows, eigenvalues) for each degree.
     """
     top = np.max(np.abs(hi), axis=1)
-    lead = np.cumprod(np.abs(hi) < DEFLATE_TOL * top[:, None], axis=1).sum(1)
+    # deflation compares the row scaled exactly, by a power of two, to a top
+    # entry in [0.5, 1): its threshold cannot underflow on a subnormal row
+    frac, exp = np.frexp(top)
+    lead = np.cumprod(np.abs(np.ldexp(hi, -exp[:, None]))
+                      < DEFLATE_TOL * frac[:, None], axis=1).sum(1)
     with np.errstate(all="ignore"):
         monic = hi / top[:, None]           # numpy.roots' normalisation
     zeros = np.cumprod(monic[:, ::-1] == 0.0, axis=1).sum(1)
@@ -494,7 +498,7 @@ def _bisect(resp: RationalResponse, lo: np.ndarray, hi: np.ndarray,
             break
         mid = 0.5 * (lo + hi)
         fm = fixed_point_defect(resp, mid)
-        left = flo * fm < 0.0
+        left = np.sign(flo) * np.sign(fm) < 0.0   # flo * fm can underflow
         hi = np.where(left | (fm == 0.0), mid, hi)
         lo = np.where(left, lo, mid)
         flo = np.where(left, flo, fm)

@@ -7,9 +7,11 @@ parameters: per batch of steady-state cells one exact-root call
 (critical-point isolation runs only for cells whose roots it cannot
 certify), one stacked
 reconstruction of every candidate and two stacked Routh tests; per batch of
-cooling cells one batched Lyapunov solve.  A cell's result depends only on
-the cell, never on the batch it shares.  A sweep on N > 1 workers starts a
-process pool only when its grid holds more than one batch, and then cuts it
+cooling cells one batched Lyapunov solve.  Both modes validate each batch
+as part of its solve, so an invalid cell fails alone.  A cell's result
+depends only on the cell, never on the batch it shares.  A sweep on N > 1
+workers starts a process pool only when its grid holds more than one
+batch, and then cuts it
 into min(4N, batches) chunks of whole batches for at most that many
 workers; a one-batch grid is solved in the calling process, as on one
 worker.  Supported modes:
@@ -31,7 +33,7 @@ import numpy as np
 from .cooling import cool_linearized, dark_mode_diagnostics, flag_residuals
 from .params import (LINEARIZED_NUMERIC, SYSTEM_NUMERIC, LinearizedParams,
                      SystemParams, param_columns, take_columns,
-                     validate_params)
+                     validate_linearized, validate_params)
 from .stability import classify_branch_stability, derive_linearized
 from .steady_state import Branches, Diagnostic, solve_branches
 
@@ -250,14 +252,14 @@ def cooling_rows(lp: LinearizedParams,
                  sinks: list[list[Diagnostic]]) -> Table:
     """One direct-cooling row per cell of ``lp`` (a column record, or a
     scalar record as one cell), each cell's diagnostics going to its sink.
-    The cells share one Lyapunov solve (``_each_cell``): a singular cell
-    gets a cell-error, and its row, like an unstable cell's, keeps the
-    occupations empty."""
+    The cells share one validation and one Lyapunov solve (``_each_cell``):
+    an invalid or singular cell gets a cell-error, and its row, like an
+    unstable cell's, keeps the occupations empty."""
     lp, _ = param_columns(lp, LinearizedParams)
     cells = list(range(len(sinks)))
     # the whole record, or a cell's own column when the batch is retried
-    parts = _each_cell(lambda ks, _: cool_linearized(
-        lp if ks is cells else take_columns(lp, ks)), cells, sinks)
+    parts = _each_cell(lambda ks, _: cool_linearized(validate_linearized(
+        lp if ks is cells else take_columns(lp, ks))), cells, sinks)
     solved, physical = np.zeros((2, len(cells)), dtype=bool)
     n1f, n2f, residual = np.full((3, len(cells)), np.nan)
     for ks, cov in parts:

@@ -389,7 +389,7 @@ def test_criterion_12_structural_suite(rng):
         c = complex_drift_matrix(lp)
         assert np.array_equal(c[3:, 3:], np.conj(c[:3, :3]))
         assert np.array_equal(c[3:, :3], np.conj(c[:3, 3:]))
-        a = build_drift_matrix(lp).a
+        a = build_drift_matrix(lp)
         assert a.dtype == float
         mapped = QUADRATURE_T @ c @ QUADRATURE_T.conj().T
         assert np.max(np.abs(a - mapped)) <= 1e-15 * np.linalg.norm(c)
@@ -401,7 +401,7 @@ def test_criterion_12_structural_suite(rng):
         for lam in ev:
             assert np.min(np.abs(ev - np.conj(lam))) <= 1e-8 * scale
         # the diffusion is diagonal, the same on the x and p quadratures
-        q = build_noise_model(lp).q
+        q = build_noise_model(lp)
         assert np.array_equal(q, np.diag(np.diag(q)))
         assert np.array_equal(np.diag(q)[:3], np.diag(q)[3:])
     dt = time.time() - t0

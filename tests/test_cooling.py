@@ -15,8 +15,8 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadmech import (CovarianceResult, DriftMatrix, LinearizedParams,
-                      NoiseModel, build_drift_matrix, build_noise_model,
+from quadmech import (CovarianceResult, LinearizedParams,
+                      build_drift_matrix, build_noise_model,
                       classify_stability, cool_linearized,
                       dark_mode_diagnostics, phonon_numbers, solve_lyapunov)
 from quadmech.cooling import (LYAP_BLOCK, UnphysicalResult, ZeroCoupling,
@@ -38,25 +38,24 @@ def test_noise_entries_and_sparsity():
                          nbar1=7.0, nbar2=11.0)
     nm = build_noise_model(lp)
     rates = [0.3, 1e-3 * 15.0, 2e-3 * 23.0]
-    np.testing.assert_array_equal(nm.q, np.diag(rates + rates))
+    np.testing.assert_array_equal(nm, np.diag(rates + rates))
     # the quadrature map of the symmetrized ladder-operator bath matrix
     q = complex_noise(lp)[1]
     mapped = QUADRATURE_T @ q @ QUADRATURE_T.T
-    np.testing.assert_allclose(mapped, nm.q, rtol=0, atol=1e-15 * 0.3)
+    np.testing.assert_allclose(mapped, nm, rtol=0, atol=1e-15 * 0.3)
 
 
 def test_noise_vacuum_cavity_only():
     lp = make_linearized(kappa=1.0, gamma1=0.0, gamma2=0.0)
     nm = build_noise_model(lp)
-    assert nm.q[0, 0] == 1.0 and nm.q[3, 3] == 1.0
-    assert np.count_nonzero(nm.q) == 2
+    assert nm[0, 0] == 1.0 and nm[3, 3] == 1.0
+    assert np.count_nonzero(nm) == 2
 
 
 def test_noise_thermal_occupancy_300():
     lp = make_linearized(gamma1=2e-6, nbar1=300.0)
     nm = build_noise_model(lp)
-    assert nm.q[1, 1] == nm.q[4, 4] == pytest.approx(2e-6 * 601.0,
-                                                     rel=1e-15)
+    assert nm[1, 1] == nm[4, 4] == pytest.approx(2e-6 * 601.0, rel=1e-15)
 
 
 def test_noise_all_rates_zero():
@@ -65,7 +64,7 @@ def test_noise_all_rates_zero():
                             g2_eff=0, g22=0, omega_ex=0, theta=0, kappa=0.0,
                             gamma1=0.0, gamma2=0.0)
     nm = build_noise_model(dead)
-    assert np.count_nonzero(nm.q) == 0
+    assert np.count_nonzero(nm) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +72,10 @@ def test_noise_all_rates_zero():
 # ---------------------------------------------------------------------------
 
 def test_scalar_analogue_v_equals_q(rng):
-    a = DriftMatrix(a=-0.5 * np.eye(6))
+    a = -0.5 * np.eye(6)
     sym = rng.normal(size=(6, 6))
     sym = 0.5 * (sym + sym.T)
-    cov = solve_lyapunov(a, NoiseModel(q=sym))
+    cov = solve_lyapunov(a, sym)
     np.testing.assert_allclose(cov.v, sym, rtol=1e-12, atol=1e-12)
     assert cov.physical
 
@@ -240,16 +239,16 @@ def test_unphysical_result_guard():
     # a bath-shaped diffusion with an impossible rate, gamma1 (2 nbar1 + 1)
     # below the vacuum's gamma1 (emission weaker than vacuum), drives n1f
     # negative
-    q = nm.q.copy()
+    q = nm.copy()
     q[1, 1] = q[4, 4] = 0.2 * 1e-3
     with pytest.raises(UnphysicalResult):
-        solve_lyapunov(build_drift_matrix(lp), NoiseModel(q=q))
+        solve_lyapunov(build_drift_matrix(lp), q)
     # the guard is for physical baths only: unequal x and p halves (or an
     # off-diagonal entry) make a synthetic Q, solved without it
     for i, j in ((4, 4), (1, 4)):
         synthetic = q.copy()
         synthetic[i, j] = synthetic[j, i] = 0.3 * 1e-3
-        cov = solve_lyapunov(build_drift_matrix(lp), NoiseModel(q=synthetic))
+        cov = solve_lyapunov(build_drift_matrix(lp), synthetic)
         assert cov.physical and cov.n1f < -1e-6
 
 
@@ -330,37 +329,37 @@ def test_column_builders_equal_scalar_records(batch, data):
     for part in ([cells[k] for k in order[:cut]],
                  [cells[k] for k in order[cut:]]):
         cols, _ = param_columns(part, LinearizedParams)
-        drift, noise = build_drift_matrix(cols).a, build_noise_model(cols)
+        drift, noise = build_drift_matrix(cols), build_noise_model(cols)
         dark = dark_mode_diagnostics(cols).dark_overlap
-        assert drift.shape == noise.q.shape == (len(part), 6, 6)
+        assert drift.shape == noise.shape == (len(part), 6, 6)
         for k, lp in enumerate(part):
-            assert _bits(drift[k]) == _bits(build_drift_matrix(lp).a)
-            assert _bits(noise.q[k]) == _bits(build_noise_model(lp).q)
+            assert _bits(drift[k]) == _bits(build_drift_matrix(lp))
+            assert _bits(noise[k]) == _bits(build_noise_model(lp))
             if lp.g1_eff == lp.g2_eff == 0:
                 assert math.isnan(dark[k])
             else:
                 assert dark[k] == dark_mode_diagnostics(lp).dark_overlap
     # a sweep-style record: one array field, the rest shared scalars
     kappas = np.linspace(0.05, 0.5, 7)
-    drift = build_drift_matrix(replace(cells[0], kappa=kappas)).a
+    drift = build_drift_matrix(replace(cells[0], kappa=kappas))
     assert all(_bits(d) == _bits(build_drift_matrix(replace(cells[0],
-                                                             kappa=k)).a)
+                                                             kappa=k)))
                for d, k in zip(drift, kappas.tolist()))
 
 
 def test_single_matrix_is_a_batch_of_one():
     lp = make_linearized()
     a, nm = build_drift_matrix(lp), build_noise_model(lp)
-    one = record_at(solve_lyapunov(DriftMatrix(a=a.a[None]), [nm]), 0)
+    one = record_at(solve_lyapunov(a[None], nm[None]), 0)
     assert _same(solve_lyapunov(a, nm), one)
-    none = solve_lyapunov(DriftMatrix(a=np.empty((0, 6, 6))), [])
+    none = solve_lyapunov(np.empty((0, 6, 6)), np.empty((0, 6, 6)))
     assert none.v.shape == (0, 6, 6) and len(none.n1f) == 0
 
 
 def test_symmetric_operator_equals_kron(rng):
     # the 21x21 operator applied to the upper triangle of a symmetric V is
     # that triangle of A V + V A^T, here from the 36x36 Kronecker sum
-    a = np.stack([build_drift_matrix(random_linearized(rng)).a
+    a = np.stack([build_drift_matrix(random_linearized(rng))
                   for _ in range(20)]
                  + [rng.normal(size=(6, 6)) for _ in range(20)])
     ident = np.eye(6)
@@ -380,7 +379,7 @@ def test_returned_iterate_has_the_reported_residual(batch):
     # the residual is that of the V which comes back, on the full 6x6 equation
     cells, alone = batch
     for lp, cov in zip(cells, alone):
-        a, q = build_drift_matrix(lp).a, build_noise_model(lp).q
+        a, q = build_drift_matrix(lp), build_noise_model(lp)
         r = a @ cov.v + cov.v @ a.T + q
         res = (np.linalg.norm(r.reshape(1, 36), axis=1)
                / np.linalg.norm(q.reshape(1, 36), axis=1))
@@ -390,26 +389,26 @@ def test_returned_iterate_has_the_reported_residual(batch):
 def test_asymmetric_q_rejected():
     lp = make_linearized()
     nm = build_noise_model(lp)
-    skew = nm.q.copy()
+    skew = nm.copy()
     skew[1, 4] = 1e-3
     with pytest.raises(ValueError, match="symmetric"):
-        solve_lyapunov(build_drift_matrix(lp), NoiseModel(q=skew))
-    a = build_drift_matrix(param_columns([lp, lp])[0]).a
+        solve_lyapunov(build_drift_matrix(lp), skew)
+    a = build_drift_matrix(param_columns([lp, lp])[0])
     with pytest.raises(ValueError, match="symmetric"):
-        solve_lyapunov(DriftMatrix(a=a), [nm, NoiseModel(q=skew)])
+        solve_lyapunov(a, np.stack([nm, skew]))
 
 
 def test_nonfinite_input_rejected():
     lp = make_linearized()
-    a = build_drift_matrix(lp).a.copy()
+    a = build_drift_matrix(lp).copy()
     a[0, 0] = np.nan
     with pytest.raises(ValueError):
-        solve_lyapunov(DriftMatrix(a=a), build_noise_model(lp))
+        solve_lyapunov(a, build_noise_model(lp))
     nm = build_noise_model(lp)
-    q = nm.q.copy()
+    q = nm.copy()
     q[0, 0] = np.inf
     with pytest.raises(ValueError):
-        solve_lyapunov(build_drift_matrix(lp), NoiseModel(q=q))
+        solve_lyapunov(build_drift_matrix(lp), q)
 
 
 def test_complex_input_rejected():
@@ -417,9 +416,9 @@ def test_complex_input_rejected():
     # takes; casting them to real would drop their imaginary parts
     lp = make_linearized()
     a, nm = build_drift_matrix(lp), build_noise_model(lp)
-    for drift, noise in ((DriftMatrix(a=complex_drift_matrix(lp)), nm),
-                         (DriftMatrix(a=a.a.astype(complex)), nm),
-                         (a, NoiseModel(q=nm.q.astype(complex)))):
+    for drift, noise in ((complex_drift_matrix(lp), nm),
+                         (a.astype(complex), nm),
+                         (a, nm.astype(complex))):
         with pytest.raises(ValueError, match="real"):
             solve_lyapunov(drift, noise)
 
@@ -481,7 +480,7 @@ def test_real_route_matches_complex_oracle(seed):
     a = complex_drift_matrix(lp)
     r = build_drift_matrix(lp)
     mapped = QUADRATURE_T @ a @ QUADRATURE_T.conj().T
-    assert np.max(np.abs(r.a - mapped)) <= 1e-15 * np.linalg.norm(a)
+    assert np.max(np.abs(r - mapped)) <= 1e-15 * np.linalg.norm(a)
     stable = np.linalg.eigvals(a).real.max() < -STAB_TOL_FACTOR * lp.kappa
     assert classify_stability(r).stable == stable
     cov = cool_linearized(lp)
@@ -534,21 +533,21 @@ def test_certified_verdict_equals_spectra(seed, n, data):
     # (not a bath): the verdict reads R alone.  The cells Routh cannot
     # settle go to spectra in one stacked call.
     lp = _mixed_cells(np.random.default_rng(seed), n)
-    a, q = build_drift_matrix(lp).a, build_noise_model(lp).q
+    a, q = build_drift_matrix(lp), build_noise_model(lp)
     undamped = make_linearized(gamma1=0.0, gamma2=0.0, delta_eff=-1.0,
                                g1_eff=0.1j, g22=-0.05 * np.exp(0.3j))
-    mixed = build_noise_model(make_linearized()).q
+    mixed = build_noise_model(make_linearized())
     mixed[1, 2] = mixed[2, 1] = 0.5 * mixed[1, 1]
     forced = sorted(data.draw(st.lists(st.integers(0, n), min_size=2,
                                        max_size=2, unique=True)))
     for k, (drift, noise) in zip(forced, (
-            (build_drift_matrix(undamped).a, build_noise_model(undamped).q),
-            (build_drift_matrix(make_linearized()).a, mixed))):
+            (build_drift_matrix(undamped), build_noise_model(undamped)),
+            (build_drift_matrix(make_linearized()), mixed))):
         a, q = np.insert(a, k, drift, axis=0), np.insert(q, k, noise, axis=0)
     sent = []
     with pytest.MonkeyPatch.context() as mp:
         _counting_spectra(mp, sent)
-        cov = solve_lyapunov(DriftMatrix(a=a), NoiseModel(q=q))
+        cov = solve_lyapunov(a, q)
     assert np.array_equal(cov.physical, spectra(a)[2])
     assert len(sent) <= 1
     assert all(np.any(np.all(a == m, axis=(1, 2))) for s in sent for m in s)
@@ -558,11 +557,11 @@ def test_certificate_covers_stable_unstable_and_marginal_draws():
     # the draws of the property above hold stable and unstable cells Routh
     # settles and near-margin cells it leaves to the eigenvalues
     lp = _mixed_cells(np.random.default_rng(15), 400)
-    a = build_drift_matrix(lp).a
+    a = build_drift_matrix(lp)
     sent = []
     with pytest.MonkeyPatch.context() as mp:
         _counting_spectra(mp, sent)
-        cov = solve_lyapunov(DriftMatrix(a=a), build_noise_model(lp))
+        cov = solve_lyapunov(a, build_noise_model(lp))
     _, max_re, stable = spectra(a)
     assert np.array_equal(cov.physical, stable)
     settled = ~np.any(np.all(a[:, None] == sent[0][None], axis=(2, 3)), axis=1)
@@ -582,7 +581,7 @@ def test_figure_maps_send_no_cell_to_the_eigenvalue_call(monkeypatch):
     solve = cooling.solve_lyapunov
 
     def counted(a, nm):
-        solved.append(len(a.a))
+        solved.append(len(a))
         return solve(a, nm)
     monkeypatch.setattr(cooling, "solve_lyapunov", counted)
     _counting_spectra(monkeypatch, sent)
@@ -592,7 +591,7 @@ def test_figure_maps_send_no_cell_to_the_eigenvalue_call(monkeypatch):
     lp = param_columns([make_linearized(),
                         make_linearized(gamma1=0.0, gamma2=0.0),
                         make_linearized(kappa=0.2)])[0]
-    a = build_drift_matrix(lp).a
+    a = build_drift_matrix(lp)
     cov = cool_linearized(lp)
     assert sent == []
     assert np.array_equal(cov.physical, spectra(a)[2])

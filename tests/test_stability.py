@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmech import (DriftMatrix, build_drift_matrix,
-                      classify_branch_stability, classify_stability,
-                      derive_linearized, solve_branches)
+from quadmech import (build_drift_matrix, classify_branch_stability,
+                      classify_stability, derive_linearized, solve_branches)
 from quadmech.params import LinearizedParams, param_columns
 from quadmech.stability import (GAMMA_FALLBACK_FACTOR, STAB_TOL_FACTOR,
                                 hurwitz_stable, spectra)
@@ -27,7 +26,7 @@ from conftest import (QUADRATURE_T, complex_drift_matrix, fd_jacobian,
 
 
 def test_identity_matrix_stable():
-    verdict = classify_stability(DriftMatrix(a=-np.eye(6)))
+    verdict = classify_stability(-np.eye(6))
     assert verdict.stable
     assert verdict.margin == pytest.approx(1.0)
     assert verdict.eigenvalues.dtype == complex
@@ -39,7 +38,7 @@ def test_decoupled_diagonal_entries():
     lp = make_linearized(g1_eff=0.0, g2_eff=0.0, g22=0.0, omega_ex=0.0,
                          delta_eff=0.7, omega1=1.0, omega2_tilde=1.3,
                          kappa=0.2, gamma1=1e-3, gamma2=2e-3)
-    a = build_drift_matrix(lp).a
+    a = build_drift_matrix(lp)
     assert a.dtype == float
     want = np.zeros((6, 6))
     for j, (rate, freq) in enumerate(((0.2, 0.7), (1e-3, 1.0), (2e-3, 1.3))):
@@ -72,7 +71,7 @@ def test_quadrature_block_structure_exact(data):
         gamma1=draw(st.floats(0, 0.1)),
         gamma2=draw(st.floats(0, 0.1)),
     )
-    a = build_drift_matrix(lp).a
+    a = build_drift_matrix(lp)
     assert a.dtype == float
     # R = T A T^dagger of the complex drift matrix, whose conjugation block
     # symmetry is what makes R real
@@ -90,7 +89,7 @@ def test_quadrature_block_structure_exact(data):
 def test_trace_identity(rng):
     for _ in range(100):
         lp = random_linearized(rng)
-        a = build_drift_matrix(lp).a
+        a = build_drift_matrix(lp)
         expected = -2.0 * (lp.kappa + lp.gamma1 + lp.gamma2)
         assert np.trace(a).real == pytest.approx(expected, rel=1e-12)
         assert abs(np.trace(a).imag) <= 1e-12 * max(1.0, abs(expected))
@@ -247,7 +246,7 @@ def test_fallback_verdict_of_complex_g22_record():
     # p_2 diagonal entries, so the fallback must rebuild the record, not
     # overwrite the damping on the diagonal
     lp = make_linearized(gamma1=0.0, gamma2=0.0, g22=-0.01 + 0.004j)
-    assert build_drift_matrix(lp).a[2, 2] == 2.0 * 0.004
+    assert build_drift_matrix(lp)[2, 2] == 2.0 * 0.004
     verdict = classify_branch_stability(lp)
     assert verdict.gamma_fallback_applied
     assert _same_spectrum(verdict, _rebuilt_verdict(lp))
@@ -342,7 +341,7 @@ def test_mixed_real_and_complex_spectra_equal_single_cells():
     real_spectrum = make_linearized(delta_eff=0.0, omega1=0.0,
                                     omega2_tilde=0.0, g1_eff=0.1, g2_eff=0.0,
                                     g22=0.0, omega_ex=0.0)
-    assert np.isrealobj(np.linalg.eigvals(build_drift_matrix(real_spectrum).a))
+    assert np.isrealobj(np.linalg.eigvals(build_drift_matrix(real_spectrum)))
     cells = [real_spectrum, make_linearized(), real_spectrum,
              make_linearized(delta_eff=-1.0)]
     single = [classify_branch_stability(lp) for lp in cells]
@@ -389,7 +388,7 @@ def _routh_cells(rng, n) -> np.ndarray:
         g2_eff=-u(0.0, 0.2, n), g22=-u(0.0, 0.2, n) * phase[1],
         omega_ex=u(0.0, 0.2, n), theta=u(0.0, 2 * math.pi, n), kappa=kappa,
         gamma1=gamma[0], gamma2=gamma[1], nbar1=np.zeros(n),
-        nbar2=np.zeros(n))).a
+        nbar2=np.zeros(n)))
     # R + sigma I has kappa - sigma on its cavity diagonal: solve
     # max Re + sigma = (delta - t)(kappa - sigma) for sigma
     near = np.flatnonzero(rng.random(n) < 1 / 3)
@@ -445,7 +444,7 @@ def test_unsettled_routh_cells_take_the_eigenvalue_call(monkeypatch):
     cells = [make_linearized(), make_linearized(delta_eff=-1.0),
              make_linearized(g1_eff=0.0, omega_ex=0.0, gamma1=t * 0.1),
              make_linearized(gamma1=0.0, gamma2=0.0)]
-    a = build_drift_matrix(param_columns(cells)[0]).a
+    a = build_drift_matrix(param_columns(cells)[0])
     sent = []
     _counting_spectra(monkeypatch, sent)
     stable = hurwitz_stable(a)

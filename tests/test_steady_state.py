@@ -588,6 +588,26 @@ def test_bisection_freezes_on_an_exact_root():
     assert got.tolist() == [64.0]
 
 
+def test_subnormal_window_solves_without_raising():
+    # at eta = 5e-161 the root window eta^2/kappa^2 is subnormal, and so is
+    # every coefficient of Q: deflation must not underflow to a zero
+    # threshold, and bisection must not lose f's sign to a product that
+    # underflows.  The cell's neighbours in a batch keep their solo branches.
+    tiny = make_system(eta=5e-161)
+    sinks = [[]]
+    (branch,) = branch_lists(solve_branches([tiny], diagnostics=sinks), 1)[0]
+    assert sinks == [[]]
+    assert 0.0 <= branch.n_p < 1e-12
+    column = [make_system(), tiny, make_system(eta=56.5)]
+    sinks = [[] for _ in column]
+    together = branch_lists(solve_branches(column, diagnostics=sinks), 3)
+    for k in (0, 2):
+        alone = [[]]
+        assert repr(together[k]) == repr(branch_lists(
+            solve_branches([column[k]], diagnostics=alone), 1)[0])
+        assert sinks[k] == alone[0]
+
+
 def test_exact_count_is_held_to_the_flow_and_to_known_roots(rng):
     # Q of the exact count is D^4 (n (kappa^2 + Delta^2) - eta^2) at every
     # n, with Delta the flow's own detuning (``stacked_detuning``), so it

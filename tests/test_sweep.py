@@ -121,6 +121,30 @@ def test_invalid_cells_fail_alone_in_their_batch():
         [(d.cell[0] + 2, d.kind, d.message) for d in alone.diagnostics]
 
 
+def test_invalid_cooling_cells_fail_alone_in_their_batch():
+    # cooling sweeps validate their batch as steady ones do: the nbar1 < 0
+    # cells get a cell-error with the scalar validator's message and no
+    # occupations, and the other cells' rows are those of a sweep over them
+    # alone
+    lp = make_linearized()
+    res = run_sweep(_spec(lp, (Axis("nbar1", -2.0, 2.0, 5),), "cooling"))
+    errors = [(d.cell, d.message) for d in res.diagnostics
+              if d.kind == "cell-error"]
+    assert errors == [((0,), "NegativeValue: nbar1 = -2.0 must be >= 0"),
+                      ((1,), "NegativeValue: nbar1 = -1.0 must be >= 0")]
+    for (row,) in _cell_rows(res)[:2]:
+        assert (not row["stable"] and row["n1f"] is None
+                and row["residual"] is None)
+    alone = run_sweep(_spec(lp, (Axis("nbar1", 0.0, 2.0, 3),), "cooling"))
+    assert table_rows(res.table)[2:] == table_rows(alone.table)
+    # a kappa axis through 0: the cells at and below it fail
+    res = run_sweep(_spec(lp, (Axis("kappa", -0.1, 0.1, 3),), "cooling"))
+    assert [(d.cell, d.message) for d in res.diagnostics
+            if d.kind == "cell-error"] == [
+        ((0,), "NonPositiveRate: kappa = -0.1 must be > 0"),
+        ((1,), "NonPositiveRate: kappa = 0.0 must be > 0")]
+
+
 def test_steady_sweep_builds_no_per_cell_objects(monkeypatch):
     # a perf guard: a steady batch is one column record from parameters to
     # branch rows, so a one-worker 23x23 fig2a sweep constructs no
@@ -473,22 +497,22 @@ def test_failing_cooling_cells_do_not_fail_their_batch(monkeypatch, tmp_path):
                               gamma1=1e-3, gamma2=1e-3, nbar1=5.0, nbar2=5.0)
     singular = replace(base, g1_eff=0.0, g2_eff=0.0, g22=0.0, omega_ex=0.0,
                        gamma1=0.0, gamma2=0.0)   # undamped, uncoupled
-    q = real_noise(hostile).q.copy()
+    q = real_noise(hostile).copy()
     q[1, 1] = q[4, 4] = 0.2 * 1e-3   # emission weaker than vacuum: n < 0
 
     # the builders get column records; the stubs edit the faulty cells' rows
     def drift(lp):
-        a = real_drift(lp).a.copy()
+        a = real_drift(lp).copy()
         kappa = np.atleast_1d(lp.kappa)
         a[kappa == kappas[1], 2, 2] = np.nan
-        a[kappa == kappas[3]] = real_drift(singular).a
-        a[kappa == kappas[5]] = real_drift(hostile).a
-        return cooling.DriftMatrix(a=a)
+        a[kappa == kappas[3]] = real_drift(singular)
+        a[kappa == kappas[5]] = real_drift(hostile)
+        return a
 
     def noise(lp):
         nm = real_noise(lp)
         at = np.atleast_1d(lp.kappa) == kappas[5]
-        nm.q[at] = q
+        nm[at] = q
         return nm
     monkeypatch.setattr(cooling, "build_drift_matrix", drift)
     monkeypatch.setattr(cooling, "build_noise_model", noise)
