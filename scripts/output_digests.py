@@ -139,9 +139,12 @@ def commands():
     out.append(("sweep1d_negative_eta", ["sweep1d"], _config(
         "system", {**SYSTEM_COMMON, **SYSTEM_BASES["fig4q"]},
         ("root-count", ["eta -20 20 5"]))))
-    # a drive whose root window eta^2/kappa^2 is subnormal
-    out.append(("branches_subnormal_eta", ["branches"], _config(
-        "system", {**SYSTEM_COMMON, **SYSTEM_BASES["multi"], "eta": 5e-161})))
+    # a drive whose root window eta^2/kappa^2 is subnormal, weak drives
+    # whose window is below 1, and one whose window underflows to 0
+    for name, eta in (("subnormal_eta", 5e-161), ("eta_1e-3", 1e-3),
+                      ("eta_1e-6", 1e-6), ("eta_1e-170", 1e-170)):
+        out.append((f"branches_{name}", ["branches"], _config(
+            "system", {**SYSTEM_COMMON, **SYSTEM_BASES["multi"], "eta": eta})))
     for name, base in LINEARIZED_BASES.items():
         values = {**LINEARIZED_COMMON, **base}
         out.append((f"cool_{name}", ["cool"], _config("linearized", values)))

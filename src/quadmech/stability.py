@@ -5,13 +5,14 @@ matrix A = [[B, C], [C*, B*]].  The unitary quadrature map q = T u, with
 x_j = (u_j + u_{j+3})/sqrt(2) and p_j = (u_j - u_{j+3})/(i sqrt(2)), makes it
 the real matrix R = T A T^dagger = [[Re(B+C), -Im(B-C)], [Im(B+C), Re(B-C)]]
 of q = (x_a, x_1, x_2, p_a, p_1, p_2), which the constructor fills directly;
-R and A share their spectrum.  Branch and cooling verdicts come from Routh's
-test; only the cells it cannot settle, and spectral fields when read, take
+R and A share their spectrum.  Every verdict comes from Routh's test; only
+the cells it cannot settle, and spectral fields when read, take
 eigenvalues.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -34,28 +35,23 @@ class EigenSolveFailure(ArithmeticError):
 
 @dataclass(frozen=True)
 class StabilityVerdict:
-    """Eigenvalue-based verdict: stable iff every real part < -stab_tol.
-    A verdict on a stack holds one array entry per matrix in each field; a
-    branch verdict computes its eigenvalues and margins when first read."""
+    """Routh verdict (``hurwitz_stable``) on ``drift``: stable iff every real
+    part < -stab_tol; one array entry per matrix of a (k, 6, 6) stack in each
+    field.  Spectral fields: one ``spectra(drift)`` call, on first read."""
 
-    eigenvalues: np.ndarray
-    max_real_part: float
     stable: bool
-    margin: float
-    gamma_fallback_applied: bool = False
-    verdict_flipped: bool = False    # raw gamma=0 verdict disagreed with fallback
+    gamma_fallback_applied: bool
+    verdict_flipped: bool    # raw gamma=0 verdict disagreed with fallback
+    drift: np.ndarray        # the matrix judged: fallback-damped if applied
 
-    def __getattr__(self, name):
-        # only unset fields get here: a branch verdict's deferred spectra
-        if name not in self.__dataclass_fields__ or "_drift" not in vars(self):
-            raise AttributeError(name)
-        a, fb, undamped, scalar = vars(self).pop("_drift")
-        ev, max_re, _ = spectra(a)
-        ev[undamped], max_re[undamped], _ = spectra(fb)
-        if scalar:
-            ev, max_re = ev[0], max_re[0].item()
-        vars(self).update(eigenvalues=ev, max_real_part=max_re, margin=-max_re)
-        return vars(self)[name]
+    @cached_property
+    def _spectra(self):
+        ev, max_re, _ = spectra(self.drift)
+        return ev, (max_re if max_re.ndim else max_re.item())
+
+    eigenvalues = cached_property(lambda self: self._spectra[0])
+    max_real_part = cached_property(lambda self: self._spectra[1])
+    margin = cached_property(lambda self: -self._spectra[1])
 
 
 def derive_linearized(branch: Union[SteadyStateBranch, Branches],
@@ -128,18 +124,19 @@ def spectra(a: np.ndarray):
 
 
 def classify_stability(a: np.ndarray) -> StabilityVerdict:
-    """Stability from the full eigenvalue set of the real drift matrix ``a``.
-
-    Marginal spectra (|max Re| below stab_tol) are reported unstable: the
-    steady-state Lyapunov solve is invalid on the margin.  ``a`` may also be
-    a stack of shape (k, 6, 6); one verdict with length-k array fields
-    (eigenvalues (k, 6)) then comes back, from one eigenvalue call.
+    """Stability of a real drift matrix ``a``, cast to float, by
+    ``hurwitz_stable``: marginal spectra (|max Re| below stab_tol) are
+    unstable, since the steady-state Lyapunov solve is invalid on the margin.
+    ``a`` may also be a (k, 6, 6) stack; one verdict with length-k array
+    fields (eigenvalues (k, 6)) then comes back.
     """
-    ev, max_re, stable = spectra(a)
-    if a.ndim == 3:
-        return StabilityVerdict(ev, max_re, stable, -max_re,
-                                *np.zeros((2, len(stable)), dtype=bool))
-    return StabilityVerdict(ev, max_re.item(), stable.item(), -max_re.item())
+    if np.iscomplexobj(a):
+        raise ValueError("stability takes the real quadrature form")
+    a = np.asarray(a, dtype=float)
+    stable = hurwitz_stable(a.reshape(-1, 6, 6))
+    if a.ndim == 2:
+        return StabilityVerdict(stable.item(), False, False, a)
+    return StabilityVerdict(stable, *np.zeros((2, len(stable)), bool), a)
 
 
 def hurwitz_stable(a: np.ndarray) -> np.ndarray:
@@ -189,26 +186,22 @@ def classify_branch_stability(lp: Union[LinearizedParams,
     on the margin; the fallback classifies with gamma = 1e-6*kappa instead and
     flags verdicts that differ between the two dampings.  ``lp`` may also be
     a column record or a sequence of parameter sets: one verdict with array
-    fields then comes back, from ``hurwitz_stable`` on one drift stack for
-    the raw damping and one for the undamped cells rebuilt with the fallback
-    damping; the spectral fields are ``spectra`` of both, when first read.
+    fields then comes back, from ``hurwitz_stable`` on one drift stack and
+    on its undamped rows less eps on the damping diagonal: the matrices
+    rebuilt with gamma = eps, bit for bit, which ``drift`` then holds.
     """
     cols, scalar = param_columns(lp, LinearizedParams)
     a = build_drift_matrix(cols)
-    stable, fb = hurwitz_stable(a), a[:0]
+    stable = hurwitz_stable(a)
     applied = ~((cols.gamma1 > 0.0) | (cols.gamma2 > 0.0)) & gamma_fallback
     undamped, flipped = np.flatnonzero(applied), np.zeros_like(applied)
     if undamped.size:
-        sub = take_columns(cols, undamped)
-        eps = GAMMA_FALLBACK_FACTOR * sub.kappa
-        fb = build_drift_matrix(replace(sub, gamma1=eps, gamma2=eps))
+        fb, diag = a[undamped], [1, 2, 4, 5]
+        fb[:, diag, diag] -= GAMMA_FALLBACK_FACTOR * cols.kappa[undamped, None]
         fb_stable = hurwitz_stable(fb)
         flipped[undamped] = fb_stable != stable[undamped]
-        stable[undamped] = fb_stable
+        stable[undamped], a[undamped] = fb_stable, fb
     if scalar:   # a batch of one: its entries as a single call's fields
-        stable, applied, flipped = (stable.item(), applied.item(),
-                                    flipped.item())
-    out = object.__new__(StabilityVerdict)   # spectral fields deferred
-    vars(out).update(stable=stable, gamma_fallback_applied=applied,
-                     verdict_flipped=flipped, _drift=(a, fb, undamped, scalar))
-    return out
+        return StabilityVerdict(stable.item(), applied.item(), flipped.item(),
+                                a[0])
+    return StabilityVerdict(stable, applied, flipped, a)

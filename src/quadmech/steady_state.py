@@ -40,7 +40,8 @@ COEFF_TOL = 1e-12         # closed-form/fixed-point coefficient gap, of max |C_m
 ORACLE_MARGIN = 0.05      # root window: [0, (1+margin)*eta^2/kappa^2]
 SINGULAR_COND = 1e14      # condition-number cutoff of the 4x4 mechanical solve
 POLE_TOL = 1e-9           # exact roots within POLE_TOL*(1+c) of the pole drop
-POLISH_TOL = 1e-7         # exact-route polish bracket: +-POLISH_TOL*max(1,n)
+POLISH_TOL = 1e-7         # polish bracket: +-POLISH_TOL*min(1,w)*max(1,n)
+POLISH_FLOOR = 2.0 ** -1071  # least polish bracket (8 subnormal ulps)
 
 
 class ZeroPolynomial(ValueError):
@@ -487,12 +488,13 @@ def _bisect(resp: RationalResponse, lo: np.ndarray, hi: np.ndarray,
             flo: np.ndarray) -> np.ndarray:
     """Midpoints of all brackets after bisection, evaluated together.
 
-    A bracket freezes once hi - lo <= 1e-12*max(1, |lo|), on a midpoint
-    where f is exactly 0, or after 90 halvings, so its root depends on
-    nothing else in the batch.
+    A bracket freezes once hi - lo <= 1e-12*min(1, w)*max(1, |lo|), with w
+    its root window (``_window``), on a midpoint where f is exactly 0, or
+    after 90 halvings, so its root depends on nothing else in the batch.
     """
     out = np.empty_like(lo)
     live = np.arange(len(lo))
+    tol = 1e-12 * np.minimum(1.0, _window(resp)[2])
     for _ in range(90):
         if not len(live):
             break
@@ -502,11 +504,12 @@ def _bisect(resp: RationalResponse, lo: np.ndarray, hi: np.ndarray,
         hi = np.where(left | (fm == 0.0), mid, hi)
         lo = np.where(left, lo, mid)
         flo = np.where(left, flo, fm)
-        done = hi - lo <= 1e-12 * np.maximum(1.0, np.abs(lo))
+        done = hi - lo <= tol * np.maximum(1.0, np.abs(lo))
         if done.any():
             out[live[done]] = 0.5 * (lo[done] + hi[done])
             keep = ~done
-            live, lo, hi, flo = live[keep], lo[keep], hi[keep], flo[keep]
+            live, lo, hi, flo, tol = (live[keep], lo[keep], hi[keep],
+                                      flo[keep], tol[keep])
             resp = resp.take(keep)
     out[live] = 0.5 * (lo + hi)
     return out
@@ -526,9 +529,9 @@ def oracle_roots(p, diagnostics=None, with_damping: bool = False):
     edges of the pole exclusion |n - pole| <= POLE_TOL*(1+c)) count and
     bracket every root in [0, w].  Each strict sign change between
     consecutive breakpoints outside the exclusion is one root, bisected on
-    f by ``_bisect``.  A set with eta = 0 has the one root 0, and a set
-    whose Q is not finite gets a non-finite-polynomial diagnostic and no
-    roots.
+    f by ``_bisect``.  A set with eta = 0, or whose window underflows to 0,
+    has the one root 0, and a set whose Q is not finite gets a
+    non-finite-polynomial diagnostic and no roots.
     """
     q, scalar = param_columns(p)
     if scalar:
@@ -553,7 +556,7 @@ def oracle_roots(p, diagnostics=None, with_damping: bool = False):
         for j in range(7, -1, -1):
             V = V * t + Q[:, j:j + 1]
     V = np.sign(V)      # products of signs cannot underflow
-    eta = resp.coef[8]
+    eta = np.where(w == 0.0, 0.0, resp.coef[8])   # eta^2 underflows too
     finite = np.isfinite(Q).all(axis=1)
     live = ((eta != 0.0) & finite)[:, None]
     mid = 0.5 * (B[:, 1:] + B[:, :-1])
@@ -647,15 +650,15 @@ def exact_roots(resp: RationalResponse) -> tuple[list[list[float]],
     stacked companion eigenvalues of ``_companion_roots``.  Real roots in
     [0, w] are kept, except those within POLE_TOL*(1+c) of the pole: the D
     factors Q carries when e = 0.  Each kept root is polished by ``_bisect``
-    on f inside +-POLISH_TOL*max(1, n).
+    on f inside +-max(POLISH_TOL*min(1, w)*max(1, n), POLISH_FLOOR).
 
     A column's certificate holds when its coefficients are finite, f changes
     sign across every polish bracket, no two roots merge under DEDUPE_TOL and,
-    with eta > 0, the count is odd (f(0) > 0 > f(w)).  A column with eta = 0
-    has the one root 0.
+    with eta > 0, the count is odd (f(0) > 0 > f(w)).  A column with eta = 0,
+    or whose window underflows to 0 (so eta^2 does too), has the one root 0.
     """
-    eta = resp.coef[8]
     pole, c, w = _window(resp)
+    eta = np.where(w == 0.0, 0.0, resp.coef[8])   # eta^2 underflows too
     Q = _fixed_point_q(resp, c, w)
     solvable, zeros, groups = _companion_roots(Q[:, ::-1])
     origin = np.flatnonzero(solvable & (zeros > 0))     # t = 0 is n = c
@@ -670,11 +673,12 @@ def exact_roots(resp: RationalResponse) -> tuple[list[list[float]],
     keep = ((n >= 0.0) & (n <= w[owner])
             & ~(np.abs(n - pole[owner]) <= POLE_TOL * (1.0 + c[owner])))
     owner, n = owner[keep], n[keep]
-    h = POLISH_TOL * np.maximum(1.0, n)
+    h = np.maximum(POLISH_TOL * np.minimum(1.0, w[owner]) * np.maximum(1.0, n),
+                   POLISH_FLOOR)
     f = fixed_point_defect(resp.take(np.concatenate([owner, owner])),
                            np.concatenate([n - h, n + h]))
     flo, fhi = f[:len(n)], f[len(n):]
-    sign = flo * fhi < 0.0
+    sign = np.sign(flo) * np.sign(fhi) < 0.0   # flo * fhi can underflow
     n[sign] = _bisect(resp.take(owner[sign]), (n - h)[sign], (n + h)[sign],
                       flo[sign])
     unsigned = np.bincount(owner[~sign], minlength=len(eta)) > 0

@@ -30,7 +30,8 @@ from typing import Union
 
 import numpy as np
 
-from .cooling import cool_linearized, dark_mode_diagnostics, flag_residuals
+from .cooling import (build_noise_model, cool_linearized,
+                      dark_mode_diagnostics, flag_residuals, solve_lyapunov)
 from .params import (LINEARIZED_NUMERIC, SYSTEM_NUMERIC, LinearizedParams,
                      SystemParams, param_columns, take_columns,
                      validate_linearized, validate_params)
@@ -190,11 +191,11 @@ def branch_rows(p: SystemParams, solved: Branches,
     sequence) ``p``, one sink each.  All branches get one linearized column
     record and one stacked stability classification; a branch whose
     verdict flips under the gamma fallback gets a marginal-verdict
-    diagnostic in its set's sink.  The cooling rule:
-    rows of a damped set (gamma1 > 0 or gamma2 > 0) carry their dark
-    overlap, and those that are also stable with an unflipped verdict carry
-    their occupations, from one batched Lyapunov solve whose diagnostics go
-    to their set's sink.  An undamped set's modes are not coupled to their
+    diagnostic in its set's sink.  The cooling rule: rows of a damped set
+    (gamma1 > 0 or gamma2 > 0) carry their dark overlap, and those that are
+    also stable with an unflipped verdict carry their occupations, from one
+    Lyapunov solve of their verdicts' drift rows whose diagnostics go to
+    their set's sink.  An undamped set's modes are not coupled to their
     baths, so it has no stationary occupations, and a flipped verdict puts
     the system on the margin, where the Lyapunov system is singular.  (A set
     is damped or not as a whole, so its sink gets the one kind or the other.)
@@ -214,8 +215,9 @@ def branch_rows(p: SystemParams, solved: Branches,
             "marginal-verdict",
             f"stability verdict at n_p={n_p[k]:.6g} flips between "
             f"gamma=0 and the fallback damping"))
-    if cooled.any():
-        cov = cool_linearized(take_columns(lin, cooled))
+    if cooled.any():   # damped, so their drift rows are the raw matrices
+        cov = solve_lyapunov(verdict.drift[cooled], build_noise_model(
+            take_columns(lin, cooled)))
         n1f[cooled], n2f[cooled] = cov.n1f, cov.n2f
         flag_residuals(cov.lyap_residual,
                        [sinks[k] for k in owner[cooled].tolist()])

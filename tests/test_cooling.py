@@ -551,6 +551,7 @@ def test_certified_verdict_equals_spectra(seed, n, data):
     assert np.array_equal(cov.physical, spectra(a)[2])
     assert len(sent) <= 1
     assert all(np.any(np.all(a == m, axis=(1, 2))) for s in sent for m in s)
+    assert np.array_equal(classify_stability(a).stable, spectra(a)[2])
 
 
 def test_certificate_covers_stable_unstable_and_marginal_draws():

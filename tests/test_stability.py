@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from quadmech import (build_drift_matrix, classify_branch_stability,
                       classify_stability, derive_linearized, solve_branches)
-from quadmech.params import LinearizedParams, param_columns
+from quadmech.params import LinearizedParams, param_columns, take_columns
 from quadmech.stability import (GAMMA_FALLBACK_FACTOR, STAB_TOL_FACTOR,
                                 hurwitz_stable, spectra)
 
@@ -243,8 +243,9 @@ def test_fallback_damping_equals_rebuilt_matrices(rng):
 
 def test_fallback_verdict_of_complex_g22_record():
     # with a complex g22 the squeezing term adds +/-2 Im(g22) to the x_2 and
-    # p_2 diagonal entries, so the fallback must rebuild the record, not
-    # overwrite the damping on the diagonal
+    # p_2 diagonal entries, so the fallback subtracts eps from those entries
+    # rather than overwriting them with -eps: the matrix of the record
+    # rebuilt with the fallback damping
     lp = make_linearized(gamma1=0.0, gamma2=0.0, g22=-0.01 + 0.004j)
     assert build_drift_matrix(lp)[2, 2] == 2.0 * 0.004
     verdict = classify_branch_stability(lp)
@@ -252,6 +253,111 @@ def test_fallback_verdict_of_complex_g22_record():
     assert _same_spectrum(verdict, _rebuilt_verdict(lp))
     stacked = record_at(classify_branch_stability([lp, make_linearized()]), 0)
     assert _same_spectrum(stacked, verdict)
+
+
+@st.composite
+def undamped_records(draw):
+    """Undamped linearized records with complex couplings and g22, and
+    dampings of 0.0 or -0.0."""
+    f = st.floats(-2.0, 2.0)
+    return [make_linearized(
+        delta_eff=draw(f), omega1=draw(f), omega2_tilde=draw(f),
+        g1_eff=complex(draw(f), draw(f)), g2_eff=complex(draw(f), draw(f)),
+        g22=complex(draw(f), draw(f)), omega_ex=draw(f),
+        theta=draw(st.floats(0.0, 2 * math.pi)),
+        kappa=draw(st.floats(1e-3, 3.0)),
+        gamma1=draw(st.sampled_from([0.0, -0.0])),
+        gamma2=draw(st.sampled_from([0.0, -0.0])))
+        for _ in range(draw(st.integers(1, 5)))]
+
+
+def _fallback_rows_are_rebuilt(cols, verdict) -> int:
+    """Assert that the verdict's fallback rows of the column record ``cols``
+    are the matrices rebuilt with gamma1 = gamma2 = eps, byte for byte;
+    return how many there are."""
+    rows = np.flatnonzero(verdict.gamma_fallback_applied)
+    sub = take_columns(cols, rows)
+    eps = GAMMA_FALLBACK_FACTOR * sub.kappa
+    rebuilt = build_drift_matrix(replace(sub, gamma1=eps, gamma2=eps))
+    assert verdict.drift[rows].tobytes() == rebuilt.tobytes()
+    return len(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lps=undamped_records())
+def test_fallback_rows_equal_rebuilt_matrices(lps):
+    # the fallback rows are the undamped rows less eps on the damping
+    # diagonal; IEEE addition commutes, so -eps + 2 Im g22 is 2 Im g22 - eps
+    # and zeros of either sign drop out
+    cols = param_columns(lps)[0]
+    verdict = classify_branch_stability(cols)
+    assert _fallback_rows_are_rebuilt(cols, verdict) == len(lps)
+    for k, lp in enumerate(lps):
+        assert _same_spectrum(record_at(verdict, k), _rebuilt_verdict(lp))
+
+
+@pytest.mark.parametrize("tag", ["fig2a", "fig3c", "fig3d", "fig4"])
+def test_figure_fallback_rows_equal_rebuilt_matrices(monkeypatch, tag):
+    # the same identity on the branch stacks the figure recipes classify
+    import quadmech.sweep as sweep
+    from quadmech import run_recipe
+    rows = []
+
+    def spy(lps, gamma_fallback=True):
+        verdict = classify_branch_stability(lps, gamma_fallback)
+        rows.append(_fallback_rows_are_rebuilt(lps, verdict))
+        return verdict
+    monkeypatch.setattr(sweep, "classify_branch_stability", spy)
+    run_recipe(tag, points=11)
+    assert rows and (sum(rows) > 0) == (tag != "fig4")
+
+
+def test_branch_verdicts_build_one_drift_stack_and_cool_from_it(monkeypatch):
+    # a batch of damped and undamped cells: its verdict builds one drift
+    # stack, whose undamped rows take the fallback, and branch_rows solves
+    # the Lyapunov system of its cooled rows from that stack
+    import quadmech.stability as stability
+    import quadmech.sweep as sweep
+    from quadmech import Axis, SweepSpec, run_sweep
+    built, verdicts, cooled = [], [], []
+    build, classify = stability.build_drift_matrix, classify_branch_stability
+
+    def built_once(lp):
+        built.append(len(lp.kappa))
+        return build(lp)
+
+    def classified(lps, gamma_fallback=True):
+        verdicts.append(classify(lps, gamma_fallback))
+        return verdicts[-1]
+    monkeypatch.setattr(stability, "build_drift_matrix", built_once)
+    monkeypatch.setattr(sweep, "classify_branch_stability", classified)
+    monkeypatch.setattr(sweep, "cool_linearized", lambda *a: cooled.append(a))
+    result = run_sweep(SweepSpec(
+        axes=(Axis("gamma1", 0.0, 2e-5, 3),), mode="root-count",
+        base=make_system(delta_c=3.2, g2=0.0, omega_ex=0.2, eta=56.5)))
+    (verdict,) = verdicts
+    assert built == [len(verdict.stable)] and cooled == []
+    assert verdict.gamma_fallback_applied.any()
+    assert result.table.present["n1f"].any()
+
+
+def test_spectral_fields_take_one_eigenvalue_call_when_read(monkeypatch):
+    # a verdict decides by Routh's test; its eigenvalues, largest real parts
+    # and margins come from one stacked call on first read, and are kept
+    cells = [make_linearized(), make_linearized(gamma1=0.0, gamma2=0.0),
+             make_linearized(delta_eff=-1.0)]
+    a = build_drift_matrix(param_columns(cells)[0])
+    sent = []
+    _counting_spectra(monkeypatch, sent)
+    for verdict in (classify_branch_stability(cells), classify_stability(a),
+                    classify_stability(a[0])):
+        assert sent == []
+        fields = (verdict.eigenvalues, verdict.max_real_part, verdict.margin)
+        assert len(sent) == 1 and sent.pop().tobytes() == \
+            verdict.drift.tobytes()
+        assert all(x is y for x, y in zip(fields, (
+            verdict.eigenvalues, verdict.max_real_part, verdict.margin)))
+        assert sent == []
 
 
 def test_branch_cooling_sweep_honours_gamma_fallback(monkeypatch):

@@ -608,6 +608,34 @@ def test_subnormal_window_solves_without_raising():
         assert sinks[k] == alone[0]
 
 
+@pytest.mark.parametrize("eta", [1e-3, 1e-4, 1e-6, 1e-7, 1e-10, 1e-50,
+                                 1e-170])
+def test_weak_drive_keeps_its_one_branch(eta):
+    # far below the S-curve the one branch sits at eta^2/(kappa^2 +
+    # delta_c^2): the polish bracket and the bisection floor scale with the
+    # root window w = 1.05 eta^2/kappa^2 below 1, on both root routes.  At
+    # eta = 1e-170, w and eta^2 underflow to 0, so the correctly rounded
+    # steady state is n_p = 0, as at eta = 0.  In a column record the drive
+    # keeps that branch, and its neighbours keep their solo branches.
+    weak = make_system(eta=eta)
+    want = eta**2 / (weak.kappa**2 + weak.delta_c**2)
+    column = [make_system(), weak, make_system(eta=56.5)]
+    sinks = [[] for _ in column]
+    together = branch_lists(solve_branches(column, diagnostics=sinks), 3)
+    for k, p in enumerate(column):
+        alone = [[]]
+        assert repr(together[k]) == repr(branch_lists(
+            solve_branches([p], diagnostics=alone), 1)[0])
+        assert sinks[k] == alone[0]
+    (branch,) = together[1]
+    assert sinks[1] == []
+    assert abs(branch.n_p - want) <= 1e-9 * want
+    sinks = [[]]
+    (isolated,) = oracle_roots([weak], sinks)
+    assert sinks == [[]] and len(isolated) == 1
+    assert abs(isolated[0] - want) <= 1e-9 * want
+
+
 def test_exact_count_is_held_to_the_flow_and_to_known_roots(rng):
     # Q of the exact count is D^4 (n (kappa^2 + Delta^2) - eta^2) at every
     # n, with Delta the flow's own detuning (``stacked_detuning``), so it
