@@ -128,11 +128,12 @@ def classify_stability(a: np.ndarray) -> StabilityVerdict:
     ``hurwitz_stable``: marginal spectra (|max Re| below stab_tol) are
     unstable, since the steady-state Lyapunov solve is invalid on the margin.
     ``a`` may also be a (k, 6, 6) stack; one verdict with length-k array
-    fields (eigenvalues (k, 6)) then comes back.
+    fields (eigenvalues (k, 6)) then comes back; ``drift`` is a copy of a.
     """
-    if np.iscomplexobj(a):
-        raise ValueError("stability takes the real quadrature form")
-    a = np.asarray(a, dtype=float)
+    if (np.iscomplexobj(a) or np.ndim(a) not in (2, 3)
+            or np.shape(a)[-2:] != (6, 6)):
+        raise ValueError("stability takes real 6x6 drift matrices")
+    a = np.array(a, dtype=float)
     stable = hurwitz_stable(a.reshape(-1, 6, 6))
     if a.ndim == 2:
         return StabilityVerdict(stable.item(), False, False, a)

@@ -485,7 +485,7 @@ def reconstruct_branch(p: SystemParams, n_p: float,
 
 
 def _bisect(resp: RationalResponse, lo: np.ndarray, hi: np.ndarray,
-            flo: np.ndarray) -> np.ndarray:
+            flo: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Midpoints of all brackets after bisection, evaluated together.
 
     A bracket freezes once hi - lo <= 1e-12*min(1, w)*max(1, |lo|), with w
@@ -494,7 +494,7 @@ def _bisect(resp: RationalResponse, lo: np.ndarray, hi: np.ndarray,
     """
     out = np.empty_like(lo)
     live = np.arange(len(lo))
-    tol = 1e-12 * np.minimum(1.0, _window(resp)[2])
+    tol = 1e-12 * np.minimum(1.0, w)
     for _ in range(90):
         if not len(live):
             break
@@ -538,7 +538,7 @@ def oracle_roots(p, diagnostics=None, with_damping: bool = False):
         sinks = None if diagnostics is None else [diagnostics]
         return oracle_roots(q, sinks, with_damping)[0]
     resp = RationalResponse.of(q, with_damping)
-    pole, c, w = _window(resp)
+    pole, c, w, eta = _window(resp)
     Q = _fixed_point_q(resp, c, w)
     _, zeros, groups = _companion_roots(
         (Q[:, 1:] * np.arange(1.0, 8.0))[:, ::-1])        # Q'
@@ -556,7 +556,6 @@ def oracle_roots(p, diagnostics=None, with_damping: bool = False):
         for j in range(7, -1, -1):
             V = V * t + Q[:, j:j + 1]
     V = np.sign(V)      # products of signs cannot underflow
-    eta = np.where(w == 0.0, 0.0, resp.coef[8])   # eta^2 underflows too
     finite = np.isfinite(Q).all(axis=1)
     live = ((eta != 0.0) & finite)[:, None]
     mid = 0.5 * (B[:, 1:] + B[:, :-1])
@@ -566,7 +565,7 @@ def oracle_roots(p, diagnostics=None, with_damping: bool = False):
     found: list[list[float]] = [[0.0] if e == 0.0 else []
                                 for e in eta.tolist()]
     # f has the sign of -Q away from the pole
-    roots = _bisect(resp.take(k), B[k, i], B[k, i + 1], -V[k, i])
+    roots = _bisect(resp.take(k), B[k, i], B[k, i + 1], -V[k, i], w[k])
     for cell, r in zip(k.tolist(), roots.tolist()):
         found[cell].append(r)
     if diagnostics is not None:
@@ -628,13 +627,15 @@ def _fixed_point_q(resp: RationalResponse, c: np.ndarray,
 def _window(resp: RationalResponse):
     """The mechanical pole -d0/d1 of every column of ``resp``, the centre c
     of its pole-centred variable (the pole when it lies inside the window,
-    else 0) and the window w = (1+ORACLE_MARGIN) eta^2/kappa^2."""
+    else 0), the window w = (1+ORACLE_MARGIN) eta^2/kappa^2 and the drive
+    eta, read as 0 where w underflows to 0 (eta^2 then does too)."""
     d0, d1 = resp.coef[3:5]
     eta, kappa = resp.coef[8:]
     with np.errstate(all="ignore"):
         w = (1.0 + ORACLE_MARGIN) * eta**2 / kappa**2
         pole = -d0 / d1
-    return pole, np.where((pole > 0.0) & (pole < w), pole, 0.0), w
+    return (pole, np.where((pole > 0.0) & (pole < w), pole, 0.0), w,
+            np.where(w == 0.0, 0.0, eta))
 
 
 def exact_roots(resp: RationalResponse) -> tuple[list[list[float]],
@@ -657,8 +658,7 @@ def exact_roots(resp: RationalResponse) -> tuple[list[list[float]],
     with eta > 0, the count is odd (f(0) > 0 > f(w)).  A column with eta = 0,
     or whose window underflows to 0 (so eta^2 does too), has the one root 0.
     """
-    pole, c, w = _window(resp)
-    eta = np.where(w == 0.0, 0.0, resp.coef[8])   # eta^2 underflows too
+    pole, c, w, eta = _window(resp)
     Q = _fixed_point_q(resp, c, w)
     solvable, zeros, groups = _companion_roots(Q[:, ::-1])
     origin = np.flatnonzero(solvable & (zeros > 0))     # t = 0 is n = c
@@ -680,7 +680,7 @@ def exact_roots(resp: RationalResponse) -> tuple[list[list[float]],
     flo, fhi = f[:len(n)], f[len(n):]
     sign = np.sign(flo) * np.sign(fhi) < 0.0   # flo * fhi can underflow
     n[sign] = _bisect(resp.take(owner[sign]), (n - h)[sign], (n + h)[sign],
-                      flo[sign])
+                      flo[sign], w[owner[sign]])
     unsigned = np.bincount(owner[~sign], minlength=len(eta)) > 0
     finite = np.isfinite(Q).all(axis=1)
     cells: list[list[float]] = [[] for _ in eta]

@@ -20,7 +20,8 @@ from quadmech.steady_state import (COEFF_TOL, MATCH_TOL, ORACLE_MARGIN,
                                    PolynomialCoefficients, RationalResponse,
                                    ResidualTooLarge, SingularMechanicalSystem,
                                    ZeroPolynomial, _bisect, _well_conditioned,
-                                   batch_real_roots, coefficient_deviation,
+                                   _window, batch_real_roots,
+                                   coefficient_deviation,
                                    exact_roots, fixed_point_defect,
                                    reconstruct_branches, root_sets,
                                    roots_match)
@@ -584,7 +585,8 @@ def test_bisection_freezes_on_an_exact_root():
                                             eta=8.0)])
     lo, hi = np.array([60.0]), np.array([68.0])
     assert fixed_point_defect(resp, np.array([64.0]))[0] == 0.0
-    got = _bisect(resp, lo, hi, fixed_point_defect(resp, lo))
+    got = _bisect(resp, lo, hi, fixed_point_defect(resp, lo),
+                  _window(resp)[2])
     assert got.tolist() == [64.0]
 
 
