@@ -28,19 +28,18 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from . import __version__
-from .params import (LinearizedParams, ParameterError, SystemParams,
+from .params import (_NUMERIC, LinearizedParams, ParameterError, SystemParams,
                      validate_linearized, validate_params)
-from .recipes import RECIPES, RecipeResult, run_recipe
+from .recipes import RECIPES, run_recipe
 from .steady_state import (Diagnostic, ZeroPolynomial, batch_real_roots,
-                           build_polynomial, root_sets, roots_match,
-                           solve_branches)
-from .sweep import (COLUMNS, Axis, SweepSpec, Table, branch_rows,
-                    cooling_rows, run_sweep)
+                           build_polynomial, root_sets, roots_match)
+from .sweep import (COLUMNS, Axis, SweepSpec, Table, cooling_rows, run_sweep,
+                    steady_rows)
 
 
 class ParseError(ValueError):
@@ -54,8 +53,7 @@ class UnknownKey(ParseError):
 @dataclass
 class RunConfig:
     command: str
-    system: Optional[SystemParams] = None
-    linearized: Optional[LinearizedParams] = None
+    params: Optional[Union[SystemParams, LinearizedParams]] = None
     sweep_mode: Optional[str] = None
     axes: tuple[Axis, ...] = ()
     out_path: str = "out.csv"
@@ -69,8 +67,9 @@ class RunConfig:
     points: Optional[int] = None
 
 
-_SYSTEM_FIELDS = {f.name for f in fields(SystemParams)}
-_LINEARIZED_FIELDS = {f.name for f in fields(LinearizedParams)}
+# parameter section -> its record type and validator
+_SECTIONS = {"system": (SystemParams, validate_params),
+             "linearized": (LinearizedParams, validate_linearized)}
 _SWEEP_KEYS = {"mode", "axis1", "axis2"}
 _OUTPUT_KEYS = {"path", "format"}
 
@@ -138,20 +137,21 @@ def parse_config(text: str, overrides: list[str] | None = None,
         cp.read_string(text)
     except configparser.Error as exc:
         raise ParseError(f"config parse failure: {exc}") from exc
-    known = {"system", "linearized", "sweep", "output"}
     for sec in cp.sections():
-        if sec not in known:
+        if sec not in {*_SECTIONS, "sweep", "output"}:
             raise UnknownKey(f"unknown section [{sec}]")
-    sys_kv = dict(cp["system"]) if cp.has_section("system") else None
-    lin_kv = dict(cp["linearized"]) if cp.has_section("linearized") else None
-    if sys_kv is not None and lin_kv is not None:
+    given = [sec for sec in _SECTIONS if cp.has_section(sec)]
+    if len(given) > 1:
         raise ParseError("config must contain exactly one of [system] and "
                          "[linearized], not both")
+    section = given[0] if given else None
+    par_kv = dict(cp[section]) if section else {}
+    par_keys = ({f.name for f in fields(_SECTIONS[section][0])} if section
+                else set())
     sweep_kv = dict(cp["sweep"]) if cp.has_section("sweep") else {}
     out_kv = dict(cp["output"]) if cp.has_section("output") else {}
 
-    for kv, allowed, where in ((sys_kv or {}, _SYSTEM_FIELDS, "[system]"),
-                               (lin_kv or {}, _LINEARIZED_FIELDS, "[linearized]"),
+    for kv, allowed, where in ((par_kv, par_keys, f"[{section}]"),
                                (sweep_kv, _SWEEP_KEYS, "[sweep]"),
                                (out_kv, _OUTPUT_KEYS, "[output]")):
         for key in kv:
@@ -165,10 +165,8 @@ def parse_config(text: str, overrides: list[str] | None = None,
         key, _, val = item.partition("=")
         key = key.strip()
         val = val.strip()
-        if sys_kv is not None and key in _SYSTEM_FIELDS:
-            sys_kv[key] = val
-        elif lin_kv is not None and key in _LINEARIZED_FIELDS:
-            lin_kv[key] = val
+        if key in par_keys:
+            par_kv[key] = val
         elif key in _SWEEP_KEYS:
             sweep_kv[key] = val
         elif key in _OUTPUT_KEYS:
@@ -178,31 +176,24 @@ def parse_config(text: str, overrides: list[str] | None = None,
         else:
             raise UnknownKey(f"override key {key!r} matches no config field")
 
-    if sys_kv is not None:
+    if section:
+        kind, validate = _SECTIONS[section]
+        numeric, complex_fields = _NUMERIC[kind]
         kv = {}
-        for key, raw in sys_kv.items():
-            kv[key] = raw if key == "unit_label" else _to_float(key, raw)
-        try:
-            cfg.system = validate_params(SystemParams(**kv))
-        except TypeError as exc:
-            raise ParseError(f"[system]: {exc}") from exc
-    if lin_kv is not None:
-        kv = {}
-        for key, raw in lin_kv.items():
-            if key == "origin":
-                kv[key] = raw
-            elif key in ("g1_eff", "g2_eff", "g22"):
+        for key, raw in par_kv.items():
+            if key in complex_fields:
                 try:
                     kv[key] = complex(raw.replace(" ", ""))
                 except ValueError as exc:
                     raise ParseError(f"key {key!r}: {exc}") from exc
-            else:
+            elif key in numeric:
                 kv[key] = _to_float(key, raw)
-        kv.setdefault("origin", "direct")
+            else:   # metadata: unit_label or origin
+                kv[key] = raw
         try:
-            cfg.linearized = validate_linearized(LinearizedParams(**kv))
+            cfg.params = validate(kind(**kv))
         except TypeError as exc:
-            raise ParseError(f"[linearized]: {exc}") from exc
+            raise ParseError(f"[{section}]: {exc}") from exc
     if "mode" in sweep_kv:
         cfg.sweep_mode = sweep_kv["mode"].strip()
     axes = []
@@ -292,12 +283,6 @@ def write_table(path: str, fmt: str, columns: tuple[str, ...], table: Table,
     Path(path).write_text(buf.getvalue())
 
 
-def _write_diagnostics(path: str, diags: list[Diagnostic]) -> None:
-    side = Path(path).with_suffix(Path(path).suffix + ".diagnostics.txt")
-    lines = [f"{d.kind} cell={d.cell} {d.message}" for d in diags]
-    side.write_text("\n".join(lines) + "\n")
-
-
 _GNUPLOT_STUB = """\
 # gnuplot stub for {tag}; data file: {data}
 set datafile separator ','
@@ -308,28 +293,35 @@ set key autotitle columnhead
 """
 
 
-def _write_plot_stub(path: str, tag: str, columns: tuple[str, ...]) -> None:
-    data = Path(path).name
+def _write_plot_stub(path: Path, tag: str, columns: tuple[str, ...]) -> None:
+    data = path.name
     if "n1f" in columns and len(columns) > 8:
         plot = f"splot '{data}' using 1:2:{columns.index('n1f') + 1} with points palette"
     elif "n1f" in columns:
         plot = f"plot '{data}' using 1:{columns.index('n1f') + 1} with lines"
     else:
         plot = f"plot '{data}' using 1:2 with points"
-    stub = Path(path).with_suffix(".gp")
-    stub.write_text(_GNUPLOT_STUB.format(tag=tag, data=data,
-                                         columns=",".join(columns),
-                                         plot_line=plot))
+    path.with_suffix(".gp").write_text(_GNUPLOT_STUB.format(
+        tag=tag, data=data, columns=",".join(columns), plot_line=plot))
 
 
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _params(cfg: RunConfig, section: str):
+    """The run's parameter record, which the command needs from ``section``."""
+    if not isinstance(cfg.params, _SECTIONS[section][0]):
+        raise ParseError(f"the {cfg.command} command needs a [{section}] "
+                         f"section")
+    return cfg.params
+
+
+# Each command gives (axis names, {case: (table, parameter set)}, header
+# extras, diagnostics); a command without cases has the one case "".
+
 def _cmd_roots(cfg: RunConfig):
-    p = cfg.system
-    if p is None:
-        raise ParseError("the roots command needs a [system] section")
+    p = _params(cfg, "system")
     coeffs = build_polynomial(p)
     (poly,) = batch_real_roots([coeffs])
     poly = [] if isinstance(poly, ZeroPolynomial) else poly
@@ -343,28 +335,23 @@ def _cmd_roots(cfg: RunConfig):
                   "aux.z": coeffs.aux["z"],
                   "oracle_roots": " ".join(_fmt(r) for r in orc),
                   "oracle_agreement": agree})
-    return (), rows, extra, diags
+    return (), {"": (rows, p)}, extra, diags
 
 
 def _cmd_branches(cfg: RunConfig):
-    p = cfg.system
-    if p is None:
-        raise ParseError("the branches command needs a [system] section")
+    p = _params(cfg, "system")
     diags: list[Diagnostic] = []
-    solved = solve_branches([p], oracle_mode=cfg.oracle,
-                            with_damping=cfg.with_mech_damping,
-                            diagnostics=[diags])
-    rows = branch_rows(p, solved, [diags], cfg.gamma_fallback)
-    return (), rows, {}, diags
+    rows, _ = steady_rows(p, [diags], cfg.oracle, cfg.with_mech_damping,
+                          cfg.gamma_fallback)
+    return (), {"": (rows, p)}, {}, diags
 
 
 def _cmd_cool(cfg: RunConfig):
-    lp = cfg.linearized
-    if lp is None:
-        raise ParseError("the cool command needs a [linearized] section")
+    lp = _params(cfg, "linearized")
     diags: list[Diagnostic] = []
     row = cooling_rows(lp, [diags])
-    return (), row, {"lyap_residual": _fields(row, "residual")[0]}, diags
+    extra = {"lyap_residual": _fields(row, "residual")[0]}
+    return (), {"": (row, lp)}, extra, diags
 
 
 def _cmd_sweep(cfg: RunConfig):
@@ -372,20 +359,37 @@ def _cmd_sweep(cfg: RunConfig):
     if len(cfg.axes) != ndim:
         raise ParseError(f"sweep{ndim}d needs exactly {ndim} axis definitions "
                          f"in [sweep]")
-    mode = cfg.sweep_mode or ("cooling" if cfg.linearized is not None
-                              else "root-count")
-    base = cfg.linearized if mode == "cooling" else cfg.system
-    if base is None:
+    linearized = isinstance(cfg.params, LinearizedParams)
+    mode = cfg.sweep_mode or ("cooling" if linearized else "root-count")
+    if cfg.params is None or linearized != (mode == "cooling"):
         raise ParseError(f"mode {mode!r} needs the matching params section")
-    spec = SweepSpec(axes=cfg.axes, base=base, mode=mode,
+    spec = SweepSpec(axes=cfg.axes, base=cfg.params, mode=mode,
                      oracle_mode=cfg.oracle, gamma_fallback=cfg.gamma_fallback,
                      with_damping=cfg.with_mech_damping, threads=cfg.threads)
     result = run_sweep(spec)
-    names = tuple(ax.name for ax in cfg.axes)
     extra = {"sweep.mode": mode}
     for i, ax in enumerate(cfg.axes):
         extra[f"sweep.axis{i + 1}"] = f"{ax.name} {ax.lo} {ax.hi} {ax.points} {ax.scale}"
-    return names, result.table, extra, result.diagnostics
+    names = tuple(ax.name for ax in cfg.axes)
+    return names, {"": (result.table, cfg.params)}, extra, result.diagnostics
+
+
+def _run_reproduce(cfg: RunConfig):
+    if cfg.with_mech_damping:
+        raise ParseError("reproduce runs its recipes without mechanical "
+                         "damping in the steady-state algebra; "
+                         "with_mech_damping on is not supported")
+    result = run_recipe(
+        cfg.recipe, points=cfg.points, threads=cfg.threads, oracle=cfg.oracle,
+        gamma_fallback=cfg.gamma_fallback, convention=cfg.convention)
+    return (result.axis_names, result.tables,
+            {f"recipe.{k}": str(v) for k, v in result.meta.items()},
+            result.diagnostics)
+
+
+_COMMANDS = {"roots": _cmd_roots, "branches": _cmd_branches,
+             "cool": _cmd_cool, "sweep1d": _cmd_sweep, "sweep2d": _cmd_sweep,
+             "reproduce": _run_reproduce}
 
 
 def exit_status(diags: list[Diagnostic]) -> int:
@@ -395,46 +399,33 @@ def exit_status(diags: list[Diagnostic]) -> int:
 
 
 def run_command(cfg: RunConfig) -> int:
-    """Execute a parsed RunConfig; returns the process exit status."""
-    if cfg.command == "reproduce":
-        return exit_status(_run_reproduce(cfg))
-    # each gives (axis names, table, header extras, diagnostics)
-    commands = {"roots": _cmd_roots, "branches": _cmd_branches,
-                "cool": _cmd_cool, "sweep1d": _cmd_sweep,
-                "sweep2d": _cmd_sweep}
-    if cfg.command not in commands:
+    """Execute a parsed RunConfig; returns the process exit status.
+
+    Every command's output is written here: a table per case (case ``c``
+    of ``<stem>.<ext>`` goes to ``<stem>_c.<ext>``), for ``reproduce`` a
+    gnuplot stub beside each, and the diagnostics sidecar
+    ``<out>.diagnostics.txt``, which a run without diagnostics removes."""
+    if cfg.command not in _COMMANDS:
         raise ParseError(f"unknown command {cfg.command!r}")
-    axis_names, rows, extra, diags = commands[cfg.command](cfg)
-    write_table(cfg.out_path, cfg.out_format, axis_names + COLUMNS, rows,
-                _meta_for(cfg, cfg.system or cfg.linearized, extra))
-    if diags:
-        _write_diagnostics(cfg.out_path, diags)
-    return exit_status(diags)
-
-
-def _run_reproduce(cfg: RunConfig) -> list[Diagnostic]:
-    """Write a recipe's table(s), plot stubs and diagnostics sidecar."""
-    if cfg.with_mech_damping:
-        raise ParseError("reproduce runs its recipes without mechanical "
-                         "damping in the steady-state algebra; "
-                         "with_mech_damping on is not supported")
-    result: RecipeResult = run_recipe(
-        cfg.recipe, points=cfg.points, threads=cfg.threads, oracle=cfg.oracle,
-        gamma_fallback=cfg.gamma_fallback, convention=cfg.convention)
-    columns = result.axis_names + COLUMNS
-    recipe = {f"recipe.{k}": str(v) for k, v in result.meta.items()}
-    for case, (rows, base) in result.tables.items():
-        path, tag, case_meta = cfg.out_path, result.tag, {}
+    axis_names, tables, extra, diags = _COMMANDS[cfg.command](cfg)
+    columns = axis_names + COLUMNS
+    for case, (rows, params) in tables.items():
+        path, tag, case_meta = Path(cfg.out_path), cfg.recipe, {}
         if case:
-            stem = Path(cfg.out_path)
-            path = str(stem.with_name(f"{stem.stem}_{case}{stem.suffix}"))
-            tag, case_meta = f"{result.tag} ({case})", {"recipe.case": case}
-        write_table(path, cfg.out_format, columns, rows,
-                    _meta_for(cfg, base, {**recipe, **case_meta}))
-        _write_plot_stub(path, tag, columns)
-    if result.diagnostics:
-        _write_diagnostics(cfg.out_path, result.diagnostics)
-    return result.diagnostics
+            path = path.with_name(f"{path.stem}_{case}{path.suffix}")
+            tag, case_meta = f"{tag} ({case})", {"recipe.case": case}
+        write_table(str(path), cfg.out_format, columns, rows,
+                    _meta_for(cfg, params, {**extra, **case_meta}))
+        if cfg.recipe:
+            _write_plot_stub(path, tag, columns)
+    side = Path(cfg.out_path)
+    side = side.with_suffix(side.suffix + ".diagnostics.txt")
+    if diags:
+        side.write_text("".join(f"{d.kind} cell={d.cell} {d.message}\n"
+                                for d in diags))
+    else:
+        side.unlink(missing_ok=True)
+    return exit_status(diags)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ import numpy as np
 
 from .params import (LinearizedParams, SystemParams, param_columns,
                      take_columns, validate_params)
-from .steady_state import Diagnostic, solve_branches
-from .sweep import (Axis, SweepSpec, Table, branch_rows,
-                    continuation_labels, run_sweep)
+from .steady_state import Diagnostic
+from .sweep import (Axis, SweepSpec, Table, continuation_labels, run_sweep,
+                    steady_rows)
 
 # Multistability reference point: kappa units, omega = 5 kappa, theta = pi.
 MULTI_BASE = SystemParams(
@@ -76,7 +76,6 @@ RECIPES = {
 
 @dataclass
 class RecipeResult:
-    tag: str
     axis_names: tuple[str, ...]
     # case -> (table, parameter set); a recipe without cases has the one
     # case "" and writes a single table
@@ -122,10 +121,10 @@ def branch_cooling_sweep(base: Union[SystemParams, Mapping[str, SystemParams]],
     mechanical quality factors (gamma_i/omega_i) and thermal occupancies are
     preserved in both cases.  Branch labels follow nearest-n_p continuation
     within each case.  ``gamma_fallback`` is passed to the stability
-    verdicts.  Every case's ratios are solved in one batch, from one column
-    record of their parameter sets, and their rows come from one
-    ``branch_rows`` call; a ratio without branches has no row.  Diagnostics
-    come case by case, each stamped with its ratio.
+    verdicts.  Every case's ratios are solved in one ``steady_rows`` batch,
+    from one column record of their parameter sets; a ratio without
+    branches, or whose solve raised (a cell-error), has no row.
+    Diagnostics come case by case, each stamped with its ratio.
     """
     if convention not in ("kappa", "omega1"):
         raise ValueError(f"unknown convention {convention!r}")
@@ -133,10 +132,8 @@ def branch_cooling_sweep(base: Union[SystemParams, Mapping[str, SystemParams]],
     ratios = np.asarray(ratios, dtype=float)
     p = _ratio_columns(list(cases.values()), ratios, convention)
     sinks: list[list[Diagnostic]] = [[] for _ in p.eta]
-    solved = solve_branches(p, oracle_mode=oracle, diagnostics=sinks)
-    counts = np.bincount(solved.owner, minlength=len(sinks)).reshape(
-        len(cases), len(ratios))
-    rows = branch_rows(p, solved, sinks, gamma_fallback)
+    rows, counts = steady_rows(p, sinks, oracle, gamma_fallback=gamma_fallback)
+    counts = counts.reshape(len(cases), len(ratios))
     tables = {}
     for case, n, part in zip(cases, counts,
                              rows.split(counts.sum(axis=1))):
@@ -170,14 +167,14 @@ def run_recipe(tag: str, points: Optional[int] = None, threads: int = 1,
             diagnostics=diags, gamma_fallback=gamma_fallback)
         tables = {case: (rows[case], case_base)
                   for case, case_base in base.items()}
-        return RecipeResult(tag=tag, axis_names=names, tables=tables,
+        return RecipeResult(axis_names=names, tables=tables,
                             meta={"mode": mode, "convention": convention},
                             diagnostics=diags)
     result = run_sweep(SweepSpec(
         axes=axes, base=base, mode=mode, oracle_mode=oracle,
         gamma_fallback=gamma_fallback, threads=threads))
     return RecipeResult(
-        tag=tag, axis_names=names, tables={"": (result.table, base)},
+        axis_names=names, tables={"": (result.table, base)},
         meta={"mode": mode, "axes": [(ax.name, ax.lo, ax.hi, ax.points,
                                       ax.scale) for ax in axes]},
         diagnostics=result.diagnostics)

@@ -194,7 +194,7 @@ def classify_branch_stability(lp: Union[LinearizedParams,
     cols, scalar = param_columns(lp, LinearizedParams)
     a = build_drift_matrix(cols)
     stable = hurwitz_stable(a)
-    applied = ~((cols.gamma1 > 0.0) | (cols.gamma2 > 0.0)) & gamma_fallback
+    applied = (cols.gamma1 == 0.0) & (cols.gamma2 == 0.0) & gamma_fallback
     undamped, flipped = np.flatnonzero(applied), np.zeros_like(applied)
     if undamped.size:
         fb, diag = a[undamped], [1, 2, 4, 5]

@@ -386,9 +386,9 @@ class RationalResponse:
         return cls(np.stack([a0, a1, e, det(M0), d1, q.delta_c, q.g1, q.g2,
                              q.eta, q.kappa]))
 
-    def take(self, cells, repeats=1) -> "RationalResponse":
-        """The columns picked by ``cells``, each repeated ``repeats`` times."""
-        return RationalResponse(np.repeat(self.coef[:, cells], repeats, axis=1))
+    def take(self, cells) -> "RationalResponse":
+        """The columns picked by ``cells``."""
+        return RationalResponse(self.coef[:, cells])
 
     def detuning(self, n_p: np.ndarray) -> np.ndarray:
         """Effective detuning Delta(n_p) elementwise; NaN where the

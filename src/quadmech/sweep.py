@@ -17,7 +17,7 @@ workers; a one-batch grid is solved in the calling process, as on one
 worker.  Supported modes:
 
 * ``root-count`` / ``stable-count`` — steady-state branches with stability
-  verdicts per cell (SystemParams base), rows from ``branch_rows``,
+  verdicts per cell (SystemParams base), rows from ``steady_rows``,
 * ``branch-curve``  — 1D branch list with continuation-consistent labels,
 * ``cooling``       — phonon numbers and dark-mode overlap per cell
   (LinearizedParams base).
@@ -229,25 +229,32 @@ def branch_rows(p: SystemParams, solved: Branches,
                   "dark_overlap": damped & ~np.isnan(dark)})
 
 
-def _eval_steady_batch(spec: SweepSpec, p: SystemParams, sinks):
-    """One batched solve for the cells of the column record ``p``, then
-    ``branch_rows`` of all their branches: (the rows, each cell's branch
-    count).  Validation is part of the batch, so an invalid cell fails
-    alone (``_each_cell``)."""
+def steady_rows(p: SystemParams, sinks: list[list[Diagnostic]],
+                oracle: bool = True, with_damping: bool = False,
+                gamma_fallback: bool = True) -> tuple[Table, np.ndarray]:
+    """The steady-state branch rows of each cell of ``p`` (a column record,
+    or a scalar record as one cell), each cell's diagnostics going to its
+    sink: (the rows, each cell's branch count).  The cells share one
+    validation, one ``solve_branches`` and one ``branch_rows`` call
+    (``_each_cell``): an invalid or failing cell gets a cell-error and no
+    rows.  With no rows at all, the table still has every row column."""
+    p, _ = param_columns(p)
     cells = list(range(len(sinks)))
 
     def solve(ks, ks_sinks):
         q = validate_params(p if ks is cells else take_columns(p, ks))
-        solved = solve_branches(
-            q, oracle_mode=spec.oracle_mode, with_damping=spec.with_damping,
-            diagnostics=ks_sinks)
-        return (branch_rows(q, solved, ks_sinks, spec.gamma_fallback),
+        solved = solve_branches(q, oracle_mode=oracle,
+                                with_damping=with_damping,
+                                diagnostics=ks_sinks)
+        return (branch_rows(q, solved, ks_sinks, gamma_fallback),
                 np.bincount(solved.owner, minlength=len(ks)))
     counts = np.zeros(len(cells), dtype=np.int64)
     parts = _each_cell(solve, cells, sinks)
     for ks, (_, n) in parts:
         counts[ks] = n
-    return Table.concat([rows for _, (rows, _) in parts]), counts
+    tables = [rows for _, (rows, _) in parts] or [Table({
+        name: np.zeros(0, dtype) for name, dtype in ROW_DTYPES.items()})]
+    return Table.concat(tables), counts
 
 
 def cooling_rows(lp: LinearizedParams,
@@ -309,7 +316,8 @@ def _eval_chunk(spec: SweepSpec, cells: np.ndarray, values: np.ndarray):
         batch = sinks[i:i + BATCH_CELLS]
         parts.append((cooling_rows(p, batch), np.ones(len(batch), np.int64))
                      if spec.mode == "cooling"
-                     else _eval_steady_batch(spec, p, batch))
+                     else steady_rows(p, batch, spec.oracle_mode,
+                                      spec.with_damping, spec.gamma_fallback))
     for index, sink in zip(cells.tolist(), sinks):
         for d in sink:
             d.cell = tuple(index)

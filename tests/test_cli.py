@@ -66,8 +66,8 @@ nbar2 = 300
 
 def test_parse_minimal_defaults():
     cfg = parse_config(MINIMAL, command="roots")
-    assert cfg.system is not None
-    assert cfg.system.kappa == 1.0
+    assert cfg.params is not None
+    assert cfg.params.kappa == 1.0
     assert cfg.out_format == "csv"
     assert cfg.oracle and cfg.gamma_fallback
     assert not hasattr(cfg, "scan_points")
@@ -75,7 +75,7 @@ def test_parse_minimal_defaults():
 
 def test_override_precedence():
     cfg = parse_config(MINIMAL, overrides=["delta_c=3.2"], command="roots")
-    assert cfg.system.delta_c == 3.2
+    assert cfg.params.delta_c == 3.2
 
 
 def test_both_sections_rejected():
@@ -239,6 +239,47 @@ def test_branch_rows_follow_one_cooling_rule(tmp_path):
     _, _, rows = _read_table(tmp_path / "undamped.csv")
     assert len(rows) == 3 and any(r["stable"] == "1" for r in rows)
     assert all(r["n1f"] == r["n2f"] == r["dark_overlap"] == "" for r in rows)
+
+
+def test_branches_cell_error_writes_the_header_only(monkeypatch, tmp_path):
+    # branches is the one-cell case of the steady row builder: a solve that
+    # raises gives a cell-error in the sidecar, a table of the header and no
+    # rows, and the exit code exit_status gives
+    import quadmech.sweep as sweep
+    from quadmech.cli import exit_status
+    from quadmech.cooling import SingularLyapunov
+    from quadmech.steady_state import Diagnostic
+
+    def failing(*args, **kwargs):
+        raise SingularLyapunov("forced")
+    monkeypatch.setattr(sweep, "solve_branches", failing)
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(FIG4A)
+    out = tmp_path / "branches.csv"
+    rc = main(["branches", "--config", str(cfgfile), "--out", str(out)])
+    meta, header, rows = _read_table(out)
+    assert meta["command"] == "branches" and meta["param.eta"] == "56.5"
+    assert header == list(COLUMNS) and rows == []
+    side = out.with_suffix(".csv.diagnostics.txt").read_text()
+    assert side == "cell-error cell=None SingularLyapunov: forced\n"
+    assert rc == exit_status([Diagnostic("cell-error", "")]) == 0
+
+
+def test_a_run_without_diagnostics_removes_a_stale_sidecar(tmp_path):
+    # every command writes through one writer: a run with no diagnostics
+    # leaves no sidecar, not the one an earlier run wrote at the same path
+    out = tmp_path / "x.csv"
+    side = out.with_suffix(".csv.diagnostics.txt")
+    cfgfile = tmp_path / "c.ini"
+    cfgfile.write_text(COOL)
+    for argv, rc, diagnosed in (
+            (["reproduce", "fig2a", "--set", "points=5"], 2, True),
+            (["reproduce", "fig5", "--set", "points=5"], 0, False),
+            (["cool", "--config", str(cfgfile), "--set", "delta_eff=-1"], 0,
+             True),
+            (["cool", "--config", str(cfgfile)], 0, False)):
+        assert main([*argv, "--out", str(out)]) == rc
+        assert side.exists() == diagnosed
 
 
 def test_cool_unstable_point_leaves_occupations_empty(tmp_path):

@@ -26,7 +26,7 @@ from quadmech.stability import spectra
 
 from conftest import (QUADRATURE_T, complex_drift_matrix, complex_noise,
                       make_linearized, random_linearized, record_at,
-                      spectral_phonons)
+                      spectral_phonons, table_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +192,71 @@ def test_fig4_solves_both_cases_in_one_batch(monkeypatch):
     import collections
 
     import quadmech.recipes as recipes
+    import quadmech.sweep as sweep
     calls = collections.Counter()
     for name in ("solve_branches", "branch_rows"):
-        def counted(*args, _fn=getattr(recipes, name), _name=name, **kw):
+        def counted(*args, _fn=getattr(sweep, name), _name=name, **kw):
             calls[_name] += 1
             return _fn(*args, **kw)
-        monkeypatch.setattr(recipes, name, counted)
+        monkeypatch.setattr(sweep, name, counted)
     result = recipes.run_recipe("fig4", points=5)
     assert list(result.tables) == ["linear", "quadratic"]
     assert calls == {"solve_branches": 1, "branch_rows": 1}
+
+
+def _fig4_rows(table, ratio=None):
+    """A fig4 table's rows without their labels, all but those at ``ratio``."""
+    return [{k: v for k, v in row.items() if k != "branch_index"}
+            for row in table_rows(table) if row["kappa_over_omega1"] != ratio]
+
+
+def test_fig4_cell_error_fails_only_its_ratio(monkeypatch):
+    # one ratio of fig4's linear case whose solve raises gets one cell-error
+    # and no rows; every other ratio keeps the rows (labels aside, as the
+    # continuation runs across the gap) and the diagnostics of an unforced
+    # run, case by case
+    import quadmech.sweep as sweep
+    from quadmech import branch_cooling_sweep
+    from quadmech.cooling import SingularLyapunov
+    from quadmech.recipes import RECIPES
+    _, bases, (axis,) = RECIPES["fig4"]
+    ratios = replace(axis, points=7).values()
+    alone = {case: [] for case in bases}
+    want = {case: branch_cooling_sweep(base, ratios, diagnostics=alone[case])
+            for case, base in bases.items()}
+    r, solve = ratios[3], sweep.solve_branches
+
+    def failing(q, **kw):          # the linear case's cell at ratio r
+        if np.any((q.g2 == 0.0) & (q.omega1 == q.kappa / r)):
+            raise SingularLyapunov("forced")
+        return solve(q, **kw)
+    monkeypatch.setattr(sweep, "solve_branches", failing)
+    diags = []
+    got = branch_cooling_sweep(bases, ratios, diagnostics=diags)
+    assert r not in got["linear"].cols["kappa_over_omega1"]
+    assert _fig4_rows(got["linear"]) == _fig4_rows(want["linear"], r)
+    assert table_rows(got["quadratic"]) == table_rows(want["quadratic"])
+    linear = [(d.kind, d.message, d.cell) for d in alone["linear"]]
+    assert [(d.kind, d.message, d.cell) for d in diags] == (
+        [x for x in linear if x[2][0] < r]
+        + [("cell-error", "SingularLyapunov: forced", (r,))]
+        + [x for x in linear if x[2][0] > r]
+        + [(d.kind, d.message, d.cell) for d in alone["quadratic"]])
+
+
+def test_fig4_with_every_cell_failing_writes_empty_tables(monkeypatch):
+    # a batch whose every cell raises still has the row columns, so fig4's
+    # split and labelling go through: two empty tables, a cell-error a cell
+    import quadmech.sweep as sweep
+    from quadmech.recipes import run_recipe
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("forced")
+    monkeypatch.setattr(sweep, "solve_branches", failing)
+    result = run_recipe("fig4", points=3)
+    for table, _ in result.tables.values():
+        assert len(table) == 0 and "kappa_over_omega1" in table.cols
+    assert [d.kind for d in result.diagnostics] == ["cell-error"] * 6
 
 
 def test_hermitian_consistency(rng):

@@ -24,6 +24,7 @@ from quadmech.stability import (GAMMA_FALLBACK_FACTOR, STAB_TOL_FACTOR,
 from conftest import (QUADRATURE_T, complex_drift_matrix, fd_jacobian,
                       linearized_reference, make_linearized, make_system,
                       random_linearized, record_at, table_rows)
+from test_steady_state import any_systems
 
 
 def test_identity_matrix_stable():
@@ -194,6 +195,15 @@ def test_gamma_fallback_flag():
     branch = solve_branches(q)[0]
     verdict = classify_branch_stability(derive_linearized(branch, q))
     assert not verdict.gamma_fallback_applied
+
+
+def test_gamma_fallback_needs_both_dampings_exactly_zero():
+    # the fallback replaces an exactly-zero damping; a negative one is not
+    # zero, and -0.0 is
+    for g1, applied in ((-1e-3, False), (1e-3, False), (-0.0, True),
+                        (0.0, True)):
+        lp = make_linearized(gamma1=g1, gamma2=0.0)
+        assert classify_branch_stability(lp).gamma_fallback_applied is applied
 
 
 def test_fig7d_point_is_stable():
@@ -599,3 +609,21 @@ def test_figure_planes_send_few_matrices_to_the_eigenvalue_call(monkeypatch):
             run_recipe(tag, points=21)
         assert sum(classified) >= least
         assert sum(len(x) for x in sent) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(ps=st.lists(any_systems(), min_size=1, max_size=6),
+       gamma_fallback=st.booleans())
+def test_stable_branches_have_a_positive_drift_determinant(ps, gamma_fallback):
+    # a stable real 6x6 matrix has its eigenvalues in the left half-plane,
+    # the complex ones in conjugate pairs and so an even number of real
+    # ones: its determinant is positive.  Rows scaled to unit norm keep the
+    # determinant's sign and bound it by 1 (Hadamard); LU's backward error
+    # then bounds its rounding by n^4 eps times the growth factor, at most
+    # 2^(n-1), and only rows inside that bound are skipped
+    verdict = classify_branch_stability(
+        derive_linearized(solve_branches(ps), ps), gamma_fallback)
+    a = verdict.drift[verdict.stable]
+    det = np.linalg.det(a / np.linalg.norm(a, axis=2, keepdims=True))
+    clear = np.abs(det) > 6**4 * 2**5 * np.finfo(float).eps
+    assert (det[clear] > 0.0).all()
